@@ -262,7 +262,13 @@ class AffineSegment:
         return self.value(self.t1)
 
     def with_end(self, t1: float) -> "AffineSegment":
-        seg = AffineSegment(self.t0, t1, self.x0, self.a, self.b)
+        # Same start and matrix: share the decomposition instead of redoing it.
+        if t1 < self.t0:
+            raise ValueError(f"segment must run forward: [{self.t0}, {t1}]")
+        seg = AffineSegment.__new__(AffineSegment)
+        for name in AffineSegment.__slots__:
+            setattr(seg, name, getattr(self, name))
+        seg.t1 = float(t1)
         return seg
 
     def sample_times(self, n: int) -> np.ndarray:
@@ -422,6 +428,12 @@ class Trajectory:
 
 
 def _containment_scan(segment: Segment, space: StateSpace) -> None:
+    # Monotone scalar affine segment: ends inside means inside; others and exits are sampled.
+    if isinstance(segment, AffineSegment) and segment.dimension == 1:
+        ((lo, hi),) = space.bounds
+        x_start, x_end = segment.values([segment.t0, segment.t1])[:, 0]
+        if lo - 1e-12 < min(x_start, x_end) and max(x_start, x_end) < hi + 1e-12:
+            return
     ts = segment.sample_times(64)
     vals = segment.values(ts)
     for i, (lo, hi) in enumerate(space.bounds):

@@ -1,21 +1,25 @@
 """Threshold comparators: digitize an analog trajectory into a binary signal.
 
 The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
-1 where x_k(t) > xi.  Crossing times are located by bracketing predicate
-changes on a per-segment sampling grid and bisecting each bracket down to a
-time tolerance, so a reported rising edge approximates the infimum of
-``{t : x_k(t) > xi}``.  Tangential touches that never change the predicate
-between samples produce no transition.
+1 where x_k(t) > xi, so a reported rising edge is the infimum of
+``{t : x_k(t) > xi}``.  A scalar affine segment, dx/dt = a x + b, is monotone:
+it crosses xi at most once, when its end predicates differ, at the exact time
+``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a`` (or
+``t0 + (xi - x0)/b`` when a = 0).
+Every other segment is sampled on a per-segment grid and each bracketed
+predicate change is bisected down to a time tolerance; tangential touches
+that never change the predicate between samples produce no transition.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import DEFAULT_CONFIG, Segment, SolverConfig, Trajectory
+from .modes import DEFAULT_CONFIG, AffineSegment, Segment, SolverConfig, Trajectory
 from .signals import TIME_EPS, BinarySignal
 
 __all__ = [
@@ -95,6 +99,19 @@ def _bisect_crossing(
     return 0.5 * (lo + hi)
 
 
+def _affine_crossing(segment: AffineSegment, xi: float) -> float:
+    """Time at which a scalar affine segment whose end predicates differ
+    meets ``xi``, clamped to the segment."""
+    a, b, x0 = segment._scalar
+    if a == 0.0:
+        t = segment.t0 + (xi - x0) / b
+    else:
+        # ln(ratio) as log1p(ratio - 1) keeps precision when x_inf is far away
+        rel = (xi - x0) / (x0 + b / a)
+        t = segment.t0 + math.log1p(rel) / a if rel > -1.0 else math.inf
+    return min(max(t, segment.t0), segment.t1)
+
+
 def find_crossings(
     traj: Trajectory,
     xi: float,
@@ -106,18 +123,29 @@ def find_crossings(
     """Threshold crossing times of one state component of a trajectory.
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
-    the predicate ``x > xi`` turns on.  Raises :class:`CrossingCapExceeded`
-    if any single segment yields more than ``max_crossings`` crossings.
+    the predicate ``x > xi`` turns on.  A scalar :class:`AffineSegment`
+    contributes its closed-form crossing time; every other segment is
+    sampled and bisected to ``time_tolerance``.  Raises
+    :class:`CrossingCapExceeded` if any single segment yields more than
+    ``max_crossings`` crossings.
     """
     crossings: list[tuple[float, bool]] = []
     carried: bool | None = None  # predicate at the end of the previous segment
     for segment in traj.segments:
-        ts, g = _refined_samples(segment, xi, component, config.probe_points)
+        closed_form = isinstance(segment, AffineSegment) and segment.dimension == 1
+        if closed_form:
+            # Monotone: it crosses once if its end predicates differ, else never.
+            ts = np.array([segment.t0, segment.t1])
+            g = segment.values(ts)[:, component - 1] - xi
+            plateau = g[0] == 0.0 and g[1] == 0.0 and segment.t1 > segment.t0
+        else:
+            ts, g = _refined_samples(segment, xi, component, config.probe_points)
+            on_line = np.abs(g) == 0.0
+            plateau = on_line.size >= 3 and np.any(on_line[:-2] & on_line[1:-1] & on_line[2:])
         pred = g > 0.0
         # Exact-threshold plateaus digitize to 0 per the <= rule; flag them
         # since they usually indicate a degenerate model.
-        on_line = np.abs(g) == 0.0
-        if on_line.size >= 3 and np.any(on_line[:-2] & on_line[1:-1] & on_line[2:]):
+        if plateau:
             warnings.warn(
                 "trajectory runs exactly on the threshold over consecutive samples",
                 RuntimeWarning,
@@ -128,15 +156,18 @@ def find_crossings(
             crossings.append((float(segment.t0), bool(pred[0])))
         seg_count = 0
         for i in np.nonzero(pred[:-1] != pred[1:])[0]:
-            t_cross = _bisect_crossing(
-                segment,
-                float(ts[i]),
-                float(ts[i + 1]),
-                bool(pred[i]),
-                xi,
-                component,
-                time_tolerance,
-            )
+            if closed_form:
+                t_cross = _affine_crossing(segment, xi)
+            else:
+                t_cross = _bisect_crossing(
+                    segment,
+                    float(ts[i]),
+                    float(ts[i + 1]),
+                    bool(pred[i]),
+                    xi,
+                    component,
+                    time_tolerance,
+                )
             crossings.append((t_cross, bool(pred[i + 1])))
             seg_count += 1
             if seg_count > max_crossings:

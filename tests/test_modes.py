@@ -23,6 +23,7 @@ from hybridgates.modes import (
     sup_distance,
     write_trajectory_csv,
 )
+from hybridgates.modes import _containment_scan
 from hybridgates.signals import ModeSwitchSignal
 
 BOX = StateSpace(((-100.0, 100.0),))
@@ -98,6 +99,21 @@ def test_defective_augmented_matrix_falls_back_to_expm():
     assert seg.value(4.0) == pytest.approx([8.0, 4.0], rel=1e-12)
 
 
+def test_with_end_keeps_the_values_of_a_rebuilt_segment():
+    a = np.array([[-1.0, 1.0], [1.0, -2.0]])
+    b = np.array([0.3, 0.1])
+    seg = AffineSegment(0.5, 4.0, [0.2, 0.9], a, b)
+    cut = seg.with_end(2.0)
+    rebuilt = AffineSegment(0.5, 2.0, [0.2, 0.9], a, b)
+    ts = np.linspace(0.5, 2.0, 7)
+    assert (cut.t0, cut.t1) == (0.5, 2.0)
+    assert np.array_equal(cut.values(ts), rebuilt.values(ts))
+    assert np.array_equal(cut.end_state, rebuilt.end_state)
+    assert seg.t1 == 4.0
+    with pytest.raises(ValueError):
+        seg.with_end(0.25)
+
+
 # -- numeric vs closed form -------------------------------------------------------
 
 
@@ -132,6 +148,40 @@ def test_trajectory_leaving_box_raises_with_first_exit_time():
         solve_mode(grow, [20.0], 0.0, 20.0, tight)
     # x(t) = 50 - 30 exp(-t/10) crosses 30 at 10 ln(3/2) = 4.05
     assert 3.5 < err.value.time < 5.0
+
+
+@pytest.mark.parametrize(
+    "a,b,x0,box,sample",
+    [
+        # 50 - 30 exp(-t/10) passes 30 at 4.05, first seen at sample 13
+        (-0.1, 5.0, 20.0, StateSpace(((0.0, 30.0),)), 13),
+        # 20 - 3 t passes 0 at 6.67, first seen at sample 22
+        (0.0, -3.0, 20.0, StateSpace(((0.0, 30.0),)), 22),
+    ],
+)
+def test_scalar_exit_reports_the_sampled_scan_time_and_state(a, b, x0, box, sample):
+    mode = affine_mode("m", [[a]], [b], box)
+    with pytest.raises(StateSpaceExit) as closed:
+        solve_mode(mode, [x0], 0.0, 20.0, box)
+    seg = AffineSegment(0.0, 20.0, [x0], [[a]], [b])
+    with pytest.raises(StateSpaceExit) as sampled:
+        _containment_scan(FunctionSegment(0.0, 20.0, seg.values), box)
+    assert closed.value.time == sampled.value.time == np.linspace(0.0, 20.0, 64)[sample]
+    assert np.array_equal(closed.value.state, sampled.value.state)
+
+
+@pytest.mark.parametrize(
+    "a,b,x0,t1",
+    [
+        (-0.1, 5.0, 20.0, 1000.0),  # settles onto the upper bound 50
+        (-1.0, 0.0, 0.9, 50.0),  # decays to 1.7e-22 above the lower bound 0
+        (0.0, 1.0, 0.0, 50.0 - 1e-12),  # ramps to 1e-12 below the upper bound
+    ],
+)
+def test_scalar_mode_just_inside_a_bound_is_accepted(a, b, x0, t1):
+    box = StateSpace(((0.0, 50.0),))
+    seg = solve_mode(affine_mode("m", [[a]], [b], box), [x0], 0.0, t1, box)
+    assert 0.0 < seg.end_state[0] <= 50.0
 
 
 def test_initial_state_outside_box_rejected():

@@ -1,9 +1,12 @@
 """Threshold digitization tests with closed-form and brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgates.modes import (
     AffineSegment,
@@ -126,6 +129,75 @@ class TestAgainstBruteForceGrid:
                 assert ta == pytest.approx(tb, abs=1e-9)
 
 
+def _sampled(segment):
+    """The same values as a FunctionSegment, which takes the sampled path."""
+    return FunctionSegment(segment.t0, segment.t1, segment.values)
+
+
+def _crossings_and_warnings(traj, xi):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = find_crossings(traj, xi)
+    return got, [w.category for w in caught]
+
+
+def _assert_same_crossings(fast, slow, tol=1e-12):
+    assert [rising for _, rising in fast] == [rising for _, rising in slow]
+    for (t_fast, _), (t_slow, _) in zip(fast, slow):
+        assert abs(t_fast - t_slow) <= tol
+
+
+class TestClosedFormAgainstSampledPath:
+    # The slope at the threshold, a (xi - x_inf) or b when a = 0, is kept
+    # away from zero: where it vanishes the crossing time is ill-conditioned
+    # and the two paths agree only to the rounding of the values themselves.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(-20.0, -0.05), st.floats(0.05, 5.0)),
+        lean=st.floats(0.1, 10.0),
+        lean_sign=st.sampled_from([-1.0, 1.0]),
+        xi=st.floats(-5.0, 5.0),
+        offset=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-10.0, 10.0)),
+        t0=st.floats(0.0, 10.0),
+        span=st.one_of(st.floats(1e-9, 1e-3), st.floats(0.1, 20.0)),
+    )
+    def test_single_segment(self, a, lean, lean_sign, xi, offset, t0, span):
+        if a == 0.0:
+            b = lean_sign * lean
+        else:
+            b = -a * (xi + lean_sign * lean)  # x_inf = xi +- lean
+        seg = AffineSegment(t0, t0 + span, [xi + offset], [[a]], [b])
+        fast, fast_warned = _crossings_and_warnings(Trajectory([seg]), xi)
+        slow, slow_warned = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi)
+        assert len(fast) <= 1
+        _assert_same_crossings(fast, slow)
+        assert fast_warned == slow_warned
+
+    def test_multi_segment_junctions(self):
+        segs = [AffineSegment(0.0, 1.0, [0.4], [[0.0]], [0.0])]
+        # jump above at t=1, then decay toward 0.2 through 0.5
+        segs.append(AffineSegment(1.0, 2.0, [0.7], [[-1.0]], [0.2]))
+        # continue from the end state, rising toward 1 through 0.5
+        segs.append(AffineSegment(2.0, 4.0, segs[-1].end_state, [[-2.0]], [2.0]))
+        # jump onto the threshold itself, then rise off it at once
+        segs.append(AffineSegment(4.0, 5.0, [0.5], [[0.0]], [1.0]))
+        # continue from the end state, ramping down through 0.5
+        segs.append(AffineSegment(5.0, 6.0, segs[-1].end_state, [[0.0]], [-2.0]))
+        fast = find_crossings(Trajectory(segs), 0.5)
+        slow = find_crossings(Trajectory([_sampled(s) for s in segs]), 0.5)
+        _assert_same_crossings(fast, slow)
+        x2 = 0.2 + 0.5 * math.exp(-1.0)
+        want = [
+            (1.0, True),
+            (1.0 + math.log(0.5 / 0.3), False),
+            (2.0 + 0.5 * math.log((1.0 - x2) / 0.5), True),
+            (4.0, False),
+            (4.0, True),
+            (5.5, False),
+        ]
+        _assert_same_crossings(fast, want)
+
+
 class TestTangentialAndDegenerate:
     def test_touch_from_above_keeps_high(self):
         # parabola grazes the threshold at one instant; predicate never flips
@@ -146,6 +218,14 @@ class TestTangentialAndDegenerate:
         hi = AffineSegment(1.0, 2.0, [0.7], [[0.0]], [0.0])
         got = find_crossings(Trajectory([lo, hi]), 0.5)
         assert got == [(1.0, True)]
+
+    def test_underflow_onto_the_asymptote_stays_inside_the_segment(self):
+        # e^{-t} never reaches 0, but underflows to it; the end predicates
+        # differ, so one falling edge is reported, clamped to the segment.
+        got = find_crossings(_affine_traj(-1.0, 0.0, 1.0, 1000.0), 0.0)
+        assert len(got) == 1
+        assert got[0][1] is False
+        assert 0.0 <= got[0][0] <= 1000.0
 
     def test_crossing_cap(self):
         fn = lambda t: np.sin(40.0 * t)
