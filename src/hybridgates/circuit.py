@@ -80,20 +80,14 @@ class Circuit:
         self.vertices: dict[str, Vertex] = dict(vertices)
         self.edges: tuple[Edge, ...] = tuple(Edge(*e) for e in edges)
         self._in: dict[str, list[Edge]] = {name: [] for name in self.vertices}
-        self._out: dict[str, list[Edge]] = {name: [] for name in self.vertices}
         for e in self.edges:
             if e.dst in self._in:
                 self._in[e.dst].append(e)
-            if e.src in self._out:
-                self._out[e.src].append(e)
         for lst in self._in.values():
             lst.sort(key=lambda e: e.slot)
 
     def incoming(self, name: str) -> list[Edge]:
         return list(self._in.get(name, ()))
-
-    def outgoing(self, name: str) -> list[Edge]:
-        return list(self._out.get(name, ()))
 
     def input_ports(self) -> dict[str, InputPort]:
         return {n: v for n, v in self.vertices.items() if isinstance(v, InputPort)}
@@ -239,7 +233,7 @@ class Execution:
 class _GateState:
     __slots__ = (
         "spec", "bits", "last_change", "max_arr_depth", "mode",
-        "segments", "live", "pending", "records", "out_bit",
+        "segments", "live", "generation", "records", "out_bit",
     )
 
     def __init__(self, spec: GateSpec):
@@ -250,7 +244,9 @@ class _GateState:
         self.mode = None
         self.segments: list = []
         self.live = None
-        self.pending: list[tuple[float, int, int]] = []
+        # bumped by every mode switch; queued transitions of older
+        # generations are cancelled and skipped when they surface
+        self.generation = 0
         self.records: list[TransitionRecord] = []
         self.out_bit = initial_output_bit(spec)
 
@@ -273,6 +269,12 @@ def _alternating_pending(
     return pending
 
 
+# Queue entry kinds: (time, kind, name, generation or slot, value, depth).
+# A pending output transition of gate ``name`` carries the generation it was
+# computed in; an input arrival at gate ``name`` carries its slot.
+_FIRE, _ARRIVE = 0, 1
+
+
 def execute(
     circuit: Circuit,
     input_signals: Mapping[str, BinarySignal] | None,
@@ -283,11 +285,18 @@ def execute(
 ) -> Execution:
     """Run the circuit on the given input signals over ``[0, horizon]``.
 
-    The result is unique: heap keys (time, target, slot) never collide, all
-    delays are strictly positive, and events closer than ``TIME_EPS`` are
-    applied as one atomic batch with output firings committed before input
-    arrivals.  ``_shuffle`` randomizes within-batch processing order and
-    must not change any result; it exists so tests can prove that.
+    One priority queue holds both kinds of event: input arrivals and every
+    gate's pending output transitions.  A mode switch bumps the gate's
+    generation and queues the new trajectory's transitions; entries of an
+    older generation are cancelled lazily, skipped when they reach the head
+    of the queue, so each event costs O(log n) however many gates there are.
+
+    The result is unique: all delays are strictly positive, and events
+    closer than ``TIME_EPS`` to the queue head are applied as one atomic
+    batch, output firings committed before input arrivals (arrivals that
+    those firings send into the window join the batch), gates in sorted
+    name order.  ``_shuffle`` randomizes that within-batch processing order
+    and must not change any result; it exists so tests can prove that.
     """
     report = validate(circuit)
     if not report.ok:
@@ -311,18 +320,23 @@ def execute(
             )
 
     states = {name: _GateState(spec) for name, spec in circuit.gates().items()}
+    # per source: (dst, slot, delay) of every edge into a gate
+    fanout: dict[str, list[tuple[str, int, float]]] = {name: [] for name in circuit.vertices}
+    for e in circuit.edges:
+        if e.dst in states:
+            fanout[e.src].append((e.dst, e.slot, states[e.dst].spec.input_delays[e.slot]))
 
-    # (time, dst, slot, value, depth); the first three fields are unique
-    heap: list[tuple[float, str, int, int, int]] = []
+    queue: list[tuple[float, int, str, int, int, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     event_count = 0
 
     def propagate(src: str, t: float, value: int, depth: int) -> None:
-        for e in circuit.outgoing(src):
-            dst_v = circuit.vertices[e.dst]
-            if isinstance(dst_v, GateSpec):
-                heapq.heappush(
-                    heap, (t + dst_v.input_delays[e.slot], e.dst, e.slot, value, depth)
-                )
+        for dst, slot, delay in fanout[src]:
+            push(queue, (t + delay, _ARRIVE, dst, slot, value, depth))
+
+    def schedule(name: str, st: _GateState, crossings, depth: int) -> None:
+        for t, value, d in _alternating_pending(crossings, st.out_bit, depth):
+            push(queue, (t, _FIRE, name, st.generation, value, d))
 
     # iteration 1: initial modes from declared initial bits, input edges queued
     for name, sig in input_signals.items():
@@ -346,33 +360,37 @@ def execute(
             spec.threshold.time_tolerance,
             config,
         )
-        st.pending = _alternating_pending(crossings, st.out_bit, 0)
+        schedule(name, st, crossings, 0)
 
     iteration = 1
     iteration_times = [0.0]
     while True:
-        t_next = math.inf
-        if heap:
-            t_next = heap[0][0]
-        for st in states.values():
-            if st.pending and st.pending[0][0] < t_next:
-                t_next = st.pending[0][0]
-        if not math.isfinite(t_next) or t_next > horizon + TIME_EPS:
+        # cancelled transitions surface here and are dropped
+        while queue and queue[0][1] == _FIRE and queue[0][3] != states[queue[0][2]].generation:
+            pop(queue)
+        if not queue or queue[0][0] > horizon + TIME_EPS:
             break
+        t_next = queue[0][0]
         iteration += 1
         iteration_times.append(t_next)
         window = t_next + TIME_EPS
 
+        firing: dict[str, list[tuple[float, int, str, int, int, int]]] = {}
+        arrived: list[tuple[float, int, str, int, int, int]] = []
+        while queue and queue[0][0] <= window:
+            entry = pop(queue)
+            if entry[1] == _ARRIVE:
+                arrived.append(entry)
+            elif entry[3] == states[entry[2]].generation:
+                firing.setdefault(entry[2], []).append(entry)
+
         # fire committed output transitions first
-        firing = sorted(
-            name for name, st in states.items() if st.pending and st.pending[0][0] <= window
-        )
+        ordered = sorted(firing)
         if _shuffle is not None:
-            _shuffle.shuffle(firing)
-        for name in firing:
+            _shuffle.shuffle(ordered)
+        for name in ordered:
             st = states[name]
-            while st.pending and st.pending[0][0] <= window:
-                t_c, value, depth = st.pending.pop(0)
+            for t_c, _kind, _name, _gen, value, depth in firing[name]:
                 if value == st.out_bit:
                     raise AssertionError(f"{name}: non-alternating commit at t={t_c}")
                 if depth > iteration:
@@ -386,10 +404,15 @@ def execute(
                     raise EventCapExceeded(f"more than {event_cap} events before t={t_c}")
                 propagate(name, t_c, value, depth)
 
+        # arrivals the firings sent into the window join this batch
+        if queue and queue[0][0] <= window:
+            while queue and queue[0][0] <= window:
+                arrived.append(pop(queue))
+            arrived.sort()
+
         # then apply input arrivals, atomically per gate
         groups: dict[str, list[tuple[float, int, int, int]]] = {}
-        while heap and heap[0][0] <= window:
-            t_a, dst, slot, value, depth = heapq.heappop(heap)
+        for t_a, _kind, dst, slot, value, depth in arrived:
             groups.setdefault(dst, []).append((t_a, slot, value, depth))
             event_count += 1
             if event_count > event_cap:
@@ -435,9 +458,13 @@ def execute(
             # latest transition) and the gate's own last committed transition,
             # whose timing the continuing trajectory remembers.
             prior = st.records[-1].depth if st.records else -1
-            st.pending = _alternating_pending(
-                crossings, st.out_bit, 1 + max(st.max_arr_depth, prior)
-            )
+            st.generation += 1  # cancels every transition still queued
+            schedule(name, st, crossings, 1 + max(st.max_arr_depth, prior))
+
+    # memory peaks while the results are built; the queue's entries past
+    # the horizon and the fan-out table are not needed for them
+    queue.clear()
+    fanout.clear()
 
     # materialize signals, records, trajectories
     signals: dict[str, BinarySignal] = {}

@@ -5,10 +5,14 @@ The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
 ``{t : x_k(t) > xi}``.  A scalar affine segment, dx/dt = a x + b, is monotone:
 it crosses xi at most once, when its end predicates differ, at the exact time
 ``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a`` (or
-``t0 + (xi - x0)/b`` when a = 0).
+``t0 + (xi - x0)/b`` when a = 0).  When the asymptote ``x_inf`` is xi
+itself the segment never crosses, even where ``exp`` underflows and its
+computed end value lands exactly on xi.
 Every other segment is sampled on a per-segment grid and each bracketed
 predicate change is bisected down to a time tolerance; tangential touches
 that never change the predicate between samples produce no transition.
+The sampled path reads the predicate off the computed values, so a sampled
+trajectory that underflows onto xi does report an edge there.
 """
 
 from __future__ import annotations
@@ -124,8 +128,10 @@ def find_crossings(
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
     the predicate ``x > xi`` turns on.  A scalar :class:`AffineSegment`
-    contributes its closed-form crossing time; every other segment is
-    sampled and bisected to ``time_tolerance``.  Raises
+    contributes its closed-form crossing time, and none when its asymptote
+    is ``xi``; every other segment is sampled and bisected to
+    ``time_tolerance``, its predicate read off the computed values (so an
+    ``exp`` that underflows onto ``xi`` there still reads as an edge).  Raises
     :class:`CrossingCapExceeded` if any single segment yields more than
     ``max_crossings`` crossings.
     """
@@ -137,6 +143,11 @@ def find_crossings(
             # Monotone: it crosses once if its end predicates differ, else never.
             ts = np.array([segment.t0, segment.t1])
             g = segment.values(ts)[:, component - 1] - xi
+            a, b, _x0 = segment._scalar
+            if a != 0.0 and -b / a == xi:
+                # x - xi = (x0 - xi) e^{a (t - t0)} never changes sign; an
+                # exp that underflows onto the asymptote is not an edge.
+                g[1] = g[0]
             plateau = g[0] == 0.0 and g[1] == 0.0 and segment.t1 > segment.t0
         else:
             ts, g = _refined_samples(segment, xi, component, config.probe_points)

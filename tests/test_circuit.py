@@ -21,8 +21,10 @@ from hybridgates.circuit import (
     unroll,
     validate,
 )
-from hybridgates.gates import make_boolean_gate, make_const_gate, make_idm_channel
-from hybridgates.signals import BinarySignal
+from hybridgates.gates import GateSpec, make_boolean_gate, make_const_gate, make_idm_channel
+from hybridgates.modes import StateSpace, affine_mode
+from hybridgates.signals import TIME_EPS, BinarySignal
+from hybridgates.threshold import ThresholdSpec
 
 LN2 = math.log(2.0)
 
@@ -285,6 +287,137 @@ class TestExecution:
                 assert depths == sorted(depths)
                 for r in ex.records[name]:
                     assert r.depth <= r.iteration
+
+
+def twin_mode_gate(delay, tau):
+    """Two-input gate that charges while slot 0 is high, in one of two modes
+    with identical dynamics picked by slot 1, and discharges otherwise."""
+    box = StateSpace(((-0.01, 1.01),))
+    low = affine_mode("low", [[-1.0 / tau]], [0.0], box)
+    high_a = affine_mode("high_a", [[-1.0 / tau]], [1.0 / tau], box)
+    high_b = affine_mode("high_b", [[-1.0 / tau]], [1.0 / tau], box)
+
+    def choice(bits, prev_bits, ctx):
+        if not bits[0]:
+            return low
+        return high_b if bits[1] else high_a
+
+    return GateSpec(
+        name="twin",
+        arity=2,
+        input_delays=(delay, delay),
+        choice=choice,
+        initial_inputs=(0, 0),
+        initial_state=(0.0,),
+        threshold=ThresholdSpec(0.5),
+        state_space=box,
+    )
+
+
+def _random_edges(r, horizon, count):
+    times = sorted(r.uniform(0.2, horizon - 0.5) for _ in range(count))
+    return BinarySignal(0, tuple((t, (i + 1) % 2) for i, t in enumerate(times)), horizon)
+
+
+class TestScheduler:
+    """Lazy cancellation of pending transitions and executor invariants."""
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_cancelled_transition_never_commits(self, alone):
+        # x rises on a at 1.1, then b cancels it 3e-5 later, before the
+        # pending edge at 1.1 + tau ln 2.  `late` takes an arrival at 1.10005
+        # and, unless the stale entry surfaces alone, a second one 5e-13
+        # before the stale time, so the stale entry lies inside that batch.
+        # The ring keeps events flowing past it.
+        stale = 1.1 + 1e-4 * LN2
+        x = make_boolean_gate("xor2", (0.1, 0.1), initial_inputs=(0, 0), name="x")
+        late = make_boolean_gate("or2", (0.10005, 0.1), initial_inputs=(0, 0), name="late")
+        osc = make_boolean_gate("not", (0.03,), initial_inputs=(0,), initial_output=0, name="osc")
+        c = Circuit(
+            {
+                "a": InputPort(0), "b": InputPort(0), "c": InputPort(0),
+                "x": x, "late": late, "osc": osc, "out": OutputPort(),
+            },
+            [
+                ("a", "x", 0), ("b", "x", 1), ("a", "late", 0), ("c", "late", 1),
+                ("osc", "osc", 0), ("x", "out", 0),
+            ],
+        )
+        horizon = 2.0
+        c_edges = () if alone else ((stale - 0.1 - 5e-13, 1),)
+        ins = {
+            "a": BinarySignal(0, ((1.0, 1),), horizon),
+            "b": BinarySignal(0, ((1.0 + 3e-5, 1),), horizon),
+            "c": BinarySignal(0, c_edges, horizon),
+        }
+        ex = execute(c, ins, horizon)
+        assert ex.records["x"] == ()
+        assert len(ex.trajectories["x"].segments) == 3  # two mode switches
+        near = [t for t in ex.iteration_times if abs(t - stale) <= TIME_EPS]
+        assert near == ([] if alone else [pytest.approx(stale - 5e-13, abs=1e-15)])
+        (r_late,) = ex.records["late"]
+        assert r_late.time == pytest.approx(1.10005 + 1.0e-4 * LN2, abs=1e-9)
+        assert stale < r_late.time
+        assert len(ex.records["osc"]) > 30
+        for seed in range(3):
+            again = execute(c, ins, horizon, _shuffle=random.Random(seed))
+            assert again.records == ex.records
+
+    def test_reentered_mode_commits_once(self):
+        # slot 1 flips the gate high_a -> high_b -> high_a while it charges;
+        # the three modes' crossings coincide to rounding, and only the last
+        # one, which re-enters the first mode, may commit.
+        tau = 1e-4
+        twin = twin_mode_gate(0.1, tau)
+        osc = make_boolean_gate("not", (0.03,), initial_inputs=(0,), initial_output=0, name="osc")
+        c = Circuit(
+            {"a": InputPort(0), "b": InputPort(0), "twin": twin, "osc": osc, "out": OutputPort()},
+            [("a", "twin", 0), ("b", "twin", 1), ("osc", "osc", 0), ("twin", "out", 0)],
+        )
+        horizon = 2.0
+        ins = {
+            "a": BinarySignal(0, ((1.0, 1),), horizon),
+            "b": BinarySignal(0, ((1.0 + 2e-5, 1), (1.0 + 4e-5, 0)), horizon),
+        }
+        ex = execute(c, ins, horizon)
+        segments = ex.trajectories["twin"].segments
+        assert len(segments) == 4  # initial low, high_a, high_b, high_a again
+        (rec,) = ex.records["twin"]
+        assert rec.value == 1
+        assert rec.time == pytest.approx(1.1 + tau * LN2, abs=TIME_EPS)
+        assert rec.depth == 1
+        for seed in range(3):
+            again = execute(c, ins, horizon, _shuffle=random.Random(seed))
+            assert again.records == ex.records
+
+    @pytest.mark.slow
+    def test_invariants_on_large_random_circuits(self):
+        master = random.Random(4099)
+        horizon = 5.0
+        cases = [(50, False, False), (200, False, False), (60, True, True),
+                 (120, True, False), (200, True, True), (200, True, False)]
+        for n_gates, feedback, flight in cases:
+            c = random_boolean_circuit(
+                master, n_gates=n_gates, feedback=feedback, allow_flight=flight, n_inputs=4
+            )
+            ins = {name: _random_edges(master, horizon, 6) for name in c.input_ports()}
+            base = execute(c, ins, horizon, event_cap=200_000)
+            assert base.event_count > n_gates
+            for seed in range(3):
+                shuffled = execute(c, ins, horizon, event_cap=200_000, _shuffle=random.Random(seed))
+                assert shuffled.records == base.records
+                permuted = shuffled_copy(c, random.Random(100 + seed))
+                again = execute(permuted, ins, horizon, event_cap=200_000,
+                                _shuffle=random.Random(200 + seed))
+                assert again.records == base.records
+                assert again.signals == base.signals
+            for name in c.gates():
+                recs = base.records[name]
+                values = [base.signals[name].initial_value] + [r.value for r in recs]
+                assert all(u != v for u, v in zip(values, values[1:]))
+                depths = [r.depth for r in recs]
+                assert depths == sorted(depths)
+                assert all(r.depth <= r.iteration for r in recs)
 
 
 class TestUnroll:

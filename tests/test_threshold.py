@@ -219,13 +219,11 @@ class TestTangentialAndDegenerate:
         got = find_crossings(Trajectory([lo, hi]), 0.5)
         assert got == [(1.0, True)]
 
-    def test_underflow_onto_the_asymptote_stays_inside_the_segment(self):
-        # e^{-t} never reaches 0, but underflows to it; the end predicates
-        # differ, so one falling edge is reported, clamped to the segment.
-        got = find_crossings(_affine_traj(-1.0, 0.0, 1.0, 1000.0), 0.0)
-        assert len(got) == 1
-        assert got[0][1] is False
-        assert 0.0 <= got[0][0] <= 1000.0
+    def test_underflow_onto_the_asymptote_is_not_an_edge(self):
+        # e^{-t} never reaches 0, although exp underflows to it at t ~ 745;
+        # 0.5 + 0.5 e^{-t} rounds onto 0.5 from t ~ 37.
+        assert find_crossings(_affine_traj(-1.0, 0.0, 1.0, 1000.0), 0.0) == []
+        assert find_crossings(_affine_traj(-1.0, 0.5, 1.0, 1000.0), 0.5) == []
 
     def test_crossing_cap(self):
         fn = lambda t: np.sin(40.0 * t)
