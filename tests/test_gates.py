@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from hybridgates.gates import (
+    AdvancedNorParams,
     GateSpec,
+    ModeEntry,
+    SimpleNorParams,
     boolean_table,
     gate_output,
     initial_output_bit,
@@ -22,7 +26,9 @@ from hybridgates.gates import (
     measure_idm_delays,
     mis_delay_sweep,
 )
-from hybridgates.signals import BinarySignal
+from hybridgates.modes import matching_output_signal
+from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
+from hybridgates.threshold import digitize
 
 from conftest import binary_signals
 
@@ -273,3 +279,102 @@ class TestGateSpecValidation:
         gate = make_idm_channel()
         with pytest.raises(ValueError):
             gate_output(gate, [])
+
+
+# -- oracle: the run equals its own mode-switch signal, solved and digitized --
+
+_ORACLE_HORIZON = 5.0
+_BOOLEAN_FUNCTIONS = ("buf", "not", "and2", "or2", "nand2", "nor2", "xor2", "xnor2")
+
+
+@st.composite
+def _grid_signal(draw, grid: float):
+    """Edges on a time grid, so delayed edges of different inputs coincide."""
+    steps = draw(
+        st.lists(
+            st.integers(1, int(_ORACLE_HORIZON / grid) - 1), max_size=6, unique=True
+        )
+    )
+    init = draw(st.integers(0, 1))
+    times = sorted(k * grid for k in steps)
+    return BinarySignal(
+        init, tuple((t, (init + i + 1) % 2) for i, t in enumerate(times)), _ORACLE_HORIZON
+    )
+
+
+@st.composite
+def _gates_and_inputs(draw):
+    """A random gate of one of the five factory kinds, with matching inputs."""
+    kind = draw(st.sampled_from(("boolean", "idm", "heater", "snor", "anor")))
+    grid = draw(st.sampled_from((1e-3, 0.05, 0.1)))
+    unit = st.floats(0.5, 2.0)
+    arity = 2 if kind in ("snor", "anor") else 1
+    if kind == "boolean":
+        function = draw(st.sampled_from(_BOOLEAN_FUNCTIONS))
+        arity = 1 if function in ("buf", "not") else 2
+    inputs = [draw(_grid_signal(grid)) for _ in range(arity)]
+    bits = tuple(s.initial_value for s in inputs)
+    delays = tuple(grid * draw(st.integers(1, 5)) for _ in range(arity))
+    if kind == "boolean":
+        gate = make_boolean_gate(
+            function, delays, initial_inputs=bits, initial_output=draw(st.integers(0, 1))
+        )
+    elif kind == "idm":
+        gate = make_idm_channel(
+            draw(unit), delays[0], draw(st.floats(0.1, 0.9)), initial_input=bits[0]
+        )
+    elif kind == "heater":
+        gate = make_heater_plant(
+            delays[0], draw(st.floats(15.0, 25.0)), bits[0], draw(st.floats(10.0, 30.0))
+        )
+    elif kind == "snor":
+        params = SimpleNorParams(*(draw(unit) for _ in range(6)))
+        gate = make_simple_nor(params, delays, bits)
+    else:
+        params = AdvancedNorParams(*(draw(unit) for _ in range(6)))
+        gate = make_advanced_nor(params, delays, bits)
+    return kind, gate, inputs
+
+
+def _walked_switching(gate: GateSpec, inputs) -> ModeSwitchSignal:
+    """Mode-switch signal of a memoryless gate from its delayed, coalesced edges."""
+    edges = sorted(
+        (tr.time, i, tr.value)
+        for i, s in enumerate(inputs)
+        for tr in delay(s, gate.input_delays[i]).transitions
+    )
+    no_history = ModeEntry(None, (None,) * gate.arity)
+    bits = gate.initial_inputs
+    initial = gate.choice(bits, None, no_history).id
+    switches = []
+    k = 0
+    while k < len(edges):
+        t0, prev, new = edges[k][0], bits, list(bits)
+        while k < len(edges) and edges[k][0] - t0 <= TIME_EPS:
+            new[edges[k][1]] = edges[k][2]
+            k += 1
+        bits = tuple(new)
+        switches.append((t0, gate.choice(bits, prev, no_history).id))
+    return ModeSwitchSignal(initial, tuple(switches), _ORACLE_HORIZON)
+
+
+class TestGateOutputOracle:
+    @given(case=_gates_and_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_output_is_the_digitized_matching_trajectory(self, case):
+        kind, gate, inputs = case
+        run = gate_output(gate, inputs)
+        want = digitize(
+            matching_output_signal(
+                run.family, run.switching, gate.initial_state, gate.state_space
+            ),
+            gate.threshold,
+        )
+        assert run.output.initial_value == want.initial_value
+        assert [tr.value for tr in run.output.transitions] == [
+            tr.value for tr in want.transitions
+        ]
+        tol = 1e-7 if kind == "anor" else 1e-11
+        assert run.output.times == pytest.approx(want.times, abs=tol, rel=0)
+        if kind != "anor":  # memoryless: the choice depends on the bits alone
+            assert run.switching == _walked_switching(gate, inputs)
