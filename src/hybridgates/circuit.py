@@ -334,9 +334,20 @@ def execute(
         for dst, slot, delay in fanout[src]:
             push(queue, (t + delay, _ARRIVE, dst, slot, value, depth))
 
-    def schedule(name: str, st: _GateState, crossings, depth: int) -> None:
-        for t, value, d in _alternating_pending(crossings, st.out_bit, depth):
-            push(queue, (t, _FIRE, name, st.generation, value, d))
+    def enter(name: str, st: _GateState, mode, x, t: float, depth: int) -> None:
+        # solve the mode from (t, x) to the horizon and queue its crossings
+        spec = st.spec
+        st.mode = mode
+        st.live = solve_mode(mode, x, t, horizon, spec.state_space, config)
+        crossings = find_crossings(
+            Trajectory([st.live]),
+            spec.threshold.xi,
+            spec.threshold.component,
+            spec.threshold.time_tolerance,
+            config,
+        )
+        for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
+            push(queue, (t_c, _FIRE, name, st.generation, value, d))
 
     # iteration 1: initial modes from declared initial bits, input edges queued
     for name, sig in input_signals.items():
@@ -349,18 +360,8 @@ def execute(
         )
         if st.bits != spec.initial_inputs:  # validate() already guarantees this
             raise AssertionError(f"{name}: initial bits diverge from declaration")
-        st.mode = spec.choice(st.bits, None, ModeEntry(None, tuple(st.last_change)))
-        st.live = solve_mode(
-            st.mode, spec.initial_state, 0.0, horizon, spec.state_space, config
-        )
-        crossings = find_crossings(
-            Trajectory([st.live]),
-            spec.threshold.xi,
-            spec.threshold.component,
-            spec.threshold.time_tolerance,
-            config,
-        )
-        schedule(name, st, crossings, 0)
+        mode = spec.choice(st.bits, None, ModeEntry(None, tuple(st.last_change)))
+        enter(name, st, mode, spec.initial_state, 0.0, 0)
 
     iteration = 1
     iteration_times = [0.0]
@@ -440,17 +441,6 @@ def execute(
                 continue  # no-op switch: retained transitions keep their depths
             x_star = st.live.value(t_star)
             st.segments.append(st.live.with_end(t_star))
-            st.mode = new_mode
-            st.live = solve_mode(
-                new_mode, x_star, t_star, horizon, st.spec.state_space, config
-            )
-            crossings = find_crossings(
-                Trajectory([st.live]),
-                st.spec.threshold.xi,
-                st.spec.threshold.component,
-                st.spec.threshold.time_tolerance,
-                config,
-            )
             # Transitions born in the new mode sit one causal step past
             # everything the gate's state carries: the deepest transition seen
             # on any input pin (per-signal depths never decrease, so the
@@ -459,7 +449,7 @@ def execute(
             # whose timing the continuing trajectory remembers.
             prior = st.records[-1].depth if st.records else -1
             st.generation += 1  # cancels every transition still queued
-            schedule(name, st, crossings, 1 + max(st.max_arr_depth, prior))
+            enter(name, st, new_mode, x_star, t_star, 1 + max(st.max_arr_depth, prior))
 
     # memory peaks while the results are built; the queue's entries past
     # the horizon and the fan-out table are not needed for them

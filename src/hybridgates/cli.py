@@ -27,7 +27,6 @@ import yaml
 from . import __version__
 from .circuit import (
     Circuit,
-    EventCapExceeded,
     InputPort,
     InvalidCircuitError,
     OutputPort,
@@ -50,7 +49,7 @@ from .gates import (
     make_simple_nor,
     mis_delay_sweep,
 )
-from .modes import DEFAULT_CONFIG, IntegrationError, SolverConfig, StateSpaceExit, write_trajectory_csv
+from .modes import DEFAULT_CONFIG, SolverConfig, write_trajectory_csv
 from .signals import (
     BinarySignal,
     min_pulse_width,
@@ -58,7 +57,6 @@ from .signals import (
     read_signal_csv,
     write_signal_csv,
 )
-from .threshold import CrossingCapExceeded
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -845,10 +843,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CircuitFileError, InvalidCircuitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # CircuitFileError and InvalidCircuitError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except yaml.YAMLError as exc:
@@ -857,9 +852,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (EventCapExceeded, StateSpaceExit, IntegrationError, CrossingCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    # EventCapExceeded, StateSpaceExit, IntegrationError, CrossingCapExceeded
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

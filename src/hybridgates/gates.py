@@ -3,16 +3,16 @@
 A gate owns per-input pure delays, a family of internal ODE modes, and a
 threshold comparator on one state component.  Each delayed input edge may
 switch the active mode; the comparator digitizes the resulting continuous
-state back into a binary output.  ``gate_output`` runs one gate standalone
-on fully known input signals; the circuit engine drives the same GateSpec
-objects incrementally.
+state back into a binary output.  ``circuit.execute`` is the one
+implementation of these semantics; ``gate_output`` runs one gate on known
+input signals as a one-gate circuit, so its delays must be positive.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,10 +25,10 @@ from .modes import (
     StateSpace,
     Trajectory,
     affine_mode,
-    matching_output_signal,
+    matching_output_signal,  # not called here; bench/spans.py wraps it by name
 )
-from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
-from .threshold import ThresholdSpec, digitize
+from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal
+from .threshold import ThresholdSpec, digitize  # digitize: likewise
 
 __all__ = [
     "ModeEntry",
@@ -99,8 +99,8 @@ class GateSpec:
             raise ValueError(f"{self.name}: need {self.arity} input delays")
         if len(self.initial_inputs) != self.arity:
             raise ValueError(f"{self.name}: need {self.arity} initial input bits")
-        if any(d < 0 for d in self.input_delays):
-            raise ValueError(f"{self.name}: input delays must be nonnegative")
+        if not all(math.isfinite(d) and d >= 0 for d in self.input_delays):
+            raise ValueError(f"{self.name}: input delays must be finite and nonnegative")
         if any(b not in (0, 1) for b in self.initial_inputs):
             raise ValueError(f"{self.name}: initial inputs must be bits")
         if len(self.initial_state) != self.state_space.dimension:
@@ -127,24 +127,6 @@ class GateRun:
     family: dict
 
 
-def _coalesced_events(
-    delayed: Sequence[BinarySignal],
-) -> list[tuple[float, list[tuple[int, int]]]]:
-    """Input edges grouped into atomic events (times within TIME_EPS merge)."""
-    flat = sorted(
-        (tr.time, idx, tr.value)
-        for idx, s in enumerate(delayed)
-        for tr in s.transitions
-    )
-    groups: list[tuple[float, list[tuple[int, int]]]] = []
-    for t, idx, v in flat:
-        if groups and t - groups[-1][0] <= TIME_EPS:
-            groups[-1][1].append((idx, v))
-        else:
-            groups.append((t, [(idx, v)]))
-    return groups
-
-
 def gate_output(
     gate: GateSpec,
     inputs: Sequence[BinarySignal],
@@ -153,53 +135,41 @@ def gate_output(
 ) -> GateRun:
     """Run one gate on known input signals over their shared horizon.
 
-    Applies the per-input pure delays, walks the coalesced input edges to
-    build the mode-switch signal, solves the matching trajectory, and
-    digitizes it through the gate's comparator.
+    This is a one-gate circuit run: input ``i`` drives slot ``i`` through
+    the gate's pure delay, so every delay must be strictly positive, as in
+    any circuit (a zero delay raises ``InvalidCircuitError``, a ValueError).
+    ``switching`` and ``family`` are the modes the gate's choice function
+    selected during the run; a source gate needs an explicit ``horizon``.
     """
+    from .circuit import Circuit, InputPort, OutputPort, execute  # circuit imports gates
+
     if len(inputs) != gate.arity:
         raise ValueError(f"{gate.name}: expected {gate.arity} inputs, got {len(inputs)}")
     if inputs:
         horizon = inputs[0].horizon
-        for s in inputs[1:]:
-            if abs(s.horizon - horizon) > TIME_EPS:
-                raise ValueError(f"{gate.name}: input horizons differ")
     elif horizon is None:
         raise ValueError(f"{gate.name}: a horizon is required for a source gate")
 
-    delayed = [delay(s, d) for s, d in zip(inputs, gate.input_delays)]
-    bits = tuple(s.initial_value for s in delayed)
-    if bits != gate.initial_inputs:
-        raise ValueError(
-            f"{gate.name}: inputs start at {bits}, gate declared {gate.initial_inputs}"
-        )
+    chosen: list[tuple[float | None, ModeFunction]] = []
 
-    last_change: list[float | None] = [None] * gate.arity
-    mode = gate.choice(bits, None, ModeEntry(None, tuple(last_change)))
-    initial_mode_id = mode.id
-    family: dict = {mode.id: mode}
-    switches: list[tuple[float, object]] = []
-    for t_evt, changes in _coalesced_events(delayed):
-        prev_bits = bits
-        ctx = ModeEntry(t_evt, tuple(last_change))
-        updated = list(bits)
-        for idx, v in changes:
-            updated[idx] = v
-        bits = tuple(updated)
-        new_mode = gate.choice(bits, prev_bits, ctx)
-        for idx, _ in changes:
-            last_change[idx] = t_evt
-        if new_mode is not mode:
-            mode = new_mode
-            family[mode.id] = mode
-            switches.append((t_evt, mode.id))
+    def recording_choice(bits, prev_bits, ctx):
+        mode = gate.choice(bits, prev_bits, ctx)
+        chosen.append((ctx.time, mode))
+        return mode
 
-    switching = ModeSwitchSignal(initial_mode_id, tuple(switches), horizon)
-    traj = matching_output_signal(
-        family, switching, gate.initial_state, gate.state_space, config
+    ports = {f"in{i}": InputPort(s.initial_value) for i, s in enumerate(inputs)}
+    circuit = Circuit(
+        {**ports, "gate": replace(gate, choice=recording_choice), "out": OutputPort()},
+        [(port, "gate", slot) for slot, port in enumerate(ports)] + [("gate", "out", 0)],
     )
-    output = digitize(traj, gate.threshold, config)
-    return GateRun(output, traj, switching, family)
+    ex = execute(circuit, dict(zip(ports, inputs)), horizon, config)
+    (_, initial), *switches = chosen
+    # no-op decisions return the active mode, which ModeSwitchSignal drops
+    switching = ModeSwitchSignal(
+        initial.id, tuple((t, mode.id) for t, mode in switches), horizon
+    )
+    family = {mode.id: mode for _, mode in chosen}
+    return GateRun(ex.signals["gate"], ex.trajectories["gate"], switching, family)
 
 
 # -- boolean gates ---------------------------------------------------------

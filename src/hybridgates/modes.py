@@ -191,7 +191,9 @@ class AffineSegment:
     Evaluation uses the eigendecomposition of the augmented matrix
     [[a, b], [0, 0]] when it is numerically diagonalizable, falling back to
     a matrix exponential per evaluation time otherwise.  Scalar modes take a
-    direct exponential path.
+    direct exponential path.  These forms round x(t0), so ``values`` reads
+    it as ``x0`` (times increase, so t0 comes first): a state that starts on
+    the threshold digitizes like its initial bit.
     """
 
     __slots__ = ("t0", "t1", "x0", "a", "b", "_scalar", "_eig", "_aug")
@@ -239,6 +241,8 @@ class AffineSegment:
             else:
                 x_inf = -b / a
                 out = x_inf + (x0 - x_inf) * np.exp(a * dt)
+                if dt[0] == 0.0:
+                    out[0] = x0
             return out[:, None]
         n = self.dimension
         if self._eig is not None:
@@ -247,7 +251,10 @@ class AffineSegment:
             coeff = vinv @ y0
             # columns: one evaluation per time
             ys = v @ (coeff[:, None] * np.exp(np.outer(w, dt)))
-            return np.real(ys[:n, :]).T
+            out = np.real(ys[:n, :]).T
+            if dt[0] == 0.0:
+                out[0] = self.x0
+            return out
         out = np.empty((len(ts), n))
         y0 = np.append(self.x0, 1.0)
         for i, d in enumerate(dt):

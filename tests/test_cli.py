@@ -83,6 +83,13 @@ class TestCircuitFiles:
         doc["defaults"]["bogus"] = 1
         assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, tmp_path, capsys, bad):
+        doc = pipeline_doc()
+        doc["vertices"][1].update(delays=[bad], tau_fast=1e-4)
+        assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2
 

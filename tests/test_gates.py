@@ -149,6 +149,14 @@ class TestHeaterPlant:
         assert run.output.initial_value == 0
         assert run.output.times == pytest.approx((10.0 * math.log(30.0 / 29.0),), abs=1e-9)
 
+    def test_start_on_the_threshold_rises_at_zero(self):
+        # T(0) == xi reads 0, and heating lifts T above xi at once
+        xi = 15.559676186291409
+        gate = make_heater_plant(delta=0.001, xi=xi, initial_input=1, initial_state=xi)
+        run = gate_output(gate, [BinarySignal.constant(1, 5.0)])
+        assert run.output.initial_value == 0
+        assert run.output.times == (0.0,)
+
     def test_cooling_crossing(self):
         gate = make_heater_plant(delta=0.01, xi=19.0, initial_input=0, initial_state=20.0)
         run = gate_output(gate, [BinarySignal.constant(0, 10.0)])
@@ -183,6 +191,14 @@ class TestSimpleNor:
         # atomic double edge selects the (1,1) network directly
         assert [m for _, m in run.switching.switches] == ["s11"]
         assert run.output.times == pytest.approx((1.1 + LN2 / 2.0,), abs=1e-10)
+
+    def test_start_on_the_threshold_rises_at_once(self):
+        # V_out == xi reads 0, and the (0,0) network charges it at once
+        gate = make_simple_nor(initial_inputs=(0, 0), initial_state=(1.0, 0.5))
+        run = gate_output(gate, [BinarySignal.constant(0, 5.0)] * 2)
+        assert run.output.initial_value == 0
+        assert len(run.output.times) == 1
+        assert run.output.times[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rise_delay_matches_expm_oracle(self):
         delays = mis_delay_sweep(
@@ -274,6 +290,27 @@ class TestGateSpecValidation:
                 threshold=gate.threshold,
                 state_space=gate.state_space,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delay(self, bad):
+        gate = make_idm_channel()
+        with pytest.raises(ValueError, match="finite"):
+            GateSpec(
+                name="bad",
+                arity=1,
+                input_delays=(bad,),
+                choice=gate.choice,
+                initial_inputs=(0,),
+                initial_state=(0.0,),
+                threshold=gate.threshold,
+                state_space=gate.state_space,
+            )
+
+    def test_zero_delay_is_rejected(self):
+        # gate_output is a circuit run, and circuits need positive delays
+        gate = make_idm_channel(delta_min=0.0)
+        with pytest.raises(ValueError, match="nonpositive-delay"):
+            gate_output(gate, [BinarySignal(0, ((1.0, 1),), 5.0)])
 
     def test_input_count_mismatch(self):
         gate = make_idm_channel()

@@ -99,6 +99,20 @@ def test_defective_augmented_matrix_falls_back_to_expm():
     assert seg.value(4.0) == pytest.approx([8.0, 4.0], rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a,b,x0",
+    [
+        ([[-0.1]], [5.0], [15.559676186291409]),  # 50 + (x0 - 50) rounds to x0 + 3e-15
+        ([[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], [0.2, 0.9]),  # eigendecomposition
+        ([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [0.1, 0.7]),  # matrix exponential
+    ],
+)
+def test_closed_form_reads_its_start_state_exactly(a, b, x0):
+    seg = AffineSegment(1.5, 4.0, x0, a, b)
+    assert np.array_equal(seg.value(1.5), x0)
+    assert np.array_equal(seg.values([1.5, 4.0])[0], x0)
+
+
 def test_with_end_keeps_the_values_of_a_rebuilt_segment():
     a = np.array([[-1.0, 1.0], [1.0, -2.0]])
     b = np.array([0.3, 0.1])
