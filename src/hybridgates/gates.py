@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .modes import (
     DEFAULT_CONFIG,
-    GeneralNumeric,
     ModeFunction,
+    ScalarRelaxation,
     SolverConfig,
     StateSpace,
     Trajectory,
@@ -235,6 +235,9 @@ def make_boolean_gate(
     """
     arity = len(delays)
     table = boolean_table(function, arity)
+    gate_name = name or (function if isinstance(function, str) else "bool")
+    if not all(math.isfinite(d) for d in delays):  # before tau_fast is derived from them
+        raise ValueError(f"{gate_name}: input delays must be finite and nonnegative")
     if initial_inputs is None:
         initial_inputs = (0,) * arity
     initial_inputs = tuple(int(b) for b in initial_inputs)
@@ -252,7 +255,6 @@ def make_boolean_gate(
     def choice(bits, prev_bits, ctx, _table=table, _lo=lo, _hi=hi):
         return _hi if _table[bits] else _lo
 
-    gate_name = name or (function if isinstance(function, str) else "bool")
     return GateSpec(
         name=gate_name,
         arity=arity,
@@ -442,7 +444,12 @@ def make_simple_nor(
 
 @dataclass(frozen=True)
 class AdvancedNorParams:
-    """Charging-path shape constants, channel resistances, and the rail."""
+    """Charging-path shape constants, channel resistances, and the rail.
+
+    Every field must be finite and positive.  alpha1, alpha2 > 0 keeps the
+    discriminant of the charging profile's denominator positive, so its two
+    roots are real, distinct and at most zero (see ``_charging_exponent``).
+    """
 
     alpha1: float = 0.5
     alpha2: float = 0.5
@@ -451,6 +458,53 @@ class AdvancedNorParams:
     r_nb: float = 1.0
     c: float = 1.0
     v_dd: float = 1.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+
+
+def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_first: float):
+    """Exponent phi(t) = (integral of rho from t_on to t) / C of a charging mode.
+
+    rho = num/den with den = 2R (tau + r1)(tau + r2), tau = t - t_on, where
+    b = alpha1 + alpha2 + 2 gap R, c = alpha_first gap, D = b^2 - 8 R c and
+    the small root is r1 = 2c/(b + sqrt D), the large one r2 = (b + sqrt D)/(4R).
+    Then rho = 1/(2R) - (A/(tau + r1) + B/(tau + r2))/(4R^2) and
+
+        phi = (tau/(2R) - (A log1p(tau/r1) + B log1p(tau/r2))/(4R^2)) / C.
+
+    A = 2R r1 (gap - r1)/(r2 - r1) follows from r1 being a root, so it is
+    not the cancelling difference c - (alpha1 + alpha2) r1; A log1p(tau/r1)
+    shrinks like gap log(1/gap) as the gap closes, and B = alpha1 + alpha2 - A.
+    A gap of 0 (r1 = 0) or of infinity leaves one pole:
+    phi = (tau/(2R) - alpha/(4R^2) log1p(2R tau/alpha)) / C with alpha =
+    alpha1 + alpha2 or alpha_first.  Defined for t >= t_on; a float t is
+    computed with ``math``, an array with numpy.
+    """
+    two_r, alpha = 2.0 * p.r, p.alpha1 + p.alpha2
+    if math.isinf(gap):
+        poles = ((alpha_first, alpha_first / two_r),)
+    else:
+        b = alpha + two_r * gap
+        root = b + math.sqrt(b * b - 4.0 * two_r * alpha_first * gap)
+        r1 = 2.0 * alpha_first * gap / root
+        r2 = root / (2.0 * two_r)
+        a = two_r * r1 * (gap - r1) / (r2 - r1)
+        poles = ((a, r1), (alpha - a, r2)) if r1 > 0.0 else ((alpha, r2),)
+    terms = tuple((w / (two_r * two_r), r) for w, r in poles)
+
+    def exponent(t, _t_on=t_on, _terms=terms):
+        log1p = np.log1p if isinstance(t, np.ndarray) else math.log1p
+        tau = t - _t_on
+        phi = tau / two_r
+        for w, r in _terms:
+            phi = phi - w * log1p(tau / r)
+        return phi / p.c
+
+    return exponent
 
 
 def make_advanced_nor(
@@ -467,6 +521,10 @@ def make_advanced_nor(
     since entry, parameterized by the gap between the two falling inputs
     (zero for a simultaneous fall, unbounded if the other input never fell).
     All variants share the settled charging rate (V_DD - V) / (2 R C).
+    Every mode is solved in closed form: a charging mode is a
+    :class:`ScalarRelaxation` toward V_DD whose exponent integrates the
+    profile by partial fractions (``_charging_exponent``), so no mode of
+    this gate is integrated numerically.
     """
     p = params or AdvancedNorParams()
     box = StateSpace(((-0.01 * p.v_dd, 1.01 * p.v_dd),))
@@ -499,9 +557,8 @@ def make_advanced_nor(
             rho = num / den if den > 0.0 else 0.0
             return (p.v_dd - x) * (rho / p.c)
 
-        return ModeFunction(
-            f"chg{next(fresh)}", rhs, GeneralNumeric(), k_chg, m_chg
-        )
+        kind = ScalarRelaxation(p.v_dd, _charging_exponent(p, t_on, gap, alpha_first))
+        return ModeFunction(f"chg{next(fresh)}", rhs, kind, k_chg, m_chg)
 
     def choice(bits, prev_bits, ctx):
         if bits == (1, 0):

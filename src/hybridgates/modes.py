@@ -3,8 +3,11 @@
 Each mode of a hybrid gate is an ODE right-hand side together with declared
 regularity constants: a Lipschitz bound K (in the state, uniform over time)
 and a bound M on the norm of the vector field over the gate's state space.
-Affine constant-coefficient modes are solved in closed form; everything else
-goes through an adaptive Runge-Kutta integrator with dense output.
+Affine constant-coefficient modes and scalar relaxations (a state pulled
+toward a fixed target at a time-varying rate, whose exponent is known in
+closed form) are solved in closed form; only modes declared
+``GeneralNumeric`` go through an adaptive Runge-Kutta integrator with
+dense output.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous endpoint, so it is continuous by
@@ -28,13 +31,14 @@ from .signals import TIME_EPS, ModeSwitchSignal
 __all__ = [
     "StateSpace",
     "AffineConstant",
-    "AffineTimeVarying",
+    "ScalarRelaxation",
     "GeneralNumeric",
     "ModeFunction",
     "affine_mode",
     "SolverConfig",
     "DEFAULT_CONFIG",
     "AffineSegment",
+    "RelaxationSegment",
     "DenseSegment",
     "FunctionSegment",
     "Segment",
@@ -107,11 +111,18 @@ class AffineConstant:
 
 
 @dataclass(frozen=True)
-class AffineTimeVarying:
-    """dx/dt = a(t) x + b(t); affine in the state, integrated numerically."""
+class ScalarRelaxation:
+    """dx/dt = (target - x) phi'(t) for a scalar x; solved in closed form.
 
-    a: Callable[[float], np.ndarray]
-    b: Callable[[float], np.ndarray]
+    ``exponent`` is phi, nondecreasing in t, so the solution
+    x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))) moves
+    monotonically toward ``target``.  It is vectorised: an array of times
+    maps to an array, and a float maps to a float (computed with ``math``,
+    so a root search over it stays cheap).
+    """
+
+    target: float
+    exponent: Callable
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ class ModeFunction:
 
     id: str
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    kind: AffineConstant | AffineTimeVarying | GeneralNumeric
+    kind: AffineConstant | ScalarRelaxation | GeneralNumeric
     lipschitz_k: float
     rhs_bound_m: float
 
@@ -185,7 +196,34 @@ DEFAULT_CONFIG = SolverConfig()
 # reuses the evaluated endpoint, so junctions match to machine precision.
 
 
-class AffineSegment:
+class _SegmentBase:
+    """What every segment kind derives from ``t0``, ``t1`` and ``values``."""
+
+    __slots__ = ()
+
+    def value(self, t: float) -> np.ndarray:
+        return self.values([t])[0]
+
+    @property
+    def end_state(self) -> np.ndarray:
+        return self.value(self.t1)
+
+    def with_end(self, t1: float):
+        """The same solution cut at ``t1``: every slot is shared, so a
+        closed form is not rebuilt."""
+        if t1 < self.t0:
+            raise ValueError(f"segment must run forward: [{self.t0}, {t1}]")
+        seg = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(seg, name, getattr(self, name))
+        seg.t1 = float(t1)
+        return seg
+
+    def sample_times(self, n: int) -> np.ndarray:
+        return np.linspace(self.t0, self.t1, max(n, 2))
+
+
+class AffineSegment(_SegmentBase):
     """Closed-form solution of dx/dt = a x + b from ``x0`` at ``t0``.
 
     Evaluation uses the eigendecomposition of the augmented matrix
@@ -261,28 +299,53 @@ class AffineSegment:
             out[i] = (expm(self._aug * d) @ y0)[:n]
         return out
 
-    def value(self, t: float) -> np.ndarray:
-        return self.values([t])[0]
+    @property
+    def asymptote(self) -> float:
+        """Value a scalar segment tends to; nan when a = 0 (it has none)."""
+        a, b, _x0 = self._scalar
+        return -b / a if a != 0.0 else math.nan
+
+
+class RelaxationSegment(_SegmentBase):
+    """Closed-form solution of dx/dt = (target - x) phi'(t) from ``x0`` at ``t0``.
+
+    x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))), with phi(t0)
+    computed once.  phi is nondecreasing, so the state moves monotonically
+    toward ``target``.  As in :class:`AffineSegment`, ``values`` reads x(t0)
+    as ``x0`` itself; times before t0 read as t0.
+    """
+
+    __slots__ = ("t0", "t1", "x0", "target", "exponent", "_phi0")
+
+    def __init__(self, t0: float, t1: float, x0, target: float, exponent: Callable):
+        if t1 < t0:
+            raise ValueError(f"segment must run forward: [{t0}, {t1}]")
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x0.shape != (1,):
+            raise ValueError(f"a relaxation segment has a scalar state, got shape {x0.shape}")
+        self.t0 = float(t0)
+        self.t1 = float(t1)
+        self.x0 = float(x0[0])
+        self.target = float(target)
+        self.exponent = exponent
+        self._phi0 = exponent(self.t0)
+
+    dimension = 1
 
     @property
-    def end_state(self) -> np.ndarray:
-        return self.value(self.t1)
+    def asymptote(self) -> float:
+        return self.target
 
-    def with_end(self, t1: float) -> "AffineSegment":
-        # Same start and matrix: share the decomposition instead of redoing it.
-        if t1 < self.t0:
-            raise ValueError(f"segment must run forward: [{self.t0}, {t1}]")
-        seg = AffineSegment.__new__(AffineSegment)
-        for name in AffineSegment.__slots__:
-            setattr(seg, name, getattr(self, name))
-        seg.t1 = float(t1)
-        return seg
-
-    def sample_times(self, n: int) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, max(n, 2))
+    def values(self, ts) -> np.ndarray:
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        decay = np.exp(self._phi0 - self.exponent(np.maximum(ts, self.t0)))
+        out = self.target + (self.x0 - self.target) * decay
+        if ts[0] == self.t0:
+            out[0] = self.x0
+        return out[:, None]
 
 
-class DenseSegment:
+class DenseSegment(_SegmentBase):
     """Adaptive-integrator solution with dense output on [t0, t1]."""
 
     __slots__ = ("t0", "t1", "_sol", "_steps", "_end")
@@ -306,9 +369,6 @@ class DenseSegment:
         out = self._sol(ts)
         return np.atleast_2d(out).T if out.ndim == 1 else out.T
 
-    def value(self, t: float) -> np.ndarray:
-        return self.values([t])[0]
-
     @property
     def end_state(self) -> np.ndarray:
         return self._end
@@ -322,7 +382,7 @@ class DenseSegment:
         return np.unique(np.concatenate([inside, uniform]))
 
 
-class FunctionSegment:
+class FunctionSegment(_SegmentBase):
     """A known analytic state function on [t0, t1] (used in experiments)."""
 
     __slots__ = ("t0", "t1", "fn", "_dim")
@@ -345,21 +405,8 @@ class FunctionSegment:
             out = out[:, None]
         return out
 
-    def value(self, t: float) -> np.ndarray:
-        return self.values([t])[0]
 
-    @property
-    def end_state(self) -> np.ndarray:
-        return self.value(self.t1)
-
-    def with_end(self, t1: float) -> "FunctionSegment":
-        return FunctionSegment(self.t0, t1, self.fn)
-
-    def sample_times(self, n: int) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, max(n, 2))
-
-
-Segment = AffineSegment | DenseSegment | FunctionSegment
+Segment = AffineSegment | RelaxationSegment | DenseSegment | FunctionSegment
 
 
 class Trajectory:
@@ -433,12 +480,16 @@ class Trajectory:
 
 # -- solving -------------------------------------------------------------------
 
+# A scalar segment of these kinds moves monotonically toward its asymptote,
+# so its two end values span its range.
+_MONOTONE_SCALAR = (AffineSegment, RelaxationSegment)
+
 
 def _containment_scan(segment: Segment, space: StateSpace) -> None:
-    # Monotone scalar affine segment: ends inside means inside; others and exits are sampled.
-    if isinstance(segment, AffineSegment) and segment.dimension == 1:
+    # Monotone scalar segment: ends inside means inside; others and exits are sampled.
+    if type(segment) in _MONOTONE_SCALAR and segment.dimension == 1:
         ((lo, hi),) = space.bounds
-        x_start, x_end = segment.values([segment.t0, segment.t1])[:, 0]
+        x_start, x_end = segment.values((segment.t0, segment.t1))[:, 0].tolist()
         if lo - 1e-12 < min(x_start, x_end) and max(x_start, x_end) < hi + 1e-12:
             return
     ts = segment.sample_times(64)
@@ -471,8 +522,11 @@ def solve_mode(
     if t1 < t0:
         raise ValueError(f"segment must run forward: [{t0}, {t1}]")
 
-    if isinstance(mode.kind, AffineConstant):
-        seg: Segment = AffineSegment(t0, t1, x0, mode.kind.a, mode.kind.b)
+    kind = mode.kind
+    if isinstance(kind, AffineConstant):
+        seg: Segment = AffineSegment(t0, t1, x0, kind.a, kind.b)
+    elif isinstance(kind, ScalarRelaxation):
+        seg = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
     else:
         if t1 - t0 <= TIME_EPS:
             # Degenerate span: represent as a constant closed-form stub.

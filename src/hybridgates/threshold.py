@@ -2,17 +2,24 @@
 
 The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
 1 where x_k(t) > xi, so a reported rising edge is the infimum of
-``{t : x_k(t) > xi}``.  A scalar affine segment, dx/dt = a x + b, is monotone:
-it crosses xi at most once, when its end predicates differ, at the exact time
-``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a`` (or
-``t0 + (xi - x0)/b`` when a = 0).  When the asymptote ``x_inf`` is xi
-itself the segment never crosses, even where ``exp`` underflows and its
-computed end value lands exactly on xi.
-Every other segment is sampled on a per-segment grid and each bracketed
-predicate change is bisected down to a time tolerance; tangential touches
-that never change the predicate between samples produce no transition.
-The sampled path reads the predicate off the computed values, so a sampled
-trajectory that underflows onto xi does report an edge there.
+``{t : x_k(t) > xi}``.  Two kinds of scalar segment are monotone, so each
+crosses xi at most once, when its end predicates differ:
+
+- an affine segment, dx/dt = a x + b, crosses at the exact time
+  ``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a`` (or
+  ``t0 + (xi - x0)/b`` when a = 0);
+- a relaxation segment, x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))),
+  crosses where ``phi(t) - phi(t0) = ln((x0 - target)/(xi - target))``, a
+  root that ``brentq`` finds to 1e-13 inside the segment.
+
+When the asymptote (``x_inf`` or ``target``) is xi itself the segment never
+crosses, even where ``exp`` underflows and its computed end value lands
+exactly on xi.  Every other segment is sampled on a per-segment grid and
+each bracketed predicate change is bisected down to a time tolerance;
+tangential touches that never change the predicate between samples produce
+no transition.  The sampled path reads the predicate off the computed
+values, so a sampled trajectory that underflows onto xi does report an edge
+there.
 """
 
 from __future__ import annotations
@@ -22,8 +29,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .modes import DEFAULT_CONFIG, AffineSegment, Segment, SolverConfig, Trajectory
+from .modes import (
+    DEFAULT_CONFIG,
+    AffineSegment,
+    RelaxationSegment,
+    Segment,
+    SolverConfig,
+    Trajectory,
+)
 from .signals import TIME_EPS, BinarySignal
 
 __all__ = [
@@ -116,6 +131,24 @@ def _affine_crossing(segment: AffineSegment, xi: float) -> float:
     return min(max(t, segment.t0), segment.t1)
 
 
+def _relaxation_crossing(segment: RelaxationSegment, xi: float) -> float:
+    """Time at which a relaxation segment whose end predicates differ meets
+    ``xi``: the root of phi(t) - phi(t0) = ln((x0 - target)/(xi - target)),
+    bracketed by the segment and clamped to it where rounding leaves both
+    ends on one side."""
+    phi, phi0, t0, t1 = segment.exponent, segment._phi0, segment.t0, segment.t1
+    rise = math.log1p((segment.x0 - xi) / (xi - segment.target))
+    if rise <= 0.0:
+        return t0
+    if phi(t1) - phi0 <= rise:
+        return t1
+    return brentq(lambda t: phi(t) - phi0 - rise, t0, t1, xtol=1e-13)
+
+
+# Crossing time of each monotone scalar segment kind.
+_MONOTONE_CROSSING = {AffineSegment: _affine_crossing, RelaxationSegment: _relaxation_crossing}
+
+
 def find_crossings(
     traj: Trajectory,
     xi: float,
@@ -127,33 +160,37 @@ def find_crossings(
     """Threshold crossing times of one state component of a trajectory.
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
-    the predicate ``x > xi`` turns on.  A scalar :class:`AffineSegment`
-    contributes its closed-form crossing time, and none when its asymptote
-    is ``xi``; every other segment is sampled and bisected to
-    ``time_tolerance``, its predicate read off the computed values (so an
-    ``exp`` that underflows onto ``xi`` there still reads as an edge).  Raises
-    :class:`CrossingCapExceeded` if any single segment yields more than
-    ``max_crossings`` crossings.
+    the predicate ``x > xi`` turns on.  A scalar :class:`AffineSegment` or
+    :class:`RelaxationSegment` is monotone: it contributes its closed-form
+    crossing time (a bracketed root of its exponent for a relaxation), and
+    none when its asymptote is ``xi``; every other segment is sampled and
+    bisected to ``time_tolerance``, its predicate read off the computed
+    values (so an ``exp`` that underflows onto ``xi`` there still reads as
+    an edge).  Raises :class:`CrossingCapExceeded` if any single segment
+    yields more than ``max_crossings`` crossings.
     """
     crossings: list[tuple[float, bool]] = []
     carried: bool | None = None  # predicate at the end of the previous segment
     for segment in traj.segments:
-        closed_form = isinstance(segment, AffineSegment) and segment.dimension == 1
-        if closed_form:
+        crossing = _MONOTONE_CROSSING.get(type(segment))
+        if crossing is not None and segment.dimension == 1:
             # Monotone: it crosses once if its end predicates differ, else never.
-            ts = np.array([segment.t0, segment.t1])
-            g = segment.values(ts)[:, component - 1] - xi
-            a, b, _x0 = segment._scalar
-            if a != 0.0 and -b / a == xi:
-                # x - xi = (x0 - xi) e^{a (t - t0)} never changes sign; an
-                # exp that underflows onto the asymptote is not an edge.
-                g[1] = g[0]
-            plateau = g[0] == 0.0 and g[1] == 0.0 and segment.t1 > segment.t0
+            ends = segment.values((segment.t0, segment.t1))[:, component - 1] - xi
+            g_start, g_end = ends.tolist()
+            if segment.asymptote == xi:
+                # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes
+                # sign; an exp that underflows onto xi is not an edge.
+                g_end = g_start
+            plateau = g_start == 0.0 and g_end == 0.0 and segment.t1 > segment.t0
+            pred = (g_start > 0.0, g_end > 0.0)
+            flips = (0,) if pred[0] != pred[1] else ()
         else:
+            crossing = None
             ts, g = _refined_samples(segment, xi, component, config.probe_points)
             on_line = np.abs(g) == 0.0
             plateau = on_line.size >= 3 and np.any(on_line[:-2] & on_line[1:-1] & on_line[2:])
-        pred = g > 0.0
+            pred = g > 0.0
+            flips = np.nonzero(pred[:-1] != pred[1:])[0]
         # Exact-threshold plateaus digitize to 0 per the <= rule; flag them
         # since they usually indicate a degenerate model.
         if plateau:
@@ -166,9 +203,9 @@ def find_crossings(
             # Continuity pins a junction crossing to the segment boundary.
             crossings.append((float(segment.t0), bool(pred[0])))
         seg_count = 0
-        for i in np.nonzero(pred[:-1] != pred[1:])[0]:
-            if closed_form:
-                t_cross = _affine_crossing(segment, xi)
+        for i in flips:
+            if crossing is not None:
+                t_cross = crossing(segment, xi)
             else:
                 t_cross = _bisect_crossing(
                     segment,

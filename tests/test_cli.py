@@ -89,6 +89,26 @@ class TestCircuitFiles:
         doc["vertices"][1].update(delays=[bad], tau_fast=1e-4)
         assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
         assert "finite" in capsys.readouterr().err
+        # without tau_fast, which the factory derives from the delays
+        doc = pipeline_doc()
+        doc["vertices"][1].update(delays=[bad])
+        assert run("validate", write_yaml(tmp_path / "d.yaml", doc)) == 1
+        assert "input delays must be finite" in capsys.readouterr().err  # tmp_path says "finite"
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_advanced_nor_parameter_must_be_finite_and_positive(self, tmp_path, capsys, bad):
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 1},
+                {"id": "B", "kind": "input", "initial": 1},
+                {"id": "nor", "kind": "advanced_nor", "initial_inputs": [1, 1], "alpha1": bad},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"], ["nor", 0, "O"]],
+        }
+        assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
+        assert "alpha1 must be finite and positive" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2

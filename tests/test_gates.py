@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
@@ -26,9 +27,18 @@ from hybridgates.gates import (
     measure_idm_delays,
     mis_delay_sweep,
 )
-from hybridgates.modes import matching_output_signal
+from hybridgates import modes
+from hybridgates.circuit import execute
+from hybridgates.cli import _preset_names, load_circuit
+from hybridgates.modes import (
+    FunctionSegment,
+    RelaxationSegment,
+    Trajectory,
+    matching_output_signal,
+    solve_mode,
+)
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
-from hybridgates.threshold import digitize
+from hybridgates.threshold import digitize, find_crossings
 
 from conftest import binary_signals
 
@@ -272,6 +282,100 @@ class TestAdvancedNor:
         assert len(chg) == 2  # one per (0,0) entry, each with its own clock
 
 
+def _charging_mode(params: AdvancedNorParams, t_on: float, gap: float, first_fell: int):
+    """The charging mode the gate enters at ``t_on``, ``gap`` after input
+    ``first_fell`` fell (a gap of 0 is a simultaneous fall)."""
+    gate = make_advanced_nor(params, initial_inputs=(1, 1))
+    if gap == 0.0:
+        prev_bits, last = (1, 1), (None, None)
+    else:
+        when = None if math.isinf(gap) else t_on - gap
+        prev_bits = (1, 0) if first_fell == 1 else (0, 1)
+        last = (None, when) if first_fell == 1 else (when, None)
+    return gate, gate.choice((0, 0), prev_bits, ModeEntry(t_on, last))
+
+
+_charging_cases = dict(
+    params=st.builds(
+        AdvancedNorParams, *(st.floats(0.1, 3.0) for _ in range(6)), v_dd=st.floats(0.5, 2.0)
+    ),
+    gap=st.one_of(
+        st.just(0.0),
+        st.floats(1e-12, 1e-6),
+        st.floats(0.0, 10.0, exclude_min=True),
+        st.just(math.inf),
+    ),
+    first_fell=st.sampled_from((0, 1)),
+    t_on=st.floats(0.0, 10.0),
+    lag=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    span=st.floats(1e-3, 20.0),
+)
+
+
+class TestChargingClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(x0=st.floats(-0.01, 1.0), **_charging_cases)
+    def test_matches_the_integrated_rhs(self, params, gap, first_fell, t_on, lag, span, x0):
+        gate, mode = _charging_mode(params, t_on, gap, first_fell)
+        t0 = t_on + lag
+        x0 *= params.v_dd
+        seg = solve_mode(mode, [x0], t0, t0 + span, gate.state_space)
+        assert isinstance(seg, RelaxationSegment)
+        ts = np.linspace(t0, t0 + span, 41)
+        ref = solve_ivp(
+            mode.rhs, (t0, t0 + span), [x0], method="DOP853",
+            rtol=1e-12, atol=1e-14, t_eval=ts,
+        )
+        assert ref.success
+        assert np.max(np.abs(seg.values(ts)[:, 0] - ref.y[0])) < 1e-9 * params.v_dd
+        assert seg.value(t0)[0] == x0
+
+    @settings(max_examples=150, deadline=None)
+    @given(x0=st.floats(-0.01, 1.0), xi=st.floats(0.05, 0.95), **_charging_cases)
+    def test_crossings_match_the_sampled_path(
+        self, params, gap, first_fell, t_on, lag, span, x0, xi
+    ):
+        # xi stays off x0: the charging rate starts at zero, so a crossing
+        # right after entry is ill-conditioned in time
+        assume(abs(xi - x0) >= 0.02)
+        gate, mode = _charging_mode(params, t_on, gap, first_fell)
+        t0 = t_on + lag
+        seg = solve_mode(mode, [x0 * params.v_dd], t0, t0 + span, gate.state_space)
+        sampled = FunctionSegment(seg.t0, seg.t1, seg.values)
+        fast = find_crossings(Trajectory([seg]), xi * params.v_dd)
+        slow = find_crossings(Trajectory([sampled]), xi * params.v_dd)
+        assert len(fast) <= 1
+        assert [rising for _, rising in fast] == [rising for _, rising in slow]
+        for (t_fast, _), (t_slow, _) in zip(fast, slow):
+            assert abs(t_fast - t_slow) <= 1e-12
+
+    def test_underflow_onto_the_rail_is_not_an_edge(self):
+        # from just above V_DD the state decays onto it; exp underflows at
+        # the end, and the computed end value reads exactly V_DD = xi
+        params = AdvancedNorParams(c=1e-3)
+        gate, mode = _charging_mode(params, 1.0, 0.5, 1)
+        seg = solve_mode(mode, [1.005], 1.0, 21.0, gate.state_space)
+        assert seg.end_state[0] == 1.0
+        assert find_crossings(Trajectory([seg]), 1.0) == []
+
+    def test_no_shipped_gate_integrates_numerically(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(modes, "solve_ivp", refuse)
+        for preset in _preset_names():
+            cf = load_circuit(f"preset:{preset}")
+            horizon = cf.defaults["horizon"]
+            inputs = {}
+            for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
+                b = port.initial_value  # a pulse away from it, staggered per input
+                inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
+            execute(cf.circuit, inputs, horizon)
+        gaps = [0.0, 1e-9, 0.5, 3.0]
+        mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), gaps)
+        mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), gaps)
+
+
 class TestGateSpecValidation:
     def test_wrong_delay_count(self):
         with pytest.raises(ValueError):
@@ -411,7 +515,6 @@ class TestGateOutputOracle:
         assert [tr.value for tr in run.output.transitions] == [
             tr.value for tr in want.transitions
         ]
-        tol = 1e-7 if kind == "anor" else 1e-11
-        assert run.output.times == pytest.approx(want.times, abs=tol, rel=0)
+        assert run.output.times == pytest.approx(want.times, abs=1e-11, rel=0)
         if kind != "anor":  # memoryless: the choice depends on the bits alone
             assert run.switching == _walked_switching(gate, inputs)
