@@ -367,9 +367,21 @@ def make_heater_plant(
 # -- two-transistor NOR models ----------------------------------------------
 
 
+def _require_finite_positive(params) -> None:
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimpleNorParams:
-    """Per-branch resistances, node capacitances, and the supply rail."""
+    """Per-branch resistances, node capacitances, and the supply rail.
+
+    Every field must be finite and positive.  That keeps every network's
+    spectrum real (the off-diagonal product k2 g2 is positive), so its
+    threshold crossings have the exact form ``find_crossings`` uses.
+    """
 
     r1: float = 1.0
     r2: float = 1.0
@@ -378,6 +390,9 @@ class SimpleNorParams:
     c: float = 1.0
     c_int: float = 1.0
     v_dd: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_finite_positive(self)
 
 
 def make_simple_nor(
@@ -460,10 +475,7 @@ class AdvancedNorParams:
     v_dd: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        _require_finite_positive(self)
 
 
 def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_first: float):

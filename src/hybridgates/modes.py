@@ -96,10 +96,21 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class AffineConstant:
-    """dx/dt = a x + b with constant coefficients; solved in closed form."""
+    """dx/dt = a x + b with constant coefficients; solved in closed form.
+
+    For n >= 2 states the mode decomposes, once, the augmented matrix
+    ``aug`` = [[a, b], [0, 0]] of the system for y = (x, 1): ``eig`` is
+    (w, v, v^-1) when it is numerically diagonalizable (cond(v) < 1e10) and
+    None otherwise, in which case segments take a matrix exponential of
+    ``aug`` per evaluation time.  A scalar mode needs neither.
+    """
 
     a: np.ndarray
     b: np.ndarray
+    aug: np.ndarray | None = field(init=False, repr=False, compare=False)
+    eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -108,6 +119,21 @@ class AffineConstant:
             raise ValueError(f"inconsistent affine shapes {a.shape} / {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        n = b.shape[0]
+        aug = eig = None
+        if n > 1:
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n] = a
+            aug[:n, n] = b
+            try:
+                w, v = np.linalg.eig(aug)
+                cond = np.linalg.cond(v)
+                if np.isfinite(cond) and cond < 1e10:
+                    eig = (w, v, np.linalg.inv(v))
+            except np.linalg.LinAlgError:
+                pass
+        object.__setattr__(self, "aug", aug)
+        object.__setattr__(self, "eig", eig)
 
 
 @dataclass(frozen=True)
@@ -174,7 +200,7 @@ class SolverConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    probe_points: int = 64  # per-segment sampling of analytic segments
+    probe_points: int = 64  # per-segment sampling grid of the sampled crossing path
     seed: int | None = None
 
     def as_metadata(self) -> dict:
@@ -227,16 +253,18 @@ class AffineSegment(_SegmentBase):
     """Closed-form solution of dx/dt = a x + b from ``x0`` at ``t0``.
 
     Evaluation uses the eigendecomposition of the augmented matrix
-    [[a, b], [0, 0]] when it is numerically diagonalizable, falling back to
-    a matrix exponential per evaluation time otherwise.  Scalar modes take a
-    direct exponential path.  These forms round x(t0), so ``values`` reads
-    it as ``x0`` (times increase, so t0 comes first): a state that starts on
-    the threshold digitizes like its initial bit.
+    [[a, b], [0, 0]] that the mode's :class:`AffineConstant` holds (``kind``;
+    one is built from ``a`` and ``b`` when it is not given), falling back to
+    a matrix exponential per evaluation time when that matrix is not
+    numerically diagonalizable.  Scalar modes take a direct exponential
+    path.  These forms round x(t0), so ``values`` reads it as ``x0`` (times
+    increase, so t0 comes first): a state that starts on the threshold
+    digitizes like its initial bit.
     """
 
     __slots__ = ("t0", "t1", "x0", "a", "b", "_scalar", "_eig", "_aug")
 
-    def __init__(self, t0: float, t1: float, x0, a, b):
+    def __init__(self, t0: float, t1: float, x0, a, b, kind: AffineConstant | None = None):
         if t1 < t0:
             raise ValueError(f"segment must run forward: [{t0}, {t1}]")
         self.t0 = float(t0)
@@ -244,26 +272,19 @@ class AffineSegment(_SegmentBase):
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        n = self.x0.shape[0]
         self._scalar = None
         self._eig = None
         self._aug = None
-        if n == 1:
+        if self.x0.shape[0] == 1:
             self._scalar = (float(self.a[0, 0]), float(self.b[0]), float(self.x0[0]))
             return
-        # augmented system y = (x, 1), dy = aug y
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = self.a
-        aug[:n, n] = self.b
-        self._aug = aug
-        try:
-            w, v = np.linalg.eig(aug)
-            cond = np.linalg.cond(v)
-            if np.isfinite(cond) and cond < 1e10:
-                vinv = np.linalg.inv(v)
-                self._eig = (w, v, vinv)
-        except np.linalg.LinAlgError:
-            pass
+        if kind is None:
+            kind = AffineConstant(self.a, self.b)
+        self._aug = kind.aug
+        if kind.eig is not None:
+            w, v, vinv = kind.eig
+            # eigenvalues, eigenvectors, and y0 = (x0, 1) in the eigenbasis
+            self._eig = (w, v, vinv @ np.append(self.x0, 1.0))
 
     @property
     def dimension(self) -> int:
@@ -284,9 +305,7 @@ class AffineSegment(_SegmentBase):
             return out[:, None]
         n = self.dimension
         if self._eig is not None:
-            w, v, vinv = self._eig
-            y0 = np.append(self.x0, 1.0)
-            coeff = vinv @ y0
+            w, v, coeff = self._eig
             # columns: one evaluation per time
             ys = v @ (coeff[:, None] * np.exp(np.outer(w, dt)))
             out = np.real(ys[:n, :]).T
@@ -298,6 +317,30 @@ class AffineSegment(_SegmentBase):
         for i, d in enumerate(dt):
             out[i] = (expm(self._aug * d) @ y0)[:n]
         return out
+
+    def exponential_terms(
+        self, component: int
+    ) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+        """One state component as ``c0 + sum of c_j exp(lam_j (t - t0))``.
+
+        Returns ``(c0, ((c_j, lam_j), ...))`` with distinct nonzero exponents
+        and nonzero coefficients: a zero eigenvalue joins ``c0`` and equal
+        eigenvalues merge.  None when the segment has no real
+        eigendecomposition (a scalar segment, a complex spectrum, or a
+        matrix that is not numerically diagonalizable).  ``component`` is
+        1-based.
+        """
+        if self._eig is None or np.iscomplexobj(self._eig[0]):
+            return None
+        w, v, coeff = self._eig
+        c0 = 0.0
+        merged: dict[float, float] = {}
+        for lam, c in zip(w.tolist(), (v[component - 1] * coeff).tolist()):
+            if lam == 0.0:
+                c0 += c
+            else:
+                merged[lam] = merged.get(lam, 0.0) + c
+        return c0, tuple((c, lam) for lam, c in merged.items() if c != 0.0)
 
     @property
     def asymptote(self) -> float:
@@ -524,7 +567,7 @@ def solve_mode(
 
     kind = mode.kind
     if isinstance(kind, AffineConstant):
-        seg: Segment = AffineSegment(t0, t1, x0, kind.a, kind.b)
+        seg: Segment = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
     elif isinstance(kind, ScalarRelaxation):
         seg = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
     else:

@@ -88,7 +88,7 @@ class TestCircuitFiles:
         doc = pipeline_doc()
         doc["vertices"][1].update(delays=[bad], tau_fast=1e-4)
         assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
-        assert "finite" in capsys.readouterr().err
+        assert "input delays must be finite and nonnegative" in capsys.readouterr().err
         # without tau_fast, which the factory derives from the delays
         doc = pipeline_doc()
         doc["vertices"][1].update(delays=[bad])
@@ -109,6 +109,22 @@ class TestCircuitFiles:
         }
         assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
         assert "alpha1 must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_simple_nor_parameter_must_be_finite_and_positive(self, tmp_path, capsys, bad):
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 1},
+                {"id": "B", "kind": "input", "initial": 1},
+                {"id": "nor", "kind": "simple_nor", "initial_inputs": [1, 1], "c": bad},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"], ["nor", 0, "O"]],
+        }
+        assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
+        err = capsys.readouterr().err
+        assert f"vertex 'nor': c must be finite and positive, got {bad!r}" in err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2

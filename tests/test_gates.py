@@ -27,7 +27,7 @@ from hybridgates.gates import (
     measure_idm_delays,
     mis_delay_sweep,
 )
-from hybridgates import modes
+from hybridgates import modes, threshold
 from hybridgates.circuit import execute
 from hybridgates.cli import _preset_names, load_circuit
 from hybridgates.modes import (
@@ -359,21 +359,34 @@ class TestChargingClosedForm:
         assert find_crossings(Trajectory([seg]), 1.0) == []
 
     def test_no_shipped_gate_integrates_numerically(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
+        monkeypatch.setattr(modes, "solve_ivp", _refuse("solve_ivp"))
+        _run_every_shipped_gate()
 
-        monkeypatch.setattr(modes, "solve_ivp", refuse)
-        for preset in _preset_names():
-            cf = load_circuit(f"preset:{preset}")
-            horizon = cf.defaults["horizon"]
-            inputs = {}
-            for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
-                b = port.initial_value  # a pulse away from it, staggered per input
-                inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
-            execute(cf.circuit, inputs, horizon)
-        gaps = [0.0, 1e-9, 0.5, 3.0]
-        mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), gaps)
-        mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), gaps)
+    def test_no_shipped_gate_samples_its_crossings(self, monkeypatch):
+        monkeypatch.setattr(threshold, "_bisect_crossing", _refuse("_bisect_crossing"))
+        _run_every_shipped_gate()
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+def _run_every_shipped_gate():
+    """Every preset with a staggered pulse on each input, and both NOR MIS sweeps."""
+    for preset in _preset_names():
+        cf = load_circuit(f"preset:{preset}")
+        horizon = cf.defaults["horizon"]
+        inputs = {}
+        for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
+            b = port.initial_value  # a pulse away from it, staggered per input
+            inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
+        execute(cf.circuit, inputs, horizon)
+    gaps = [0.0, 1e-9, 0.5, 3.0]
+    mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), gaps)
+    mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), gaps)
 
 
 class TestGateSpecValidation:

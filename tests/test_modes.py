@@ -128,6 +128,43 @@ def test_with_end_keeps_the_values_of_a_rebuilt_segment():
         seg.with_end(0.25)
 
 
+def test_a_mode_decomposes_once_for_all_its_segments(monkeypatch):
+    box = StateSpace(((-50.0, 50.0), (-50.0, 50.0)))
+    mode = affine_mode("planar", [[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], box)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    seg = solve_mode(mode, [0.2, 0.9], 0.0, 4.0, box)
+    cut = seg.with_end(2.0)
+    assert calls == []
+    rebuilt = AffineSegment(0.0, 4.0, [0.2, 0.9], mode.kind.a, mode.kind.b)
+    assert len(calls) == 1  # a directly built segment decomposes its own matrix
+    ts = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(cut.values(ts), rebuilt.values(ts))
+
+
+def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
+    # the simple NOR's (0,1) network with k1 = g4 = 1: x1 -> 1 and x2 -> 0
+    # at the same rate, so each component has one term
+    seg = AffineSegment(0.0, 5.0, [0.25, 0.75], [[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0])
+    c0, ((c, lam),) = seg.exponential_terms(1)
+    assert (c0, c, lam) == (pytest.approx(1.0), pytest.approx(-0.75), -1.0)
+    c0, ((c, lam),) = seg.exponential_terms(2)
+    assert (c0, c, lam) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.75), -1.0)
+    # the (1,1) network: x1 is frozen, so its zero eigenvalue joins c0
+    seg = AffineSegment(0.0, 5.0, [0.25, 0.75], [[0.0, 0.0], [0.0, -2.0]], [0.0, 0.0])
+    assert seg.exponential_terms(1) == (pytest.approx(0.25), ())
+    c0, ((c, lam),) = seg.exponential_terms(2)
+    assert (c0, c, lam) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.75), -2.0)
+    # complex, defective and scalar segments have no real exponential sum
+    for x0, a, b in [
+        ([1.0, 0.0], [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]),
+        ([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]),
+        ([0.0], [[-1.0]], [1.0]),
+    ]:
+        assert AffineSegment(0.0, 1.0, x0, a, b).exponential_terms(1) is None
+
+
 # -- numeric vs closed form -------------------------------------------------------
 
 

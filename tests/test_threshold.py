@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from hybridgates import threshold
 from hybridgates.modes import (
     AffineSegment,
     FunctionSegment,
@@ -134,10 +136,10 @@ def _sampled(segment):
     return FunctionSegment(segment.t0, segment.t1, segment.values)
 
 
-def _crossings_and_warnings(traj, xi):
+def _crossings_and_warnings(traj, xi, component=1):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = find_crossings(traj, xi)
+        got = find_crossings(traj, xi, component)
     return got, [w.category for w in caught]
 
 
@@ -196,6 +198,197 @@ class TestClosedFormAgainstSampledPath:
             (5.5, False),
         ]
         _assert_same_crossings(fast, want)
+
+
+def _entry(hi):
+    """0 or a magnitude in [0.01, hi]: a state or coefficient far below the
+    others would sit inside the rounding of the eigendecomposition."""
+    return st.one_of(st.just(0.0), st.floats(0.01, hi), st.floats(-hi, -0.01))
+
+
+# (a, b) of a 2-state network with a real spectrum
+_REAL_NETWORKS = st.one_of(
+    # generic: an off-diagonal product q r >= 0 keeps the spectrum real
+    st.tuples(
+        _entry(5.0), _entry(5.0), _entry(3.0), st.floats(0.01, 3.0), _entry(3.0), _entry(3.0)
+    ).map(lambda p: ([[p[0], p[2]], [math.copysign(p[3], p[2]), p[1]]], [p[4], p[5]])),
+    # a zero eigenvalue: x1 is frozen and drives x2, as in the NOR's (1,1) network
+    st.tuples(_entry(3.0), st.floats(0.1, 5.0), _entry(3.0)).map(
+        lambda p: ([[0.0, 0.0], [p[0], -p[1]]], [0.0, p[2]])
+    ),
+    # a repeated eigenvalue, as in the NOR's (0,1) network with k1 = g4
+    st.tuples(st.floats(0.1, 5.0), _entry(3.0), _entry(3.0)).map(
+        lambda p: ([[-p[0], 0.0], [0.0, -p[0]]], [p[1], p[2]])
+    ),
+)
+_STATES = st.tuples(_entry(2.0), _entry(2.0))
+
+
+@st.composite
+def _with_extremum(draw):
+    """(segment, component, t_star): a 2-state segment whose component has an
+    interior extremum at t_star, built from its eigenvalues, eigenvectors
+    (columns (1, q) and (p, 1)), equilibrium and one term's coefficient."""
+    lam1 = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    lam2 = -draw(st.floats(0.1, 3.0))
+    assume(abs(lam1 - lam2) > 0.05)
+    p = draw(st.floats(0.2, 0.8)) * draw(st.sampled_from([-1.0, 1.0]))
+    q = draw(st.floats(0.2, 0.8)) * draw(st.sampled_from([-1.0, 1.0]))
+    vecs = np.array([[1.0, p], [q, 1.0]])
+    x_eq = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    k = draw(st.sampled_from([1, 2]))
+    # the extremum sits at s_star, where c1 lam1 e^{lam1 s} + c2 lam2 e^{lam2 s} = 0
+    s_star = draw(st.floats(0.05, 1.0)) * min(5.0, 4.0 / abs(lam1 - lam2))
+    c1 = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    c2 = -c1 * lam1 / lam2 * math.exp((lam1 - lam2) * s_star)
+    d = np.array([c1, c2]) / vecs[k - 1]  # eigenbasis coordinates of x0 - x_eq
+    a = vecs @ np.diag([lam1, lam2]) @ np.linalg.inv(vecs)
+    t0 = draw(st.floats(0.0, 5.0))
+    span = s_star + draw(st.floats(0.1, 5.0))
+    seg = AffineSegment(t0, t0 + span, x_eq + vecs @ d, a, -a @ x_eq)
+    t_star = _extremum(seg, k)
+    assume(t_star is not None)
+    return seg, k, t_star
+
+
+def _extremum(seg, k):
+    """Interior zero of d x_k/dt = (a x + b)_k, found from the values alone."""
+    slope = lambda t: float((seg.a @ seg.value(t) + seg.b)[k - 1])  # noqa: E731
+    lo, hi = slope(seg.t0), slope(seg.t1)
+    if lo == 0.0 or hi == 0.0 or (lo > 0.0) == (hi > 0.0):
+        return None
+    return brentq(slope, seg.t0, seg.t1, xtol=1e-15)
+
+
+def _rounding(seg, k):
+    """How far the values of component k may round: 1e-15 of its terms."""
+    c0, terms = seg.exponential_terms(k)
+    return 1e-15 * (abs(c0) + sum(abs(c) for c, _ in terms))
+
+
+def _half_width(seg, k, t_star, depth):
+    """Half the width of the parabola x_star + x''(t_star) (t - t_star)^2 / 2
+    at ``depth`` from its vertex."""
+    curvature = abs(float((seg.a @ (seg.a @ seg.value(t_star) + seg.b))[k - 1]))
+    return math.sqrt(2.0 * depth / curvature)
+
+
+def _assert_matches_sampled(seg, xi, k):
+    """Same crossings as the sampled path, to the conditioning of each time:
+    values that round by 1e-14 of the largest term move a crossing by that
+    over the slope.  The on-threshold warnings are not compared: where the
+    values round onto xi (a frozen component, an exp that underflows) the
+    sampled path sees three samples on it and the piece ends may not."""
+    fast, _ = _crossings_and_warnings(Trajectory([seg]), xi, k)
+    slow, _ = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi, k)
+    assert [rising for _, rising in fast] == [rising for _, rising in slow]
+    c0, terms = seg.exponential_terms(k)
+    span = seg.t1 - seg.t0
+    scale = abs(c0) + sum(abs(c) * max(1.0, math.exp(lam * span)) for c, lam in terms)
+    for (t_fast, _), (t_slow, _) in zip(fast, slow):
+        slope = abs(float((seg.a @ seg.value(t_fast) + seg.b)[k - 1]))
+        assert abs(t_fast - t_slow) <= 1e-12 + 1e-14 * scale / max(slope, 1e-300)
+    return fast
+
+
+class TestExponentialSumAgainstSampledPath:
+    """2-state affine segments with a real spectrum: split at the extremum,
+    bracketed root per monotone piece."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        net=_REAL_NETWORKS,
+        x0=_STATES,
+        k=st.sampled_from([1, 2]),
+        at=st.floats(0.0, 1.0),
+        offset=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+        t0=st.floats(0.0, 10.0),
+        span=st.floats(0.1, 10.0),
+    )
+    def test_single_segment(self, net, x0, k, at, offset, t0, span):
+        a, b = net
+        seg = AffineSegment(t0, t0 + span, x0, a, b)
+        assume(seg.exponential_terms(k) is not None)  # a defective matrix is sampled
+        xi = float(seg.value(t0 + at * span)[k - 1]) + offset
+        t_star = _extremum(seg, k)
+        # the sampled grid resolves a dip of the extremum past xi only when
+        # it is not too shallow
+        assume(t_star is None or abs(seg.value(t_star)[k - 1] - xi) > 1e-3)
+        assert len(_assert_matches_sampled(seg, xi, k)) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(seg_k_star=_with_extremum(), depth=st.floats(0.05, 0.95))
+    def test_two_crossings_around_the_extremum(self, seg_k_star, depth):
+        seg, k, t_star = seg_k_star
+        x_star = float(seg.value(t_star)[k - 1])
+        ends = seg.values([seg.t0, seg.t1])[:, k - 1]
+        near = ends[np.argmin(np.abs(ends - x_star))]  # the end nearer the extremum
+        assume(abs(x_star - near) > 1e-2)
+        xi = x_star + depth * (near - x_star)  # strictly between: two crossings
+        # the sampled path sees the pulse only if its grid does
+        span = seg.t1 - seg.t0
+        assume(2.0 * _half_width(seg, k, t_star, abs(x_star - xi)) > 3.0 * span / 63)
+        fast = _assert_matches_sampled(seg, xi, k)
+        assert len(fast) == 2
+        assert fast[0][0] < t_star < fast[1][0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seg_k_star=_with_extremum(),
+        offset=st.floats(1e-12, 1e-9),
+        side=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_tangency_within_1e9_of_the_threshold(self, seg_k_star, offset, side):
+        # the sampled path can miss a dip this shallow, so the oracle is the
+        # value at the extremum
+        seg, k, t_star = seg_k_star
+        x_star = float(seg.value(t_star)[k - 1])
+        ends = seg.values([seg.t0, seg.t1])[:, k - 1]
+        assume(np.min(np.abs(ends - x_star)) > 1e-6)
+        xi = x_star + side * offset
+        got = find_crossings(Trajectory([seg]), xi, component=k)
+        pred_ends = bool(ends[0] > xi)
+        if (x_star > xi) == pred_ends:  # the extremum stays on the ends' side
+            assert got == []
+        else:  # it pokes through: out and back, around t_star
+            assert [rising for _, rising in got] == [not pred_ends, pred_ends]
+            assert got[0][0] < t_star < got[1][0]
+            # as wide as the parabola is at the offset, to the rounding of
+            # the terms against the offset
+            width = 2.0 * _half_width(seg, k, t_star, abs(x_star - xi))
+            rounding = _rounding(seg, k) / abs(x_star - xi)
+            assert got[1][0] - got[0][0] == pytest.approx(width, rel=1e-2 + rounding)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seg_k_star=_with_extremum())
+    def test_double_root_is_at_most_a_glitch_at_the_extremum(self, seg_k_star):
+        # xi is the extremum value itself: a root of multiplicity two, which
+        # rounding resolves into no edge or an out-and-back pair at t_star
+        seg, k, t_star = seg_k_star
+        xi = float(seg.value(t_star)[k - 1])
+        ends = seg.values([seg.t0, seg.t1])[:, k - 1]
+        assume(np.min(np.abs(ends - xi)) > 1e-6)
+        got = find_crossings(Trajectory([seg]), xi, component=k)
+        assert len(got) in (0, 2)
+        if got:
+            assert got[0][1] != got[1][1]
+            reach = 2.0 * _half_width(seg, k, t_star, _rounding(seg, k)) + 1e-12
+            assert abs(got[0][0] - t_star) <= reach and abs(got[1][0] - t_star) <= reach
+
+    def test_complex_spectrum_takes_the_sampled_path(self, monkeypatch):
+        # a damped rotation, x1 = e^{-t/10} cos t
+        seg = AffineSegment(0.0, 10.0, [1.0, 0.0], [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0])
+        assert seg.exponential_terms(1) is None
+        calls = []
+        bisect = threshold._bisect_crossing
+        monkeypatch.setattr(
+            threshold, "_bisect_crossing", lambda *args: calls.append(args) or bisect(*args)
+        )
+        got = find_crossings(Trajectory([seg]), 0.5)
+        assert len(calls) == len(got) == 3
+        assert got == find_crossings(Trajectory([_sampled(seg)]), 0.5)
+        for t, _ in got:
+            assert math.exp(-t / 10.0) * math.cos(t) == pytest.approx(0.5, abs=1e-11)
 
 
 class TestTangentialAndDegenerate:
