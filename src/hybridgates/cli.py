@@ -5,6 +5,8 @@ mappings, each with an ``id``, a ``kind``, and kind-specific parameters),
 ``edges`` (``[from, slot, to]`` triples feeding gate input slots), and
 optional ``defaults`` (horizon and tolerances picked up when the matching
 flag is absent).  ``preset:NAME`` in place of a path loads a bundled file.
+Each kind is built by its factory in ``gates`` (or a port class), and a
+parameter the file leaves out takes that factory's default.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """
@@ -75,20 +77,49 @@ class CircuitFileError(ValueError):
 _TOP_KEYS = {"vertices", "edges", "defaults", "z_values"}
 _DEFAULT_KEYS = {"horizon", "rel_tol", "abs_tol", "time_tol", "seed"}
 
-# allowed parameter keys per vertex kind, beyond id/kind
-_KIND_FIELDS: dict[str, set[str]] = {
-    "input": {"initial"},
-    "output": set(),
-    "const": {"value", "v_dd"},
-    "boolean": {"function", "delays", "tau_fast", "initial_inputs", "initial_output", "v_dd"},
-    "idm": {"tau", "delta_min", "xi", "initial_input"},
-    "heater": {"delta", "xi", "initial_input", "initial_state"},
-    "simple_nor": {"delays", "initial_inputs", "r1", "r2", "r3", "r4", "c", "c_int", "v_dd"},
-    "advanced_nor": {"delays", "initial_inputs", "alpha1", "alpha2", "r", "r_na", "r_nb", "c", "v_dd"},
+
+def _nor_kind(factory, params_cls):
+    """Table entry of a NOR kind whose parameter fields build ``params_cls``."""
+    names = {f.name for f in dataclasses.fields(params_cls)}
+
+    def build(name, **fields):
+        params = params_cls(**{k: fields.pop(k) for k in names & set(fields)})
+        return factory(params, name=name, **fields)
+
+    return build, {"delays", "initial_inputs", *names}, set()
+
+
+_NOR_KINDS = {
+    "simple_nor": (make_simple_nor, SimpleNorParams),
+    "advanced_nor": (make_advanced_nor, AdvancedNorParams),
 }
-_KIND_REQUIRED: dict[str, set[str]] = {
-    "const": {"value"},
-    "boolean": {"function", "delays"},
+
+# kind -> (builder, allowed fields, required fields), beyond id/kind.  The
+# builder gets the vertex id as ``name`` and only the fields the file sets,
+# so every other field keeps its factory's default.
+_KINDS = {
+    "input": (lambda name, initial=InputPort.initial_value: InputPort(initial), {"initial"}, set()),
+    "output": (lambda name: OutputPort(), set(), set()),
+    "const": (make_const_gate, {"value", "v_dd"}, {"value"}),
+    "boolean": (
+        make_boolean_gate,
+        {"function", "delays", "tau_fast", "initial_inputs", "initial_output", "v_dd"},
+        {"function", "delays"},
+    ),
+    "idm": (make_idm_channel, {"tau", "delta_min", "xi", "initial_input"}, set()),
+    "heater": (make_heater_plant, {"delta", "xi", "initial_input", "initial_state"}, set()),
+    **{kind: _nor_kind(*spec) for kind, spec in _NOR_KINDS.items()},
+}
+
+# a field means the same in every kind; any field not listed is a float
+_COERCE = {
+    "delays": lambda v: tuple(float(d) for d in v),
+    "initial_inputs": lambda v: tuple(int(b) for b in v),
+    "initial": int,
+    "value": int,
+    "initial_input": int,
+    "initial_output": int,
+    "function": lambda v: v,
 }
 
 
@@ -104,65 +135,9 @@ class CircuitFile:
 
 
 def _build_vertex(name: str, doc: Mapping):
-    kind = doc["kind"]
-    if kind == "input":
-        return InputPort(int(doc.get("initial", 0)))
-    if kind == "output":
-        return OutputPort()
-    if kind == "const":
-        return make_const_gate(int(doc["value"]), v_dd=float(doc.get("v_dd", 1.0)), name=name)
-    if kind == "boolean":
-        return make_boolean_gate(
-            doc["function"],
-            tuple(float(d) for d in doc["delays"]),
-            tau_fast=float(doc["tau_fast"]) if "tau_fast" in doc else None,
-            initial_inputs=tuple(int(b) for b in doc["initial_inputs"])
-            if "initial_inputs" in doc
-            else None,
-            initial_output=int(doc["initial_output"]) if "initial_output" in doc else None,
-            v_dd=float(doc.get("v_dd", 1.0)),
-            name=name,
-        )
-    if kind == "idm":
-        return make_idm_channel(
-            float(doc.get("tau", 1.0)),
-            float(doc.get("delta_min", 0.1)),
-            float(doc.get("xi", 0.5)),
-            initial_input=int(doc.get("initial_input", 0)),
-            name=name,
-        )
-    if kind == "heater":
-        return make_heater_plant(
-            float(doc.get("delta", 0.01)),
-            float(doc.get("xi", 19.0)),
-            initial_input=int(doc.get("initial_input", 1)),
-            initial_state=float(doc.get("initial_state", 20.0)),
-            name=name,
-        )
-    if kind == "simple_nor":
-        base = SimpleNorParams()
-        params = dataclasses.replace(
-            base, **{k: float(doc[k]) for k in ("r1", "r2", "r3", "r4", "c", "c_int", "v_dd") if k in doc}
-        )
-        return make_simple_nor(
-            params,
-            delays=tuple(float(d) for d in doc.get("delays", (0.1, 0.1))),
-            initial_inputs=tuple(int(b) for b in doc.get("initial_inputs", (0, 0))),
-            name=name,
-        )
-    if kind == "advanced_nor":
-        base = AdvancedNorParams()
-        params = dataclasses.replace(
-            base,
-            **{k: float(doc[k]) for k in ("alpha1", "alpha2", "r", "r_na", "r_nb", "c", "v_dd") if k in doc},
-        )
-        return make_advanced_nor(
-            params,
-            delays=tuple(float(d) for d in doc.get("delays", (0.1, 0.1))),
-            initial_inputs=tuple(int(b) for b in doc.get("initial_inputs", (0, 0))),
-            name=name,
-        )
-    raise CircuitFileError(f"vertex {name!r}: unknown kind {kind!r}")
+    build = _KINDS[doc["kind"]][0]
+    fields = {k: _COERCE.get(k, float)(v) for k, v in doc.items() if k not in ("id", "kind")}
+    return build(name=name, **fields)
 
 
 def parse_circuit_data(data, source: str) -> CircuitFile:
@@ -190,20 +165,19 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
         if vid in docs:
             raise CircuitFileError(f"{source}: duplicate vertex id {vid!r}")
         kind = entry.get("kind")
-        if kind not in _KIND_FIELDS:
-            known = ", ".join(sorted(_KIND_FIELDS))
+        if not isinstance(kind, str) or kind not in _KINDS:
+            known = ", ".join(sorted(_KINDS))
             raise CircuitFileError(f"{source}: vertex {vid!r} has unknown kind {kind!r} (known: {known})")
-        extra = sorted(set(entry) - _KIND_FIELDS[kind] - {"id", "kind"})
+        _, allowed, required = _KINDS[kind]
+        extra = sorted(set(entry) - allowed - {"id", "kind"}, key=str)
         if extra:
             raise CircuitFileError(f"{source}: vertex {vid!r} ({kind}) has unknown fields {extra}")
-        missing = sorted(_KIND_REQUIRED.get(kind, set()) - set(entry))
+        missing = sorted(required - set(entry))
         if missing:
             raise CircuitFileError(f"{source}: vertex {vid!r} ({kind}) is missing fields {missing}")
         doc = {k: v for k, v in entry.items() if k != "id"}
         try:
             built[vid] = _build_vertex(vid, doc)
-        except CircuitFileError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CircuitFileError(f"{source}: vertex {vid!r}: {exc}") from exc
         docs[vid] = doc
@@ -233,7 +207,13 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
     if z_values is not None:
         if not isinstance(z_values, Mapping):
             raise CircuitFileError(f"{source}: 'z_values' must be a mapping")
-        z_values = {str(k): float(v) for k, v in z_values.items()}
+        parsed = {}
+        for key, value in z_values.items():
+            try:
+                parsed[str(key)] = float(value)
+            except (TypeError, ValueError):
+                raise CircuitFileError(f"{source}: z_values.{key} must be a number, got {value!r}") from None
+        z_values = parsed
 
     return CircuitFile(Circuit(built, edge_list), docs, dict(defaults), z_values, source)
 
@@ -307,15 +287,15 @@ def _resolve_horizon(args, cf: CircuitFile) -> float:
     return h
 
 
+def _gate_time_tolerance(vertex, ttol: float | None):
+    """``vertex`` with its crossing time tolerance set, if it is a gate and ``ttol`` is given."""
+    if ttol is None or not isinstance(vertex, GateSpec):
+        return vertex
+    return dataclasses.replace(vertex, threshold=dataclasses.replace(vertex.threshold, time_tolerance=ttol))
+
+
 def _with_time_tolerance(circuit: Circuit, ttol: float | None) -> Circuit:
-    if ttol is None:
-        return circuit
-    rebuilt = {}
-    for name, v in circuit.vertices.items():
-        if isinstance(v, GateSpec):
-            v = dataclasses.replace(v, threshold=dataclasses.replace(v.threshold, time_tolerance=ttol))
-        rebuilt[name] = v
-    return Circuit(rebuilt, circuit.edges)
+    return Circuit({n: _gate_time_tolerance(v, ttol) for n, v in circuit.vertices.items()}, circuit.edges)
 
 
 def _ensure_out_dir(args) -> Path:
@@ -586,21 +566,16 @@ def cmd_sweep_pulse(args) -> int:
 
 
 def _find_nor_doc(cf: CircuitFile) -> dict:
-    ids = [vid for vid, doc in cf.docs.items() if doc["kind"] in ("simple_nor", "advanced_nor")]
+    ids = [vid for vid, doc in cf.docs.items() if doc["kind"] in _NOR_KINDS]
     if len(ids) != 1:
         raise CircuitFileError(
-            f"sweep-mis needs exactly one simple_nor or advanced_nor gate, found {len(ids)}"
+            f"sweep-mis needs exactly one {' or '.join(_NOR_KINDS)} gate, found {len(ids)}"
         )
     return cf.docs[ids[0]] | {"id": ids[0]}
 
 
 def _mis_gate(doc: dict, ttol: float | None) -> GateSpec:
-    gate = _build_vertex(doc["id"], doc)
-    if ttol is not None:
-        gate = dataclasses.replace(
-            gate, threshold=dataclasses.replace(gate.threshold, time_tolerance=ttol)
-        )
-    return gate
+    return _gate_time_tolerance(_build_vertex(doc["id"], doc), ttol)
 
 
 def _mis_task(payload: tuple) -> float:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class GateSpec:
     initial_state: tuple[float, ...]
     threshold: ThresholdSpec
     state_space: StateSpace
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_delays", tuple(float(d) for d in self.input_delays))
@@ -245,6 +244,8 @@ def make_boolean_gate(
         if not delays or min(delays) <= 0:
             raise ValueError("tau_fast must be given when a delay is zero")
         tau_fast = 1e-3 * min(delays)
+    if not (math.isfinite(tau_fast) and tau_fast > 0):
+        raise ValueError(f"tau_fast must be finite and positive, got {tau_fast!r}")
     if initial_output is None:
         initial_output = table[initial_inputs]
 
@@ -264,7 +265,6 @@ def make_boolean_gate(
         initial_state=(v_dd * float(initial_output),),
         threshold=ThresholdSpec(v_dd / 2.0),
         state_space=box,
-        params={"tau_fast": tau_fast, "v_dd": v_dd},
     )
 
 
@@ -288,7 +288,6 @@ def make_const_gate(value: int, v_dd: float = 1.0, name: str | None = None) -> G
         initial_state=(v_dd * float(value),),
         threshold=ThresholdSpec(v_dd / 2.0),
         state_space=box,
-        params={"v_dd": v_dd},
     )
 
 
@@ -308,8 +307,10 @@ def make_idm_channel(
     are mutual negative inverses, so cancelled-pulse behaviour extrapolates
     consistently to negative input-to-output separations.
     """
-    if tau <= 0 or delta_min < 0:
-        raise ValueError("tau must be positive and delta_min nonnegative")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if delta_min < 0:
+        raise ValueError(f"delta_min must be nonnegative, got {delta_min!r}")
     if not 0.0 < xi < 1.0:
         raise ValueError(f"threshold must sit strictly inside (0, 1), got {xi}")
     box = StateSpace(((-0.01, 1.01),))
@@ -328,7 +329,6 @@ def make_idm_channel(
         initial_state=(float(initial_input),),
         threshold=ThresholdSpec(xi),
         state_space=box,
-        params={"tau": tau, "delta_min": delta_min},
     )
 
 
@@ -360,7 +360,6 @@ def make_heater_plant(
         initial_state=(float(initial_state),),
         threshold=ThresholdSpec(xi),
         state_space=box,
-        params={"delta": delta},
     )
 
 
@@ -450,10 +449,6 @@ def make_simple_nor(
         initial_state=tuple(initial_state),
         threshold=ThresholdSpec(p.v_dd / 2.0, component=2),
         state_space=box,
-        params={
-            "r1": p.r1, "r2": p.r2, "r3": p.r3, "r4": p.r4,
-            "c": p.c, "c_int": p.c_int, "v_dd": p.v_dd,
-        },
     )
 
 
@@ -491,7 +486,8 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
     A = 2R r1 (gap - r1)/(r2 - r1) follows from r1 being a root, so it is
     not the cancelling difference c - (alpha1 + alpha2) r1; A log1p(tau/r1)
     shrinks like gap log(1/gap) as the gap closes, and B = alpha1 + alpha2 - A.
-    A gap of 0 (r1 = 0) or of infinity leaves one pole:
+    A gap of 0 (r1 = 0), one so small that A underflows to 0 (tau/r1 would
+    overflow), or of infinity leaves one pole:
     phi = (tau/(2R) - alpha/(4R^2) log1p(2R tau/alpha)) / C with alpha =
     alpha1 + alpha2 or alpha_first.  Defined for t >= t_on; a float t is
     computed with ``math``, an array with numpy.
@@ -505,7 +501,7 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
         r1 = 2.0 * alpha_first * gap / root
         r2 = root / (2.0 * two_r)
         a = two_r * r1 * (gap - r1) / (r2 - r1)
-        poles = ((a, r1), (alpha - a, r2)) if r1 > 0.0 else ((alpha, r2),)
+        poles = ((a, r1), (alpha - a, r2)) if a != 0.0 else ((alpha, r2),)
     terms = tuple((w / (two_r * two_r), r) for w, r in poles)
 
     def exponent(t, _t_on=t_on, _terms=terms):
@@ -604,10 +600,6 @@ def make_advanced_nor(
         initial_state=(x0,),
         threshold=ThresholdSpec(p.v_dd / 2.0),
         state_space=box,
-        params={
-            "alpha1": p.alpha1, "alpha2": p.alpha2, "r": p.r,
-            "r_na": p.r_na, "r_nb": p.r_nb, "c": p.c, "v_dd": p.v_dd,
-        },
     )
 
 

@@ -203,14 +203,6 @@ class SolverConfig:
     probe_points: int = 64  # per-segment sampling grid of the sampled crossing path
     seed: int | None = None
 
-    def as_metadata(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_step": self.max_step,
-            "seed": self.seed,
-        }
-
 
 DEFAULT_CONFIG = SolverConfig()
 
@@ -508,10 +500,6 @@ class Trajectory:
         unsorted = np.empty_like(out)
         unsorted[order] = out
         return unsorted
-
-    def component_values(self, ts, component: int) -> np.ndarray:
-        """Values of one state component; ``component`` is 1-based."""
-        return self.values(ts)[:, component - 1]
 
     def max_junction_mismatch(self) -> float:
         worst = 0.0

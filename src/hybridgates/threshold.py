@@ -70,6 +70,8 @@ class ThresholdSpec:
     time_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.xi):
+            raise ValueError(f"threshold xi must be finite, got {self.xi!r}")
         if self.component < 1:
             raise ValueError(f"component index is 1-based, got {self.component}")
         if self.time_tolerance <= 0:

@@ -8,7 +8,15 @@ import pytest
 import yaml
 
 from hybridgates.circuit import execute
-from hybridgates.cli import _preset_names, load_circuit, main
+from hybridgates.cli import _KINDS, _preset_names, load_circuit, main, parse_circuit_data
+from hybridgates.gates import (
+    make_advanced_nor,
+    make_boolean_gate,
+    make_const_gate,
+    make_heater_plant,
+    make_idm_channel,
+    make_simple_nor,
+)
 from hybridgates.signals import BinarySignal, read_signal_csv
 
 
@@ -341,3 +349,105 @@ class TestMisc:
             main(["--version"])
         assert exc.value.code == 0
         assert "hybridgates" in capsys.readouterr().out
+
+
+def one_gate_doc(kind, **fields):
+    """input -> one gate of ``kind`` with ``fields`` -> output."""
+    return {
+        "defaults": {"horizon": 5.0},
+        "vertices": [
+            {"id": "I", "kind": "input", "initial": 1 if kind == "heater" else 0},
+            {"id": "g", "kind": kind, **fields},
+            {"id": "O", "kind": "output"},
+        ],
+        "edges": [["I", 0, "g"], ["g", 0, "O"]],
+    }
+
+
+# the gate kinds' required fields, and the factory call that builds the
+# same gate with every default
+_REQUIRED_AND_FACTORY = {
+    "const": ({"value": 1}, lambda: make_const_gate(1)),
+    "boolean": ({"function": "nor2", "delays": [0.1, 0.2]}, lambda: make_boolean_gate("nor2", (0.1, 0.2))),
+    "idm": ({}, make_idm_channel),
+    "heater": ({}, make_heater_plant),
+    "simple_nor": ({}, make_simple_nor),
+    "advanced_nor": ({}, make_advanced_nor),
+}
+
+
+class TestVertexKinds:
+    def test_accepted_and_required_fields(self):
+        nor = {"delays", "initial_inputs", "c", "v_dd"}
+        assert {kind: (allowed, required) for kind, (_, allowed, required) in _KINDS.items()} == {
+            "input": ({"initial"}, set()),
+            "output": (set(), set()),
+            "const": ({"value", "v_dd"}, {"value"}),
+            "boolean": (
+                {"function", "delays", "tau_fast", "initial_inputs", "initial_output", "v_dd"},
+                {"function", "delays"},
+            ),
+            "idm": ({"tau", "delta_min", "xi", "initial_input"}, set()),
+            "heater": ({"delta", "xi", "initial_input", "initial_state"}, set()),
+            "simple_nor": (nor | {"r1", "r2", "r3", "r4", "c_int"}, set()),
+            "advanced_nor": (nor | {"alpha1", "alpha2", "r", "r_na", "r_nb"}, set()),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(_REQUIRED_AND_FACTORY))
+    def test_required_fields_alone_build_the_factory_default(self, kind):
+        required, factory = _REQUIRED_AND_FACTORY[kind]
+        cf = parse_circuit_data({"vertices": [{"id": "g", "kind": kind, **required}]}, "file")
+        got, want = cf.circuit.vertices["g"], factory()
+        for attr in ("initial_state", "input_delays", "initial_inputs", "threshold", "state_space"):
+            assert getattr(got, attr) == getattr(want, attr), attr
+
+    @pytest.mark.parametrize(
+        "kind, fields, missing",
+        [("const", {}, "value"), ("boolean", {"function": "buf"}, "delays")],
+    )
+    def test_missing_required_field_is_named(self, tmp_path, capsys, kind, fields, missing):
+        path = write_yaml(tmp_path / "c.yaml", one_gate_doc(kind, **fields))
+        assert run("validate", path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: vertex 'g' ({kind}) is missing fields [{missing!r}]\n"
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("heater", "xi", math.nan, "threshold xi must be finite"),
+            ("heater", "xi", math.inf, "threshold xi must be finite"),
+            ("boolean", "tau_fast", math.inf, "tau_fast must be finite and positive"),
+            ("boolean", "tau_fast", -math.inf, "tau_fast must be finite and positive"),
+            ("boolean", "tau_fast", math.nan, "tau_fast must be finite and positive"),
+            ("idm", "tau", math.nan, "tau must be finite and positive"),
+            ("idm", "tau", math.inf, "tau must be finite and positive"),
+        ],
+    )
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, kind, field, value, message):
+        fields = {"function": "buf", "delays": [0.1]} if kind == "boolean" else {}
+        path = write_yaml(tmp_path / "c.yaml", one_gate_doc(kind, **fields, **{field: value}))
+        assert run("simulate", path, "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: vertex 'g': {message}, got {value!r}\n"
+
+    def test_list_kind_is_an_unknown_kind(self, tmp_path, capsys):
+        path = write_yaml(tmp_path / "c.yaml", one_gate_doc(["input"]))
+        assert run("validate", path) == 1
+        known = "advanced_nor, boolean, const, heater, idm, input, output, simple_nor"
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: vertex 'g' has unknown kind ['input'] (known: {known})\n"
+
+    def test_non_string_field_names_are_listed(self, tmp_path, capsys):
+        doc = one_gate_doc("idm", wobble=1)
+        doc["vertices"][1][2] = 3
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert run("validate", path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: vertex 'g' (idm) has unknown fields [2, 'wobble']\n"
+
+    def test_non_numeric_z_value_is_named(self, tmp_path, capsys):
+        doc = one_gate_doc("idm")
+        doc["z_values"] = {"I": [1]}
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err == f"error: {path}: z_values.I must be a number, got [1]\n"

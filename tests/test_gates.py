@@ -358,6 +358,16 @@ class TestChargingClosedForm:
         assert seg.end_state[0] == 1.0
         assert find_crossings(Trajectory([seg]), 1.0) == []
 
+    @pytest.mark.parametrize("gap", [1e-323, 1e-310])
+    def test_subnormal_gap_matches_a_simultaneous_fall(self, gap):
+        # the small pole's weight underflows to 0 while tau/r1 overflows
+        params = AdvancedNorParams(alpha1=1.0, alpha2=1.0)
+        gate, mode = _charging_mode(params, 0.0, gap, 0)
+        _, at_zero = _charging_mode(params, 0.0, 0.0, 0)
+        got = solve_mode(mode, [0.0], 0.0, 1.0, gate.state_space).values([0.5, 1.0])
+        want = solve_mode(at_zero, [0.0], 0.0, 1.0, gate.state_space).values([0.5, 1.0])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
     def test_no_shipped_gate_integrates_numerically(self, monkeypatch):
         monkeypatch.setattr(modes, "solve_ivp", _refuse("solve_ivp"))
         _run_every_shipped_gate()
