@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .gates import GateSpec, ModeEntry, boolean_table, initial_output_bit, make_boolean_gate, make_const_gate
-from .modes import DEFAULT_CONFIG, SolverConfig, Trajectory, solve_mode
+from .modes import Trajectory, solve_mode
 from .signals import TIME_EPS, BinarySignal, one_norm_distance
 from .threshold import find_crossings
 
@@ -279,7 +279,6 @@ def execute(
     circuit: Circuit,
     input_signals: Mapping[str, BinarySignal] | None,
     horizon: float,
-    config: SolverConfig = DEFAULT_CONFIG,
     event_cap: int = 1_000_000,
     _shuffle: random.Random | None = None,
 ) -> Execution:
@@ -338,13 +337,12 @@ def execute(
         # solve the mode from (t, x) to the horizon and queue its crossings
         spec = st.spec
         st.mode = mode
-        st.live = solve_mode(mode, x, t, horizon, spec.state_space, config)
+        st.live = solve_mode(mode, x, t, horizon, spec.state_space)
         crossings = find_crossings(
             Trajectory([st.live]),
             spec.threshold.xi,
             spec.threshold.component,
             spec.threshold.time_tolerance,
-            config,
         )
         for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
             push(queue, (t_c, _FIRE, name, st.generation, value, d))
@@ -682,7 +680,6 @@ def check_simulation_equivalence(
     k: int,
     input_signals: Mapping[str, BinarySignal] | None,
     horizon: float,
-    config: SolverConfig = DEFAULT_CONFIG,
     time_tol: float = 1e-12,
 ) -> EquivalenceReport:
     """Compare every copy of the k-unrolling against its original vertex.
@@ -698,14 +695,13 @@ def check_simulation_equivalence(
       failures go to ``reach_mismatches``.
     """
     un = unroll(circuit, output_port, k)
-    ex_orig = execute(circuit, input_signals, horizon, config)
+    ex_orig = execute(circuit, input_signals, horizon)
     # shallow unrollings may cut every path to a port before reaching it
     kept = set(un.circuit.input_ports())
     ex_unr = execute(
         un.circuit,
         {n: s for n, s in (input_signals or {}).items() if n in kept},
         horizon,
-        config,
     )
     reach = reach_times(circuit, un, ex_orig)
     mismatches: list[str] = []
@@ -794,10 +790,9 @@ def _pulse_response(
     width: float,
     horizon: float,
     pulse_start: float,
-    config: SolverConfig,
 ) -> tuple[BinarySignal, float]:
     sig = BinarySignal.pulse(pulse_start, width, horizon)
-    ex = execute(circuit, {in_name: sig}, horizon, config)
+    ex = execute(circuit, {in_name: sig}, horizon)
     out = ex.signals[out_name]
     return out, one_norm_distance(out, BinarySignal.constant(0, horizon))
 
@@ -809,7 +804,6 @@ def check_spf(
     epsilon: float,
     stabilization_bound: float,
     pulse_start: float = 1.0,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> SpfReport:
     """Probe a candidate short-pulse filter over a grid of pulse widths.
 
@@ -837,15 +831,13 @@ def check_spf(
         report.violations.append("the input port must rest at 0")
         return report
 
-    ex0 = execute(circuit, {in_name: BinarySignal.constant(0, horizon)}, horizon, config)
+    ex0 = execute(circuit, {in_name: BinarySignal.constant(0, horizon)}, horizon)
     if not ex0.signals[out_name].is_zero():
         report.no_generation = False
         report.violations.append("a zero input produced output transitions")
 
     for width in widths:
-        out, norm = _pulse_response(
-            circuit, in_name, out_name, width, horizon, pulse_start, config
-        )
+        out, norm = _pulse_response(circuit, in_name, out_name, width, horizon, pulse_start)
         last_in = min(pulse_start + width, horizon)
         last_out = out.times[-1] if out.times else None
         settled = last_out is None or last_out <= last_in + stabilization_bound
@@ -876,7 +868,6 @@ def bisect_pulse_norm(
     pulse_start: float = 1.0,
     tol: float = 1e-6,
     max_iter: int = 200,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[float, float]:
     """Find an input width whose output one-norm hits ``target_norm``.
 
@@ -891,7 +882,7 @@ def bisect_pulse_norm(
     in_name, out_name = io
 
     def norm_at(w: float) -> float:
-        return _pulse_response(circuit, in_name, out_name, w, horizon, pulse_start, config)[1]
+        return _pulse_response(circuit, in_name, out_name, w, horizon, pulse_start)[1]
 
     n_lo, n_hi = norm_at(lo), norm_at(hi)
     if not (n_lo < target_norm < n_hi):

@@ -3,10 +3,10 @@
 Circuits live in YAML files with three sections: ``vertices`` (a list of
 mappings, each with an ``id``, a ``kind``, and kind-specific parameters),
 ``edges`` (``[from, slot, to]`` triples feeding gate input slots), and
-optional ``defaults`` (horizon and tolerances picked up when the matching
-flag is absent).  ``preset:NAME`` in place of a path loads a bundled file.
-Each kind is built by its factory in ``gates`` (or a port class), and a
-parameter the file leaves out takes that factory's default.
+optional ``defaults`` (``horizon`` and ``time_tol``, picked up when the
+matching flag is absent).  ``preset:NAME`` in place of a path loads a
+bundled file.  Each kind is built by its factory in ``gates`` (or a port
+class), and a parameter the file leaves out takes that factory's default.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """
@@ -51,7 +51,7 @@ from .gates import (
     make_simple_nor,
     mis_delay_sweep,
 )
-from .modes import DEFAULT_CONFIG, SolverConfig, write_trajectory_csv
+from .modes import write_trajectory_csv
 from .signals import (
     BinarySignal,
     min_pulse_width,
@@ -75,7 +75,7 @@ class CircuitFileError(ValueError):
 # -- circuit files ---------------------------------------------------------------
 
 _TOP_KEYS = {"vertices", "edges", "defaults", "z_values"}
-_DEFAULT_KEYS = {"horizon", "rel_tol", "abs_tol", "time_tol", "seed"}
+_DEFAULT_KEYS = {"horizon", "time_tol"}
 
 
 def _nor_kind(factory, params_cls):
@@ -256,25 +256,9 @@ def _pick(cli_value, cf: CircuitFile, key: str):
     return cli_value if cli_value is not None else cf.defaults.get(key)
 
 
-def _solver_config(rel, abs_, seed) -> SolverConfig:
-    kwargs = {}
-    if rel is not None:
-        kwargs["rel_tol"] = float(rel)
-    if abs_ is not None:
-        kwargs["abs_tol"] = float(abs_)
-    if seed is not None:
-        kwargs["seed"] = int(seed)
-    return dataclasses.replace(DEFAULT_CONFIG, **kwargs) if kwargs else DEFAULT_CONFIG
-
-
-def _resolve_solver(args, cf: CircuitFile) -> tuple[SolverConfig, float | None]:
-    cfg = _solver_config(
-        _pick(args.rel_tol, cf, "rel_tol"),
-        _pick(args.abs_tol, cf, "abs_tol"),
-        _pick(args.seed, cf, "seed"),
-    )
+def _resolve_time_tol(args, cf: CircuitFile) -> float | None:
     ttol = _pick(args.time_tol, cf, "time_tol")
-    return cfg, (float(ttol) if ttol is not None else None)
+    return float(ttol) if ttol is not None else None
 
 
 def _resolve_horizon(args, cf: CircuitFile) -> float:
@@ -304,15 +288,12 @@ def _ensure_out_dir(args) -> Path:
     return out
 
 
-def _metadata(args, cf: CircuitFile, cfg: SolverConfig, ttol: float | None, **extra) -> dict:
+def _metadata(args, cf: CircuitFile, ttol: float | None, **extra) -> dict:
     meta = {
         "hybridgates": __version__,
         "command": args.command,
         "circuit": cf.source,
-        "rel_tol": repr(cfg.rel_tol),
-        "abs_tol": repr(cfg.abs_tol),
         "time_tol": "default" if ttol is None else repr(ttol),
-        "seed": "none" if cfg.seed is None else str(cfg.seed),
     }
     meta.update(extra)
     return meta
@@ -403,7 +384,7 @@ def _input_signal(spec: str, horizon: float) -> BinarySignal:
 def cmd_simulate(args) -> int:
     cf = _load_validated(args.file)
     horizon = _resolve_horizon(args, cf)
-    cfg, ttol = _resolve_solver(args, cf)
+    ttol = _resolve_time_tol(args, cf)
     circuit = _with_time_tolerance(cf.circuit, ttol)
 
     inputs = {
@@ -418,10 +399,10 @@ def cmd_simulate(args) -> int:
             raise CircuitFileError(f"--input: {name!r} is not an input port")
         inputs[name] = _input_signal(rhs, horizon)
 
-    ex = execute(circuit, inputs, horizon, cfg, event_cap=args.event_cap)
+    ex = execute(circuit, inputs, horizon, event_cap=args.event_cap)
 
     out_dir = _ensure_out_dir(args)
-    meta = _metadata(args, cf, cfg, ttol)
+    meta = _metadata(args, cf, ttol)
     used: set[str] = set()
     signal_files: dict[str, str] = {}
     for name, sig in ex.signals.items():
@@ -446,12 +427,7 @@ def cmd_simulate(args) -> int:
         "hybridgates": __version__,
         "circuit": cf.source,
         "horizon": horizon,
-        "solver": {
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "time_tol": ttol,
-            "seed": cfg.seed,
-        },
+        "solver": {"time_tol": ttol},
         "delta_min": ex.delta_min,
         "event_count": ex.event_count,
         "iterations": len(ex.iteration_times),
@@ -485,10 +461,9 @@ def _pulse_point(
     width: float,
     pulse_start: float,
     horizon: float,
-    cfg: SolverConfig,
 ) -> tuple[float, float | None, float | None]:
     sig = BinarySignal.pulse(pulse_start, width, horizon)
-    ex = execute(circuit, {in_name: sig}, horizon, cfg)
+    ex = execute(circuit, {in_name: sig}, horizon)
     out = ex.signals[out_name]
     norm = one_norm_distance(out, BinarySignal.constant(0, horizon))
     last = out.times[-1] if out.times else None
@@ -496,25 +471,24 @@ def _pulse_point(
 
 
 def _pulse_task(payload: tuple) -> tuple[float, float | None, float | None]:
-    src, width, pulse_start, horizon, rel, abs_, ttol, seed = payload
+    src, width, pulse_start, horizon, ttol = payload
     cf = load_circuit(src)
     circuit = _with_time_tolerance(cf.circuit, ttol)
-    cfg = _solver_config(rel, abs_, seed)
     in_name, out_name = _single_io_names(circuit)
-    return _pulse_point(circuit, in_name, out_name, width, pulse_start, horizon, cfg)
+    return _pulse_point(circuit, in_name, out_name, width, pulse_start, horizon)
 
 
 def cmd_sweep_pulse(args) -> int:
     cf = _load_validated(args.file)
     horizon = _resolve_horizon(args, cf)
-    cfg, ttol = _resolve_solver(args, cf)
+    ttol = _resolve_time_tol(args, cf)
     circuit = _with_time_tolerance(cf.circuit, ttol)
     in_name, out_name = _single_io_names(circuit)
     widths = _parse_grid(args.widths, "--widths")
     out_dir = _ensure_out_dir(args)
 
     meta = _metadata(
-        args, cf, cfg, ttol,
+        args, cf, ttol,
         horizon=repr(horizon), pulse_start=repr(args.pulse_start), widths=args.widths,
     )
     header = "delta,norm_l1,min_output_pulse,last_transition"
@@ -525,10 +499,10 @@ def cmd_sweep_pulse(args) -> int:
             raise CircuitFileError("--target-norm needs a width range to bracket the search")
         width, norm = bisect_pulse_norm(
             circuit, args.target_norm, lo, hi, horizon,
-            pulse_start=args.pulse_start, tol=args.tol, config=cfg,
+            pulse_start=args.pulse_start, tol=args.tol,
         )
         norm2, min_pulse, last = _pulse_point(
-            circuit, in_name, out_name, width, args.pulse_start, horizon, cfg
+            circuit, in_name, out_name, width, args.pulse_start, horizon
         )
         meta["target_norm"] = repr(args.target_norm)
         rows = [f"{width!r},{norm2!r},{_fmt(min_pulse)},{_fmt(last)}"]
@@ -538,17 +512,13 @@ def cmd_sweep_pulse(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
 
-    payloads = [
-        (args.file, w, args.pulse_start, horizon, cfg.rel_tol, cfg.abs_tol, ttol, cfg.seed)
-        for w in widths
-    ]
+    payloads = [(args.file, w, args.pulse_start, horizon, ttol) for w in widths]
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             points = list(pool.map(_pulse_task, payloads))
     else:
         points = [
-            _pulse_point(circuit, in_name, out_name, w, args.pulse_start, horizon, cfg)
-            for w in widths
+            _pulse_point(circuit, in_name, out_name, w, args.pulse_start, horizon) for w in widths
         ]
 
     rows = [
@@ -579,34 +549,30 @@ def _mis_gate(doc: dict, ttol: float | None) -> GateSpec:
 
 
 def _mis_task(payload: tuple) -> float:
-    src, gap, lead, settle, rel, abs_, ttol, seed = payload
+    src, gap, lead, settle, ttol = payload
     cf = load_circuit(src)
     doc = _find_nor_doc(cf)
-    cfg = _solver_config(rel, abs_, seed)
-    return mis_delay_sweep(lambda: _mis_gate(doc, ttol), [gap], lead=lead, settle=settle, config=cfg)[0]
+    return mis_delay_sweep(lambda: _mis_gate(doc, ttol), [gap], lead=lead, settle=settle)[0]
 
 
 def cmd_sweep_mis(args) -> int:
     cf = _load_validated(args.file)
-    cfg, ttol = _resolve_solver(args, cf)
+    ttol = _resolve_time_tol(args, cf)
     doc = _find_nor_doc(cf)
     gaps = _parse_grid(args.gaps, "--gaps", allow_zero=True)
     out_dir = _ensure_out_dir(args)
 
     if args.jobs and args.jobs > 1:
-        payloads = [
-            (args.file, g, args.lead, args.settle, cfg.rel_tol, cfg.abs_tol, ttol, cfg.seed)
-            for g in gaps
-        ]
+        payloads = [(args.file, g, args.lead, args.settle, ttol) for g in gaps]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             delays = list(pool.map(_mis_task, payloads))
     else:
         delays = mis_delay_sweep(
-            lambda: _mis_gate(doc, ttol), gaps, lead=args.lead, settle=args.settle, config=cfg
+            lambda: _mis_gate(doc, ttol), gaps, lead=args.lead, settle=args.settle
         )
 
     meta = _metadata(
-        args, cf, cfg, ttol,
+        args, cf, ttol,
         gate=doc["id"], lead=repr(args.lead), settle=repr(args.settle), gaps=args.gaps,
     )
     rows = [f"{g!r},{d!r}" for g, d in zip(gaps, delays)]
@@ -682,18 +648,18 @@ def cmd_unroll(args) -> int:
 def cmd_spf_check(args) -> int:
     cf = _load_validated(args.file)
     horizon = _resolve_horizon(args, cf)
-    cfg, ttol = _resolve_solver(args, cf)
+    ttol = _resolve_time_tol(args, cf)
     circuit = _with_time_tolerance(cf.circuit, ttol)
     widths = _parse_grid(args.widths, "--widths")
 
     report = check_spf(
         circuit, widths, horizon, args.epsilon, args.stab_bound,
-        pulse_start=args.pulse_start, config=cfg,
+        pulse_start=args.pulse_start,
     )
 
     out_dir = _ensure_out_dir(args)
     meta = _metadata(
-        args, cf, cfg, ttol,
+        args, cf, ttol,
         horizon=repr(horizon), epsilon=repr(args.epsilon),
         stabilization_bound=repr(args.stab_bound), widths=args.widths,
     )
@@ -751,10 +717,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--horizon", type=float, default=None, help="simulation end time")
-    common.add_argument("--rel-tol", type=float, default=None, help="solver relative tolerance")
-    common.add_argument("--abs-tol", type=float, default=None, help="solver absolute tolerance")
     common.add_argument("--time-tol", type=float, default=None, help="threshold crossing time tolerance")
-    common.add_argument("--seed", type=int, default=None, help="solver probe seed, recorded in outputs")
     common.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     common.add_argument("--out-dir", default=None, help="directory for output files (default: .)")
 

@@ -18,10 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .modes import (
-    DEFAULT_CONFIG,
     ModeFunction,
     ScalarRelaxation,
-    SolverConfig,
     StateSpace,
     Trajectory,
     affine_mode,
@@ -95,19 +93,19 @@ class GateSpec:
             self, "initial_state", tuple(float(v) for v in self.initial_state)
         )
         if len(self.input_delays) != self.arity:
-            raise ValueError(f"{self.name}: need {self.arity} input delays")
+            raise ValueError(f"need {self.arity} input delays")
         if len(self.initial_inputs) != self.arity:
-            raise ValueError(f"{self.name}: need {self.arity} initial input bits")
+            raise ValueError(f"need {self.arity} initial input bits")
         if not all(math.isfinite(d) and d >= 0 for d in self.input_delays):
-            raise ValueError(f"{self.name}: input delays must be finite and nonnegative")
+            raise ValueError("input delays must be finite and nonnegative")
         if any(b not in (0, 1) for b in self.initial_inputs):
-            raise ValueError(f"{self.name}: initial inputs must be bits")
+            raise ValueError("initial inputs must be bits")
         if len(self.initial_state) != self.state_space.dimension:
-            raise ValueError(f"{self.name}: initial state dimension mismatch")
+            raise ValueError("initial state dimension mismatch")
         if not self.state_space.contains(np.asarray(self.initial_state)):
-            raise ValueError(f"{self.name}: initial state outside the state space")
+            raise ValueError("initial state outside the state space")
         if self.threshold.component > self.state_space.dimension:
-            raise ValueError(f"{self.name}: threshold component out of range")
+            raise ValueError("threshold component out of range")
 
 
 def initial_output_bit(gate: GateSpec) -> int:
@@ -129,7 +127,6 @@ class GateRun:
 def gate_output(
     gate: GateSpec,
     inputs: Sequence[BinarySignal],
-    config: SolverConfig = DEFAULT_CONFIG,
     horizon: float | None = None,
 ) -> GateRun:
     """Run one gate on known input signals over their shared horizon.
@@ -161,7 +158,7 @@ def gate_output(
         {**ports, "gate": replace(gate, choice=recording_choice), "out": OutputPort()},
         [(port, "gate", slot) for slot, port in enumerate(ports)] + [("gate", "out", 0)],
     )
-    ex = execute(circuit, dict(zip(ports, inputs)), horizon, config)
+    ex = execute(circuit, dict(zip(ports, inputs)), horizon)
     (_, initial), *switches = chosen
     # no-op decisions return the active mode, which ModeSwitchSignal drops
     switching = ModeSwitchSignal(
@@ -236,7 +233,7 @@ def make_boolean_gate(
     table = boolean_table(function, arity)
     gate_name = name or (function if isinstance(function, str) else "bool")
     if not all(math.isfinite(d) for d in delays):  # before tau_fast is derived from them
-        raise ValueError(f"{gate_name}: input delays must be finite and nonnegative")
+        raise ValueError("input delays must be finite and nonnegative")
     if initial_inputs is None:
         initial_inputs = (0,) * arity
     initial_inputs = tuple(int(b) for b in initial_inputs)
@@ -622,7 +619,6 @@ def measure_idm_delays(
     tau: float = 1.0,
     delta_min: float = 0.1,
     xi: float = 0.5,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> IdmDelayMeasurement:
     """Measure delta_down(T), then delta_up at T' = -delta_down(T).
 
@@ -641,13 +637,13 @@ def measure_idm_delays(
 
     gate_lo = make_idm_channel(tau, delta_min, xi, initial_input=0)
     r0 = 1.0
-    run_step = gate_output(gate_lo, [BinarySignal(0, ((r0, 1),), horizon)], config)
+    run_step = gate_output(gate_lo, [BinarySignal(0, ((r0, 1),), horizon)])
     if len(run_step.output.times) != 1:
         raise RuntimeError("step input produced an unexpected output shape")
     o1 = run_step.output.times[0]
 
     u = o1 + T
-    run_pulse = gate_output(gate_lo, [BinarySignal(0, ((r0, 1), (u, 0)), horizon)], config)
+    run_pulse = gate_output(gate_lo, [BinarySignal(0, ((r0, 1), (u, 0)), horizon)])
     if len(run_pulse.output.times) != 2:
         raise RuntimeError("pulse input did not produce a rise and a fall")
     delta_down = run_pulse.output.times[1] - u
@@ -655,7 +651,7 @@ def measure_idm_delays(
     t_prime = -delta_down
     gate_hi = make_idm_channel(tau, delta_min, xi, initial_input=1)
     a0 = 1.0
-    run_ref = gate_output(gate_hi, [BinarySignal(1, ((a0, 0),), horizon)], config)
+    run_ref = gate_output(gate_hi, [BinarySignal(1, ((a0, 0),), horizon)])
     if len(run_ref.output.times) != 1:
         raise RuntimeError("falling step produced an unexpected output shape")
     o_ref = run_ref.output.times[0]
@@ -663,9 +659,7 @@ def measure_idm_delays(
     u_prime = o_ref + t_prime
     if u_prime - a0 <= 10 * TIME_EPS:
         raise ValueError("separation too large to resolve the cancelling edge")
-    run_test = gate_output(
-        gate_hi, [BinarySignal(1, ((a0, 0), (u_prime, 1)), horizon)], config
-    )
+    run_test = gate_output(gate_hi, [BinarySignal(1, ((a0, 0), (u_prime, 1)), horizon)])
     x_sw = float(run_test.trajectory.value(u_prime + delta_min)[0])
     if x_sw >= 1.0:
         raise RuntimeError("state saturated before the rising switch")
@@ -678,7 +672,6 @@ def mis_delay_sweep(
     gaps: Sequence[float],
     lead: float = 1.0,
     settle: float = 20.0,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> list[float]:
     """Rising-output delay of a NOR as a function of the falling-input gap.
 
@@ -696,7 +689,7 @@ def mis_delay_sweep(
         horizon = lead + gap + settle
         sig_a = BinarySignal(1, ((lead + gap, 0),), horizon)
         sig_b = BinarySignal(1, ((lead, 0),), horizon)
-        run = gate_output(gate, [sig_a, sig_b], config)
+        run = gate_output(gate, [sig_a, sig_b])
         rises = [tr.time for tr in run.output.transitions if tr.value == 1]
         if not rises:
             raise RuntimeError(f"{gate.name}: output never rose within the horizon")

@@ -35,8 +35,6 @@ __all__ = [
     "GeneralNumeric",
     "ModeFunction",
     "affine_mode",
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "AffineSegment",
     "RelaxationSegment",
     "DenseSegment",
@@ -191,20 +189,6 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     )
     rhs = lambda t, x, _a=a_mat, _b=b_vec: _a @ x + _b
     return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Integrator and sampling tolerances shared across the package."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    probe_points: int = 64  # per-segment sampling grid of the sampled crossing path
-    seed: int | None = None
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 # -- trajectory segments -------------------------------------------------------
@@ -532,13 +516,16 @@ def _containment_scan(segment: Segment, space: StateSpace) -> None:
             raise StateSpaceExit(float(ts[j]), vals[j])
 
 
+# RK45 tolerances of a GeneralNumeric mode, the only kind solved numerically
+_RK45_RTOL, _RK45_ATOL = 1e-9, 1e-12
+
+
 def solve_mode(
     mode: ModeFunction,
     x0,
     t0: float,
     t1: float,
     space: StateSpace,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Segment:
     """Solve one mode from ``x0`` over ``[t0, t1]``; returns a segment.
 
@@ -568,9 +555,8 @@ def solve_mode(
                 (t0, t1),
                 x0,
                 method="RK45",
-                rtol=config.rel_tol,
-                atol=config.abs_tol,
-                max_step=config.max_step,
+                rtol=_RK45_RTOL,
+                atol=_RK45_ATOL,
                 dense_output=True,
             )
             if not sol.success:
@@ -587,7 +573,6 @@ def matching_output_signal(
     switching: ModeSwitchSignal,
     x0,
     space: StateSpace,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Trajectory that starts at ``x0``, is continuous, and follows the
     active mode's ODE on every inter-switch interval."""
@@ -598,7 +583,7 @@ def matching_output_signal(
             raise KeyError(f"mode id {mode_id!r} not present in the mode family")
         if end - start <= TIME_EPS and segments:
             continue
-        seg = solve_mode(family[mode_id], state, start, end, space, config)
+        seg = solve_mode(family[mode_id], state, start, end, space)
         segments.append(seg)
         state = seg.end_state
     return Trajectory(segments)

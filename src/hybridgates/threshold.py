@@ -22,8 +22,9 @@ numbers every other reader of the segment sees.  When a scalar segment's
 asymptote (``x_inf`` or ``target``) is xi itself it never crosses, even
 where ``exp`` underflows and its computed end value lands exactly on xi.
 Every other segment (complex or defective spectra, three or more states,
-numeric and function segments) is sampled on a per-segment grid and each
-bracketed predicate change is bisected down to a time tolerance;
+numeric and function segments) is sampled on a fixed 64-point grid per
+segment, refined near xi, and each bracketed predicate change is bisected
+down to the comparator's time tolerance;
 tangential touches that never change the predicate between samples produce
 no transition.  The sampled path reads the predicate off the computed
 values, so a sampled trajectory that underflows onto xi does report an edge
@@ -39,14 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .modes import (
-    DEFAULT_CONFIG,
-    AffineSegment,
-    RelaxationSegment,
-    Segment,
-    SolverConfig,
-    Trajectory,
-)
+from .modes import AffineSegment, RelaxationSegment, Segment, Trajectory
 from .signals import TIME_EPS, BinarySignal
 
 __all__ = [
@@ -58,7 +52,7 @@ __all__ = [
 
 
 class CrossingCapExceeded(RuntimeError):
-    """A segment produced more threshold crossings than the configured cap."""
+    """A segment produced more threshold crossings than ``max_crossings``."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,10 @@ class ThresholdSpec:
             raise ValueError(f"threshold xi must be finite, got {self.xi!r}")
         if self.component < 1:
             raise ValueError(f"component index is 1-based, got {self.component}")
-        if self.time_tolerance <= 0:
-            raise ValueError("time tolerance must be positive")
+        if not (math.isfinite(self.time_tolerance) and self.time_tolerance > 0):
+            raise ValueError(
+                f"time_tolerance must be finite and positive, got {self.time_tolerance!r}"
+            )
 
 
 def _segment_component(segment: Segment, ts: np.ndarray, component: int) -> np.ndarray:
@@ -270,13 +266,15 @@ def _sampled_crossings(
 # Crossing time of each monotone scalar segment kind.
 _SCALAR_CROSSING = {AffineSegment: _affine_crossing, RelaxationSegment: _relaxation_crossing}
 
+# Per-segment sampling grid of the sampled crossing path, before refinement.
+_PROBE_POINTS = 64
+
 
 def find_crossings(
     traj: Trajectory,
     xi: float,
     component: int = 1,
     time_tolerance: float = 1e-12,
-    config: SolverConfig = DEFAULT_CONFIG,
     max_crossings: int = 1_000_000,
 ) -> list[tuple[float, bool]]:
     """Threshold crossing times of one state component of a trajectory.
@@ -303,7 +301,7 @@ def find_crossings(
         pred_start, pred_end, found, plateau = _monotone_crossings(
             segment, xi, component
         ) or _sampled_crossings(
-            segment, xi, component, time_tolerance, config.probe_points, max_crossings
+            segment, xi, component, time_tolerance, _PROBE_POINTS, max_crossings
         )
         # Exact-threshold plateaus digitize to 0 per the <= rule; flag them
         # since they usually indicate a degenerate model.
@@ -334,7 +332,6 @@ def find_crossings(
 def digitize(
     traj: Trajectory,
     spec: ThresholdSpec,
-    config: SolverConfig = DEFAULT_CONFIG,
     max_crossings: int = 1_000_000,
 ) -> BinarySignal:
     """Binary output signal of a trajectory under a threshold comparator."""
@@ -346,7 +343,6 @@ def digitize(
         spec.xi,
         spec.component,
         spec.time_tolerance,
-        config,
         max_crossings,
     )
     transitions = [(t, 1 if rising else 0) for t, rising in crossings]

@@ -172,7 +172,7 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert run("simulate", "preset:fig3_feedback", "--input", "I=pulse:1:2",
-                       "--seed", 11, "--out-dir", out) == 0
+                       "--out-dir", out) == 0
         for fa in sorted(a.iterdir()):
             assert fa.read_bytes() == (b / fa.name).read_bytes(), fa.name
 
@@ -211,14 +211,39 @@ class TestSimulate:
         source = read_signal_csv(first / "O.csv")
         assert len(echoed.transitions) == len(source.transitions)
 
-    def test_metadata_records_tolerances_and_seed(self, tmp_path):
+    def test_metadata_records_the_time_tolerance(self, tmp_path):
         out = tmp_path / "meta"
         assert run("simulate", "preset:idm_channel", "--time-tol", 1e-6,
-                   "--seed", 7, "--out-dir", out) == 0
+                   "--out-dir", out) == 0
         text = (out / "O.csv").read_text()
         assert "# time_tol=1e-06" in text
-        assert "# seed=7" in text
         assert "# hybridgates=" in text
+
+    @pytest.mark.parametrize(
+        "where, bad", [("flag", math.nan), ("flag", math.inf), ("defaults", math.nan)]
+    )
+    def test_non_finite_time_tolerance_rejected(self, tmp_path, capsys, where, bad):
+        doc = pipeline_doc()
+        flag = ["--time-tol", bad] if where == "flag" else []
+        if where == "defaults":
+            doc["defaults"]["time_tol"] = bad
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert run("simulate", path, *flag, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: time_tolerance must be finite and positive, got {bad!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "where, name", [("flag", "--seed"), ("flag", "--rel-tol"), ("flag", "--abs-tol"),
+                        ("defaults", "rel_tol")]
+    )
+    def test_solver_settings_are_gone(self, tmp_path, where, name):
+        doc = pipeline_doc()
+        flag = [name, 7] if where == "flag" else []
+        if where == "defaults":
+            doc["defaults"][name] = 1e-9
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert run("simulate", path, *flag, "--out-dir", tmp_path / "out") == 1
 
 
 class TestSweepPulse:
@@ -283,6 +308,14 @@ class TestSweepMis:
                 if line and not line.startswith("#")][1:]
         delays = [float(r[1]) for r in rows]
         assert (max(delays) - min(delays)) / max(delays) < 0.01
+
+    @pytest.mark.parametrize("extra", [[], ["--time-tol", 1e-9]])
+    def test_parallel_matches_serial(self, tmp_path, extra):
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        for out, jobs in ((serial, 1), (parallel, 2)):
+            assert run("sweep-mis", "preset:advanced_nor", "--gaps", "0,0.3,2", *extra,
+                       "--jobs", jobs, "--out-dir", out) == 0
+        assert (serial / "sweep_mis.csv").read_bytes() == (parallel / "sweep_mis.csv").read_bytes()
 
     def test_requires_a_switching_nor_gate(self, tmp_path):
         assert run("sweep-mis", "preset:idm_channel", "--gaps", "0,1",
@@ -429,6 +462,12 @@ class TestVertexKinds:
         assert run("simulate", path, "--out-dir", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: vertex 'g': {message}, got {value!r}\n"
+
+    def test_gate_error_names_the_vertex_once(self, tmp_path, capsys):
+        path = write_yaml(tmp_path / "c.yaml", one_gate_doc("heater", initial_state=math.nan))
+        assert run("simulate", path, "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: vertex 'g': initial state outside the state space\n"
 
     def test_list_kind_is_an_unknown_kind(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", one_gate_doc(["input"]))

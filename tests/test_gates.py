@@ -28,7 +28,7 @@ from hybridgates.gates import (
     mis_delay_sweep,
 )
 from hybridgates import modes, threshold
-from hybridgates.circuit import execute
+from hybridgates.circuit import Circuit, InputPort, OutputPort, execute
 from hybridgates.cli import _preset_names, load_circuit
 from hybridgates.modes import (
     FunctionSegment,
@@ -541,3 +541,74 @@ class TestGateOutputOracle:
         assert run.output.times == pytest.approx(want.times, abs=1e-11, rel=0)
         if kind != "anor":  # memoryless: the choice depends on the bits alone
             assert run.switching == _walked_switching(gate, inputs)
+
+
+@st.composite
+def _mixed_circuits(draw):
+    """A random circuit of boolean, IDM and NOR gates on grid-aligned delays.
+
+    With feedback, only boolean gates take edges from later gates (or
+    themselves): their initial output is free, so every loop has declared
+    bits.  IDM and NOR gates read ports and earlier gates, and their
+    initial output follows from those bits.
+    """
+    feedback = draw(st.booleans())
+    grid = draw(st.sampled_from((0.05, 0.1)))
+    unit = st.floats(0.5, 2.0)
+    ports = [f"in{i}" for i in range(draw(st.integers(1, 2)))]
+    inputs = {p: draw(_grid_signal(grid)) for p in ports}
+    bits = {p: s.initial_value for p, s in inputs.items()}
+    names = [f"g{i}" for i in range(draw(st.integers(1, 5)))]
+    kinds, drivers = {}, {}
+    for i, name in enumerate(names):
+        kinds[name] = kind = draw(st.sampled_from(("boolean", "idm", "snor", "anor")))
+        if kind == "boolean":
+            kinds[name] = draw(st.sampled_from(_BOOLEAN_FUNCTIONS))
+            bits[name] = draw(st.integers(0, 1))
+        arity = 1 if kinds[name] in ("idm", "buf", "not") else 2
+        pool = ports + (names if feedback and kind == "boolean" else names[:i])
+        drivers[name] = [draw(st.sampled_from(pool)) for _ in range(arity)]
+    gates = {}
+    for name in sorted(names, key=lambda n: kinds[n] in _BOOLEAN_FUNCTIONS):
+        kind, in_bits = kinds[name], tuple(bits[d] for d in drivers[name])
+        delays = tuple(grid * draw(st.integers(1, 5)) for _ in in_bits)
+        if kind in _BOOLEAN_FUNCTIONS:
+            gates[name] = make_boolean_gate(
+                kind, delays, initial_inputs=in_bits, initial_output=bits[name], name=name
+            )
+            continue
+        if kind == "idm":
+            gate = make_idm_channel(
+                draw(unit), delays[0], draw(st.floats(0.1, 0.9)), in_bits[0], name=name
+            )
+        elif kind == "snor":
+            params = SimpleNorParams(*(draw(unit) for _ in range(6)))
+            gate = make_simple_nor(params, delays, in_bits, name=name)
+        else:
+            params = AdvancedNorParams(*(draw(unit) for _ in range(6)))
+            gate = make_advanced_nor(params, delays, in_bits, name=name)
+        gates[name] = gate
+        bits[name] = initial_output_bit(gate)
+    edges = [(d, name, slot) for name in names for slot, d in enumerate(drivers[name])]
+    vertices = {**{p: InputPort(s.initial_value) for p, s in inputs.items()}, **gates}
+    circuit = Circuit({**vertices, "out": OutputPort()}, [*edges, (names[-1], "out", 0)])
+    return circuit, inputs
+
+
+class TestCircuitOracle:
+    @given(case=_mixed_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_every_gate_matches_its_one_gate_run(self, case):
+        # batching, fan-out and cancellation inside the circuit give each
+        # gate the same output as a run of that gate alone on its drivers
+        circuit, inputs = case
+        ex = execute(circuit, inputs, _ORACLE_HORIZON)
+        for name, gate in circuit.gates().items():
+            slots = sorted(circuit.incoming(name), key=lambda e: e.slot)
+            run = gate_output(gate, [ex.signals[e.src] for e in slots])
+            want = ex.signals[name]
+            assert run.output.initial_value == want.initial_value, name
+            assert [tr.value for tr in run.output.transitions] == [
+                tr.value for tr in want.transitions
+            ], name
+            assert run.output.times == pytest.approx(want.times, abs=1e-11, rel=0), name

@@ -9,11 +9,9 @@ import pytest
 
 from hybridgates.modes import (
     AffineSegment,
-    DEFAULT_CONFIG,
     FunctionSegment,
     GeneralNumeric,
     ModeFunction,
-    SolverConfig,
     StateSpace,
     StateSpaceExit,
     Trajectory,
