@@ -269,9 +269,12 @@ def _alternating_pending(
     return pending
 
 
-# Queue entry kinds: (time, kind, name, generation or slot, value, depth).
+# Queue entry kinds: (time, kind, name, generation or slot, depth, value).
 # A pending output transition of gate ``name`` carries the generation it was
-# computed in; an input arrival at gate ``name`` carries its slot.
+# computed in; an input arrival at gate ``name`` carries its slot.  Depth
+# comes before value so that two arrivals on one slot at the same time keep
+# their causal order: the later of two equal-time commits of a gate belongs
+# to a newer trajectory, whose depth is strictly greater.
 _FIRE, _ARRIVE = 0, 1
 
 
@@ -331,7 +334,7 @@ def execute(
 
     def propagate(src: str, t: float, value: int, depth: int) -> None:
         for dst, slot, delay in fanout[src]:
-            push(queue, (t + delay, _ARRIVE, dst, slot, value, depth))
+            push(queue, (t + delay, _ARRIVE, dst, slot, depth, value))
 
     def enter(name: str, st: _GateState, mode, x, t: float, depth: int) -> None:
         # solve the mode from (t, x) to the horizon and queue its crossings
@@ -345,7 +348,7 @@ def execute(
             spec.threshold.time_tolerance,
         )
         for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
-            push(queue, (t_c, _FIRE, name, st.generation, value, d))
+            push(queue, (t_c, _FIRE, name, st.generation, d, value))
 
     # iteration 1: initial modes from declared initial bits, input edges queued
     for name, sig in input_signals.items():
@@ -389,7 +392,7 @@ def execute(
             _shuffle.shuffle(ordered)
         for name in ordered:
             st = states[name]
-            for t_c, _kind, _name, _gen, value, depth in firing[name]:
+            for t_c, _kind, _name, _gen, depth, value in firing[name]:
                 if value == st.out_bit:
                     raise AssertionError(f"{name}: non-alternating commit at t={t_c}")
                 if depth > iteration:
@@ -411,7 +414,7 @@ def execute(
 
         # then apply input arrivals, atomically per gate
         groups: dict[str, list[tuple[float, int, int, int]]] = {}
-        for t_a, _kind, dst, slot, value, depth in arrived:
+        for t_a, _kind, dst, slot, depth, value in arrived:
             groups.setdefault(dst, []).append((t_a, slot, value, depth))
             event_count += 1
             if event_count > event_cap:
@@ -810,8 +813,15 @@ def check_spf(
     Checks: single input and output; a zero input yields a zero output; some
     width produces output; every produced output has one-norm at least
     ``epsilon``; and outputs settle within ``stabilization_bound`` of the
-    last input edge.
+    last input edge.  ``epsilon`` must be finite and positive and
+    ``stabilization_bound`` finite and nonnegative, else ``ValueError``.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    if not (math.isfinite(stabilization_bound) and stabilization_bound >= 0):
+        raise ValueError(
+            f"stabilization_bound must be finite and nonnegative, got {stabilization_bound!r}"
+        )
     io = _single_io(circuit)
     report = SpfReport(
         epsilon=epsilon,

@@ -3,10 +3,11 @@
 Circuits live in YAML files with three sections: ``vertices`` (a list of
 mappings, each with an ``id``, a ``kind``, and kind-specific parameters),
 ``edges`` (``[from, slot, to]`` triples feeding gate input slots), and
-optional ``defaults`` (``horizon`` and ``time_tol``, picked up when the
-matching flag is absent).  ``preset:NAME`` in place of a path loads a
-bundled file.  Each kind is built by its factory in ``gates`` (or a port
-class), and a parameter the file leaves out takes that factory's default.
+optional ``defaults`` (finite positive ``horizon`` and ``time_tol``, picked
+up when the matching flag is absent).  ``preset:NAME`` in place of a path
+loads a bundled file.  Each kind is built by its factory in ``gates`` (or a
+port class), and a parameter the file leaves out takes that factory's
+default.  Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """
@@ -17,10 +18,10 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from .circuit import (
     InputPort,
     InvalidCircuitError,
     OutputPort,
+    _pulse_response,
+    _single_io,
     bisect_pulse_norm,
     check_spf,
     execute,
@@ -55,7 +58,6 @@ from .modes import write_trajectory_csv
 from .signals import (
     BinarySignal,
     min_pulse_width,
-    one_norm_distance,
     read_signal_csv,
     write_signal_csv,
 )
@@ -200,8 +202,11 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
     if bad:
         raise CircuitFileError(f"{source}: unknown defaults {bad}")
     for key, value in defaults.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CircuitFileError(f"{source}: defaults.{key} must be a number")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value < math.inf):
+            raise CircuitFileError(
+                f"{source}: defaults.{key} must be a finite positive number, got {value!r}"
+            )
 
     z_values = data.get("z_values")
     if z_values is not None:
@@ -301,40 +306,41 @@ def _metadata(args, cf: CircuitFile, ttol: float | None, **extra) -> dict:
 
 def _parse_grid(spec: str, what: str, allow_zero: bool = False) -> list[float]:
     """Parse ``LO:HI:COUNT`` or a comma list into a value grid."""
+    is_range = ":" in spec
+    parts = spec.split(":") if is_range else [p for p in spec.split(",") if p.strip()]
+    if is_range and len(parts) != 3:
+        raise CircuitFileError(f"{what}: expected LO:HI:COUNT, got {spec!r}")
     try:
-        if ":" in spec:
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise CircuitFileError(f"{what}: expected LO:HI:COUNT, got {spec!r}")
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 2:
-                raise CircuitFileError(f"{what}: a range needs at least 2 points")
-            if hi < lo:
-                raise CircuitFileError(f"{what}: range is empty ({spec!r})")
-            values = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-        else:
-            values = [float(part) for part in spec.split(",") if part.strip()]
+        values = [float(p) for p in (parts[:2] if is_range else parts)]
+        count = int(parts[2]) if is_range else None
     except ValueError as exc:
         raise CircuitFileError(f"{what}: {exc}") from exc
     if not values:
         raise CircuitFileError(f"{what}: no values given")
-    floor = 0.0 if allow_zero else None
+    if is_range and count < 2:
+        raise CircuitFileError(f"{what}: a range needs at least 2 points")
     for v in values:
-        if floor is None and v <= 0.0:
-            raise CircuitFileError(f"{what}: values must be positive, got {v!r}")
-        if floor is not None and v < floor:
-            raise CircuitFileError(f"{what}: values must be nonnegative, got {v!r}")
-    return values
+        if not math.isfinite(v):
+            raise CircuitFileError(f"{what}: values must be finite, got {v!r}")
+        if v < 0.0 or (v == 0.0 and not allow_zero):
+            sign = "nonnegative" if allow_zero else "positive"
+            raise CircuitFileError(f"{what}: values must be {sign}, got {v!r}")
+    if not is_range:
+        return values
+    lo, hi = values
+    if hi < lo:
+        raise CircuitFileError(f"{what}: range is empty ({spec!r})")
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 def _single_io_names(circuit: Circuit) -> tuple[str, str]:
-    ins = list(circuit.input_ports())
-    outs = list(circuit.output_ports())
-    if len(ins) != 1 or len(outs) != 1:
+    io = _single_io(circuit)
+    if io is None:
         raise CircuitFileError(
-            f"need exactly one input and one output port, found {len(ins)} and {len(outs)}"
+            f"need exactly one input and one output port, found "
+            f"{len(circuit.input_ports())} and {len(circuit.output_ports())}"
         )
-    return ins[0], outs[0]
+    return io
 
 
 def _safe_name(name: str, used: set[str]) -> str:
@@ -454,28 +460,12 @@ def cmd_simulate(args) -> int:
 # -- pulse-width sweep -------------------------------------------------------------
 
 
-def _pulse_point(
-    circuit: Circuit,
-    in_name: str,
-    out_name: str,
-    width: float,
-    pulse_start: float,
-    horizon: float,
-) -> tuple[float, float | None, float | None]:
-    sig = BinarySignal.pulse(pulse_start, width, horizon)
-    ex = execute(circuit, {in_name: sig}, horizon)
-    out = ex.signals[out_name]
-    norm = one_norm_distance(out, BinarySignal.constant(0, horizon))
+def _pulse_row(circuit: Circuit, io: tuple[str, str], width: float, pulse_start: float,
+               horizon: float) -> str:
+    """CSV row of one pulse width: the width, output norm, shortest output pulse and last edge."""
+    out, norm = _pulse_response(circuit, *io, width, horizon, pulse_start)
     last = out.times[-1] if out.times else None
-    return norm, min_pulse_width(out), last
-
-
-def _pulse_task(payload: tuple) -> tuple[float, float | None, float | None]:
-    src, width, pulse_start, horizon, ttol = payload
-    cf = load_circuit(src)
-    circuit = _with_time_tolerance(cf.circuit, ttol)
-    in_name, out_name = _single_io_names(circuit)
-    return _pulse_point(circuit, in_name, out_name, width, pulse_start, horizon)
+    return f"{width!r},{norm!r},{_fmt(min_pulse_width(out))},{_fmt(last)}"
 
 
 def cmd_sweep_pulse(args) -> int:
@@ -483,7 +473,7 @@ def cmd_sweep_pulse(args) -> int:
     horizon = _resolve_horizon(args, cf)
     ttol = _resolve_time_tol(args, cf)
     circuit = _with_time_tolerance(cf.circuit, ttol)
-    in_name, out_name = _single_io_names(circuit)
+    io = _single_io_names(circuit)
     widths = _parse_grid(args.widths, "--widths")
     out_dir = _ensure_out_dir(args)
 
@@ -491,8 +481,6 @@ def cmd_sweep_pulse(args) -> int:
         args, cf, ttol,
         horizon=repr(horizon), pulse_start=repr(args.pulse_start), widths=args.widths,
     )
-    header = "delta,norm_l1,min_output_pulse,last_transition"
-
     if args.target_norm is not None:
         lo, hi = min(widths), max(widths)
         if lo == hi:
@@ -501,33 +489,16 @@ def cmd_sweep_pulse(args) -> int:
             circuit, args.target_norm, lo, hi, horizon,
             pulse_start=args.pulse_start, tol=args.tol,
         )
-        norm2, min_pulse, last = _pulse_point(
-            circuit, in_name, out_name, width, args.pulse_start, horizon
-        )
         meta["target_norm"] = repr(args.target_norm)
-        rows = [f"{width!r},{norm2!r},{_fmt(min_pulse)},{_fmt(last)}"]
-        path = out_dir / "sweep_pulse.csv"
-        _write_csv(path, meta, header, rows)
-        print(f"bisection: width={width!r} norm={norm!r}")
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    payloads = [(args.file, w, args.pulse_start, horizon, ttol) for w in widths]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(_pulse_task, payloads))
+        widths = [width]
+        done = f"bisection: width={width!r} norm={norm!r}"
     else:
-        points = [
-            _pulse_point(circuit, in_name, out_name, w, args.pulse_start, horizon) for w in widths
-        ]
+        done = f"swept {len(widths)} widths on {cf.source}"
 
-    rows = [
-        f"{w!r},{norm!r},{_fmt(min_pulse)},{_fmt(last)}"
-        for w, (norm, min_pulse, last) in zip(widths, points)
-    ]
+    rows = [_pulse_row(circuit, io, w, args.pulse_start, horizon) for w in widths]
     path = out_dir / "sweep_pulse.csv"
-    _write_csv(path, meta, header, rows)
-    print(f"swept {len(widths)} widths on {cf.source}")
+    _write_csv(path, meta, "delta,norm_l1,min_output_pulse,last_transition", rows)
+    print(done)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -544,32 +515,16 @@ def _find_nor_doc(cf: CircuitFile) -> dict:
     return cf.docs[ids[0]] | {"id": ids[0]}
 
 
-def _mis_gate(doc: dict, ttol: float | None) -> GateSpec:
-    return _gate_time_tolerance(_build_vertex(doc["id"], doc), ttol)
-
-
-def _mis_task(payload: tuple) -> float:
-    src, gap, lead, settle, ttol = payload
-    cf = load_circuit(src)
-    doc = _find_nor_doc(cf)
-    return mis_delay_sweep(lambda: _mis_gate(doc, ttol), [gap], lead=lead, settle=settle)[0]
-
-
 def cmd_sweep_mis(args) -> int:
     cf = _load_validated(args.file)
     ttol = _resolve_time_tol(args, cf)
     doc = _find_nor_doc(cf)
     gaps = _parse_grid(args.gaps, "--gaps", allow_zero=True)
     out_dir = _ensure_out_dir(args)
-
-    if args.jobs and args.jobs > 1:
-        payloads = [(args.file, g, args.lead, args.settle, ttol) for g in gaps]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            delays = list(pool.map(_mis_task, payloads))
-    else:
-        delays = mis_delay_sweep(
-            lambda: _mis_gate(doc, ttol), gaps, lead=args.lead, settle=args.settle
-        )
+    delays = mis_delay_sweep(
+        lambda: _gate_time_tolerance(_build_vertex(doc["id"], doc), ttol),
+        gaps, lead=args.lead, settle=args.settle,
+    )
 
     meta = _metadata(
         args, cf, ttol,
@@ -714,64 +669,62 @@ class _Parser(argparse.ArgumentParser):
         raise CircuitFileError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--horizon", type=float, default=None, help="simulation end time")
-    common.add_argument("--time-tol", type=float, default=None, help="threshold crossing time tolerance")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    common.add_argument("--out-dir", default=None, help="directory for output files (default: .)")
+# the run flags; each subcommand declares the ones it reads
+_RUN_FLAGS = {
+    "--horizon": {"type": float, "help": "simulation end time"},
+    "--time-tol": {"type": float, "help": "threshold crossing time tolerance"},
+    "--out-dir": {"help": "directory for output files (default: .)"},
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hybridgates", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hybridgates {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="schema and structural checks")
-    p.add_argument("file", help="circuit file or preset:NAME")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file", help="circuit file or preset:NAME")
+        for flag in flags:
+            p.add_argument(flag, **_RUN_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", parents=[common], help="run a circuit and dump its signals")
-    p.add_argument("file", help="circuit file or preset:NAME")
+    command("validate", cmd_validate, "schema and structural checks")
+
+    p = command("simulate", cmd_simulate, "run a circuit and dump its signals", *_RUN_FLAGS)
     p.add_argument(
         "--input", action="append", metavar="NAME=SPEC",
         help="input signal: zero, one, pulse:START:WIDTH, or a signal CSV path",
     )
     p.add_argument("--dump-trajectories", action="store_true", help="also dump analog state CSVs")
     p.add_argument("--event-cap", type=int, default=1_000_000, help="abort after this many events")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep-pulse", parents=[common], help="output response vs input pulse width")
-    p.add_argument("file", help="circuit file or preset:NAME")
+    p = command("sweep-pulse", cmd_sweep_pulse, "output response vs input pulse width", *_RUN_FLAGS)
     p.add_argument("--widths", required=True, help="pulse widths: LO:HI:COUNT or a comma list")
     p.add_argument("--pulse-start", type=float, default=1.0, help="rising edge time of the input pulse")
     p.add_argument("--target-norm", type=float, default=None,
                    help="bisect inside the width range for this output 1-norm")
     p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance on the norm")
-    p.set_defaults(func=cmd_sweep_pulse)
 
-    p = sub.add_parser("sweep-mis", parents=[common],
-                       help="NOR rising delay vs falling-input gap")
-    p.add_argument("file", help="circuit file or preset:NAME")
+    p = command("sweep-mis", cmd_sweep_mis, "NOR rising delay vs falling-input gap",
+                "--time-tol", "--out-dir")
     p.add_argument("--gaps", required=True, help="input gaps: LO:HI:COUNT or a comma list")
     p.add_argument("--lead", type=float, default=1.0, help="time of the first falling input")
     p.add_argument("--settle", type=float, default=20.0, help="extra horizon after the last gap")
-    p.set_defaults(func=cmd_sweep_mis)
 
-    p = sub.add_parser("unroll", parents=[common], help="expand feedback into a forward circuit")
-    p.add_argument("file", help="circuit file or preset:NAME")
+    p = command("unroll", cmd_unroll, "expand feedback into a forward circuit", "--out-dir")
     p.add_argument("-k", "--k", type=int, required=True, help="unrolling level")
     p.add_argument("--from", dest="from_port", default=None,
                    help="output port to unroll toward (default: the only one)")
     p.add_argument("--out", default=None, help="path for the unrolled circuit file")
-    p.set_defaults(func=cmd_unroll)
 
-    p = sub.add_parser("spf-check", parents=[common], help="probe a short-pulse-filter candidate")
-    p.add_argument("file", help="circuit file or preset:NAME")
+    p = command("spf-check", cmd_spf_check, "probe a short-pulse-filter candidate", *_RUN_FLAGS)
     p.add_argument("--widths", required=True, help="pulse widths: LO:HI:COUNT or a comma list")
     p.add_argument("--epsilon", type=float, required=True, help="minimum produced output 1-norm")
     p.add_argument("--stab-bound", type=float, required=True,
                    help="output settling bound after the last input edge")
     p.add_argument("--pulse-start", type=float, default=1.0, help="rising edge time of the input pulse")
-    p.set_defaults(func=cmd_spf_check)
 
     return parser
 

@@ -128,8 +128,10 @@ class BinarySignal:
     @classmethod
     def pulse(cls, start: float, width: float, horizon: float) -> "BinarySignal":
         """Zero signal with a single high pulse ``[start, start+width)``."""
-        if width <= 0:
-            raise ValueError(f"pulse width must be positive, got {width!r}")
+        if not math.isfinite(start):
+            raise ValueError(f"pulse start must be finite, got {start!r}")
+        if not (math.isfinite(width) and width > 0):
+            raise ValueError(f"pulse width must be finite and positive, got {width!r}")
         transitions: list[tuple[float, int]] = []
         if start <= horizon:
             transitions.append((start, 1))
@@ -168,14 +170,6 @@ class BinarySignal:
         if self.horizon > t_prev or not out:
             out.append((t_prev, self.horizon, v_prev))
         return out
-
-    def restricted(self, horizon: float) -> "BinarySignal":
-        """The same signal viewed on the (shorter or longer) horizon.
-
-        Extending assumes the signal holds its final value.
-        """
-        kept = tuple(tr for tr in self.transitions if tr.time <= horizon + TIME_EPS)
-        return BinarySignal(self.initial_value, kept, horizon)
 
 
 # -- operations on binary signals ---------------------------------------

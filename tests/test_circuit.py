@@ -390,6 +390,25 @@ class TestScheduler:
             again = execute(c, ins, horizon, _shuffle=random.Random(seed))
             assert again.records == ex.records
 
+    def test_equal_time_commits_arrive_in_causal_order(self):
+        # an xor2 fed back into both inputs commits 1 and then 0 at the same
+        # time, in two iterations; both edges reach slot 0 together 0.05 later
+        g = make_boolean_gate("xor2", (0.05, 0.15000000000000002), initial_inputs=(1, 1),
+                              initial_output=1, name="g")
+        c = Circuit(
+            {"I": InputPort(0), "g": g, "O": OutputPort()},
+            [("g", "g", 0), ("g", "g", 1), ("I", "O", 0)],
+        )
+        ex = execute(c, {"I": BinarySignal.constant(0, 5.0)}, 5.0)
+        records = ex.records["g"]
+        tie = next(i for i, (a, b) in enumerate(zip(records, records[1:])) if a.time == b.time)
+        assert (records[tie].value, records[tie + 1].value) == (1, 0)
+        assert records[tie].time == 1.0004401636991256
+        assert records[tie].depth < records[tie + 1].depth
+        for seed in range(3):
+            assert execute(c, {"I": BinarySignal.constant(0, 5.0)}, 5.0,
+                           _shuffle=random.Random(seed)).records == ex.records
+
     @pytest.mark.slow
     def test_invariants_on_large_random_circuits(self):
         master = random.Random(4099)
@@ -609,6 +628,20 @@ class TestShortPulseFiltration:
         report2 = check_spf(c2, [0.5], 6.0, epsilon=0.01, stabilization_bound=1.0)
         assert not report2.single_io
         assert not report2.ok
+
+    @pytest.mark.parametrize(
+        "epsilon, bound, message",
+        [(math.nan, 1.0, "epsilon must be finite and positive, got nan"),
+         (math.inf, 1.0, "epsilon must be finite and positive, got inf"),
+         (0.0, 1.0, "epsilon must be finite and positive, got 0.0"),
+         (0.01, math.nan, "stabilization_bound must be finite and nonnegative, got nan"),
+         (0.01, math.inf, "stabilization_bound must be finite and nonnegative, got inf"),
+         (0.01, -1.0, "stabilization_bound must be finite and nonnegative, got -1.0")],
+    )
+    def test_bounds_must_be_finite(self, epsilon, bound, message):
+        with pytest.raises(ValueError) as exc:
+            check_spf(idm_pipe(), [0.5], 12.0, epsilon=epsilon, stabilization_bound=bound)
+        assert str(exc.value) == message
 
     def test_bisect_requires_bracket(self):
         with pytest.raises(ValueError, match="not bracketed"):

@@ -73,6 +73,20 @@ def test_intervals_partition_horizon():
     assert s.intervals() == [(0.0, 2.0, 1), (2.0, 7.5, 0), (7.5, 10.0, 1)]
 
 
+@pytest.mark.parametrize(
+    "start, width, message",
+    [(math.nan, 1.0, "pulse start must be finite, got nan"),
+     (math.inf, 1.0, "pulse start must be finite, got inf"),
+     (1.0, math.nan, "pulse width must be finite and positive, got nan"),
+     (1.0, math.inf, "pulse width must be finite and positive, got inf"),
+     (1.0, 0.0, "pulse width must be finite and positive, got 0.0")],
+)
+def test_pulse_needs_finite_start_and_width(start, width, message):
+    with pytest.raises(ValueError) as exc:
+        BinarySignal.pulse(start, width, 10.0)
+    assert str(exc.value) == message
+
+
 def test_pulse_constructor_truncates_at_horizon():
     s = BinarySignal.pulse(8.0, 5.0, 10.0)
     assert s.times == (8.0,)
