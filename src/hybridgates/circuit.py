@@ -305,6 +305,8 @@ def execute(
         raise InvalidCircuitError(report)
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if event_cap < 1:
+        raise ValueError(f"event_cap must be at least 1, got {event_cap!r}")
 
     input_signals = dict(input_signals or {})
     ports = circuit.input_ports()
@@ -341,12 +343,7 @@ def execute(
         spec = st.spec
         st.mode = mode
         st.live = solve_mode(mode, x, t, horizon, spec.state_space)
-        crossings = find_crossings(
-            Trajectory([st.live]),
-            spec.threshold.xi,
-            spec.threshold.component,
-            spec.threshold.time_tolerance,
-        )
+        crossings = find_crossings(Trajectory([st.live]), spec.threshold.xi, spec.threshold.component)
         for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
             push(queue, (t_c, _FIRE, name, st.generation, d, value))
 
@@ -664,12 +661,11 @@ def _records_mismatch(
     a: list[TransitionRecord],
     b: list[TransitionRecord],
     scope: str,
-    time_tol: float,
 ) -> str | None:
     if len(a) != len(b):
         return f"{copy_name}: {len(b)} transitions {scope}, original has {len(a)}"
     for ra, rb in zip(a, b):
-        if abs(ra.time - rb.time) > time_tol or ra.value != rb.value or ra.depth != rb.depth:
+        if abs(ra.time - rb.time) > TIME_EPS or ra.value != rb.value or ra.depth != rb.depth:
             return (
                 f"{copy_name}: ({rb.time}, {rb.value}, d={rb.depth}) "
                 f"vs original ({ra.time}, {ra.value}, d={ra.depth})"
@@ -683,12 +679,11 @@ def check_simulation_equivalence(
     k: int,
     input_signals: Mapping[str, BinarySignal] | None,
     horizon: float,
-    time_tol: float = 1e-12,
 ) -> EquivalenceReport:
     """Compare every copy of the k-unrolling against its original vertex.
 
     Two comparisons, each requiring the records kept to agree in count,
-    value, depth, and time (to ``time_tol``):
+    value, depth, and time (to ``TIME_EPS``):
 
     - depth budget: records of depth at most the copy's z.  A copy can
       diverge here, at and below z, when a cut gate would have masked an
@@ -718,7 +713,6 @@ def check_simulation_equivalence(
             [r for r in orig if r.depth <= bound],
             [r for r in copy if r.depth <= bound],
             f"of depth <= {bound}",
-            time_tol,
         )
         if found:
             mismatches.append(found)
@@ -730,7 +724,6 @@ def check_simulation_equivalence(
             before,
             [r for r in copy if r.time < t_reach],
             f"before t={t_reach}",
-            time_tol,
         )
         if found:
             reach_mismatches.append(found)
@@ -884,8 +877,11 @@ def bisect_pulse_norm(
     Output norms vary continuously with the width wherever the output does
     not latch, so between a width producing less than the target and one
     producing more there is a width producing any value in between; this
-    locates it by bisection and returns (width, norm).
+    locates it by bisection and returns (width, norm).  ``tol`` bounds
+    ``|norm - target_norm|`` and must be finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     io = _single_io(circuit)
     if io is None:
         raise ValueError("pulse-norm bisection needs a single-input single-output circuit")

@@ -3,11 +3,13 @@
 Circuits live in YAML files with three sections: ``vertices`` (a list of
 mappings, each with an ``id``, a ``kind``, and kind-specific parameters),
 ``edges`` (``[from, slot, to]`` triples feeding gate input slots), and
-optional ``defaults`` (finite positive ``horizon`` and ``time_tol``, picked
-up when the matching flag is absent).  ``preset:NAME`` in place of a path
-loads a bundled file.  Each kind is built by its factory in ``gates`` (or a
-port class), and a parameter the file leaves out takes that factory's
-default.  Each subcommand takes only the flags it reads.
+optional ``defaults`` (a finite positive ``horizon``, picked up when
+``--horizon`` is absent).  ``preset:NAME`` in place of a path loads a
+bundled file.  Each kind is built by its factory in ``gates`` (or a port
+class), and a parameter the file leaves out takes that factory's default.
+Each subcommand takes only the flags it reads.  Threshold crossing times
+are exact where a segment has a closed form and bisected to ``TIME_EPS``
+where it is sampled.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """
@@ -77,7 +79,7 @@ class CircuitFileError(ValueError):
 # -- circuit files ---------------------------------------------------------------
 
 _TOP_KEYS = {"vertices", "edges", "defaults", "z_values"}
-_DEFAULT_KEYS = {"horizon", "time_tol"}
+_DEFAULT_KEYS = {"horizon"}
 
 
 def _nor_kind(factory, params_cls):
@@ -257,17 +259,8 @@ def _load_validated(spec: str) -> CircuitFile:
 # -- flag plumbing ---------------------------------------------------------------
 
 
-def _pick(cli_value, cf: CircuitFile, key: str):
-    return cli_value if cli_value is not None else cf.defaults.get(key)
-
-
-def _resolve_time_tol(args, cf: CircuitFile) -> float | None:
-    ttol = _pick(args.time_tol, cf, "time_tol")
-    return float(ttol) if ttol is not None else None
-
-
 def _resolve_horizon(args, cf: CircuitFile) -> float:
-    h = _pick(args.horizon, cf, "horizon")
+    h = args.horizon if args.horizon is not None else cf.defaults.get("horizon")
     if h is None:
         raise CircuitFileError("no horizon: pass --horizon or set defaults.horizon in the file")
     h = float(h)
@@ -276,32 +269,14 @@ def _resolve_horizon(args, cf: CircuitFile) -> float:
     return h
 
 
-def _gate_time_tolerance(vertex, ttol: float | None):
-    """``vertex`` with its crossing time tolerance set, if it is a gate and ``ttol`` is given."""
-    if ttol is None or not isinstance(vertex, GateSpec):
-        return vertex
-    return dataclasses.replace(vertex, threshold=dataclasses.replace(vertex.threshold, time_tolerance=ttol))
-
-
-def _with_time_tolerance(circuit: Circuit, ttol: float | None) -> Circuit:
-    return Circuit({n: _gate_time_tolerance(v, ttol) for n, v in circuit.vertices.items()}, circuit.edges)
-
-
 def _ensure_out_dir(args) -> Path:
     out = Path(args.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _metadata(args, cf: CircuitFile, ttol: float | None, **extra) -> dict:
-    meta = {
-        "hybridgates": __version__,
-        "command": args.command,
-        "circuit": cf.source,
-        "time_tol": "default" if ttol is None else repr(ttol),
-    }
-    meta.update(extra)
-    return meta
+def _metadata(args, cf: CircuitFile, **extra) -> dict:
+    return {"hybridgates": __version__, "command": args.command, "circuit": cf.source, **extra}
 
 
 def _parse_grid(spec: str, what: str, allow_zero: bool = False) -> list[float]:
@@ -390,12 +365,10 @@ def _input_signal(spec: str, horizon: float) -> BinarySignal:
 def cmd_simulate(args) -> int:
     cf = _load_validated(args.file)
     horizon = _resolve_horizon(args, cf)
-    ttol = _resolve_time_tol(args, cf)
-    circuit = _with_time_tolerance(cf.circuit, ttol)
 
     inputs = {
         name: BinarySignal(port.initial_value, (), horizon)
-        for name, port in circuit.input_ports().items()
+        for name, port in cf.circuit.input_ports().items()
     }
     for item in args.input or []:
         name, sep, rhs = item.partition("=")
@@ -405,10 +378,10 @@ def cmd_simulate(args) -> int:
             raise CircuitFileError(f"--input: {name!r} is not an input port")
         inputs[name] = _input_signal(rhs, horizon)
 
-    ex = execute(circuit, inputs, horizon, event_cap=args.event_cap)
+    ex = execute(cf.circuit, inputs, horizon, event_cap=args.event_cap)
 
     out_dir = _ensure_out_dir(args)
-    meta = _metadata(args, cf, ttol)
+    meta = _metadata(args, cf)
     used: set[str] = set()
     signal_files: dict[str, str] = {}
     for name, sig in ex.signals.items():
@@ -433,7 +406,6 @@ def cmd_simulate(args) -> int:
         "hybridgates": __version__,
         "circuit": cf.source,
         "horizon": horizon,
-        "solver": {"time_tol": ttol},
         "delta_min": ex.delta_min,
         "event_count": ex.event_count,
         "iterations": len(ex.iteration_times),
@@ -471,15 +443,12 @@ def _pulse_row(circuit: Circuit, io: tuple[str, str], width: float, pulse_start:
 def cmd_sweep_pulse(args) -> int:
     cf = _load_validated(args.file)
     horizon = _resolve_horizon(args, cf)
-    ttol = _resolve_time_tol(args, cf)
-    circuit = _with_time_tolerance(cf.circuit, ttol)
+    circuit = cf.circuit
     io = _single_io_names(circuit)
     widths = _parse_grid(args.widths, "--widths")
-    out_dir = _ensure_out_dir(args)
 
     meta = _metadata(
-        args, cf, ttol,
-        horizon=repr(horizon), pulse_start=repr(args.pulse_start), widths=args.widths,
+        args, cf, horizon=repr(horizon), pulse_start=repr(args.pulse_start), widths=args.widths
     )
     if args.target_norm is not None:
         lo, hi = min(widths), max(widths)
@@ -496,7 +465,7 @@ def cmd_sweep_pulse(args) -> int:
         done = f"swept {len(widths)} widths on {cf.source}"
 
     rows = [_pulse_row(circuit, io, w, args.pulse_start, horizon) for w in widths]
-    path = out_dir / "sweep_pulse.csv"
+    path = _ensure_out_dir(args) / "sweep_pulse.csv"
     _write_csv(path, meta, "delta,norm_l1,min_output_pulse,last_transition", rows)
     print(done)
     print(f"wrote {path}")
@@ -517,18 +486,15 @@ def _find_nor_doc(cf: CircuitFile) -> dict:
 
 def cmd_sweep_mis(args) -> int:
     cf = _load_validated(args.file)
-    ttol = _resolve_time_tol(args, cf)
     doc = _find_nor_doc(cf)
     gaps = _parse_grid(args.gaps, "--gaps", allow_zero=True)
     out_dir = _ensure_out_dir(args)
     delays = mis_delay_sweep(
-        lambda: _gate_time_tolerance(_build_vertex(doc["id"], doc), ttol),
-        gaps, lead=args.lead, settle=args.settle,
+        lambda: _build_vertex(doc["id"], doc), gaps, lead=args.lead, settle=args.settle
     )
 
     meta = _metadata(
-        args, cf, ttol,
-        gate=doc["id"], lead=repr(args.lead), settle=repr(args.settle), gaps=args.gaps,
+        args, cf, gate=doc["id"], lead=repr(args.lead), settle=repr(args.settle), gaps=args.gaps
     )
     rows = [f"{g!r},{d!r}" for g, d in zip(gaps, delays)]
     path = out_dir / "sweep_mis.csv"
@@ -603,18 +569,16 @@ def cmd_unroll(args) -> int:
 def cmd_spf_check(args) -> int:
     cf = _load_validated(args.file)
     horizon = _resolve_horizon(args, cf)
-    ttol = _resolve_time_tol(args, cf)
-    circuit = _with_time_tolerance(cf.circuit, ttol)
     widths = _parse_grid(args.widths, "--widths")
 
     report = check_spf(
-        circuit, widths, horizon, args.epsilon, args.stab_bound,
+        cf.circuit, widths, horizon, args.epsilon, args.stab_bound,
         pulse_start=args.pulse_start,
     )
 
     out_dir = _ensure_out_dir(args)
     meta = _metadata(
-        args, cf, ttol,
+        args, cf,
         horizon=repr(horizon), epsilon=repr(args.epsilon),
         stabilization_bound=repr(args.stab_bound), widths=args.widths,
     )
@@ -672,7 +636,6 @@ class _Parser(argparse.ArgumentParser):
 # the run flags; each subcommand declares the ones it reads
 _RUN_FLAGS = {
     "--horizon": {"type": float, "help": "simulation end time"},
-    "--time-tol": {"type": float, "help": "threshold crossing time tolerance"},
     "--out-dir": {"help": "directory for output files (default: .)"},
 }
 
@@ -707,8 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bisect inside the width range for this output 1-norm")
     p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance on the norm")
 
-    p = command("sweep-mis", cmd_sweep_mis, "NOR rising delay vs falling-input gap",
-                "--time-tol", "--out-dir")
+    p = command("sweep-mis", cmd_sweep_mis, "NOR rising delay vs falling-input gap", "--out-dir")
     p.add_argument("--gaps", required=True, help="input gaps: LO:HI:COUNT or a comma list")
     p.add_argument("--lead", type=float, default=1.0, help="time of the first falling input")
     p.add_argument("--settle", type=float, default=20.0, help="extra horizon after the last gap")

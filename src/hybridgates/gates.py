@@ -376,7 +376,10 @@ class SimpleNorParams:
 
     Every field must be finite and positive.  That keeps every network's
     spectrum real (the off-diagonal product k2 g2 is positive), so its
-    threshold crossings have the exact form ``find_crossings`` uses.
+    threshold crossings have the exact form ``find_crossings`` uses.  At
+    extreme stiffness, a ratio of the two eigenvalues beyond roughly 1e13,
+    the small one rounds to 0, the mode rejects its eigendecomposition (see
+    ``AffineConstant``), and that network's crossings fall back to sampling.
     """
 
     r1: float = 1.0

@@ -24,11 +24,10 @@ where ``exp`` underflows and its computed end value lands exactly on xi.
 Every other segment (complex or defective spectra, three or more states,
 numeric and function segments) is sampled on a fixed 64-point grid per
 segment, refined near xi, and each bracketed predicate change is bisected
-down to the comparator's time tolerance;
-tangential touches that never change the predicate between samples produce
-no transition.  The sampled path reads the predicate off the computed
-values, so a sampled trajectory that underflows onto xi does report an edge
-there.
+to ``TIME_EPS``; tangential touches that never change the predicate between
+samples produce no transition.  The sampled path reads the predicate off the
+computed values, so a sampled trajectory that underflows onto xi does report
+an edge there.
 """
 
 from __future__ import annotations
@@ -57,39 +56,30 @@ class CrossingCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """Comparator parameters: level, 1-based state component, time tolerance."""
+    """Comparator parameters: the level ``xi`` and the 1-based state
+    component it watches.  Crossing times are exact where the segment has a
+    closed form and bisected to ``TIME_EPS`` where it is sampled."""
 
     xi: float
     component: int = 1
-    time_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.xi):
             raise ValueError(f"threshold xi must be finite, got {self.xi!r}")
         if self.component < 1:
             raise ValueError(f"component index is 1-based, got {self.component}")
-        if not (math.isfinite(self.time_tolerance) and self.time_tolerance > 0):
-            raise ValueError(
-                f"time_tolerance must be finite and positive, got {self.time_tolerance!r}"
-            )
 
 
 def _segment_component(segment: Segment, ts: np.ndarray, component: int) -> np.ndarray:
     return segment.values(ts)[:, component - 1]
 
 
-def _refined_samples(
-    segment: Segment,
-    xi: float,
-    component: int,
-    probe_points: int,
-    passes: int = 2,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampling grid for one segment, refined where the state runs close to
-    the threshold relative to its local variation."""
-    ts = segment.sample_times(probe_points)
+def _refined_samples(segment: Segment, xi: float, component: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sampling grid for one segment, refined twice where the state runs
+    close to the threshold relative to its local variation."""
+    ts = segment.sample_times(_PROBE_POINTS)
     g = _segment_component(segment, ts, component) - xi
-    for _ in range(passes):
+    for _ in range(2):
         extra: list[np.ndarray] = []
         flips = (g[:-1] > 0) != (g[1:] > 0)
         near = np.minimum(np.abs(g[:-1]), np.abs(g[1:])) < 10.0 * np.abs(np.diff(g))
@@ -110,9 +100,8 @@ def _bisect_crossing(
     pred_lo: bool,
     xi: float,
     component: int,
-    tol: float,
 ) -> float:
-    while hi - lo > tol:
+    while hi - lo > TIME_EPS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float exhaustion
             break
@@ -240,22 +229,18 @@ def _monotone_crossings(segment: Segment, xi: float, component: int):
     return pred_start, pred, found, plateau
 
 
-def _sampled_crossings(
-    segment: Segment, xi: float, component: int, tol: float, probe_points: int, cap: int
-):
+def _sampled_crossings(segment: Segment, xi: float, component: int, cap: int):
     """Crossings of any segment: a refined sampling grid, each predicate
-    change bisected to ``tol``, the first ``cap + 1`` of them at most.
+    change bisected to ``TIME_EPS``, the first ``cap + 1`` of them at most.
     Returns what :func:`_monotone_crossings` does; a plateau is three
     consecutive samples exactly on ``xi``."""
-    ts, g = _refined_samples(segment, xi, component, probe_points)
+    ts, g = _refined_samples(segment, xi, component)
     on_line = np.abs(g) == 0.0
     plateau = on_line.size >= 3 and bool(np.any(on_line[:-2] & on_line[1:-1] & on_line[2:]))
     pred = g > 0.0
     found = [
         (
-            _bisect_crossing(
-                segment, float(ts[i]), float(ts[i + 1]), bool(pred[i]), xi, component, tol
-            ),
+            _bisect_crossing(segment, float(ts[i]), float(ts[i + 1]), bool(pred[i]), xi, component),
             bool(pred[i + 1]),
         )
         for i in np.nonzero(pred[:-1] != pred[1:])[0][: cap + 1]
@@ -274,7 +259,6 @@ def find_crossings(
     traj: Trajectory,
     xi: float,
     component: int = 1,
-    time_tolerance: float = 1e-12,
     max_crossings: int = 1_000_000,
 ) -> list[tuple[float, bool]]:
     """Threshold crossing times of one state component of a trajectory.
@@ -290,7 +274,7 @@ def find_crossings(
     once.  A scalar segment whose asymptote is ``xi`` never crosses.  Every
     other segment (complex or defective spectra, three or more states,
     :class:`DenseSegment`, :class:`FunctionSegment`) is sampled and
-    bisected to ``time_tolerance``, its predicate read off the computed
+    bisected to ``TIME_EPS``, its predicate read off the computed
     values (so an ``exp`` that underflows onto ``xi`` there still reads as
     an edge).  Raises :class:`CrossingCapExceeded` if any single segment
     yields more than ``max_crossings`` crossings.
@@ -300,9 +284,7 @@ def find_crossings(
     for segment in traj.segments:
         pred_start, pred_end, found, plateau = _monotone_crossings(
             segment, xi, component
-        ) or _sampled_crossings(
-            segment, xi, component, time_tolerance, _PROBE_POINTS, max_crossings
-        )
+        ) or _sampled_crossings(segment, xi, component, max_crossings)
         # Exact-threshold plateaus digitize to 0 per the <= rule; flag them
         # since they usually indicate a degenerate model.
         if plateau:
@@ -329,21 +311,11 @@ def find_crossings(
     return deduped
 
 
-def digitize(
-    traj: Trajectory,
-    spec: ThresholdSpec,
-    max_crossings: int = 1_000_000,
-) -> BinarySignal:
+def digitize(traj: Trajectory, spec: ThresholdSpec) -> BinarySignal:
     """Binary output signal of a trajectory under a threshold comparator."""
     if traj.t0 > TIME_EPS:
         raise ValueError(f"digitize expects a trajectory starting at 0, got t0={traj.t0}")
     initial = 1 if traj.value(traj.t0)[spec.component - 1] > spec.xi else 0
-    crossings = find_crossings(
-        traj,
-        spec.xi,
-        spec.component,
-        spec.time_tolerance,
-        max_crossings,
-    )
+    crossings = find_crossings(traj, spec.xi, spec.component)
     transitions = [(t, 1 if rising else 0) for t, rising in crossings]
     return BinarySignal(initial, tuple(transitions), traj.horizon)

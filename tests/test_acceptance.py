@@ -336,7 +336,7 @@ def test_07_unrolling_equivalence():
         circuit = random_boolean_circuit(rng, feedback=True, allow_flight=False)
         ins = _random_inputs(circuit, rng, 9.0)
         for k in (1, 2, 3, 4):
-            report = check_simulation_equivalence(circuit, "out", k, ins, 9.0, time_tol=1e-12)
+            report = check_simulation_equivalence(circuit, "out", k, ins, 9.0)
             compared += report.reach_compared
             if report.reach_mismatches:
                 faults.append((idx, k))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from hybridgates import __version__
 from hybridgates.circuit import execute
 from hybridgates.cli import _KINDS, _preset_names, load_circuit, main, parse_circuit_data
 from hybridgates.gates import (
@@ -93,8 +94,8 @@ class TestCircuitFiles:
 
     @pytest.mark.parametrize(
         "key, text, shown",
-        [("time_tol", ".nan", "nan"), ("time_tol", "-1e-9", "'-1e-9'"), ("horizon", "-1.0", "-1.0"),
-         ("horizon", ".nan", "nan"), ("horizon", ".inf", "inf"), ("horizon", "0", "0")],
+        [("horizon", "-1.0", "-1.0"), ("horizon", ".nan", "nan"), ("horizon", ".inf", "inf"),
+         ("horizon", "0", "0"), ("horizon", "-1e-9", "'-1e-9'")],
     )
     @pytest.mark.parametrize("command", ["validate", "unroll"])
     def test_defaults_must_be_finite_and_positive(self, tmp_path, capsys, command, key, text, shown):
@@ -231,41 +232,47 @@ class TestSimulate:
         source = read_signal_csv(first / "O.csv")
         assert len(echoed.transitions) == len(source.transitions)
 
-    def test_metadata_records_the_time_tolerance(self, tmp_path):
+    def test_metadata_records_version_command_circuit_and_vertex(self, tmp_path):
         out = tmp_path / "meta"
-        assert run("simulate", "preset:idm_channel", "--time-tol", 1e-6,
-                   "--out-dir", out) == 0
-        text = (out / "O.csv").read_text()
-        assert "# time_tol=1e-06" in text
-        assert "# hybridgates=" in text
-
-    @pytest.mark.parametrize(
-        "where, bad", [("flag", math.nan), ("flag", math.inf), ("defaults", math.nan)]
-    )
-    def test_non_finite_time_tolerance_rejected(self, tmp_path, capsys, where, bad):
-        doc = pipeline_doc()
-        flag = ["--time-tol", bad] if where == "flag" else []
-        if where == "defaults":
-            doc["defaults"]["time_tol"] = bad
-        path = write_yaml(tmp_path / "c.yaml", doc)
-        assert run("simulate", path, *flag, "--out-dir", tmp_path / "out") == 1
-        if where == "flag":
-            want = f"error: time_tolerance must be finite and positive, got {bad!r}\n"
-        else:
-            want = f"error: {path}: defaults.time_tol must be a finite positive number, got {bad!r}\n"
-        assert capsys.readouterr().err == want
+        assert run("simulate", "preset:idm_channel", "--out-dir", out) == 0
+        header = [line for line in (out / "O.csv").read_text().splitlines() if line.startswith("#")]
+        assert header == [
+            "# initial=0", "# horizon=12.0", f"# hybridgates={__version__}",
+            "# command=simulate", "# circuit=preset:idm_channel", "# vertex=O",
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == [
+            "causal_depth_histogram", "circuit", "delta_min", "event_count", "horizon",
+            "hybridgates", "iteration_times", "iterations", "signals", "trajectories",
+            "transition_counts",
+        ]
 
     @pytest.mark.parametrize(
         "where, name", [("flag", "--seed"), ("flag", "--rel-tol"), ("flag", "--abs-tol"),
-                        ("defaults", "rel_tol")]
+                        ("flag", "--time-tol"), ("defaults", "rel_tol"), ("defaults", "time_tol")]
     )
-    def test_solver_settings_are_gone(self, tmp_path, where, name):
+    def test_solver_settings_are_gone(self, tmp_path, capsys, where, name):
         doc = pipeline_doc()
         flag = [name, 7] if where == "flag" else []
         if where == "defaults":
             doc["defaults"][name] = 1e-9
         path = write_yaml(tmp_path / "c.yaml", doc)
         assert run("simulate", path, *flag, "--out-dir", tmp_path / "out") == 1
+        if where == "flag":
+            want = f"error: unrecognized arguments: {name} 7\n"
+        else:
+            want = f"error: {path}: unknown defaults [{name!r}]\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_event_cap_must_be_at_least_one(self, tmp_path, capsys, cap):
+        out = tmp_path / "out"
+        assert run("simulate", "preset:storage_loop", "--input", "I=pulse:1:1",
+                   "--event-cap", cap, "--out-dir", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: event_cap must be at least 1, got {cap}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSweepPulse:
@@ -298,6 +305,16 @@ class TestSweepPulse:
         assert min_pulse <= 0.3 + 1e-6
         # the found width reproduces the closed-form response of the channel
         assert norm == pytest.approx(width + math.log(1.0 - math.exp(-width)), abs=1e-9)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bisection_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        assert run("sweep-pulse", "preset:idm_channel", "--widths", "0.5:1.2:2",
+                   "--target-norm", 0.25, "--tol", tol, "--out-dir", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tol must be positive and finite, got {float(tol)!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_needs_single_input_and_output(self, tmp_path):
         assert run("sweep-pulse", "preset:sr_latch", "--widths", "0.1,0.2",

@@ -1,5 +1,6 @@
 """Gate model tests: frozen closed-form delays and analytic charging oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -375,6 +376,28 @@ class TestChargingClosedForm:
     def test_no_shipped_gate_samples_its_crossings(self, monkeypatch):
         monkeypatch.setattr(threshold, "_bisect_crossing", _refuse("_bisect_crossing"))
         _run_every_shipped_gate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=st.builds(
+        SimpleNorParams,
+        **{f.name: st.floats(-3.0, 3.0).map(lambda e: 10.0**e) for f in dataclasses.fields(SimpleNorParams)},
+    ))
+    def test_a_simple_nor_with_random_parameters_never_samples(self, params):
+        # Over 10^[-3, 3] per field every network keeps a real
+        # eigendecomposition.  Past a stiffness ratio of ~1e13 the (0, 0) one
+        # may not, and its crossings are then sampled (see SimpleNorParams).
+        # The rise from discharged nodes is an RC ladder's step response, a
+        # distribution whose mean is the Elmore delay, so it passes its
+        # half-way point within twice that delay.
+        elmore = params.r1 * (params.c_int + params.c) + params.r2 * params.c
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threshold, "_sampled_crossings", _refuse("_sampled_crossings"))
+            delays = mis_delay_sweep(
+                lambda: make_simple_nor(params, initial_inputs=(1, 1)),
+                [0.0, 1e-9, 0.5, 3.0],
+                settle=4.0 * elmore + 1.0,
+            )
+        assert all(0.0 < d <= 2.0 * elmore + 0.1 for d in delays)
 
 
 def _refuse(name):
