@@ -495,9 +495,10 @@ def execute(
 class UnrolledCircuit:
     """Feedback-free expansion of a circuit toward one output port.
 
-    ``copy_map`` maps (original vertex, level) to the copy's name; input
-    ports are shared, level-0 gates collapse to constants holding their
-    initial output bit.  ``z_values[copy]`` is the copy's depth budget: 0
+    ``copy_map`` maps (original vertex, level) to the copy's name, each key
+    after the keys its copy's predecessors come from; input ports are
+    shared, level-0 gates collapse to constants holding their initial
+    output bit.  ``z_values[copy]`` is the copy's depth budget: 0
     for a constant, infinite for a port, and for a gate copy 1 plus the
     least budget among its predecessors (an output port copy takes its
     driver's).  The budget is not a faithfulness bound.  A constant stands
@@ -540,7 +541,15 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
             n += 1
         return name
 
-    def build(v_name: str, level: int) -> str:
+    # (vertex, level) pairs are walked depth first on an explicit stack, so
+    # the depth of an unrolling is not bounded by the recursion limit.  A
+    # copy is named before its predecessors (pre-order), and each in-edge is
+    # added once its predecessor's copy is finished.
+    stack: list[tuple[tuple[str, int], str, list[Edge], int, float, list[float]]] = []
+
+    def copy_of(v_name: str, level: int) -> str | None:
+        """The finished copy of ``(v_name, level)``, or None after opening
+        one on the stack."""
         key = (v_name, level)
         if key in memo:
             return memo[key]
@@ -552,15 +561,10 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
             memo[key] = v_name
             return v_name
         if isinstance(v, OutputPort):
-            name = fresh(f"{v_name}^({level})")
+            # observation keeps the level and its driver's budget
+            name, pred_level, step = fresh(f"{v_name}^({level})"), level, 0.0
             new_vertices[name] = OutputPort()
-            (pred,) = circuit.incoming(v_name)
-            pred_copy = build(pred.src, level)  # observation keeps the level
-            new_edges.append(Edge(pred_copy, name, 0))
-            z[name] = z[pred_copy]
-            memo[key] = name
-            return name
-        if level == 0:
+        elif level == 0:
             # constants are interchangeable, so one stub per value serves
             # every gate cut at this level
             bit = initial_output_bit(v)
@@ -571,18 +575,26 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
                 const_names[bit] = name
             memo[key] = const_names[bit]
             return memo[key]
-        name = fresh(f"{v_name}^({level})")
-        new_vertices[name] = v  # specs are stateless and shareable
-        bounds = []
-        for e in circuit.incoming(v_name):
-            pred_copy = build(e.src, level - 1)
-            new_edges.append(Edge(pred_copy, name, e.slot))
-            bounds.append(1.0 + z[pred_copy])
-        z[name] = min(bounds) if bounds else math.inf
-        memo[key] = name
-        return name
+        else:
+            name, pred_level, step = fresh(f"{v_name}^({level})"), level - 1, 1.0
+            new_vertices[name] = v  # specs are stateless and shareable
+        stack.append((key, name, circuit.incoming(v_name), pred_level, step, []))
+        return None
 
-    sink = build(output_port, k)
+    copy_of(output_port, k)
+    while stack:
+        key, name, incoming, pred_level, step, bounds = stack[-1]
+        if len(bounds) < len(incoming):
+            e = incoming[len(bounds)]
+            pred_copy = copy_of(e.src, pred_level)
+            if pred_copy is not None:
+                new_edges.append(Edge(pred_copy, name, e.slot))
+                bounds.append(step + z[pred_copy])
+            continue
+        z[name] = min(bounds, default=math.inf)
+        memo[key] = name
+        stack.pop()
+    sink = memo[(output_port, k)]
     unrolled = Circuit(new_vertices, new_edges)
     rep = validate(unrolled)
     if not rep.ok:  # construction bug, not user error
@@ -608,30 +620,23 @@ def reach_times(
     with positive delays) its records equal the original's up to then.
     """
     reach: dict[tuple[str, int], float] = {}
-
-    def at(v_name: str, level: int) -> float:
-        key = (v_name, level)
-        if key in reach:
-            return reach[key]
+    for key in unrolled.copy_map:  # each key after its predecessors' keys
+        v_name, level = key
         v = circuit.vertices[v_name]
         if isinstance(v, InputPort):
             t = math.inf
         elif isinstance(v, OutputPort):
             (drv,) = circuit.incoming(v_name)
-            t = at(drv.src, level)
+            t = reach[(drv.src, level)]
         elif level == 0:
             first = original.records[v_name][:1]
             t = first[0].time if first else math.inf
         else:
             t = min(
-                (at(e.src, level - 1) + v.input_delays[e.slot] for e in circuit.incoming(v_name)),
+                (reach[(e.src, level - 1)] + v.input_delays[e.slot] for e in circuit.incoming(v_name)),
                 default=math.inf,
             )
         reach[key] = t
-        return t
-
-    for v_name, level in unrolled.copy_map:
-        at(v_name, level)
     return reach
 
 
@@ -870,7 +875,6 @@ def bisect_pulse_norm(
     horizon: float,
     pulse_start: float = 1.0,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Find an input width whose output one-norm hits ``target_norm``.
 
@@ -895,7 +899,7 @@ def bisect_pulse_norm(
         raise ValueError(
             f"target {target_norm} not bracketed: norm({lo})={n_lo}, norm({hi})={n_hi}"
         )
-    for _ in range(max_iter):
+    for _ in range(200):  # the bracket reaches 1e-15 long before this
         mid = 0.5 * (lo + hi)
         n_mid = norm_at(mid)
         if abs(n_mid - target_norm) <= tol:

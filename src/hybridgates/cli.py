@@ -134,7 +134,6 @@ class CircuitFile:
     circuit: Circuit
     docs: dict[str, dict]
     defaults: dict
-    z_values: dict[str, float] | None
     source: str
 
 
@@ -210,19 +209,19 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
                 f"{source}: defaults.{key} must be a finite positive number, got {value!r}"
             )
 
+    # an unrolled file carries its copies' depth budgets; they are checked,
+    # and nothing reads them back
     z_values = data.get("z_values")
     if z_values is not None:
         if not isinstance(z_values, Mapping):
             raise CircuitFileError(f"{source}: 'z_values' must be a mapping")
-        parsed = {}
         for key, value in z_values.items():
             try:
-                parsed[str(key)] = float(value)
+                float(value)
             except (TypeError, ValueError):
                 raise CircuitFileError(f"{source}: z_values.{key} must be a number, got {value!r}") from None
-        z_values = parsed
 
-    return CircuitFile(Circuit(built, edge_list), docs, dict(defaults), z_values, source)
+    return CircuitFile(Circuit(built, edge_list), docs, dict(defaults), source)
 
 
 def _preset_names() -> list[str]:

@@ -25,6 +25,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from .signals import TIME_EPS, ModeSwitchSignal
 
@@ -196,6 +197,8 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
 # Each segment covers [t0, t1] and can evaluate the state at arbitrary times
 # inside it.  Endpoint states are exact in the sense that chaining segments
 # reuses the evaluated endpoint, so junctions match to machine precision.
+# Kinds with a closed form also cut each component into monotone ``pieces``,
+# which containment and the crossing search read instead of sampling.
 
 
 class _SegmentBase:
@@ -223,6 +226,18 @@ class _SegmentBase:
 
     def sample_times(self, n: int) -> np.ndarray:
         return np.linspace(self.t0, self.t1, max(n, 2))
+
+    def pieces(self, component: int):
+        """Monotone pieces of one state component (1-based).
+
+        A segment kind with a closed form returns ``(breaks, meet)``:
+        ``breaks`` are the interior times where the component turns, so it
+        is monotone between consecutive times of ``(t0, *breaks, t1)``, and
+        ``meet(xi, lo, hi)`` is the time in such a piece ``[lo, hi]``, whose
+        end values straddle ``xi``, at which the component equals ``xi``.
+        None, as here, means the segment must be sampled.
+        """
+        return None
 
 
 class AffineSegment(_SegmentBase):
@@ -324,6 +339,66 @@ class AffineSegment(_SegmentBase):
         a, b, _x0 = self._scalar
         return -b / a if a != 0.0 else math.nan
 
+    def pieces(self, component: int):
+        """Monotone pieces of one state component; see ``_SegmentBase.pieces``.
+
+        A scalar segment is one piece and meets xi at the exact time
+        ``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a`` (or
+        ``t0 + (xi - x0)/b`` when a = 0).  A 2-state segment with a real
+        spectrum has ``x_k(t) = c0 + c1 e^{lam1 (t - t0)} + c2 e^{lam2 (t -
+        t0)}`` (see :meth:`exponential_terms`), whose derivative vanishes at
+        most once, at ``t0 + ln(-c1 lam1/(c2 lam2))/(lam2 - lam1)``; it is
+        split there, and ``brentq`` finds each piece's meeting time to
+        1e-13.  Three or more states, and spectra that are complex or not
+        diagonalizable, are sampled (None).
+        """
+        if self._scalar is not None:
+            return (), self._scalar_meet
+        if self.x0.shape[0] != 2:
+            return None
+        form = self.exponential_terms(component)
+        if form is None or len(form[1]) > 2:
+            return None
+        c0, terms = form
+        t0 = self.t0
+        breaks: tuple[float, ...] = ()
+        if len(terms) == 2:
+            (c1, l1), (c2, l2) = terms
+            if ((c1 > 0.0) == (l1 > 0.0)) != ((c2 > 0.0) == (l2 > 0.0)):
+                # c1 lam1 and c2 lam2 differ in sign; the log of their ratio is
+                # taken term by term so that no product under- or overflows
+                log_ratio = math.log(abs(c1)) - math.log(abs(c2)) + math.log(abs(l1 / l2))
+                t_star = t0 + log_ratio / (l2 - l1)
+                # an extremum within TIME_EPS of an end could only add a pulse
+                # narrower than TIME_EPS
+                if t0 + TIME_EPS < t_star < self.t1 - TIME_EPS:
+                    breaks = (t_star,)
+        (c1, l1), (c2, l2) = (*terms, (0.0, 0.0), (0.0, 0.0))[:2]
+        exp = math.exp
+
+        def excess(t: float, xi: float) -> float:
+            s = t - t0
+            return c0 - xi + c1 * exp(l1 * s) + c2 * exp(l2 * s)
+
+        def meet(xi: float, lo: float, hi: float) -> float:
+            # where rounding leaves both ends on one side, the end nearer xi
+            g_lo, g_hi = excess(lo, xi), excess(hi, xi)
+            if (g_lo > 0.0) == (g_hi > 0.0):
+                return lo if abs(g_lo) <= abs(g_hi) else hi
+            return brentq(excess, lo, hi, args=(xi,), xtol=1e-13)
+
+        return breaks, meet
+
+    def _scalar_meet(self, xi: float, lo: float, hi: float) -> float:
+        a, b, x0 = self._scalar
+        if a == 0.0:
+            t = self.t0 + (xi - x0) / b
+        else:
+            # ln(ratio) as log1p(ratio - 1) keeps precision when x_inf is far away
+            rel = (xi - x0) / (x0 + b / a)
+            t = self.t0 + math.log1p(rel) / a if rel > -1.0 else math.inf
+        return min(max(t, lo), hi)
+
 
 class RelaxationSegment(_SegmentBase):
     """Closed-form solution of dx/dt = (target - x) phi'(t) from ``x0`` at ``t0``.
@@ -362,6 +437,22 @@ class RelaxationSegment(_SegmentBase):
         if ts[0] == self.t0:
             out[0] = self.x0
         return out[:, None]
+
+    def pieces(self, component: int):
+        """One monotone piece, which meets xi where ``phi(t) - phi(t0) =
+        ln((x0 - target)/(xi - target))``, a root that ``brentq`` finds to
+        1e-13; see ``_SegmentBase.pieces``."""
+        return (), self._meet
+
+    def _meet(self, xi: float, lo: float, hi: float) -> float:
+        # clamped to the piece where rounding leaves both ends on one side
+        phi, phi0 = self.exponent, self._phi0
+        rise = math.log1p((self.x0 - xi) / (xi - self.target))
+        if rise <= 0.0:
+            return lo
+        if phi(hi) - phi0 <= rise:
+            return hi
+        return brentq(lambda t: phi(t) - phi0 - rise, lo, hi, xtol=1e-13)
 
 
 class DenseSegment(_SegmentBase):
@@ -495,18 +586,18 @@ class Trajectory:
 
 # -- solving -------------------------------------------------------------------
 
-# A scalar segment of these kinds moves monotonically toward its asymptote,
-# so its two end values span its range.
-_MONOTONE_SCALAR = (AffineSegment, RelaxationSegment)
-
-
 def _containment_scan(segment: Segment, space: StateSpace) -> None:
-    # Monotone scalar segment: ends inside means inside; others and exits are sampled.
-    if type(segment) in _MONOTONE_SCALAR and segment.dimension == 1:
-        ((lo, hi),) = space.bounds
-        x_start, x_end = segment.values((segment.t0, segment.t1))[:, 0].tolist()
-        if lo - 1e-12 < min(x_start, x_end) and max(x_start, x_end) < hi + 1e-12:
-            return
+    # A component that is monotone between its piece ends is inside when
+    # they are.  Other segments, and every exit, are sampled.
+    for k, (lo, hi) in enumerate(space.bounds, 1):
+        form = segment.pieces(k)
+        if form is None:
+            break
+        ends = segment.values((segment.t0, *form[0], segment.t1))[:, k - 1].tolist()
+        if not (lo - 1e-12 < min(ends) and max(ends) < hi + 1e-12):
+            break
+    else:
+        return
     ts = segment.sample_times(64)
     vals = segment.values(ts)
     for i, (lo, hi) in enumerate(space.bounds):

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 __all__ = [
     "TIME_EPS",
@@ -118,6 +118,7 @@ class BinarySignal:
 
         object.__setattr__(self, "transitions", tuple(stack))
         object.__setattr__(self, "_times", tuple(tr.time for tr in stack))
+        object.__setattr__(self, "_levels", (self.initial_value, *(tr.value for tr in stack)))
 
     # -- constructors ---------------------------------------------------
 
@@ -143,10 +144,7 @@ class BinarySignal:
 
     def value_at(self, t: float) -> int:
         """Signal value at time ``t`` (right-continuous)."""
-        idx = bisect_right(self._times, t)
-        if idx == 0:
-            return self.initial_value
-        return self.transitions[idx - 1].value
+        return _level_at(self, t)
 
     @property
     def final_value(self) -> int:
@@ -161,15 +159,43 @@ class BinarySignal:
 
     def intervals(self) -> list[tuple[float, float, int]]:
         """Partition of ``[0, horizon]`` into (start, end, value) pieces."""
-        out = []
-        t_prev, v_prev = 0.0, self.value_at(0.0)
-        for tr in self.transitions:
-            if tr.time > t_prev:
-                out.append((t_prev, tr.time, v_prev))
-            t_prev, v_prev = tr.time, tr.value
-        if self.horizon > t_prev or not out:
-            out.append((t_prev, self.horizon, v_prev))
-        return out
+        return _intervals(self)
+
+
+# -- step functions ----------------------------------------------------------
+#
+# A BinarySignal and a ModeSwitchSignal are both right-continuous step
+# functions on [0, horizon]: ``_levels[0]`` before the first of ``_times``,
+# and ``_levels[i + 1]`` from ``_times[i]`` on.
+
+
+def _level_at(s, t: float):
+    return s._levels[bisect_right(s._times, t)]
+
+
+def _intervals(s) -> list[tuple[float, float, Hashable]]:
+    out = []
+    t_prev, v_prev = 0.0, _level_at(s, 0.0)
+    for t, v in zip(s._times, s._levels[1:]):
+        if t > t_prev:
+            out.append((t_prev, t, v_prev))
+        t_prev, v_prev = t, v
+    if s.horizon > t_prev or not out:
+        out.append((t_prev, s.horizon, v_prev))
+    return out
+
+
+def _disagreement(a, b) -> float:
+    """Measure of ``{t in [0, T] : a(t) != b(t)}``."""
+    if abs(a.horizon - b.horizon) > TIME_EPS:
+        raise ValueError(f"signals have different horizons: {a.horizon} vs {b.horizon}")
+    pts = sorted({0.0, a.horizon, *a._times, *b._times})
+    pts = [t for t in pts if 0.0 <= t <= a.horizon]
+    total = 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        if _level_at(a, lo) != _level_at(b, lo):
+            total += hi - lo
+    return total
 
 
 # -- operations on binary signals ---------------------------------------
@@ -190,23 +216,9 @@ def delay(s: BinarySignal, delta: float) -> BinarySignal:
     return BinarySignal(s.initial_value, shifted, s.horizon)
 
 
-def _merged_breakpoints(times_a: Sequence[float], times_b: Sequence[float], horizon: float) -> list[float]:
-    pts = sorted(set([0.0, horizon]) | set(times_a) | set(times_b))
-    return [t for t in pts if 0.0 <= t <= horizon]
-
-
 def one_norm_distance(s1: BinarySignal, s2: BinarySignal) -> float:
     """L1 distance ``integral |s1 - s2|`` = measure of the disagreement set."""
-    if abs(s1.horizon - s2.horizon) > TIME_EPS:
-        raise ValueError(
-            f"signals have different horizons: {s1.horizon} vs {s2.horizon}"
-        )
-    pts = _merged_breakpoints(s1.times, s2.times, s1.horizon)
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        if s1.value_at(a) != s2.value_at(a):
-            total += b - a
-    return total
+    return _disagreement(s1, s2)
 
 
 # -- mode-switch signals -------------------------------------------------
@@ -249,40 +261,23 @@ class ModeSwitchSignal:
                 current = mode
         object.__setattr__(self, "switches", tuple(result))
         object.__setattr__(self, "_times", tuple(t for t, _ in result))
+        object.__setattr__(self, "_levels", (self.initial_mode, *(mode for _, mode in result)))
 
     @property
     def switch_times(self) -> tuple[float, ...]:
         return self._times
 
     def mode_at(self, t: float) -> Hashable:
-        idx = bisect_right(self._times, t)
-        if idx == 0:
-            return self.initial_mode
-        return self.switches[idx - 1][1]
+        return _level_at(self, t)
 
     def intervals(self) -> list[tuple[float, float, Hashable]]:
         """Partition of ``[0, horizon]`` into (start, end, mode) pieces."""
-        out = []
-        t_prev, m_prev = 0.0, self.mode_at(0.0)
-        for t, mode in self.switches:
-            if t > t_prev:
-                out.append((t_prev, t, m_prev))
-            t_prev, m_prev = t, mode
-        if self.horizon > t_prev or not out:
-            out.append((t_prev, self.horizon, m_prev))
-        return out
+        return _intervals(self)
 
 
 def mode_distance(a: ModeSwitchSignal, b: ModeSwitchSignal) -> float:
     """Measure of ``{t in [0, T] : a(t) != b(t)}`` (a pseudometric)."""
-    if abs(a.horizon - b.horizon) > TIME_EPS:
-        raise ValueError(f"signals have different horizons: {a.horizon} vs {b.horizon}")
-    pts = _merged_breakpoints(a.switch_times, b.switch_times, a.horizon)
-    total = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        if a.mode_at(lo) != b.mode_at(lo):
-            total += hi - lo
-    return total
+    return _disagreement(a, b)
 
 
 # -- pulse classification -------------------------------------------------

@@ -2,32 +2,23 @@
 
 The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
 1 where x_k(t) > xi, so a reported rising edge is the infimum of
-``{t : x_k(t) > xi}``.  Three kinds of segment are cut into monotone pieces,
-each of which crosses xi at most once, when its end predicates differ:
-
-- a scalar affine segment, dx/dt = a x + b, is one piece and crosses at the
-  exact time ``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a``
-  (or ``t0 + (xi - x0)/b`` when a = 0);
-- a relaxation segment, x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))),
-  is one piece and crosses where ``phi(t) - phi(t0) = ln((x0 - target)/(xi -
-  target))``, a root that ``brentq`` finds to 1e-13;
-- a 2-state affine segment with a real spectrum has
-  ``x_k(t) = c0 + c1 e^{lam1 (t - t0)} + c2 e^{lam2 (t - t0)}`` (a zero
-  eigenvalue joins c0, equal ones merge), whose derivative vanishes at most
-  once, at ``t0 + ln(-c1 lam1/(c2 lam2))/(lam2 - lam1)``; it is split there,
-  and ``brentq`` finds each piece's crossing to 1e-13.
+``{t : x_k(t) > xi}``.  A segment that answers ``pieces`` (scalar affine,
+relaxation, and 2-state affine segments with a real spectrum) is crossed
+piece by piece: its component is monotone between the piece ends, so a piece
+whose end predicates differ crosses xi once, at the time the segment's
+``meet`` gives.  The formulas of each kind are documented on its segment
+class in ``modes``.
 
 The piece-end predicates come from one ``values`` call, so they are the
 numbers every other reader of the segment sees.  When a scalar segment's
-asymptote (``x_inf`` or ``target``) is xi itself it never crosses, even
-where ``exp`` underflows and its computed end value lands exactly on xi.
-Every other segment (complex or defective spectra, three or more states,
-numeric and function segments) is sampled on a fixed 64-point grid per
-segment, refined near xi, and each bracketed predicate change is bisected
-to ``TIME_EPS``; tangential touches that never change the predicate between
-samples produce no transition.  The sampled path reads the predicate off the
-computed values, so a sampled trajectory that underflows onto xi does report
-an edge there.
+``asymptote`` is xi itself it never crosses, even where ``exp`` underflows
+and its computed end value lands exactly on xi.  Every other segment
+(complex or defective spectra, three or more states, numeric and function
+segments) is sampled on a fixed 64-point grid per segment, refined near xi,
+and each bracketed predicate change is bisected to ``TIME_EPS``; tangential
+touches that never change the predicate between samples produce no
+transition.  The sampled path reads the predicate off the computed values,
+so a sampled trajectory that underflows onto xi does report an edge there.
 """
 
 from __future__ import annotations
@@ -37,9 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .modes import AffineSegment, RelaxationSegment, Segment, Trajectory
+from .modes import Segment, Trajectory
 from .signals import TIME_EPS, BinarySignal
 
 __all__ = [
@@ -113,108 +103,21 @@ def _bisect_crossing(
     return 0.5 * (lo + hi)
 
 
-def _affine_crossing(segment: AffineSegment, xi: float, lo: float, hi: float) -> float:
-    """Time at which a scalar affine segment whose end predicates differ
-    meets ``xi``, clamped to the piece ``[lo, hi]`` (the whole segment)."""
-    a, b, x0 = segment._scalar
-    if a == 0.0:
-        t = segment.t0 + (xi - x0) / b
-    else:
-        # ln(ratio) as log1p(ratio - 1) keeps precision when x_inf is far away
-        rel = (xi - x0) / (x0 + b / a)
-        t = segment.t0 + math.log1p(rel) / a if rel > -1.0 else math.inf
-    return min(max(t, lo), hi)
-
-
-def _relaxation_crossing(segment: RelaxationSegment, xi: float, lo: float, hi: float) -> float:
-    """Time at which a relaxation segment whose end predicates differ meets
-    ``xi``: the root of phi(t) - phi(t0) = ln((x0 - target)/(xi - target)),
-    bracketed by the segment and clamped to it where rounding leaves both
-    ends on one side."""
-    phi, phi0 = segment.exponent, segment._phi0
-    rise = math.log1p((segment.x0 - xi) / (xi - segment.target))
-    if rise <= 0.0:
-        return lo
-    if phi(hi) - phi0 <= rise:
-        return hi
-    return brentq(lambda t: phi(t) - phi0 - rise, lo, hi, xtol=1e-13)
-
-
-def _exponential_sum_crossing(excess, xi: float, lo: float, hi: float) -> float:
-    """Root of ``excess(t, xi) = x_k(t) - xi`` on a piece where it is
-    monotone and the piece-end predicates differ; where rounding leaves both
-    ends on one side, the end where it is nearer zero."""
-    g_lo, g_hi = excess(lo, xi), excess(hi, xi)
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        return lo if abs(g_lo) <= abs(g_hi) else hi
-    return brentq(excess, lo, hi, args=(xi,), xtol=1e-13)
-
-
-def _exponential_sum(segment: AffineSegment, component: int):
-    """Monotone pieces of a 2-state affine segment with a real spectrum.
-
-    Returns ``(breaks, excess)``: the interior break times (the extremum,
-    if it lies inside) and ``excess(t, xi) = x_k(t) - xi`` on floats.
-    Returns None for a segment that must be sampled.
-    """
-    form = segment.exponential_terms(component)
-    if form is None or len(form[1]) > 2:
-        return None
-    # x_k - xi = c0 - xi + sum c_j e^{lam_j s}, s = t - t0: with two terms
-    # the derivative vanishes at most once, where
-    # e^{(lam2 - lam1) s} = -c1 lam1 / (c2 lam2).
-    c0, terms = form
-    t0 = segment.t0
-    breaks: tuple[float, ...] = ()
-    if len(terms) == 2:
-        (c1, l1), (c2, l2) = terms
-        if ((c1 > 0.0) == (l1 > 0.0)) != ((c2 > 0.0) == (l2 > 0.0)):
-            # c1 lam1 and c2 lam2 differ in sign; the log of their ratio is
-            # taken term by term so that no product under- or overflows
-            log_ratio = math.log(abs(c1)) - math.log(abs(c2)) + math.log(abs(l1 / l2))
-            t_star = t0 + log_ratio / (l2 - l1)
-            # an extremum within TIME_EPS of an end could only add a pulse
-            # narrower than TIME_EPS
-            if t0 + TIME_EPS < t_star < segment.t1 - TIME_EPS:
-                breaks = (t_star,)
-    (c1, l1), (c2, l2) = (*terms, (0.0, 0.0), (0.0, 0.0))[:2]
-    exp = math.exp
-
-    def excess(t: float, xi: float) -> float:
-        s = t - t0
-        return c0 - xi + c1 * exp(l1 * s) + c2 * exp(l2 * s)
-
-    return breaks, excess
-
-
 def _monotone_crossings(segment: Segment, xi: float, component: int):
-    """Crossings of a segment that splits into monotone pieces.
+    """Crossings of a segment that answers ``pieces``.
 
-    A scalar affine or relaxation segment is one piece; a 2-state affine
-    segment with a real spectrum is split at its extremum.  The piece-end
-    predicates come from one ``values`` call, and each piece whose end
-    predicates differ crosses once.  Returns ``(start predicate, end
-    predicate, crossings, plateau)``, or None for a segment that must be
-    sampled.
+    The piece-end predicates come from one ``values`` call, and each piece
+    whose end predicates differ crosses once, at the time its ``meet``
+    gives.  Returns ``(start predicate, end predicate, crossings,
+    plateau)``, or None for a segment that must be sampled.
     """
-    scalar = segment.dimension == 1
-    if scalar:
-        crossing = _SCALAR_CROSSING.get(type(segment))
-        if crossing is None:
-            return None
-        breaks: tuple[float, ...] = ()
-        subject = segment
-    elif type(segment) is AffineSegment and segment.dimension == 2:
-        form = _exponential_sum(segment, component)
-        if form is None:
-            return None
-        breaks, subject = form
-        crossing = _exponential_sum_crossing
-    else:
+    form = segment.pieces(component)
+    if form is None:
         return None
+    breaks, meet = form
     ts = (segment.t0, *breaks, segment.t1)
-    g_ends = (segment.values(ts)[:, component - 1] - xi).tolist()
-    if scalar and segment.asymptote == xi:
+    g_ends = [x - xi for x in segment.values(ts)[:, component - 1].tolist()]
+    if segment.dimension == 1 and segment.asymptote == xi:
         # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes sign; an
         # exp that underflows onto xi is not an edge.
         g_ends[-1] = g_ends[0]
@@ -223,7 +126,7 @@ def _monotone_crossings(segment: Segment, xi: float, component: int):
     for i in range(len(breaks) + 1):
         pred_next = g_ends[i + 1] > 0.0
         if pred_next != pred:
-            found.append((crossing(subject, xi, ts[i], ts[i + 1]), pred_next))
+            found.append((meet(xi, ts[i], ts[i + 1]), pred_next))
         pred = pred_next
     plateau = g_ends[0] == 0.0 and not any(g_ends) and segment.t1 > segment.t0
     return pred_start, pred, found, plateau
@@ -248,9 +151,6 @@ def _sampled_crossings(segment: Segment, xi: float, component: int, cap: int):
     return bool(pred[0]), bool(pred[-1]), found, plateau
 
 
-# Crossing time of each monotone scalar segment kind.
-_SCALAR_CROSSING = {AffineSegment: _affine_crossing, RelaxationSegment: _relaxation_crossing}
-
 # Per-segment sampling grid of the sampled crossing path, before refinement.
 _PROBE_POINTS = 64
 
@@ -264,20 +164,16 @@ def find_crossings(
     """Threshold crossing times of one state component of a trajectory.
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
-    the predicate ``x > xi`` turns on.  Three segment kinds are cut into
-    monotone pieces, whose end predicates are read from one ``values``
-    call: a scalar :class:`AffineSegment` (one piece, closed-form crossing
-    time), a :class:`RelaxationSegment` (one piece, a bracketed root of its
-    exponent), and a 2-state :class:`AffineSegment` with a real spectrum
-    (split at the one extremum of its exponential sum, a bracketed root of
-    the sum in each piece).  Each piece whose end predicates differ crosses
-    once.  A scalar segment whose asymptote is ``xi`` never crosses.  Every
-    other segment (complex or defective spectra, three or more states,
-    :class:`DenseSegment`, :class:`FunctionSegment`) is sampled and
-    bisected to ``TIME_EPS``, its predicate read off the computed
-    values (so an ``exp`` that underflows onto ``xi`` there still reads as
-    an edge).  Raises :class:`CrossingCapExceeded` if any single segment
-    yields more than ``max_crossings`` crossings.
+    the predicate ``x > xi`` turns on.  A segment that answers ``pieces``
+    is crossed piece by piece: the piece-end predicates are read from one
+    ``values`` call, and each piece whose end predicates differ crosses
+    once, at the time of the segment's closed form (documented on each
+    segment class).  A scalar segment whose asymptote is ``xi`` never
+    crosses.  Every other segment is sampled and bisected to ``TIME_EPS``,
+    its predicate read off the computed values (so an ``exp`` that
+    underflows onto ``xi`` there still reads as an edge).  Raises
+    :class:`CrossingCapExceeded` if any single segment yields more than
+    ``max_crossings`` crossings.
     """
     crossings: list[tuple[float, bool]] = []
     carried: bool | None = None  # predicate at the end of the previous segment

@@ -455,6 +455,21 @@ class TestUnroll:
         assert set(un.circuit.vertices) == {"I", "X_0", "A^(2)", "B^(1)", "B^(2)", "C^(3)", "O^(3)"}
         assert validate(un.circuit).ok
 
+    def test_deep_unrolling_and_its_reach_times_need_no_recursion(self):
+        # one copy of B per level; a recursive walk overflowed near k = 1000
+        c = fig_feedback_circuit()
+        un = unroll(c, "O", 3000)
+        assert un.sink == "O^(3000)"
+        assert un.z_values["O^(3000)"] == 3000.0
+        assert un.z_values["B^(2999)"] == 2999.0
+        assert len(un.circuit.vertices) == 2999 + 5  # B^(1..2999), I, X_0, A, C, O
+        assert validate(un.circuit).ok
+        original = execute(c, {"I": BinarySignal.pulse(1.0, 0.5, 8.0)}, 8.0)
+        reach = reach_times(c, un, original)
+        assert set(reach) == set(un.copy_map)
+        # B idles, so the constant standing for it is never reached
+        assert reach[("B", 0)] == reach[("O", 3000)] == math.inf
+
     def test_copy_depth_bound_grows_with_level(self):
         rng = random.Random(4242)
         for _ in range(6):

@@ -377,6 +377,11 @@ class TestChargingClosedForm:
         monkeypatch.setattr(threshold, "_bisect_crossing", _refuse("_bisect_crossing"))
         _run_every_shipped_gate()
 
+    def test_no_shipped_gate_samples_its_containment(self, monkeypatch):
+        # every segment a shipped gate solves splits into monotone pieces
+        monkeypatch.setattr(modes._SegmentBase, "sample_times", _refuse("sample_times"))
+        _run_every_shipped_gate()
+
     @settings(max_examples=100, deadline=None)
     @given(params=st.builds(
         SimpleNorParams,

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from hybridgates.modes import (
     AffineSegment,
@@ -21,7 +22,7 @@ from hybridgates.modes import (
     sup_distance,
     write_trajectory_csv,
 )
-from hybridgates.modes import _containment_scan
+from hybridgates.modes import _containment_scan, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 
 BOX = StateSpace(((-100.0, 100.0),))
@@ -231,6 +232,62 @@ def test_scalar_mode_just_inside_a_bound_is_accepted(a, b, x0, t1):
     box = StateSpace(((0.0, 50.0),))
     seg = solve_mode(affine_mode("m", [[a]], [b], box), [x0], 0.0, t1, box)
     assert 0.0 < seg.end_state[0] <= 50.0
+
+
+# Two networks of the simple NOR with unit parameters, state (V_int, V_out):
+# (A=1, B=0) shares a charged internal node with the output, whose voltage
+# rises to a peak and falls back; (A=0, B=0) charges both nodes to V_DD = 1.
+NOR_SHARE = ([[-1.0, 1.0], [1.0, -2.0]], [0.0, 0.0])
+NOR_CHARGE = ([[-2.0, 1.0], [1.0, -1.0]], [1.0, 0.0])
+
+
+def _share_peak() -> float:
+    """Peak of V_out under NOR_SHARE from (1, 0), found without ``pieces``."""
+    seg = AffineSegment(0.0, 20.0, [1.0, 0.0], *NOR_SHARE)
+    best = minimize_scalar(
+        lambda t: -seg.value(t)[1], bounds=(0.0, 5.0), method="bounded", options={"xatol": 1e-12}
+    )
+    return -best.fun
+
+
+SHARE_PEAK = _share_peak()
+
+
+@pytest.mark.parametrize(
+    "net,x0,box",
+    [
+        # V_out peaks above the box
+        (NOR_SHARE, [1.0, 0.0], StateSpace(((-0.01, 1.01), (-0.01, SHARE_PEAK - 0.05)))),
+        # V_int rises through 0.6
+        (NOR_CHARGE, [0.0, 0.0], StateSpace(((-0.01, 0.6), (-0.01, 1.01)))),
+    ],
+)
+def test_two_state_exit_reports_the_sampled_scan_time_and_state(net, x0, box):
+    with pytest.raises(StateSpaceExit) as closed:
+        solve_mode(affine_mode("m", *net, box), x0, 0.0, 20.0, box)
+    seg = AffineSegment(0.0, 20.0, x0, *net)
+    with pytest.raises(StateSpaceExit) as sampled:
+        _containment_scan(FunctionSegment(0.0, 20.0, seg.values), box)
+    assert closed.value.time == sampled.value.time
+    assert np.array_equal(closed.value.state, sampled.value.state)
+
+
+@pytest.mark.parametrize(
+    "net,x0,t1,box",
+    [
+        # V_out peaks 1e-9 below the box
+        (NOR_SHARE, [1.0, 0.0], 20.0, StateSpace(((-0.01, 1.01), (-0.01, SHARE_PEAK + 1e-9)))),
+        # both nodes settle onto the top
+        (NOR_CHARGE, [0.0, 0.0], 1000.0, StateSpace(((-0.01, 1.0), (-0.01, 1.0)))),
+    ],
+)
+def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box, monkeypatch):
+    seg = AffineSegment(0.0, t1, x0, *net)
+    _containment_scan(FunctionSegment(0.0, t1, seg.values), box)  # the sampled scan agrees
+    # the piece ends decide it: no sample is taken
+    monkeypatch.setattr(_SegmentBase, "sample_times", lambda self, n: pytest.fail("sampled"))
+    got = solve_mode(affine_mode("m", *net, box), x0, 0.0, t1, box)
+    assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.end_state, box.bounds))
 
 
 def test_initial_state_outside_box_rejected():
