@@ -437,7 +437,7 @@ def execute(
             new_mode = st.spec.choice(st.bits, prev_bits, ctx)
             if new_mode is st.mode:
                 continue  # no-op switch: retained transitions keep their depths
-            x_star = st.live.value(t_star)
+            x_star = st.live.state_at(t_star)
             st.segments.append(st.live.with_end(t_star))
             # Transitions born in the new mode sit one causal step past
             # everything the gate's state carries: the deepest transition seen

@@ -16,6 +16,7 @@ construction and follows the active mode's ODE between switches.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -37,6 +38,7 @@ __all__ = [
     "ModeFunction",
     "affine_mode",
     "AffineSegment",
+    "ScalarAffineSegment",
     "RelaxationSegment",
     "DenseSegment",
     "FunctionSegment",
@@ -56,7 +58,7 @@ class StateSpaceExit(RuntimeError):
 
     def __init__(self, time: float, state):
         self.time = time
-        self.state = np.asarray(state)
+        self.state = np.atleast_1d(state)
         super().__init__(f"trajectory left the state space at t={time} (state {self.state})")
 
 
@@ -80,8 +82,10 @@ class StateSpace:
         return len(self.bounds)
 
     def contains(self, x, slack: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        for value, (lo, hi) in zip(x, self.bounds):
+        """Whether ``x``, a float in a 1-state space or else a sequence, lies
+        inside the box widened by ``slack``."""
+        xs = (x,) if isinstance(x, float) else np.asarray(x, dtype=float)
+        for value, (lo, hi) in zip(xs, self.bounds):
             if not (lo - slack < value < hi + slack):
                 return False
         return True
@@ -209,6 +213,15 @@ class _SegmentBase:
     def value(self, t: float) -> np.ndarray:
         return self.values([t])[0]
 
+    def state_at(self, t: float):
+        """The state at ``t`` in the form ``solve_mode`` returns it: a float
+        for the 1-state kinds that evaluate on floats, an array otherwise."""
+        return self.value(t)
+
+    def ends(self, ts, component: int) -> list[float]:
+        """One state component (1-based) at the times ``ts``, as floats."""
+        return self.values(ts)[:, component - 1].tolist()
+
     @property
     def end_state(self) -> np.ndarray:
         return self.value(self.t1)
@@ -240,20 +253,46 @@ class _SegmentBase:
         return None
 
 
+class _FloatSegment(_SegmentBase):
+    """A 1-state closed form evaluated on floats by ``at(t)``.
+
+    The state is monotone, so the segment is one piece, which meets xi at
+    the time its ``_meet`` gives.  ``values`` applies ``at`` time by time,
+    so the array API and the float one agree float for float.
+    """
+
+    __slots__ = ()
+
+    dimension = 1
+
+    def state_at(self, t: float) -> float:
+        return self.at(t)
+
+    def ends(self, ts, component: int) -> list[float]:
+        return [self.at(t) for t in ts]
+
+    def values(self, ts) -> np.ndarray:
+        ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
+        return np.array([self.at(t) for t in ts]).reshape(-1, 1)
+
+    def pieces(self, component: int):
+        return (), self._meet
+
+
 class AffineSegment(_SegmentBase):
-    """Closed-form solution of dx/dt = a x + b from ``x0`` at ``t0``.
+    """Closed-form solution of dx/dt = a x + b for n >= 2 states from ``x0``
+    at ``t0``; a scalar mode solves to a :class:`ScalarAffineSegment`.
 
     Evaluation uses the eigendecomposition of the augmented matrix
     [[a, b], [0, 0]] that the mode's :class:`AffineConstant` holds (``kind``;
     one is built from ``a`` and ``b`` when it is not given), falling back to
     a matrix exponential per evaluation time when that matrix is not
-    numerically diagonalizable.  Scalar modes take a direct exponential
-    path.  These forms round x(t0), so ``values`` reads it as ``x0`` (times
-    increase, so t0 comes first): a state that starts on the threshold
-    digitizes like its initial bit.
+    numerically diagonalizable.  These forms round x(t0), so ``values``
+    reads it as ``x0`` (times increase, so t0 comes first): a state that
+    starts on the threshold digitizes like its initial bit.
     """
 
-    __slots__ = ("t0", "t1", "x0", "a", "b", "_scalar", "_eig", "_aug")
+    __slots__ = ("t0", "t1", "x0", "a", "b", "_eig", "_aug")
 
     def __init__(self, t0: float, t1: float, x0, a, b, kind: AffineConstant | None = None):
         if t1 < t0:
@@ -261,14 +300,11 @@ class AffineSegment(_SegmentBase):
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+        if self.x0.shape[0] == 1:
+            raise ValueError("a 1-state affine segment is a ScalarAffineSegment")
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        self._scalar = None
         self._eig = None
-        self._aug = None
-        if self.x0.shape[0] == 1:
-            self._scalar = (float(self.a[0, 0]), float(self.b[0]), float(self.x0[0]))
-            return
         if kind is None:
             kind = AffineConstant(self.a, self.b)
         self._aug = kind.aug
@@ -284,16 +320,6 @@ class AffineSegment(_SegmentBase):
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         dt = ts - self.t0
-        if self._scalar is not None:
-            a, b, x0 = self._scalar
-            if a == 0.0:
-                out = x0 + b * dt
-            else:
-                x_inf = -b / a
-                out = x_inf + (x0 - x_inf) * np.exp(a * dt)
-                if dt[0] == 0.0:
-                    out[0] = x0
-            return out[:, None]
         n = self.dimension
         if self._eig is not None:
             w, v, coeff = self._eig
@@ -317,9 +343,8 @@ class AffineSegment(_SegmentBase):
         Returns ``(c0, ((c_j, lam_j), ...))`` with distinct nonzero exponents
         and nonzero coefficients: a zero eigenvalue joins ``c0`` and equal
         eigenvalues merge.  None when the segment has no real
-        eigendecomposition (a scalar segment, a complex spectrum, or a
-        matrix that is not numerically diagonalizable).  ``component`` is
-        1-based.
+        eigendecomposition (a complex spectrum, or a matrix that is not
+        numerically diagonalizable).  ``component`` is 1-based.
         """
         if self._eig is None or np.iscomplexobj(self._eig[0]):
             return None
@@ -333,27 +358,17 @@ class AffineSegment(_SegmentBase):
                 merged[lam] = merged.get(lam, 0.0) + c
         return c0, tuple((c, lam) for lam, c in merged.items() if c != 0.0)
 
-    @property
-    def asymptote(self) -> float:
-        """Value a scalar segment tends to; nan when a = 0 (it has none)."""
-        a, b, _x0 = self._scalar
-        return -b / a if a != 0.0 else math.nan
-
     def pieces(self, component: int):
         """Monotone pieces of one state component; see ``_SegmentBase.pieces``.
 
-        A scalar segment is one piece and meets xi at the exact time
-        ``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` with ``x_inf = -b/a`` (or
-        ``t0 + (xi - x0)/b`` when a = 0).  A 2-state segment with a real
-        spectrum has ``x_k(t) = c0 + c1 e^{lam1 (t - t0)} + c2 e^{lam2 (t -
-        t0)}`` (see :meth:`exponential_terms`), whose derivative vanishes at
-        most once, at ``t0 + ln(-c1 lam1/(c2 lam2))/(lam2 - lam1)``; it is
-        split there, and ``brentq`` finds each piece's meeting time to
-        1e-13.  Three or more states, and spectra that are complex or not
-        diagonalizable, are sampled (None).
+        A 2-state segment with a real spectrum has ``x_k(t) = c0 + c1
+        e^{lam1 (t - t0)} + c2 e^{lam2 (t - t0)}`` (see
+        :meth:`exponential_terms`), whose derivative vanishes at most once,
+        at ``t0 + ln(-c1 lam1/(c2 lam2))/(lam2 - lam1)``; it is split there,
+        and ``brentq`` finds each piece's meeting time to 1e-13.  Three or
+        more states, and spectra that are complex or not diagonalizable, are
+        sampled (None).
         """
-        if self._scalar is not None:
-            return (), self._scalar_meet
         if self.x0.shape[0] != 2:
             return None
         form = self.exponential_terms(component)
@@ -389,8 +404,49 @@ class AffineSegment(_SegmentBase):
 
         return breaks, meet
 
-    def _scalar_meet(self, xi: float, lo: float, hi: float) -> float:
-        a, b, x0 = self._scalar
+
+class ScalarAffineSegment(_FloatSegment):
+    """Closed-form solution of dx/dt = a x + b for a scalar x from ``x0`` at
+    ``t0``, on floats.
+
+    x(t) = x_inf + (x0 - x_inf) e^{a (t - t0)} with ``x_inf = -b/a``, or
+    x0 + b (t - t0) when a = 0; x(t0) is ``x0`` itself.  It meets xi at the
+    exact time ``t0 + ln((xi - x_inf)/(x0 - x_inf))/a`` (or ``t0 + (xi -
+    x0)/b`` when a = 0).
+    """
+
+    __slots__ = ("t0", "t1", "x0", "a", "b")
+
+    def __init__(self, t0: float, t1: float, x0: float, a: float, b: float):
+        if t1 < t0:
+            raise ValueError(f"segment must run forward: [{t0}, {t1}]")
+        self.t0 = float(t0)
+        self.t1 = float(t1)
+        self.x0 = float(x0)
+        self.a = float(a)
+        self.b = float(b)
+
+    @property
+    def asymptote(self) -> float:
+        """Value the segment tends to; nan when a = 0 (it has none)."""
+        return -self.b / self.a if self.a != 0.0 else math.nan
+
+    def at(self, t: float) -> float:
+        dt = t - self.t0
+        a, b, x0 = self.a, self.b, self.x0
+        if dt == 0.0:
+            return x0
+        if a == 0.0:
+            return x0 + b * dt
+        try:
+            growth = math.exp(a * dt)
+        except OverflowError:  # as numpy's exp, which returns inf
+            growth = math.inf
+        x_inf = -b / a
+        return x_inf + (x0 - x_inf) * growth
+
+    def _meet(self, xi: float, lo: float, hi: float) -> float:
+        a, b, x0 = self.a, self.b, self.x0
         if a == 0.0:
             t = self.t0 + (xi - x0) / b
         else:
@@ -400,49 +456,37 @@ class AffineSegment(_SegmentBase):
         return min(max(t, lo), hi)
 
 
-class RelaxationSegment(_SegmentBase):
+class RelaxationSegment(_FloatSegment):
     """Closed-form solution of dx/dt = (target - x) phi'(t) from ``x0`` at ``t0``.
 
     x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))), with phi(t0)
     computed once.  phi is nondecreasing, so the state moves monotonically
-    toward ``target``.  As in :class:`AffineSegment`, ``values`` reads x(t0)
-    as ``x0`` itself; times before t0 read as t0.
+    toward ``target``; it meets xi where ``phi(t) - phi(t0) = ln((x0 -
+    target)/(xi - target))``, a root that ``brentq`` finds to 1e-13.  x(t0)
+    is ``x0`` itself, and times before t0 read as t0.
     """
 
     __slots__ = ("t0", "t1", "x0", "target", "exponent", "_phi0")
 
-    def __init__(self, t0: float, t1: float, x0, target: float, exponent: Callable):
+    def __init__(self, t0: float, t1: float, x0: float, target: float, exponent: Callable):
         if t1 < t0:
             raise ValueError(f"segment must run forward: [{t0}, {t1}]")
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape != (1,):
-            raise ValueError(f"a relaxation segment has a scalar state, got shape {x0.shape}")
         self.t0 = float(t0)
         self.t1 = float(t1)
-        self.x0 = float(x0[0])
+        self.x0 = float(x0)
         self.target = float(target)
         self.exponent = exponent
         self._phi0 = exponent(self.t0)
-
-    dimension = 1
 
     @property
     def asymptote(self) -> float:
         return self.target
 
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        decay = np.exp(self._phi0 - self.exponent(np.maximum(ts, self.t0)))
-        out = self.target + (self.x0 - self.target) * decay
-        if ts[0] == self.t0:
-            out[0] = self.x0
-        return out[:, None]
-
-    def pieces(self, component: int):
-        """One monotone piece, which meets xi where ``phi(t) - phi(t0) =
-        ln((x0 - target)/(xi - target))``, a root that ``brentq`` finds to
-        1e-13; see ``_SegmentBase.pieces``."""
-        return (), self._meet
+    def at(self, t: float) -> float:
+        if t <= self.t0:
+            return self.x0
+        decay = math.exp(self._phi0 - self.exponent(t))
+        return self.target + (self.x0 - self.target) * decay
 
     def _meet(self, xi: float, lo: float, hi: float) -> float:
         # clamped to the piece where rounding leaves both ends on one side
@@ -516,7 +560,7 @@ class FunctionSegment(_SegmentBase):
         return out
 
 
-Segment = AffineSegment | RelaxationSegment | DenseSegment | FunctionSegment
+Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment | DenseSegment | FunctionSegment
 
 
 class Trajectory:
@@ -531,7 +575,7 @@ class Trajectory:
                     f"segments must tile the time axis: gap between {prev.t1} and {cur.t0}"
                 )
         self.segments = tuple(segments)
-        self._starts = np.asarray([s.t0 for s in segments])
+        self._starts = [s.t0 for s in self.segments]
 
     @property
     def t0(self) -> float:
@@ -553,9 +597,8 @@ class Trajectory:
         return np.asarray([self.t0] + [s.t1 for s in self.segments])
 
     def value(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self._starts, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.segments) - 1)
-        return self.segments[idx].value(t)
+        idx = bisect.bisect_right(self._starts, t) - 1
+        return self.segments[max(idx, 0)].value(t)
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -593,7 +636,7 @@ def _containment_scan(segment: Segment, space: StateSpace) -> None:
         form = segment.pieces(k)
         if form is None:
             break
-        ends = segment.values((segment.t0, *form[0], segment.t1))[:, k - 1].tolist()
+        ends = segment.ends((segment.t0, *form[0], segment.t1), k)
         if not (lo - 1e-12 < min(ends) and max(ends) < hi + 1e-12):
             break
     else:
@@ -620,12 +663,19 @@ def solve_mode(
 ) -> Segment:
     """Solve one mode from ``x0`` over ``[t0, t1]``; returns a segment.
 
-    Raises :class:`StateSpaceExit` if the solution leaves the open box and
+    In a 1-state space ``x0`` may be a float or a length-1 sequence, and an
+    affine or relaxation mode returns a float segment, whose ``state_at``
+    gives the float that the next entry takes.  Raises
+    :class:`StateSpaceExit` if the solution leaves the open box and
     :class:`IntegrationError` if the numeric integrator fails.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape[0] != space.dimension:
-        raise ValueError(f"state dimension {x0.shape[0]} != space dimension {space.dimension}")
+    n = space.dimension
+    if not (n == 1 and isinstance(x0, float)):
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x0.shape[0] != n:
+            raise ValueError(f"state dimension {x0.shape[0]} != space dimension {n}")
+        if n == 1:
+            x0 = float(x0[0])
     if not space.contains(x0):
         raise StateSpaceExit(t0, x0)
     if t1 < t0:
@@ -633,18 +683,24 @@ def solve_mode(
 
     kind = mode.kind
     if isinstance(kind, AffineConstant):
-        seg: Segment = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
+        if n == 1:
+            seg: Segment = ScalarAffineSegment(t0, t1, x0, kind.a.item(), kind.b.item())
+        else:
+            seg = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
     elif isinstance(kind, ScalarRelaxation):
         seg = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
     else:
         if t1 - t0 <= TIME_EPS:
             # Degenerate span: represent as a constant closed-form stub.
-            seg = AffineSegment(t0, t1, x0, np.zeros((len(x0), len(x0))), np.zeros(len(x0)))
+            if n == 1:
+                seg = ScalarAffineSegment(t0, t1, x0, 0.0, 0.0)
+            else:
+                seg = AffineSegment(t0, t1, x0, np.zeros((n, n)), np.zeros(n))
         else:
             sol = solve_ivp(
                 mode.rhs,
                 (t0, t1),
-                x0,
+                np.atleast_1d(x0),
                 method="RK45",
                 rtol=_RK45_RTOL,
                 atol=_RK45_ATOL,

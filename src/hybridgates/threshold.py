@@ -9,10 +9,12 @@ whose end predicates differ crosses xi once, at the time the segment's
 ``meet`` gives.  The formulas of each kind are documented on its segment
 class in ``modes``.
 
-The piece-end predicates come from one ``values`` call, so they are the
-numbers every other reader of the segment sees.  When a scalar segment's
-``asymptote`` is xi itself it never crosses, even where ``exp`` underflows
-and its computed end value lands exactly on xi.  Every other segment
+The piece-end predicates are read through the segment's ``ends``, which a
+1-state float segment answers with its ``at`` and any other kind from one
+``values`` call, so they are the numbers every other reader of the segment
+sees.  When a scalar segment's ``asymptote`` is xi itself it never crosses,
+even where ``exp`` underflows and its computed end value lands exactly on
+xi.  Every other segment
 (complex or defective spectra, three or more states, numeric and function
 segments) is sampled on a fixed 64-point grid per segment, refined near xi,
 and each bracketed predicate change is bisected to ``TIME_EPS``; tangential
@@ -106,9 +108,9 @@ def _bisect_crossing(
 def _monotone_crossings(segment: Segment, xi: float, component: int):
     """Crossings of a segment that answers ``pieces``.
 
-    The piece-end predicates come from one ``values`` call, and each piece
-    whose end predicates differ crosses once, at the time its ``meet``
-    gives.  Returns ``(start predicate, end predicate, crossings,
+    The piece-end predicates come from the segment's ``ends``, and each
+    piece whose end predicates differ crosses once, at the time its
+    ``meet`` gives.  Returns ``(start predicate, end predicate, crossings,
     plateau)``, or None for a segment that must be sampled.
     """
     form = segment.pieces(component)
@@ -116,7 +118,7 @@ def _monotone_crossings(segment: Segment, xi: float, component: int):
         return None
     breaks, meet = form
     ts = (segment.t0, *breaks, segment.t1)
-    g_ends = [x - xi for x in segment.values(ts)[:, component - 1].tolist()]
+    g_ends = [x - xi for x in segment.ends(ts, component)]
     if segment.dimension == 1 and segment.asymptote == xi:
         # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes sign; an
         # exp that underflows onto xi is not an edge.
@@ -165,9 +167,9 @@ def find_crossings(
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
     the predicate ``x > xi`` turns on.  A segment that answers ``pieces``
-    is crossed piece by piece: the piece-end predicates are read from one
-    ``values`` call, and each piece whose end predicates differ crosses
-    once, at the time of the segment's closed form (documented on each
+    is crossed piece by piece: the piece-end predicates are read through
+    the segment's ``ends``, and each piece whose end predicates differ
+    crosses once, at the time of the segment's closed form (documented on each
     segment class).  A scalar segment whose asymptote is ``xi`` never
     crosses.  Every other segment is sampled and bisected to ``TIME_EPS``,
     its predicate read off the computed values (so an ``exp`` that

@@ -382,6 +382,12 @@ class TestChargingClosedForm:
         monkeypatch.setattr(modes._SegmentBase, "sample_times", _refuse("sample_times"))
         _run_every_shipped_gate()
 
+    def test_no_shipped_gate_evaluates_a_scalar_state_on_arrays(self, monkeypatch):
+        # execute carries a 1-state gate's state as a float from entry to entry
+        for kind in (modes.ScalarAffineSegment, modes.RelaxationSegment):
+            monkeypatch.setattr(kind, "values", _refuse(f"{kind.__name__}.values"))
+        _run_every_shipped_gate()
+
     @settings(max_examples=100, deadline=None)
     @given(params=st.builds(
         SimpleNorParams,

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from hybridgates.modes import (
@@ -13,6 +15,7 @@ from hybridgates.modes import (
     FunctionSegment,
     GeneralNumeric,
     ModeFunction,
+    ScalarAffineSegment,
     StateSpace,
     StateSpaceExit,
     Trajectory,
@@ -24,6 +27,7 @@ from hybridgates.modes import (
 )
 from hybridgates.modes import _containment_scan, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
+from hybridgates.threshold import find_crossings
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -69,6 +73,75 @@ def test_zero_rate_mode_is_linear_in_time():
     assert seg.value(1.5)[0] == pytest.approx(4.0, rel=1e-14)
 
 
+# -- the float segment of 1-state affine modes ------------------------------------
+
+_rates = st.one_of(st.just(0.0), st.floats(-20.0, -0.05), st.floats(0.05, 5.0))
+_levels = st.floats(-5.0, 5.0)
+_spans = st.one_of(st.floats(1e-9, 1e-3), st.floats(0.1, 20.0))
+
+
+@given(a=_rates, b=_levels, x0=_levels, t0=st.floats(0.0, 10.0), span=_spans, u=st.floats(0.0, 1.0))
+def test_float_segment_evaluates_its_array_api_float_for_float(a, b, x0, t0, span, u):
+    seg = ScalarAffineSegment(t0, t0 + span, x0, a, b)
+    t = t0 + u * span
+    assert seg.at(t) == seg.values([t])[0, 0]
+    assert seg.at(t0) == seg.values([t0, t])[0, 0] == x0
+    assert seg.state_at(t) == seg.at(t)
+
+
+@given(
+    a=_rates, b=_levels, x0=_levels, t0=st.floats(0.0, 10.0), span=_spans, u=st.floats(0.0, 1.0)
+)
+def test_float_segment_meets_xi_inside_the_piece(a, b, x0, t0, span, u):
+    seg = ScalarAffineSegment(t0, t0 + span, x0, a, b)
+    lo, hi = seg.t0, seg.t1
+    x_lo, x_hi = seg.at(lo), seg.at(hi)
+    xi = x_lo + u * (x_hi - x_lo)
+    assume(min(x_lo, x_hi) < xi < max(x_lo, x_hi))
+    breaks, meet = seg.pieces(1)
+    assert breaks == ()
+    t = meet(xi, lo, hi)
+    assert lo <= t <= hi
+    # the state is x_inf + (x0 - x_inf) e^{a (t - t0)}, and a time rounded
+    # to its last bit moves it by its slope times that
+    x_inf = seg.asymptote if a != 0.0 else 0.0
+    slope = a * (xi - x_inf) if a != 0.0 else b
+    scale = max(abs(x0), abs(xi), abs(x_inf)) + abs(slope) * abs(t)
+    assert abs(seg.at(t) - xi) <= 8.0 * np.finfo(float).eps * scale
+
+
+@given(a=st.floats(-20.0, -0.05), b=_levels, offset=st.floats(-5.0, 5.0).filter(bool))
+def test_float_segment_never_crosses_its_asymptote(a, b, offset):
+    xi = -b / a
+    seg = ScalarAffineSegment(0.0, 800.0 / -a, xi + offset, a, b)
+    assume(seg.x0 != xi)
+    assert seg.asymptote == xi
+    assert seg.at(seg.t1) == xi  # exp underflows: the end value lands on xi
+    assert find_crossings(Trajectory([seg]), xi) == []
+
+
+def test_a_one_state_affine_segment_is_refused():
+    with pytest.raises(ValueError, match="ScalarAffineSegment"):
+        AffineSegment(0.0, 1.0, [0.5], [[-1.0]], [0.0])
+
+
+@given(a=_rates, b=_levels, x0=st.floats(-50.0, 50.0), span=_spans)
+def test_solve_mode_takes_a_float_or_a_sequence_alike(a, b, x0, span):
+    mode = affine_mode("m", [[a]], [b], BOX)
+    try:
+        want = solve_mode(mode, [x0], 1.0, 1.0 + span, BOX)
+    except StateSpaceExit as exc:
+        with pytest.raises(StateSpaceExit) as got:
+            solve_mode(mode, x0, 1.0, 1.0 + span, BOX)
+        assert (got.value.time, str(got.value)) == (exc.time, str(exc))
+        return
+    got = solve_mode(mode, x0, 1.0, 1.0 + span, BOX)
+    assert type(got) is type(want) is ScalarAffineSegment
+    fields = lambda s: (s.t0, s.t1, s.x0, s.a, s.b)  # noqa: E731
+    assert fields(got) == fields(want)
+    assert type(got.state_at(got.t1)) is float
+
+
 # -- matrix closed forms ---------------------------------------------------------
 
 
@@ -107,7 +180,10 @@ def test_defective_augmented_matrix_falls_back_to_expm():
     ],
 )
 def test_closed_form_reads_its_start_state_exactly(a, b, x0):
-    seg = AffineSegment(1.5, 4.0, x0, a, b)
+    if len(x0) == 1:
+        seg = ScalarAffineSegment(1.5, 4.0, x0[0], a[0][0], b[0])
+    else:
+        seg = AffineSegment(1.5, 4.0, x0, a, b)
     assert np.array_equal(seg.value(1.5), x0)
     assert np.array_equal(seg.values([1.5, 4.0])[0], x0)
 
@@ -155,11 +231,10 @@ def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
     assert seg.exponential_terms(1) == (pytest.approx(0.25), ())
     c0, ((c, lam),) = seg.exponential_terms(2)
     assert (c0, c, lam) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.75), -2.0)
-    # complex, defective and scalar segments have no real exponential sum
+    # complex and defective segments have no real exponential sum
     for x0, a, b in [
         ([1.0, 0.0], [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]),
         ([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]),
-        ([0.0], [[-1.0]], [1.0]),
     ]:
         assert AffineSegment(0.0, 1.0, x0, a, b).exponential_terms(1) is None
 
@@ -213,7 +288,7 @@ def test_scalar_exit_reports_the_sampled_scan_time_and_state(a, b, x0, box, samp
     mode = affine_mode("m", [[a]], [b], box)
     with pytest.raises(StateSpaceExit) as closed:
         solve_mode(mode, [x0], 0.0, 20.0, box)
-    seg = AffineSegment(0.0, 20.0, [x0], [[a]], [b])
+    seg = ScalarAffineSegment(0.0, 20.0, x0, a, b)
     with pytest.raises(StateSpaceExit) as sampled:
         _containment_scan(FunctionSegment(0.0, 20.0, seg.values), box)
     assert closed.value.time == sampled.value.time == np.linspace(0.0, 20.0, 64)[sample]
@@ -288,6 +363,16 @@ def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box, monkey
     monkeypatch.setattr(_SegmentBase, "sample_times", lambda self, n: pytest.fail("sampled"))
     got = solve_mode(affine_mode("m", *net, box), x0, 0.0, t1, box)
     assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.end_state, box.bounds))
+
+
+def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
+    # e^{a t} passes the largest float long before t1; the state reads inf
+    # there, as numpy's exp gives, and the scan reports the first sample out
+    box = StateSpace(((-1.0, 51.0),))
+    with pytest.raises(StateSpaceExit) as err:
+        solve_mode(affine_mode("grow", [[1.0]], [0.0], box), 1.0, 0.0, 1000.0, box)
+    assert err.value.time == np.linspace(0.0, 1000.0, 64)[1]
+    assert err.value.state[0] > 51.0
 
 
 def test_initial_state_outside_box_rejected():

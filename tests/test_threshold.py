@@ -13,6 +13,7 @@ from hybridgates import threshold
 from hybridgates.modes import (
     AffineSegment,
     FunctionSegment,
+    ScalarAffineSegment,
     StateSpace,
     Trajectory,
     affine_mode,
@@ -56,7 +57,7 @@ class TestConstantsAndInitialValue:
         assert sig.times == ()
 
     def test_digitize_rejects_offset_start(self):
-        traj = Trajectory([AffineSegment(1.0, 2.0, [0.0], [[0.0]], [0.0])])
+        traj = Trajectory([ScalarAffineSegment(1.0, 2.0, 0.0, 0.0, 0.0)])
         with pytest.raises(ValueError):
             digitize(traj, ThresholdSpec(0.5))
 
@@ -166,7 +167,7 @@ class TestClosedFormAgainstSampledPath:
             b = lean_sign * lean
         else:
             b = -a * (xi + lean_sign * lean)  # x_inf = xi +- lean
-        seg = AffineSegment(t0, t0 + span, [xi + offset], [[a]], [b])
+        seg = ScalarAffineSegment(t0, t0 + span, xi + offset, a, b)
         fast, fast_warned = _crossings_and_warnings(Trajectory([seg]), xi)
         slow, slow_warned = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi)
         assert len(fast) <= 1
@@ -174,15 +175,15 @@ class TestClosedFormAgainstSampledPath:
         assert fast_warned == slow_warned
 
     def test_multi_segment_junctions(self):
-        segs = [AffineSegment(0.0, 1.0, [0.4], [[0.0]], [0.0])]
+        segs = [ScalarAffineSegment(0.0, 1.0, 0.4, 0.0, 0.0)]
         # jump above at t=1, then decay toward 0.2 through 0.5
-        segs.append(AffineSegment(1.0, 2.0, [0.7], [[-1.0]], [0.2]))
+        segs.append(ScalarAffineSegment(1.0, 2.0, 0.7, -1.0, 0.2))
         # continue from the end state, rising toward 1 through 0.5
-        segs.append(AffineSegment(2.0, 4.0, segs[-1].end_state, [[-2.0]], [2.0]))
+        segs.append(ScalarAffineSegment(2.0, 4.0, segs[-1].end_state[0], -2.0, 2.0))
         # jump onto the threshold itself, then rise off it at once
-        segs.append(AffineSegment(4.0, 5.0, [0.5], [[0.0]], [1.0]))
+        segs.append(ScalarAffineSegment(4.0, 5.0, 0.5, 0.0, 1.0))
         # continue from the end state, ramping down through 0.5
-        segs.append(AffineSegment(5.0, 6.0, segs[-1].end_state, [[0.0]], [-2.0]))
+        segs.append(ScalarAffineSegment(5.0, 6.0, segs[-1].end_state[0], 0.0, -2.0))
         fast = find_crossings(Trajectory(segs), 0.5)
         slow = find_crossings(Trajectory([_sampled(s) for s in segs]), 0.5)
         _assert_same_crossings(fast, slow)
@@ -410,8 +411,8 @@ class TestTangentialAndDegenerate:
         assert sig.times == ()
 
     def test_jump_at_segment_junction_is_pinned_to_junction(self):
-        lo = AffineSegment(0.0, 1.0, [0.4], [[0.0]], [0.0])
-        hi = AffineSegment(1.0, 2.0, [0.7], [[0.0]], [0.0])
+        lo = ScalarAffineSegment(0.0, 1.0, 0.4, 0.0, 0.0)
+        hi = ScalarAffineSegment(1.0, 2.0, 0.7, 0.0, 0.0)
         got = find_crossings(Trajectory([lo, hi]), 0.5)
         assert got == [(1.0, True)]
 
