@@ -7,7 +7,9 @@ Affine constant-coefficient modes and scalar relaxations (a state pulled
 toward a fixed target at a time-varying rate, whose exponent is known in
 closed form) are solved in closed form; only modes declared
 ``GeneralNumeric`` go through an adaptive Runge-Kutta integrator with
-dense output.
+dense output.  scipy is imported only there and in the matrix-exponential
+fallback of a matrix that is not diagonalizable, so importing this module
+loads no scipy module.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous endpoint, so it is continuous by
@@ -19,14 +21,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .signals import TIME_EPS, ModeSwitchSignal
 
@@ -196,6 +196,67 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
 
 
+# -- root finding ----------------------------------------------------------------
+
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket [lo, hi] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of the C routine behind ``scipy.optimize.brentq``,
+    with its relative tolerance 4 eps and its 100 iterations, so it returns
+    the same float.  An exact zero at an end returns that end.  Ends whose
+    values have one sign, or a NaN value, raise ValueError, and 100
+    iterations without convergence raise RuntimeError.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre != fpre or fcur != fcur:
+        raise ValueError(f"NaN at an end of the bracket [{lo}, {hi}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or nan, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"NaN at t={xcur}")
+    raise RuntimeError(f"no root within {xtol} after {_BRENT_MAXITER} iterations")
+
+
 # -- trajectory segments -------------------------------------------------------
 
 # Each segment covers [t0, t1] and can evaluate the state at arbitrary times
@@ -329,6 +390,8 @@ class AffineSegment(_SegmentBase):
             if dt[0] == 0.0:
                 out[0] = self.x0
             return out
+        from scipy.linalg import expm
+
         out = np.empty((len(ts), n))
         y0 = np.append(self.x0, 1.0)
         for i, d in enumerate(dt):
@@ -365,9 +428,9 @@ class AffineSegment(_SegmentBase):
         e^{lam1 (t - t0)} + c2 e^{lam2 (t - t0)}`` (see
         :meth:`exponential_terms`), whose derivative vanishes at most once,
         at ``t0 + ln(-c1 lam1/(c2 lam2))/(lam2 - lam1)``; it is split there,
-        and ``brentq`` finds each piece's meeting time to 1e-13.  Three or
-        more states, and spectra that are complex or not diagonalizable, are
-        sampled (None).
+        and a bracketed Brent root (:func:`_brent`) finds each piece's
+        meeting time to 1e-13.  Three or more states, and spectra that are
+        complex or not diagonalizable, are sampled (None).
         """
         if self.x0.shape[0] != 2:
             return None
@@ -391,16 +454,18 @@ class AffineSegment(_SegmentBase):
         (c1, l1), (c2, l2) = (*terms, (0.0, 0.0), (0.0, 0.0))[:2]
         exp = math.exp
 
-        def excess(t: float, xi: float) -> float:
-            s = t - t0
-            return c0 - xi + c1 * exp(l1 * s) + c2 * exp(l2 * s)
-
         def meet(xi: float, lo: float, hi: float) -> float:
+            c = c0 - xi
+
+            def excess(t: float) -> float:
+                s = t - t0
+                return c + c1 * exp(l1 * s) + c2 * exp(l2 * s)
+
             # where rounding leaves both ends on one side, the end nearer xi
-            g_lo, g_hi = excess(lo, xi), excess(hi, xi)
+            g_lo, g_hi = excess(lo), excess(hi)
             if (g_lo > 0.0) == (g_hi > 0.0):
                 return lo if abs(g_lo) <= abs(g_hi) else hi
-            return brentq(excess, lo, hi, args=(xi,), xtol=1e-13)
+            return _brent(excess, lo, hi, 1e-13)
 
         return breaks, meet
 
@@ -462,8 +527,9 @@ class RelaxationSegment(_FloatSegment):
     x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))), with phi(t0)
     computed once.  phi is nondecreasing, so the state moves monotonically
     toward ``target``; it meets xi where ``phi(t) - phi(t0) = ln((x0 -
-    target)/(xi - target))``, a root that ``brentq`` finds to 1e-13.  x(t0)
-    is ``x0`` itself, and times before t0 read as t0.
+    target)/(xi - target))``, a root that a bracketed Brent search
+    (:func:`_brent`) finds to 1e-13.  x(t0) is ``x0`` itself, and times
+    before t0 read as t0.
     """
 
     __slots__ = ("t0", "t1", "x0", "target", "exponent", "_phi0")
@@ -496,7 +562,7 @@ class RelaxationSegment(_FloatSegment):
             return lo
         if phi(hi) - phi0 <= rise:
             return hi
-        return brentq(lambda t: phi(t) - phi0 - rise, lo, hi, xtol=1e-13)
+        return _brent(lambda t: phi(t) - phi0 - rise, lo, hi, 1e-13)
 
 
 class DenseSegment(_SegmentBase):
@@ -652,6 +718,17 @@ def _containment_scan(segment: Segment, space: StateSpace) -> None:
 
 # RK45 tolerances of a GeneralNumeric mode, the only kind solved numerically
 _RK45_RTOL, _RK45_ATOL = 1e-9, 1e-12
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only ``GeneralNumeric`` modes integrate numerically, and
+    ``scipy.integrate`` would take most of the package's import time.
+    """
+    from scipy.integrate import solve_ivp as integrate
+
+    return integrate(*args, **kwargs)
 
 
 def solve_mode(

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import hybridgates
+from hybridgates.circuit import execute
+from hybridgates.cli import _preset_names, load_circuit
+from hybridgates.gates import make_advanced_nor, make_simple_nor, mis_delay_sweep
 from hybridgates.signals import BinarySignal, ModeSwitchSignal
 
 
@@ -49,3 +57,31 @@ def binary_signals(draw, horizon: float = 10.0, max_transitions: int = 6):
     init = draw(st.integers(min_value=0, max_value=1))
     vals = [(init + i + 1) % 2 for i in range(len(times))]
     return BinarySignal(init, tuple(zip(times, vals)), horizon)
+
+
+def run_every_shipped_gate():
+    """Every preset with a staggered pulse on each input, and both NOR MIS sweeps."""
+    for preset in _preset_names():
+        cf = load_circuit(f"preset:{preset}")
+        horizon = cf.defaults["horizon"]
+        inputs = {}
+        for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
+            b = port.initial_value  # a pulse away from it, staggered per input
+            inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
+        execute(cf.circuit, inputs, horizon)
+    gaps = [0.0, 1e-9, 0.5, 3.0]
+    mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), gaps)
+    mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), gaps)
+
+
+def run_fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports the same ``hybridgates``
+    and this directory's modules; returns its stdout.  For checks of what an
+    import loads, which the test process, having imported scipy, cannot make."""
+    path = [str(Path(hybridgates.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

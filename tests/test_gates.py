@@ -30,7 +30,6 @@ from hybridgates.gates import (
 )
 from hybridgates import modes, threshold
 from hybridgates.circuit import Circuit, InputPort, OutputPort, execute
-from hybridgates.cli import _preset_names, load_circuit
 from hybridgates.modes import (
     FunctionSegment,
     RelaxationSegment,
@@ -41,7 +40,7 @@ from hybridgates.modes import (
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
 from hybridgates.threshold import digitize, find_crossings
 
-from conftest import binary_signals
+from conftest import binary_signals, run_every_shipped_gate, run_fresh_python
 
 LN2 = math.log(2.0)
 
@@ -371,22 +370,33 @@ class TestChargingClosedForm:
 
     def test_no_shipped_gate_integrates_numerically(self, monkeypatch):
         monkeypatch.setattr(modes, "solve_ivp", _refuse("solve_ivp"))
-        _run_every_shipped_gate()
+        run_every_shipped_gate()
 
     def test_no_shipped_gate_samples_its_crossings(self, monkeypatch):
         monkeypatch.setattr(threshold, "_bisect_crossing", _refuse("_bisect_crossing"))
-        _run_every_shipped_gate()
+        run_every_shipped_gate()
 
     def test_no_shipped_gate_samples_its_containment(self, monkeypatch):
         # every segment a shipped gate solves splits into monotone pieces
         monkeypatch.setattr(modes._SegmentBase, "sample_times", _refuse("sample_times"))
-        _run_every_shipped_gate()
+        run_every_shipped_gate()
+
+    def test_no_shipped_gate_imports_scipy(self):
+        # a fresh interpreter, because this module imports scipy itself
+        out = run_fresh_python(
+            "import sys\n"
+            "import hybridgates.cli\n"
+            "from conftest import run_every_shipped_gate\n"
+            "run_every_shipped_gate()\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        assert out == "[]\n"
 
     def test_no_shipped_gate_evaluates_a_scalar_state_on_arrays(self, monkeypatch):
         # execute carries a 1-state gate's state as a float from entry to entry
         for kind in (modes.ScalarAffineSegment, modes.RelaxationSegment):
             monkeypatch.setattr(kind, "values", _refuse(f"{kind.__name__}.values"))
-        _run_every_shipped_gate()
+        run_every_shipped_gate()
 
     @settings(max_examples=100, deadline=None)
     @given(params=st.builds(
@@ -416,21 +426,6 @@ def _refuse(name):
         raise AssertionError(f"{name} called")
 
     return refuse
-
-
-def _run_every_shipped_gate():
-    """Every preset with a staggered pulse on each input, and both NOR MIS sweeps."""
-    for preset in _preset_names():
-        cf = load_circuit(f"preset:{preset}")
-        horizon = cf.defaults["horizon"]
-        inputs = {}
-        for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
-            b = port.initial_value  # a pulse away from it, staggered per input
-            inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
-        execute(cf.circuit, inputs, horizon)
-    gaps = [0.0, 1e-9, 0.5, 3.0]
-    mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), gaps)
-    mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), gaps)
 
 
 class TestGateSpecValidation:

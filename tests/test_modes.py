@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq, minimize_scalar
 
 from hybridgates.modes import (
     AffineSegment,
@@ -25,9 +27,13 @@ from hybridgates.modes import (
     sup_distance,
     write_trajectory_csv,
 )
-from hybridgates.modes import _containment_scan, _SegmentBase
+from hybridgates import modes
+from hybridgates.gates import AdvancedNorParams, _charging_exponent
+from hybridgates.modes import _brent, _containment_scan, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
+
+from conftest import run_fresh_python
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -239,6 +245,83 @@ def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
         assert AffineSegment(0.0, 1.0, x0, a, b).exponential_terms(1) is None
 
 
+# -- the bracketed root finder ----------------------------------------------------
+
+# Exponents as in 2-state segments: decays up to rate 100, growth up to ~3.
+_exponents = st.one_of(
+    st.floats(-3.0, 2.0).map(lambda e: -(10.0**e)), st.floats(-3.0, 0.5).map(lambda e: 10.0**e)
+)
+
+
+@given(
+    c1=st.floats(-3.0, 3.0),
+    c2=st.floats(-3.0, 3.0),
+    l1=_exponents,
+    l2=_exponents,
+    t0=st.floats(0.0, 10.0),
+    span=st.one_of(st.floats(1e-6, 1e-2), st.floats(0.01, 20.0)),
+    u=st.floats(0.0, 1.0),
+)
+def test_brent_returns_brentqs_float_on_exponential_sums(c1, c2, l1, l2, t0, span, u):
+    # c0 puts a root at t0 + u span; the crossing search brackets excesses
+    # c0 - xi + c1 e^{l1 s} + c2 e^{l2 s} of this form
+    c0 = -(c1 * math.exp(l1 * u * span) + c2 * math.exp(l2 * u * span))
+
+    def excess(t: float) -> float:
+        s = t - t0
+        return c0 + c1 * math.exp(l1 * s) + c2 * math.exp(l2 * s)
+
+    lo, hi = t0, t0 + span
+    assume(excess(lo) * excess(hi) < 0.0)
+    assert _brent(excess, lo, hi, 1e-13) == brentq(excess, lo, hi, xtol=1e-13)
+
+
+@given(
+    params=st.builds(
+        AdvancedNorParams, *(st.floats(0.1, 3.0) for _ in range(6)), v_dd=st.floats(0.5, 2.0)
+    ),
+    gap=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 10.0), st.just(math.inf)),
+    t_on=st.floats(0.0, 10.0),
+    lag=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    span=st.floats(1e-3, 20.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_brent_returns_brentqs_float_on_charging_exponents(params, gap, t_on, lag, span, u):
+    # RelaxationSegment._meet solves phi(t) - phi(t0) = rise
+    phi = _charging_exponent(params, t_on, gap, params.alpha1)
+    lo, hi = t_on + lag, t_on + lag + span
+    phi0 = phi(lo)
+    rise = u * (phi(hi) - phi0)
+
+    def excess(t: float) -> float:
+        return phi(t) - phi0 - rise
+
+    assume(excess(lo) * excess(hi) < 0.0)
+    assert _brent(excess, lo, hi, 1e-13) == brentq(excess, lo, hi, xtol=1e-13)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-2.0, 1.0)])
+def test_brent_returns_an_exact_zero_at_an_end(lo, hi):
+    # f(1) is exactly 0, so that end comes back without a step
+    assert _brent(lambda t: t - 1.0, lo, hi, 1e-13) == 1.0
+
+
+@pytest.mark.parametrize(
+    "f,lo,hi,error",
+    [
+        (lambda t: t - 5.0, 1.0, 3.0, ValueError),  # both ends below the root
+        (lambda t: math.nan if 0.0 < t < 3.0 else t - 1.0, 0.0, 3.0, ValueError),
+        # a step at 0 defeats interpolation; bisecting 4 down to 1e-300 takes ~1000 steps
+        (lambda t: math.copysign(1.0, t), -1.0, 3.0, RuntimeError),
+    ],
+)
+def test_brent_fails_where_brentq_does(f, lo, hi, error):
+    with pytest.raises(error):
+        brentq(f, lo, hi, xtol=1e-300)
+    with pytest.raises(error):
+        _brent(f, lo, hi, 1e-300)
+
+
 # -- numeric vs closed form -------------------------------------------------------
 
 
@@ -261,6 +344,29 @@ def test_adaptive_integrator_agrees_with_closed_form(mode, x0):
     err = np.max(np.abs(numeric.values(ts) - ref))
     scale = np.max(np.abs(ref))
     assert err / scale < 1e-8, f"relative disagreement {err / scale}"
+
+
+def test_a_numeric_mode_imports_its_integrator_on_first_use():
+    # a fresh interpreter, because this module imports scipy itself
+    out = run_fresh_python(
+        "import json, sys\n"
+        "from hybridgates import modes\n"
+        "heat = modes.affine_mode('heat', [[-0.1]], [5.0], modes.StateSpace(((-1.0, 51.0),)))\n"
+        "numeric = modes.ModeFunction('heat', heat.rhs, modes.GeneralNumeric(), 0.1, 5.1)\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        "seg = modes.solve_mode(numeric, [20.0], 0.0, 10.0, modes.StateSpace(((-1.0, 51.0),)))\n"
+        "ts = [10.0 * i / 40 for i in range(41)]\n"
+        "print(json.dumps([before, type(seg).__name__, seg.values(ts)[:, 0].tolist()]))\n"
+    )
+    before, kind, values = json.loads(out)
+    assert (before, kind) == (False, "DenseSegment")
+    ref = solve_ivp(
+        HEAT.rhs, (0.0, 10.0), [20.0], method="RK45",
+        rtol=modes._RK45_RTOL, atol=modes._RK45_ATOL, dense_output=True,
+    )
+    assert values == ref.sol(np.linspace(0.0, 10.0, 41))[0].tolist()
+    # the benchmark's tracer wraps the module attribute
+    assert "solve_ivp" in vars(modes)
 
 
 # -- state-space exit ---------------------------------------------------------------
