@@ -15,6 +15,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .gates import GateSpec, ModeEntry, boolean_table, initial_output_bit, make_boolean_gate, make_const_gate
@@ -74,10 +75,15 @@ Vertex = InputPort | OutputPort | GateSpec
 
 
 class Circuit:
-    """Vertices by name plus edges into gate input slots (0-based)."""
+    """Vertices by name plus edges into gate input slots (0-based).
+
+    The wiring is checked and indexed once, when the circuit is built, so
+    ``vertices`` and ``edges`` must not change afterwards.  ``report`` is
+    :func:`validate`'s result; building never raises on bad wiring.
+    """
 
     def __init__(self, vertices: Mapping[str, Vertex], edges: Sequence) -> None:
-        self.vertices: dict[str, Vertex] = dict(vertices)
+        self.vertices: Mapping[str, Vertex] = MappingProxyType(dict(vertices))
         self.edges: tuple[Edge, ...] = tuple(Edge(*e) for e in edges)
         self._in: dict[str, list[Edge]] = {name: [] for name in self.vertices}
         for e in self.edges:
@@ -85,6 +91,14 @@ class Circuit:
                 self._in[e.dst].append(e)
         for lst in self._in.values():
             lst.sort(key=lambda e: e.slot)
+        self.report = validate(self)
+        # per source: (dst, slot, delay) of every edge into a gate
+        self._fanout: dict[str, list] = {name: [] for name in self.vertices}
+        if self.report.ok:
+            for e in self.edges:
+                dst = self.vertices[e.dst]
+                if isinstance(dst, GateSpec):
+                    self._fanout[e.src].append((e.dst, e.slot, dst.input_delays[e.slot]))
 
     def incoming(self, name: str) -> list[Edge]:
         return list(self._in.get(name, ()))
@@ -136,6 +150,8 @@ def _driver_initial_bit(circuit: Circuit, name: str) -> int:
 
 def validate(circuit: Circuit) -> ValidationReport:
     """Check the wiring rules; never raises, collects violations instead.
+
+    A circuit runs this once, when it is built, as ``circuit.report``.
 
     Rules: edges reference known vertices and valid slots; input ports are
     never driven; output ports have exactly one driver and drive nothing;
@@ -238,7 +254,8 @@ class _GateState:
 
     def __init__(self, spec: GateSpec):
         self.spec = spec
-        self.bits: tuple[int, ...] = ()
+        # validate() guarantees each driver starts at the declared bit
+        self.bits: tuple[int, ...] = spec.initial_inputs
         self.last_change: list[float | None] = [None] * spec.arity
         self.max_arr_depth = -1
         self.mode = None
@@ -299,8 +316,11 @@ def execute(
     those firings send into the window join the batch), gates in sorted
     name order.  ``_shuffle`` randomizes that within-batch processing order
     and must not change any result; it exists so tests can prove that.
+
+    The wiring was checked when the circuit was built: a circuit whose
+    ``report`` is not ok raises ``InvalidCircuitError``.
     """
-    report = validate(circuit)
+    report = circuit.report
     if not report.ok:
         raise InvalidCircuitError(report)
     if not (math.isfinite(horizon) and horizon > 0):
@@ -324,11 +344,7 @@ def execute(
             )
 
     states = {name: _GateState(spec) for name, spec in circuit.gates().items()}
-    # per source: (dst, slot, delay) of every edge into a gate
-    fanout: dict[str, list[tuple[str, int, float]]] = {name: [] for name in circuit.vertices}
-    for e in circuit.edges:
-        if e.dst in states:
-            fanout[e.src].append((e.dst, e.slot, states[e.dst].spec.input_delays[e.slot]))
+    fanout = circuit._fanout
 
     queue: list[tuple[float, int, str, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
@@ -353,11 +369,6 @@ def execute(
             propagate(name, tr.time, tr.value, 0)
     for name, st in states.items():
         spec = st.spec
-        st.bits = tuple(
-            _driver_initial_bit(circuit, e.src) for e in circuit.incoming(name)
-        )
-        if st.bits != spec.initial_inputs:  # validate() already guarantees this
-            raise AssertionError(f"{name}: initial bits diverge from declaration")
         mode = spec.choice(st.bits, None, ModeEntry(None, tuple(st.last_change)))
         enter(name, st, mode, spec.initial_state, 0.0, 0)
 
@@ -430,6 +441,8 @@ def execute(
                 if new_bits[slot] == value:
                     raise AssertionError(f"{name}: duplicate arrival on slot {slot} at t={t_a}")
                 new_bits[slot] = value
+            if tuple(new_bits) == prev_bits:
+                continue  # both edges of a zero-width pulse: the inputs never changed
             st.bits = tuple(new_bits)
             for t_a, slot, _value, depth in arrivals:
                 st.last_change[slot] = t_a
@@ -450,9 +463,8 @@ def execute(
             enter(name, st, new_mode, x_star, t_star, 1 + max(st.max_arr_depth, prior))
 
     # memory peaks while the results are built; the queue's entries past
-    # the horizon and the fan-out table are not needed for them
+    # the horizon are not needed for them
     queue.clear()
-    fanout.clear()
 
     # materialize signals, records, trajectories
     signals: dict[str, BinarySignal] = {}
@@ -517,9 +529,8 @@ class UnrolledCircuit:
 
 
 def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
-    report = validate(circuit)
-    if not report.ok:
-        raise InvalidCircuitError(report)
+    if not circuit.report.ok:
+        raise InvalidCircuitError(circuit.report)
     if output_port not in circuit.vertices or not isinstance(
         circuit.vertices[output_port], OutputPort
     ):
@@ -596,9 +607,8 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
         stack.pop()
     sink = memo[(output_port, k)]
     unrolled = Circuit(new_vertices, new_edges)
-    rep = validate(unrolled)
-    if not rep.ok:  # construction bug, not user error
-        raise AssertionError(f"unrolled circuit is invalid: {rep.violations}")
+    if not unrolled.report.ok:  # construction bug, not user error
+        raise AssertionError(f"unrolled circuit is invalid: {unrolled.report.violations}")
     return UnrolledCircuit(unrolled, memo, z, sink)
 
 
@@ -978,8 +988,7 @@ def random_boolean_circuit(
         edges.append(Edge(rng.choice(gate_names), "out", 0))
 
         c = Circuit(vertices, edges)
-        report = validate(c)
-        if report.ok:
+        if c.report.ok:
             return c
     raise RuntimeError("could not generate a consistent random circuit")
 

@@ -41,7 +41,6 @@ from .circuit import (
     check_spf,
     execute,
     unroll,
-    validate,
 )
 from .gates import (
     AdvancedNorParams,
@@ -249,9 +248,8 @@ def load_circuit(spec: str) -> CircuitFile:
 
 def _load_validated(spec: str) -> CircuitFile:
     cf = load_circuit(spec)
-    report = validate(cf.circuit)
-    if not report.ok:
-        raise InvalidCircuitError(report)
+    if not cf.circuit.report.ok:
+        raise InvalidCircuitError(cf.circuit.report)
     return cf
 
 
@@ -561,9 +559,8 @@ def cmd_unroll(args) -> int:
 
     # the emitted file must survive its own schema and structural checks
     rt = parse_circuit_data(yaml.load(path.read_text(), Loader=_UNROLL_LOADER), str(path))
-    report = validate(rt.circuit)
-    if not report.ok:
-        raise RuntimeError(f"unrolled circuit failed to round-trip: {report.violations}")
+    if not rt.circuit.report.ok:
+        raise RuntimeError(f"unrolled circuit failed to round-trip: {rt.circuit.report.violations}")
 
     print(f"unrolled {cf.source} toward {sink!r} at k={args.k}: "
           f"{len(un.circuit.vertices)} vertices")
@@ -620,7 +617,7 @@ def cmd_spf_check(args) -> int:
 
 def cmd_validate(args) -> int:
     cf = load_circuit(args.file)
-    report = validate(cf.circuit)
+    report = cf.circuit.report
     if report.ok:
         print(
             f"ok: {len(cf.circuit.vertices)} vertices, {len(cf.circuit.edges)} edges, "

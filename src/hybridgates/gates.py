@@ -489,8 +489,8 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
     A gap of 0 (r1 = 0), one so small that A underflows to 0 (tau/r1 would
     overflow), or of infinity leaves one pole:
     phi = (tau/(2R) - alpha/(4R^2) log1p(2R tau/alpha)) / C with alpha =
-    alpha1 + alpha2 or alpha_first.  Defined for t >= t_on; a float t is
-    computed with ``math``, an array with numpy.
+    alpha1 + alpha2 or alpha_first.  Defined for t >= t_on; it takes a float
+    t and computes with ``math``.
     """
     two_r, alpha = 2.0 * p.r, p.alpha1 + p.alpha2
     if math.isinf(gap):
@@ -505,11 +505,10 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
     terms = tuple((w / (two_r * two_r), r) for w, r in poles)
 
     def exponent(t, _t_on=t_on, _terms=terms):
-        log1p = np.log1p if isinstance(t, np.ndarray) else math.log1p
         tau = t - _t_on
         phi = tau / two_r
         for w, r in _terms:
-            phi = phi - w * log1p(tau / r)
+            phi = phi - w * math.log1p(tau / r)
         return phi / p.c
 
     return exponent

@@ -145,9 +145,8 @@ class ScalarRelaxation:
 
     ``exponent`` is phi, nondecreasing in t, so the solution
     x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))) moves
-    monotonically toward ``target``.  It is vectorised: an array of times
-    maps to an array, and a float maps to a float (computed with ``math``,
-    so a root search over it stays cheap).
+    monotonically toward ``target``.  It takes a float time and returns a
+    float (computed with ``math``, so a root search over it stays cheap).
     """
 
     target: float
@@ -743,8 +742,9 @@ def solve_mode(
     In a 1-state space ``x0`` may be a float or a length-1 sequence, and an
     affine or relaxation mode returns a float segment, whose ``state_at``
     gives the float that the next entry takes.  Raises
-    :class:`StateSpaceExit` if the solution leaves the open box and
-    :class:`IntegrationError` if the numeric integrator fails.
+    :class:`StateSpaceExit` if the solution leaves the open box,
+    :class:`IntegrationError` if the numeric integrator fails, and
+    ``ValueError`` from the segment's constructor if ``t1 < t0``.
     """
     n = space.dimension
     if not (n == 1 and isinstance(x0, float)):
@@ -755,8 +755,6 @@ def solve_mode(
             x0 = float(x0[0])
     if not space.contains(x0):
         raise StateSpaceExit(t0, x0)
-    if t1 < t0:
-        raise ValueError(f"segment must run forward: [{t0}, {t1}]")
 
     kind = mode.kind
     if isinstance(kind, AffineConstant):

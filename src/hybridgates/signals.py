@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Hashable, Iterable
+from typing import Hashable, NamedTuple
 
 __all__ = [
     "TIME_EPS",
@@ -39,29 +39,14 @@ __all__ = [
 TIME_EPS = 1e-12
 
 
-@dataclass(frozen=True, order=True)
-class Transition:
-    """A single 0->1 or 1->0 edge: the signal takes `value` at `time`."""
+class Transition(NamedTuple):
+    """A single 0->1 or 1->0 edge: the signal takes `value` at `time`.
+
+    Unchecked: a ``BinarySignal`` checks each transition it is built from.
+    """
 
     time: float
     value: int
-
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"transition value must be 0 or 1, got {self.value!r}")
-        if not math.isfinite(self.time):
-            raise ValueError(f"transition time must be finite, got {self.time!r}")
-
-
-def _normalize_transitions(items: Iterable) -> list[Transition]:
-    out = []
-    for item in items:
-        if isinstance(item, Transition):
-            out.append(item)
-        else:
-            t, v = item
-            out.append(Transition(float(t), int(v)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,9 +54,11 @@ class BinarySignal:
     """Right-continuous 0/1 step function on ``[0, horizon]``.
 
     ``initial_value`` is the value "just before" time 0; the value on
-    ``[0, horizon]`` is obtained by applying the transitions in order.
-    Construction validates monotonicity and alternation and cancels
-    zero-width pulses (two opposite transitions within ``TIME_EPS``).
+    ``[0, horizon]`` is obtained by applying the transitions in order, each
+    a ``Transition`` or a ``(time, value)`` pair.  Construction checks each
+    value and time, clamps ``TIME_EPS`` jitter at the ends, validates
+    monotonicity and alternation, and cancels zero-width pulses (two
+    opposite transitions within ``TIME_EPS``).
     """
 
     initial_value: int
@@ -84,29 +71,27 @@ class BinarySignal:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
-        raw = _normalize_transitions(self.transitions)
-        for tr in raw:
-            if tr.time < -TIME_EPS or tr.time > self.horizon + TIME_EPS:
-                raise ValueError(
-                    f"transition at t={tr.time} outside [0, {self.horizon}]"
-                )
-        # Clamp boundary jitter, keep times in range.
-        raw = [Transition(min(max(tr.time, 0.0), self.horizon), tr.value) for tr in raw]
-
-        # Strict time ordering, with cancellation of zero-width pulses: a
-        # pair of opposite transitions closer than TIME_EPS annihilates.
+        # One pass converts, checks and clamps each item, keeping strict
+        # time order and cancelling zero-width pulses: a pair of opposite
+        # transitions closer than TIME_EPS annihilates.
         stack: list[Transition] = []
-        for tr in raw:
-            if stack and tr.time < stack[-1].time - TIME_EPS:
+        for t, v in self.transitions:
+            if v not in (0, 1):
+                raise ValueError(f"transition value must be 0 or 1, got {v!r}")
+            t, v = float(t), int(v)
+            if not math.isfinite(t):
+                raise ValueError(f"transition time must be finite, got {t!r}")
+            if t < -TIME_EPS or t > self.horizon + TIME_EPS:
+                raise ValueError(f"transition at t={t} outside [0, {self.horizon}]")
+            t = min(max(t, 0.0), self.horizon)
+            if stack and t < stack[-1].time - TIME_EPS:
                 raise ValueError("transition times must be sorted increasing")
-            if stack and tr.time - stack[-1].time <= TIME_EPS:
-                if tr.value != stack[-1].value:
+            if stack and t - stack[-1].time <= TIME_EPS:
+                if v != stack[-1].value:
                     stack.pop()
                     continue
-                raise ValueError(
-                    f"two transitions to value {tr.value} at time {tr.time}"
-                )
-            stack.append(tr)
+                raise ValueError(f"two transitions to value {v} at time {t}")
+            stack.append(Transition(t, v))
 
         prev = self.initial_value
         for tr in stack:

@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hybridgates.circuit as circuit_module
 from hybridgates.circuit import (
     Circuit,
     Edge,
@@ -21,9 +24,16 @@ from hybridgates.circuit import (
     unroll,
     validate,
 )
-from hybridgates.gates import GateSpec, make_boolean_gate, make_const_gate, make_idm_channel
+from hybridgates.gates import (
+    GateSpec,
+    gate_output,
+    make_advanced_nor,
+    make_boolean_gate,
+    make_const_gate,
+    make_idm_channel,
+)
 from hybridgates.modes import StateSpace, affine_mode
-from hybridgates.signals import TIME_EPS, BinarySignal
+from hybridgates.signals import TIME_EPS, BinarySignal, one_norm_distance
 from hybridgates.threshold import ThresholdSpec
 
 LN2 = math.log(2.0)
@@ -244,6 +254,35 @@ class TestExecution:
         ex = execute(c, None, 1.0)
         assert ex.signals["out"].times == pytest.approx((1e-4 * LN2,), abs=1e-9)
         assert ex.records["inv"][0].depth == 0
+
+    def test_a_circuit_is_validated_once_when_built(self, monkeypatch):
+        calls = []
+
+        def counting_validate(circuit):
+            calls.append(circuit)
+            return validate(circuit)
+
+        monkeypatch.setattr(circuit_module, "validate", counting_validate)
+        c = fig_feedback_circuit()
+        for width in (0.05, 0.5, 2.0):
+            execute(c, {"I": BinarySignal.pulse(1.0, width, 5.0)}, 5.0)
+        unroll(c, "O", 2)
+        assert sum(1 for seen in calls if seen is c) == 1
+
+    def test_a_cancelled_pulse_leaves_the_gate_undisturbed(self):
+        # g fed back into both inputs commits a zero-width pulse: its records
+        # keep both edges, its signal drops them, and both edges reach the
+        # NOR's slot 1 in one batch, leaving its bits as they were
+        g = make_boolean_gate("xor2", (0.05, 0.15), initial_inputs=(1, 1),
+                              initial_output=1, name="g")
+        nor = make_advanced_nor(delays=(0.05, 0.05), initial_inputs=(0, 1))
+        c = Circuit(
+            {"zero": make_const_gate(0, name="zero"), "g": g, "nor": nor, "O": OutputPort()},
+            [("g", "g", 0), ("g", "g", 1), ("zero", "nor", 0), ("g", "nor", 1), ("nor", "O", 0)],
+        )
+        ex = execute(c, None, 5.0)
+        alone = gate_output(nor, [ex.signals["zero"], ex.signals["g"]])
+        assert ex.signals["nor"] == alone.output
 
     def test_signal_contract_errors(self):
         c = two_not_pipeline()
@@ -605,6 +644,20 @@ def idm_pipe():
     )
 
 
+@pytest.fixture(scope="module")
+def idm_norm_ends():
+    """The IDM channel with its output norms at pulse widths 0.5 and 1.2."""
+    circuit = idm_pipe()
+
+    def norm_at(width):
+        out = execute(circuit, {"I": BinarySignal.pulse(1.0, width, 12.0)}, 12.0).signals["O"]
+        return one_norm_distance(out, BinarySignal.constant(0, 12.0))
+
+    low, high = norm_at(0.5), norm_at(1.2)
+    assert low == 0.0 and high == pytest.approx(0.8416, abs=1e-4)
+    return circuit, low, high
+
+
 class TestShortPulseFiltration:
     def test_storage_loop_filters_on_grid(self):
         widths = [0.01 + i * (1.0 - 0.01) / 19 for i in range(20)]
@@ -657,6 +710,17 @@ class TestShortPulseFiltration:
         with pytest.raises(ValueError) as exc:
             check_spf(idm_pipe(), [0.5], 12.0, epsilon=epsilon, stabilization_bound=bound)
         assert str(exc.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bisection_reaches_every_norm_between_its_ends(self, idm_norm_ends, data):
+        # the output norm is continuous in the width, so by the intermediate
+        # value theorem every norm between those at widths 0.5 and 1.2 is hit
+        circuit, low, high = idm_norm_ends
+        target = data.draw(st.floats(low, high, exclude_min=True, exclude_max=True), label="target_norm")
+        width, norm = bisect_pulse_norm(circuit, target, lo=0.5, hi=1.2, horizon=12.0, tol=1e-9)
+        assert 0.5 < width < 1.2
+        assert abs(norm - target) <= 1e-9
 
     def test_bisect_requires_bracket(self):
         with pytest.raises(ValueError, match="not bracketed"):

@@ -18,6 +18,7 @@ from hybridgates.modes import (
     GeneralNumeric,
     ModeFunction,
     ScalarAffineSegment,
+    ScalarRelaxation,
     StateSpace,
     StateSpaceExit,
     Trajectory,
@@ -333,6 +334,24 @@ def _as_numeric(mode: ModeFunction) -> ModeFunction:
         mode.lipschitz_k,
         mode.rhs_bound_m,
     )
+
+
+_PLANE = StateSpace(((-100.0, 100.0), (-100.0, 100.0)))
+
+
+@pytest.mark.parametrize(
+    "mode, x0, space",
+    [(COOL, 20.0, PLANT_BOX),
+     (affine_mode("pair", [[-1.0, 0.5], [0.0, -2.0]], [0.0, 1.0], _PLANE), [1.0, 0.0], _PLANE),
+     (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: 0.1 * t), 0.1, 5.1),
+      20.0, PLANT_BOX),
+     (_as_numeric(COOL), [20.0], PLANT_BOX)],
+    ids=["affine1", "affine_n", "relaxation", "numeric"],
+)
+def test_every_segment_kind_refuses_a_backward_span(mode, x0, space):
+    with pytest.raises(ValueError) as exc:
+        solve_mode(mode, x0, 2.0, 1.0, space)
+    assert str(exc.value) == "segment must run forward: [2.0, 1.0]"
 
 
 @pytest.mark.parametrize("mode,x0", [(HEAT, [20.0]), (COOL, [45.0])])

@@ -13,6 +13,7 @@ from hybridgates.signals import (
     ModeSwitchSignal,
     Pulse,
     SpfInputKind,
+    Transition,
     classify_spf_input,
     delay,
     min_pulse_width,
@@ -45,6 +46,28 @@ def test_out_of_range_transition_rejected():
         BinarySignal(0, ((11.0, 1),), 10.0)
     with pytest.raises(ValueError, match="outside"):
         BinarySignal(0, ((-1.0, 1),), 10.0)
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [((math.nan, 1), "transition time must be finite, got nan"),
+     ((math.inf, 1), "transition time must be finite, got inf"),
+     ((1.0, 2), "transition value must be 0 or 1, got 2"),
+     (Transition(1.0, 2), "transition value must be 0 or 1, got 2"),
+     (Transition(1.0, 1.5), "transition value must be 0 or 1, got 1.5")],
+)
+def test_each_transition_is_checked_once_by_its_signal(item, message):
+    with pytest.raises(ValueError) as exc:
+        BinarySignal(0, (item,), 10.0)
+    assert str(exc.value) == message
+
+
+def test_transitions_and_pairs_build_equal_signals():
+    pairs = BinarySignal(1, ((0.0, 0), (2.5, 1), (7, 0)), 10.0)
+    records = BinarySignal(1, (Transition(0.0, 0), Transition(2.5, 1), Transition(7, 0)), 10.0)
+    assert pairs == records
+    assert pairs.transitions == (Transition(0.0, 0), Transition(2.5, 1), Transition(7.0, 0))
+    assert all(type(tr.time) is float for tr in records.transitions)
 
 
 def test_zero_width_pulse_canonicalized_away():
