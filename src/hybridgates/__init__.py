@@ -67,10 +67,7 @@ from .signals import (
     TIME_EPS,
     BinarySignal,
     ModeSwitchSignal,
-    Pulse,
-    SpfInputKind,
     Transition,
-    classify_spf_input,
     delay,
     min_pulse_width,
     mode_distance,
@@ -86,10 +83,7 @@ __all__ = [
     "TIME_EPS",
     "BinarySignal",
     "ModeSwitchSignal",
-    "Pulse",
-    "SpfInputKind",
     "Transition",
-    "classify_spf_input",
     "delay",
     "min_pulse_width",
     "mode_distance",

@@ -3,13 +3,13 @@
 Each mode of a hybrid gate is an ODE right-hand side together with declared
 regularity constants: a Lipschitz bound K (in the state, uniform over time)
 and a bound M on the norm of the vector field over the gate's state space.
-Affine constant-coefficient modes and scalar relaxations (a state pulled
-toward a fixed target at a time-varying rate, whose exponent is known in
-closed form) are solved in closed form; only modes declared
-``GeneralNumeric`` go through an adaptive Runge-Kutta integrator with
-dense output.  scipy is imported only there and in the matrix-exponential
-fallback of a matrix that is not diagonalizable, so importing this module
-loads no scipy module.
+Affine constant-coefficient modes of one or two states (for every 2x2
+spectrum, from the trace and determinant) and scalar relaxations (a state
+pulled toward a fixed target at a time-varying rate, whose exponent is
+known in closed form) are solved in closed form on Python floats.  Modes
+declared ``GeneralNumeric`` and affine modes of three or more states go
+through an adaptive Runge-Kutta integrator with dense output, the only
+place scipy is imported, so importing this module loads no scipy module.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous endpoint, so it is continuous by
@@ -22,7 +22,8 @@ import bisect
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -41,7 +42,6 @@ __all__ = [
     "ScalarAffineSegment",
     "RelaxationSegment",
     "DenseSegment",
-    "FunctionSegment",
     "Segment",
     "Trajectory",
     "solve_mode",
@@ -99,21 +99,16 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class AffineConstant:
-    """dx/dt = a x + b with constant coefficients; solved in closed form.
+    """dx/dt = a x + b with constant coefficients.
 
-    For n >= 2 states the mode decomposes, once, the augmented matrix
-    ``aug`` = [[a, b], [0, 0]] of the system for y = (x, 1): ``eig`` is
-    (w, v, v^-1) when it is numerically diagonalizable (cond(v) < 1e10) and
-    None otherwise, in which case segments take a matrix exponential of
-    ``aug`` per evaluation time.  A scalar mode needs neither.
+    One state solves to a :class:`ScalarAffineSegment`, two to an
+    :class:`AffineSegment` from the constants ``plane`` derives once, and
+    three or more are integrated like ``GeneralNumeric`` (``plane`` is None).
     """
 
     a: np.ndarray
     b: np.ndarray
-    aug: np.ndarray | None = field(init=False, repr=False, compare=False)
-    eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        init=False, repr=False, compare=False
-    )
+    plane: _Plane | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -122,21 +117,63 @@ class AffineConstant:
             raise ValueError(f"inconsistent affine shapes {a.shape} / {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        n = b.shape[0]
-        aug = eig = None
-        if n > 1:
-            aug = np.zeros((n + 1, n + 1))
-            aug[:n, :n] = a
-            aug[:n, n] = b
-            try:
-                w, v = np.linalg.eig(aug)
-                cond = np.linalg.cond(v)
-                if np.isfinite(cond) and cond < 1e10:
-                    eig = (w, v, np.linalg.inv(v))
-            except np.linalg.LinAlgError:
-                pass
-        object.__setattr__(self, "aug", aug)
-        object.__setattr__(self, "eig", eig)
+        object.__setattr__(self, "plane", _Plane(a, b) if b.shape[0] == 2 else None)
+
+
+class _Plane:
+    """What every solution of a 2-state mode dx/dt = a x + b shares.
+
+    With tau = tr(a)/2, d = (a11 - a22)/2 and N = a - tau I, so N^2 = disc I
+    for disc = d^2 + a12 a21, a component is, in s = t - t0 and with (p, q)
+    = ``rows`` applied to y0 = x0 - c:
+
+    - ``c + m s + p e^{l1 s} + q e^{l2 s}`` if disc > 0: l1 = tau + sign(tau)
+      disc^1/2, l2 = det(a)/l1, c = -a^-1 b and m = 0, or for a singular a,
+      l2 = 0, c = -b/tr(a), m = adj(a) b/tr(a); (p, q) lie on eigenvectors.
+    - ``c + e^{tau s} (p + q s)`` if disc = 0 != det(a): (p, q) = (y0, N y0).
+    - ``c + e^{tau s} (p cos ws + q sin ws)`` if disc = -w^2: (y0, N y0/w).
+    - ``x0 + p s + q s^2`` for a nilpotent a: (a x0 + b, a b/2).
+
+    det(a), disc, c and m are exact in the float entries, rounded once, so
+    a stiff mode keeps its slow rate.  An a whose equilibrium c lies beyond
+    the floats counts as singular (its dropped terms are below rounding).
+    Near a repeated eigenvalue of a non-normal a, or a singular a with b
+    outside its range, p and q (or c) grow like disc^-1/2 (or 1/det(a)) and
+    cancel.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        (a11, a12), (a21, a22) = a.tolist()
+        f11, f12, f21, f22, fb1, fb2 = map(Fraction, (a11, a12, a21, a22, *b.tolist()))
+        det, tr = f11 * f22 - f12 * f21, f11 + f22
+        disc = float((f11 - f22) ** 2 / 4 + f12 * f21)
+        adj_b = (f22 * fb1 - f12 * fb2, f11 * fb2 - f21 * fb1)
+        tau, d = float(tr / 2), float((f11 - f22) / 2)
+        eq = det and [-v / det for v in adj_b]  # c is None if singular or beyond the floats
+        self.c = tuple(map(float, eq)) if eq and max(map(abs, eq)) < sys.float_info.max else None
+        self.m, offset = (0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
+        if disc > 0.0:
+            sr = math.copysign(math.sqrt(disc), tau)
+            # (d + sr)(sr - d) = a12 a21 gives the one of them that would cancel
+            same = (d >= 0.0) == (sr >= 0.0)
+            e11 = d + sr if same else a12 * a21 / (sr - d)
+            e22 = a12 * a21 / e11 if same else sr - d
+            self.form, den, l1 = "real", 2.0 * sr, tau + sr
+            self.rates = (l1, float(det) / l1, den)
+            rows = [(u / den, v / den) for u, v in ((e11, a12), (e22, -a12), (a21, e22), (-a21, e11))]
+            if self.c is None:
+                self.c = (float(-fb1 / tr), float(-fb2 / tr))
+                self.m = tuple(float(v / tr) for v in adj_b)
+        elif self.c is not None:
+            w = math.sqrt(-disc)
+            self.form, self.rates = ("complex", (tau, w)) if w else ("repeated", (tau,))
+            n = [v / (w or 1.0) for v in (d, a12, a21, -d)]
+            rows = [(1.0, 0.0), n[:2], (0.0, 1.0), n[2:]]
+        else:
+            self.form, self.rates, self.c = "quadratic", (), (0.0, 0.0)
+            rows = [(a11, a12), (0.0, 0.0), (a21, a22), (0.0, 0.0)]
+            offset = (fb1, (f11 * fb1 + f12 * fb2) / 2, fb2, (f21 * fb1 + f22 * fb2) / 2)
+        self.rows = tuple((u, v, float(o)) for (u, v), o in zip(rows, offset))
 
 
 @dataclass(frozen=True)
@@ -340,126 +377,86 @@ class _FloatSegment(_SegmentBase):
 
 
 class AffineSegment(_SegmentBase):
-    """Closed-form solution of dx/dt = a x + b for n >= 2 states from ``x0``
-    at ``t0``; a scalar mode solves to a :class:`ScalarAffineSegment`.
-
-    Evaluation uses the eigendecomposition of the augmented matrix
-    [[a, b], [0, 0]] that the mode's :class:`AffineConstant` holds (``kind``;
-    one is built from ``a`` and ``b`` when it is not given), falling back to
-    a matrix exponential per evaluation time when that matrix is not
-    numerically diagonalizable.  These forms round x(t0), so ``values``
-    reads it as ``x0`` (times increase, so t0 comes first): a state that
-    starts on the threshold digitizes like its initial bit.
+    """Closed-form solution of a 2-state mode dx/dt = a x + b from ``x0`` at
+    ``t0``, on floats: each component's (p, q) in the form of ``kind.plane``
+    (:class:`_Plane`; ``kind`` is built from ``a`` and ``b`` if not given).
+    A component turns at most once for a real spectrum and every pi/w for a
+    complex one; :func:`_brent` meets xi in each piece to 1e-13.  ``x0`` is
+    the state at ``t0``, so a start on the threshold digitizes as its bit.
     """
 
-    __slots__ = ("t0", "t1", "x0", "a", "b", "_eig", "_aug")
+    __slots__ = ("t0", "t1", "x0", "kind", "_pq")
+
+    dimension = 2
 
     def __init__(self, t0: float, t1: float, x0, a, b, kind: AffineConstant | None = None):
         if t1 < t0:
             raise ValueError(f"segment must run forward: [{t0}, {t1}]")
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self.x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-        if self.x0.shape[0] == 1:
-            raise ValueError("a 1-state affine segment is a ScalarAffineSegment")
-        self.a = np.atleast_2d(np.asarray(a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        self._eig = None
-        if kind is None:
-            kind = AffineConstant(self.a, self.b)
-        self._aug = kind.aug
-        if kind.eig is not None:
-            w, v, vinv = kind.eig
-            # eigenvalues, eigenvectors, and y0 = (x0, 1) in the eigenbasis
-            self._eig = (w, v, vinv @ np.append(self.x0, 1.0))
+        kind = kind or AffineConstant(a, b)
+        if kind.plane is None:
+            raise ValueError("an affine segment has 2 states; 1 state is a ScalarAffineSegment")
+        self.t0, self.t1 = float(t0), float(t1)
+        self.x0 = x1, x2 = np.asarray(x0, dtype=float).tolist()
+        self.kind = kind
+        y1, y2 = x1 - kind.plane.c[0], x2 - kind.plane.c[1]
+        self._pq = tuple([u * y1 + v * y2 + o for u, v, o in kind.plane.rows])
 
-    @property
-    def dimension(self) -> int:
-        return self.x0.shape[0]
+    def _component(self, k: int, xi: float = 0.0, exp=math.exp):
+        """Component ``k`` (1-based) minus ``xi``, as a function of t."""
+        plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
+        form, rates = plane.form, plane.rates
+        c = (self.x0 if form == "quadratic" else plane.c)[k - 1] - xi
+        if form == "quadratic":
+            return lambda t: c + (p + q * (t - t0)) * (t - t0)
+        if form == "repeated":
+            return lambda t: c + exp(rates[0] * (t - t0)) * (p + q * (t - t0))
+        if form == "complex":
+            (tau, w), cos, sin = rates, math.cos, math.sin
+            return lambda t: c + exp(tau * (t - t0)) * (p * cos(w * (t - t0)) + q * sin(w * (t - t0)))
+        m, (l1, l2, _) = plane.m[k - 1], rates
+        return lambda t: c + m * (t - t0) + p * exp(l1 * (t - t0)) + q * exp(l2 * (t - t0))
+
+    def _turns(self, k: int) -> tuple[float, ...]:
+        """The times where component ``k`` may turn."""
+        plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
+        if plane.form == "quadratic":
+            return (t0 - p / (2.0 * q),) if q else ()
+        if plane.form == "repeated":
+            return (t0 - p / q - 1.0 / plane.rates[0],) if q else ()
+        if plane.form == "complex":
+            # the slope e^{tau s} (A cos ws + B sin ws) vanishes every pi/w
+            tau, w = plane.rates
+            first = math.atan2(-tau * p - w * q, tau * q - w * p) % math.pi / w
+            count = int((self.t1 - t0 - first) * w / math.pi) + 1 if p or q else 0
+            return tuple(t0 + first + j * math.pi / w for j in range(max(count, 0)))
+        # the slope g1 e^{l1 s} + g2 e^{l2 s} vanishes where its terms cancel
+        (l1, l2, den), m = plane.rates, plane.m[k - 1]
+        g1, g2 = p * l1, q * l2 + m
+        if not g1 or not g2 or (g1 > 0.0) == (g2 > 0.0):
+            return ()
+        return (t0 + (math.log(abs(g2)) - math.log(abs(g1))) / den,)
+
+    def ends(self, ts, component: int) -> list[float]:
+        t0, x, f = self.t0, self.x0[component - 1], self._component(component)
+        try:
+            return [x if t == t0 else f(t) for t in ts]
+        except OverflowError:  # inf, as numpy's exp gives
+            f = self._component(component, exp=lambda u: math.exp(u) if u < 709.78 else math.inf)
+            return [x if t == t0 else f(t) for t in ts]
 
     def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        dt = ts - self.t0
-        n = self.dimension
-        if self._eig is not None:
-            w, v, coeff = self._eig
-            # columns: one evaluation per time
-            ys = v @ (coeff[:, None] * np.exp(np.outer(w, dt)))
-            out = np.real(ys[:n, :]).T
-            if dt[0] == 0.0:
-                out[0] = self.x0
-            return out
-        from scipy.linalg import expm
-
-        out = np.empty((len(ts), n))
-        y0 = np.append(self.x0, 1.0)
-        for i, d in enumerate(dt):
-            out[i] = (expm(self._aug * d) @ y0)[:n]
-        return out
-
-    def exponential_terms(
-        self, component: int
-    ) -> tuple[float, tuple[tuple[float, float], ...]] | None:
-        """One state component as ``c0 + sum of c_j exp(lam_j (t - t0))``.
-
-        Returns ``(c0, ((c_j, lam_j), ...))`` with distinct nonzero exponents
-        and nonzero coefficients: a zero eigenvalue joins ``c0`` and equal
-        eigenvalues merge.  None when the segment has no real
-        eigendecomposition (a complex spectrum, or a matrix that is not
-        numerically diagonalizable).  ``component`` is 1-based.
-        """
-        if self._eig is None or np.iscomplexobj(self._eig[0]):
-            return None
-        w, v, coeff = self._eig
-        c0 = 0.0
-        merged: dict[float, float] = {}
-        for lam, c in zip(w.tolist(), (v[component - 1] * coeff).tolist()):
-            if lam == 0.0:
-                c0 += c
-            else:
-                merged[lam] = merged.get(lam, 0.0) + c
-        return c0, tuple((c, lam) for lam, c in merged.items() if c != 0.0)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
+        return np.array([self.ends(ts, 1), self.ends(ts, 2)]).T
 
     def pieces(self, component: int):
-        """Monotone pieces of one state component; see ``_SegmentBase.pieces``.
-
-        A 2-state segment with a real spectrum has ``x_k(t) = c0 + c1
-        e^{lam1 (t - t0)} + c2 e^{lam2 (t - t0)}`` (see
-        :meth:`exponential_terms`), whose derivative vanishes at most once,
-        at ``t0 + ln(-c1 lam1/(c2 lam2))/(lam2 - lam1)``; it is split there,
-        and a bracketed Brent root (:func:`_brent`) finds each piece's
-        meeting time to 1e-13.  Three or more states, and spectra that are
-        complex or not diagonalizable, are sampled (None).
-        """
-        if self.x0.shape[0] != 2:
-            return None
-        form = self.exponential_terms(component)
-        if form is None or len(form[1]) > 2:
-            return None
-        c0, terms = form
-        t0 = self.t0
-        breaks: tuple[float, ...] = ()
-        if len(terms) == 2:
-            (c1, l1), (c2, l2) = terms
-            if ((c1 > 0.0) == (l1 > 0.0)) != ((c2 > 0.0) == (l2 > 0.0)):
-                # c1 lam1 and c2 lam2 differ in sign; the log of their ratio is
-                # taken term by term so that no product under- or overflows
-                log_ratio = math.log(abs(c1)) - math.log(abs(c2)) + math.log(abs(l1 / l2))
-                t_star = t0 + log_ratio / (l2 - l1)
-                # an extremum within TIME_EPS of an end could only add a pulse
-                # narrower than TIME_EPS
-                if t0 + TIME_EPS < t_star < self.t1 - TIME_EPS:
-                    breaks = (t_star,)
-        (c1, l1), (c2, l2) = (*terms, (0.0, 0.0), (0.0, 0.0))[:2]
-        exp = math.exp
+        """Monotone pieces of one state component; see ``_SegmentBase.pieces``."""
+        t0, t1 = self.t0, self.t1
+        # a turn within TIME_EPS of an end could only add a pulse narrower
+        # than TIME_EPS
+        breaks = tuple(t for t in self._turns(component) if t0 + TIME_EPS < t < t1 - TIME_EPS)
 
         def meet(xi: float, lo: float, hi: float) -> float:
-            c = c0 - xi
-
-            def excess(t: float) -> float:
-                s = t - t0
-                return c + c1 * exp(l1 * s) + c2 * exp(l2 * s)
-
+            excess = self._component(component, xi)
             # where rounding leaves both ends on one side, the end nearer xi
             g_lo, g_hi = excess(lo), excess(hi)
             if (g_lo > 0.0) == (g_hi > 0.0):
@@ -570,6 +567,8 @@ class DenseSegment(_SegmentBase):
     __slots__ = ("t0", "t1", "_sol", "_steps", "_end")
 
     def __init__(self, t0: float, t1: float, sol, steps, end_state=None):
+        if t1 < t0:
+            raise ValueError(f"segment must run forward: [{t0}, {t1}]")
         self.t0 = float(t0)
         self.t1 = float(t1)
         self._sol = sol
@@ -601,31 +600,7 @@ class DenseSegment(_SegmentBase):
         return np.unique(np.concatenate([inside, uniform]))
 
 
-class FunctionSegment(_SegmentBase):
-    """A known analytic state function on [t0, t1] (used in experiments)."""
-
-    __slots__ = ("t0", "t1", "fn", "_dim")
-
-    def __init__(self, t0: float, t1: float, fn: Callable[[np.ndarray], np.ndarray]):
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self.fn = fn
-        probe = np.atleast_2d(np.asarray(fn(np.asarray([t0]))))
-        self._dim = probe.shape[1] if probe.shape[0] == 1 else probe.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.asarray(self.fn(ts), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out
-
-
-Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment | DenseSegment | FunctionSegment
+Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment | DenseSegment
 
 
 class Trajectory:
@@ -684,13 +659,6 @@ class Trajectory:
         unsorted[order] = out
         return unsorted
 
-    def max_junction_mismatch(self) -> float:
-        worst = 0.0
-        for prev, cur in zip(self.segments, self.segments[1:]):
-            gap = float(np.max(np.abs(prev.end_state - cur.value(cur.t0))))
-            worst = max(worst, gap)
-        return worst
-
 
 # -- solving -------------------------------------------------------------------
 
@@ -715,15 +683,17 @@ def _containment_scan(segment: Segment, space: StateSpace) -> None:
             raise StateSpaceExit(float(ts[j]), vals[j])
 
 
-# RK45 tolerances of a GeneralNumeric mode, the only kind solved numerically
+# RK45 tolerances of the modes solved numerically: GeneralNumeric ones and
+# affine ones of three or more states
 _RK45_RTOL, _RK45_ATOL = 1e-9, 1e-12
 
 
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    Only ``GeneralNumeric`` modes integrate numerically, and
-    ``scipy.integrate`` would take most of the package's import time.
+    Only ``GeneralNumeric`` modes and affine modes of three or more states
+    integrate numerically, and ``scipy.integrate`` would take most of the
+    package's import time.
     """
     from scipy.integrate import solve_ivp as integrate
 
@@ -741,7 +711,8 @@ def solve_mode(
 
     In a 1-state space ``x0`` may be a float or a length-1 sequence, and an
     affine or relaxation mode returns a float segment, whose ``state_at``
-    gives the float that the next entry takes.  Raises
+    gives the float that the next entry takes; affine modes of three or
+    more states are integrated like ``GeneralNumeric`` ones.  Raises
     :class:`StateSpaceExit` if the solution leaves the open box,
     :class:`IntegrationError` if the numeric integrator fails, and
     ``ValueError`` from the segment's constructor if ``t1 < t0``.
@@ -757,35 +728,31 @@ def solve_mode(
         raise StateSpaceExit(t0, x0)
 
     kind = mode.kind
-    if isinstance(kind, AffineConstant):
+    if isinstance(kind, AffineConstant) and n <= 2:
         if n == 1:
             seg: Segment = ScalarAffineSegment(t0, t1, x0, kind.a.item(), kind.b.item())
         else:
             seg = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
     elif isinstance(kind, ScalarRelaxation):
         seg = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
+    elif t1 - t0 <= TIME_EPS:  # a degenerate span: the state stands still
+        still = lambda ts, _x=x0: np.multiply.outer(_x, np.ones_like(ts))  # noqa: E731
+        seg = DenseSegment(t0, t1, still, (t0, t1), end_state=x0)
     else:
-        if t1 - t0 <= TIME_EPS:
-            # Degenerate span: represent as a constant closed-form stub.
-            if n == 1:
-                seg = ScalarAffineSegment(t0, t1, x0, 0.0, 0.0)
-            else:
-                seg = AffineSegment(t0, t1, x0, np.zeros((n, n)), np.zeros(n))
-        else:
-            sol = solve_ivp(
-                mode.rhs,
-                (t0, t1),
-                np.atleast_1d(x0),
-                method="RK45",
-                rtol=_RK45_RTOL,
-                atol=_RK45_ATOL,
-                dense_output=True,
+        sol = solve_ivp(
+            mode.rhs,
+            (t0, t1),
+            np.atleast_1d(x0),
+            method="RK45",
+            rtol=_RK45_RTOL,
+            atol=_RK45_ATOL,
+            dense_output=True,
+        )
+        if not sol.success:
+            raise IntegrationError(
+                f"integration of mode {mode.id!r} failed on [{t0}, {t1}]: {sol.message}"
             )
-            if not sol.success:
-                raise IntegrationError(
-                    f"integration of mode {mode.id!r} failed on [{t0}, {t1}]: {sol.message}"
-                )
-            seg = DenseSegment(t0, t1, sol.sol, sol.t, end_state=sol.y[:, -1])
+        seg = DenseSegment(t0, t1, sol.sol, sol.t, end_state=sol.y[:, -1])
     _containment_scan(seg, space)
     return seg
 

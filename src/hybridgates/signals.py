@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Hashable, NamedTuple
 
@@ -23,12 +22,9 @@ __all__ = [
     "Transition",
     "BinarySignal",
     "ModeSwitchSignal",
-    "Pulse",
-    "SpfInputKind",
     "delay",
     "one_norm_distance",
     "mode_distance",
-    "classify_spf_input",
     "min_pulse_width",
     "read_signal_csv",
     "write_signal_csv",
@@ -263,44 +259,6 @@ class ModeSwitchSignal:
 def mode_distance(a: ModeSwitchSignal, b: ModeSwitchSignal) -> float:
     """Measure of ``{t in [0, T] : a(t) != b(t)}`` (a pseudometric)."""
     return _disagreement(a, b)
-
-
-# -- pulse classification -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """A single high pulse: up at ``start``, down at ``start + width``."""
-
-    start: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"pulse start must be nonnegative, got {self.start!r}")
-        if self.width <= 0:
-            raise ValueError(f"pulse width must be positive, got {self.width!r}")
-
-
-class SpfInputKind(Enum):
-    ZERO = "zero"
-    SINGLE_PULSE = "single_pulse"
-    OTHER = "other"
-
-
-def classify_spf_input(s: BinarySignal) -> tuple[SpfInputKind, Pulse | None]:
-    """Classify a signal as zero, a single high pulse, or anything else."""
-    if s.is_zero():
-        return SpfInputKind.ZERO, None
-    if (
-        s.initial_value == 0
-        and len(s.transitions) == 2
-        and s.transitions[0].value == 1
-        and s.transitions[1].value == 0
-    ):
-        up, down = s.transitions
-        return SpfInputKind.SINGLE_PULSE, Pulse(up.time, down.time - up.time)
-    return SpfInputKind.OTHER, None
 
 
 def min_pulse_width(s: BinarySignal) -> float | None:

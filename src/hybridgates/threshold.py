@@ -2,21 +2,20 @@
 
 The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
 1 where x_k(t) > xi, so a reported rising edge is the infimum of
-``{t : x_k(t) > xi}``.  A segment that answers ``pieces`` (scalar affine,
-relaxation, and 2-state affine segments with a real spectrum) is crossed
-piece by piece: its component is monotone between the piece ends, so a piece
-whose end predicates differ crosses xi once, at the time the segment's
-``meet`` gives.  The formulas of each kind are documented on its segment
-class in ``modes``.
+``{t : x_k(t) > xi}``.  A segment that answers ``pieces`` (scalar and
+2-state affine segments, for every spectrum, and relaxation segments) is
+crossed piece by piece: its component is monotone between the piece ends,
+so a piece whose end predicates differ crosses xi once, at the time the
+segment's ``meet`` gives.  The formulas of each kind are documented on its
+segment class in ``modes``.
 
-The piece-end predicates are read through the segment's ``ends``, which a
-1-state float segment answers with its ``at`` and any other kind from one
-``values`` call, so they are the numbers every other reader of the segment
-sees.  When a scalar segment's ``asymptote`` is xi itself it never crosses,
-even where ``exp`` underflows and its computed end value lands exactly on
-xi.  Every other segment
-(complex or defective spectra, three or more states, numeric and function
-segments) is sampled on a fixed 64-point grid per segment, refined near xi,
+The piece-end predicates are read through the segment's ``ends``, which
+each closed-form kind evaluates on floats, so they are the numbers every
+other reader of the segment sees.  When a scalar segment's ``asymptote``
+is xi itself it never crosses, even where ``exp`` underflows and its
+computed end value lands exactly on xi.  Every other segment (the numeric
+ones of ``GeneralNumeric`` modes and of affine modes with three or more
+states) is sampled on a fixed 64-point grid per segment, refined near xi,
 and each bracketed predicate change is bisected to ``TIME_EPS``; tangential
 touches that never change the predicate between samples produce no
 transition.  The sampled path reads the predicate off the computed values,

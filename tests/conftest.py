@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ import hybridgates
 from hybridgates.circuit import execute
 from hybridgates.cli import _preset_names, load_circuit
 from hybridgates.gates import make_advanced_nor, make_simple_nor, mis_delay_sweep
+from hybridgates.modes import _SegmentBase
 from hybridgates.signals import BinarySignal, ModeSwitchSignal
 
 
@@ -85,3 +88,39 @@ def run_fresh_python(code: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class FunctionSegment(_SegmentBase):
+    """A known state function ``fn`` of an array of times on [t0, t1].  It
+    has no ``pieces``, so crossings and containment sample it: the reference
+    that the closed forms are checked against."""
+
+    __slots__ = ("t0", "t1", "fn", "_dim")
+
+    def __init__(self, t0: float, t1: float, fn):
+        self.t0 = float(t0)
+        self.t1 = float(t1)
+        self.fn = fn
+        probe = np.atleast_2d(np.asarray(fn(np.asarray([t0]))))
+        self._dim = probe.shape[1] if probe.shape[0] == 1 else probe.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self._dim
+
+    def values(self, ts) -> np.ndarray:
+        out = np.asarray(self.fn(np.atleast_1d(np.asarray(ts, dtype=float))), dtype=float)
+        return out[:, None] if out.ndim == 1 else out
+
+
+def term_scale(seg, k: int) -> float:
+    """Bound on the magnitudes that the closed form of component ``k`` of a
+    2-state ``AffineSegment`` adds up over the segment: its constant and
+    coefficients, and the rounding of x0 - c that the coefficients carry,
+    times their largest growth.  Its rounding is relative to this."""
+    plane, (p, q), span = seg.kind.plane, seg._pq[2 * k - 2 : 2 * k], seg.t1 - seg.t0
+    rate = max(plane.rates[:2]) if plane.form == "real" else (plane.rates or (0.0,))[0]
+    rows = max(abs(v) for row in plane.rows for v in row[:2])
+    y0 = max(map(abs, seg.x0)) + max(map(abs, plane.c))
+    terms = abs(seg.x0[k - 1]) + abs(plane.c[k - 1]) + abs(plane.m[k - 1]) + abs(p) + abs(q)
+    return (terms + rows * y0) * max(1.0, math.exp(rate * span)) * (1.0 + span) ** 2

@@ -31,7 +31,6 @@ from hybridgates.gates import (
 from hybridgates import modes, threshold
 from hybridgates.circuit import Circuit, InputPort, OutputPort, execute
 from hybridgates.modes import (
-    FunctionSegment,
     RelaxationSegment,
     Trajectory,
     matching_output_signal,
@@ -40,7 +39,7 @@ from hybridgates.modes import (
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
 from hybridgates.threshold import digitize, find_crossings
 
-from conftest import binary_signals, run_every_shipped_gate, run_fresh_python
+from conftest import FunctionSegment, binary_signals, run_every_shipped_gate, run_fresh_python
 
 LN2 = math.log(2.0)
 
@@ -224,6 +223,23 @@ class TestSimpleNor:
         )
         assert max(delays) - min(delays) < 1e-9
 
+    def test_a_stiff_network_keeps_its_slow_rate(self):
+        # The (0,0) network's eigenvalues lie ~1e19 apart.  Its determinant,
+        # taken as a plain a11 a22 - a12 a21, is off by 2.2e-7 relative, which
+        # moves the delay by 1e-7 relative; a matrix exponential per time
+        # overflowed over this 2.5e8-long rise and left the box at t ~ 1.6e8.
+        # The reference is the 60-digit solution of the same float matrix.
+        params = SimpleNorParams(
+            r1=8574.679175575215, r2=1.4079295815241755e-06, r3=110.90207406164666,
+            r4=1.2594979686632813e-05, c=2.4056363702333365e-05,
+            c_int=41756.18802907596, v_dd=3.02191637968425e-06,
+        )
+        delays = mis_delay_sweep(
+            lambda: make_simple_nor(params, initial_inputs=(1, 1)), [1.1981668243375465],
+            settle=1e10,
+        )
+        assert delays[0] == pytest.approx(248178500.1155, rel=1e-9)
+
 
 def _f5_crossing_oracle():
     # dV = (1-V) t/(2t+1): 1 - V = (2t+1)^{1/4} e^{-t/2}
@@ -404,10 +420,8 @@ class TestChargingClosedForm:
         **{f.name: st.floats(-3.0, 3.0).map(lambda e: 10.0**e) for f in dataclasses.fields(SimpleNorParams)},
     ))
     def test_a_simple_nor_with_random_parameters_never_samples(self, params):
-        # Over 10^[-3, 3] per field every network keeps a real
-        # eigendecomposition.  Past a stiffness ratio of ~1e13 the (0, 0) one
-        # may not, and its crossings are then sampled (see SimpleNorParams).
-        # The rise from discharged nodes is an RC ladder's step response, a
+        # Every network has a closed form, so nothing is sampled.  The rise
+        # from discharged nodes is an RC ladder's step response, a
         # distribution whose mean is the Elmore delay, so it passes its
         # half-way point within twice that delay.
         elmore = params.r1 * (params.c_int + params.c) + params.r2 * params.c

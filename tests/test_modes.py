@@ -7,14 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from hybridgates.modes import (
     AffineSegment,
-    FunctionSegment,
     GeneralNumeric,
     ModeFunction,
     ScalarAffineSegment,
@@ -34,7 +33,7 @@ from hybridgates.modes import _brent, _containment_scan, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
-from conftest import run_fresh_python
+from conftest import FunctionSegment, run_fresh_python, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -99,6 +98,8 @@ def test_float_segment_evaluates_its_array_api_float_for_float(a, b, x0, t0, spa
 @given(
     a=_rates, b=_levels, x0=_levels, t0=st.floats(0.0, 10.0), span=_spans, u=st.floats(0.0, 1.0)
 )
+# xi = 3.1e-316 is met at t = 1.8e-316, both subnormal
+@example(a=0.0, b=1.75, x0=0.0, t0=0.0, span=0.0007980157373336698, u=2.2250738585e-313)
 def test_float_segment_meets_xi_inside_the_piece(a, b, x0, t0, span, u):
     seg = ScalarAffineSegment(t0, t0 + span, x0, a, b)
     lo, hi = seg.t0, seg.t1
@@ -114,7 +115,11 @@ def test_float_segment_meets_xi_inside_the_piece(a, b, x0, t0, span, u):
     x_inf = seg.asymptote if a != 0.0 else 0.0
     slope = a * (xi - x_inf) if a != 0.0 else b
     scale = max(abs(x0), abs(xi), abs(x_inf)) + abs(slope) * abs(t)
-    assert abs(seg.at(t) - xi) <= 8.0 * np.finfo(float).eps * scale
+    # below the normal range floats are ulp(0) apart, so each rounding of
+    # the state, and of the time times the slope, is off by up to ulp(0)/2
+    # there rather than by eps of the magnitude
+    underflow = 8.0 * math.ulp(0.0) * (1.0 + abs(slope))
+    assert abs(seg.at(t) - xi) <= 8.0 * np.finfo(float).eps * scale + underflow
 
 
 @given(a=st.floats(-20.0, -0.05), b=_levels, offset=st.floats(-5.0, 5.0).filter(bool))
@@ -169,11 +174,12 @@ def test_planar_affine_matches_matrix_exponential_oracle():
         assert np.allclose(seg.value(t), expected, rtol=1e-10, atol=1e-12)
 
 
-def test_defective_augmented_matrix_falls_back_to_expm():
-    # dx1 = x2, dx2 = 1: nilpotent augmented matrix, not diagonalizable.
+def test_nilpotent_matrix_with_b_outside_its_range_is_quadratic():
+    # dx1 = x2, dx2 = 1: a is nilpotent and b is not in its range
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([0.0, 1.0])
     seg = AffineSegment(0.0, 4.0, [0.0, 0.0], a, b)
+    assert seg.kind.plane.form == "quadratic"
     assert seg.value(2.0) == pytest.approx([2.0, 2.0], rel=1e-12)  # x1 = t^2/2
     assert seg.value(4.0) == pytest.approx([8.0, 4.0], rel=1e-12)
 
@@ -214,36 +220,132 @@ def test_a_mode_decomposes_once_for_all_its_segments(monkeypatch):
     box = StateSpace(((-50.0, 50.0), (-50.0, 50.0)))
     mode = affine_mode("planar", [[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], box)
     calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+
+    class Counted(modes._Plane):
+        def __init__(self, a, b):
+            calls.append(a)
+            super().__init__(a, b)
+
+    monkeypatch.setattr(modes, "_Plane", Counted)
     seg = solve_mode(mode, [0.2, 0.9], 0.0, 4.0, box)
     cut = seg.with_end(2.0)
-    assert calls == []
+    assert calls == [] and seg.kind is cut.kind is mode.kind
     rebuilt = AffineSegment(0.0, 4.0, [0.2, 0.9], mode.kind.a, mode.kind.b)
-    assert len(calls) == 1  # a directly built segment decomposes its own matrix
+    assert len(calls) == 1  # a directly built segment derives its own constants
     ts = np.linspace(0.0, 2.0, 9)
     assert np.array_equal(cut.values(ts), rebuilt.values(ts))
 
 
 def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
     # the simple NOR's (0,1) network with k1 = g4 = 1: x1 -> 1 and x2 -> 0
-    # at the same rate, so each component has one term
+    # at the same rate, so each component is one exponential
     seg = AffineSegment(0.0, 5.0, [0.25, 0.75], [[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0])
-    c0, ((c, lam),) = seg.exponential_terms(1)
-    assert (c0, c, lam) == (pytest.approx(1.0), pytest.approx(-0.75), -1.0)
-    c0, ((c, lam),) = seg.exponential_terms(2)
-    assert (c0, c, lam) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.75), -1.0)
-    # the (1,1) network: x1 is frozen, so its zero eigenvalue joins c0
+    plane = seg.kind.plane
+    assert (plane.form, plane.rates, plane.c) == ("repeated", (-1.0,), (1.0, 0.0))
+    assert seg._pq == (-0.75, 0.0, 0.75, 0.0)  # (p1, q1, p2, q2) of c + e^{-s} (p + q s)
+    assert seg.pieces(1)[0] == seg.pieces(2)[0] == ()
+    # the (1,1) network: x1 is frozen, so its zero eigenvalue joins the constant
     seg = AffineSegment(0.0, 5.0, [0.25, 0.75], [[0.0, 0.0], [0.0, -2.0]], [0.0, 0.0])
-    assert seg.exponential_terms(1) == (pytest.approx(0.25), ())
-    c0, ((c, lam),) = seg.exponential_terms(2)
-    assert (c0, c, lam) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.75), -2.0)
-    # complex and defective segments have no real exponential sum
-    for x0, a, b in [
-        ([1.0, 0.0], [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]),
-        ([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]),
+    plane = seg.kind.plane
+    assert (plane.form, plane.rates[:2]) == ("real", (-2.0, 0.0))
+    assert plane.c == plane.m == (0.0, 0.0)
+    assert seg._pq == (0.0, 0.25, 0.75, 0.0)  # c + m s + p e^{-2s} + q
+    ts = np.linspace(0.0, 5.0, 11)
+    assert np.array_equal(seg.values(ts)[:, 0], np.full(11, 0.25))
+    assert seg.values(ts)[1:, 1].tolist() == [0.75 * math.exp(-2.0 * t) for t in ts[1:]]
+    # complex and defective segments have forms of their own
+    for x0, a, b, form in [
+        ([1.0, 0.0], [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0], "complex"),
+        ([0.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], [0.0, 1.0], "repeated"),
+        ([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], "quadratic"),
     ]:
-        assert AffineSegment(0.0, 1.0, x0, a, b).exponential_terms(1) is None
+        assert AffineSegment(0.0, 1.0, x0, a, b).kind.plane.form == form
+
+
+def _dyadic():
+    """Quarters in [-2, 2]: their products are exact, so a matrix built from
+    them can be exactly singular or nilpotent."""
+    return st.integers(-8, 8).map(lambda n: n / 4.0)
+
+
+_entries = st.floats(-3.0, 3.0)
+_MATRICES = st.one_of(
+    # generic: real distinct or complex eigenvalues
+    st.lists(_entries, min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
+    # a complex pair
+    st.tuples(_entries, st.floats(0.05, 3.0), st.floats(0.05, 3.0)).map(
+        lambda p: [[p[0], -p[1]], [p[2], p[0]]]
+    ),
+    # a repeated eigenvalue: scalar, or defective either way
+    st.tuples(_entries, _entries, st.booleans()).map(
+        lambda p: [[p[0], p[1]], [0.0, p[0]]] if p[2] else [[p[0], 0.0], [p[1], p[0]]]
+    ),
+    # singular: rank one
+    st.tuples(_dyadic(), _dyadic(), _dyadic()).map(
+        lambda p: [[p[0], p[2] * p[0]], [p[1], p[2] * p[1]]]
+    ),
+    # nilpotent
+    st.tuples(_dyadic(), _dyadic()).map(
+        lambda p: [[p[0] * p[1], -p[0] * p[0]], [p[1] * p[1], -p[0] * p[1]]]
+    ),
+)
+
+
+@st.composite
+def _affine_cases(draw):
+    """(a, b, x0), with b sometimes in the range of a (a multiple of a
+    column, exact for the dyadic matrices) and sometimes anywhere."""
+    a = np.array(draw(_MATRICES))
+    if draw(st.booleans()):
+        b = draw(_dyadic()) * a[:, draw(st.sampled_from([0, 1]))]
+    else:
+        b = np.array([draw(_entries), draw(_entries)])
+    return a, b, np.array([draw(_entries), draw(_entries)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_affine_cases(), span=st.floats(0.1, 5.0))
+def test_two_state_closed_form_matches_a_tight_integrator(case, span):
+    # every spectrum: real, repeated (scalar and defective), complex,
+    # singular with b inside and outside the range of a, and nilpotent
+    a, b, x0 = case
+    seg = AffineSegment(1.0, 1.0 + span, x0, a, b)
+    ts = np.linspace(1.0, 1.0 + span, 11)
+    ref = solve_ivp(
+        lambda t, x: a @ x + b, (1.0, 1.0 + span), x0, method="DOP853",
+        rtol=1e-12, atol=1e-14, t_eval=ts,
+    )
+    # DOP853 squares its error estimate, which underflows to 0/0 on states
+    # near 1e-160; such a draw has no reference
+    assume(ref.success)
+    got = seg.values(ts)
+    assert np.array_equal(got[0], x0)
+    for k in (1, 2):
+        # the integrator's error, and the closed form's rounding of its terms
+        tol = 1e-9 * np.maximum(1.0, np.abs(ref.y[k - 1])) + 1e-14 * term_scale(seg, k)
+        assert np.all(np.abs(got[:, k - 1] - ref.y[k - 1]) <= tol)
+
+
+def test_a_three_state_affine_mode_is_integrated():
+    from scipy.linalg import expm
+
+    a = np.array([[-1.0, 0.5, 0.0], [0.2, -2.0, 0.3], [0.0, 0.4, -0.5]])
+    b = np.array([0.1, 0.0, 0.2])
+    box = StateSpace(((-5.0, 5.0),) * 3)
+    mode = affine_mode("three", a, b, box)
+    assert mode.kind.plane is None
+    x0 = np.array([0.2, 0.9, -0.3])
+    seg = solve_mode(mode, x0, 0.0, 4.0, box)
+    assert type(seg) is modes.DenseSegment
+    aug = np.zeros((4, 4))
+    aug[:3, :3], aug[:3, 3] = a, b
+    ts = np.linspace(0.0, 4.0, 17)
+    want = np.array([(expm(aug * t) @ np.append(x0, 1.0))[:3] for t in ts])
+    # RK45 at rtol 1e-9 and atol 1e-12 accumulates a few of them
+    assert np.allclose(seg.values(ts), want, rtol=1e-8, atol=1e-10)
+    # a degenerate span stands still, without the integrator
+    still = solve_mode(mode, x0, 4.0, 4.0, box)
+    assert np.array_equal(still.values([4.0])[0], x0)
 
 
 # -- the bracketed root finder ----------------------------------------------------
@@ -525,7 +627,8 @@ def test_junctions_are_continuous():
         "heat", ((0.7, "cool"), (1.1, "heat"), (3.0, "cool")), 6.0
     )
     traj = matching_output_signal(family, switching, [20.0], PLANT_BOX)
-    assert traj.max_junction_mismatch() <= 1e-9
+    for prev, cur in zip(traj.segments, traj.segments[1:]):
+        assert abs(prev.end_state[0] - cur.value(cur.t0)[0]) <= 1e-9
 
 
 def test_mode_refinement_noop_is_identity():

@@ -1,4 +1,4 @@
-"""Signal algebra: construction, delay, metrics, classification, CSV."""
+"""Signal algebra: construction, delay, metrics, pulse widths, CSV."""
 
 from __future__ import annotations
 
@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from hybridgates.signals import (
     BinarySignal,
     ModeSwitchSignal,
-    Pulse,
-    SpfInputKind,
     Transition,
-    classify_spf_input,
     delay,
     min_pulse_width,
     mode_distance,
@@ -247,36 +244,6 @@ def test_mode_distance_single_shifted_switch():
     a = ModeSwitchSignal("off", ((1.0, "on"),), 10.0)
     b = ModeSwitchSignal("off", ((1.25, "on"),), 10.0)
     assert mode_distance(a, b) == pytest.approx(0.25, abs=1e-12)
-
-
-# -- classification ---------------------------------------------------------
-
-
-def test_classify_zero():
-    kind, pulse = classify_spf_input(BinarySignal.constant(0, 5.0))
-    assert kind is SpfInputKind.ZERO and pulse is None
-
-
-def test_classify_single_pulse():
-    kind, pulse = classify_spf_input(BinarySignal.pulse(1.5, 0.5, 5.0))
-    assert kind is SpfInputKind.SINGLE_PULSE
-    assert pulse == Pulse(1.5, 0.5)
-
-
-def test_classify_other():
-    s = BinarySignal(0, ((1.0, 1), (2.0, 0), (3.0, 1), (4.0, 0)), 5.0)
-    assert classify_spf_input(s)[0] is SpfInputKind.OTHER
-    assert classify_spf_input(BinarySignal.constant(1, 5.0))[0] is SpfInputKind.OTHER
-    # pulse truncated by the horizon never falls: not a single pulse
-    assert classify_spf_input(BinarySignal.pulse(4.0, 3.0, 5.0))[0] is SpfInputKind.OTHER
-
-
-def test_classify_roundtrip_from_pulse():
-    p = Pulse(0.75, 1.5)
-    s = BinarySignal.pulse(p.start, p.width, 10.0)
-    kind, back = classify_spf_input(s)
-    assert kind is SpfInputKind.SINGLE_PULSE
-    assert back.start == pytest.approx(p.start) and back.width == pytest.approx(p.width)
 
 
 # -- pulse widths ------------------------------------------------------------

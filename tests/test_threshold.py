@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from hybridgates import threshold
+from hybridgates import modes, threshold
 from hybridgates.modes import (
     AffineSegment,
-    FunctionSegment,
     ScalarAffineSegment,
     StateSpace,
     Trajectory,
@@ -25,6 +24,8 @@ from hybridgates.threshold import (
     digitize,
     find_crossings,
 )
+
+from conftest import FunctionSegment, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 
@@ -201,7 +202,7 @@ class TestClosedFormAgainstSampledPath:
 
 def _entry(hi):
     """0 or a magnitude in [0.01, hi]: a state or coefficient far below the
-    others would sit inside the rounding of the eigendecomposition."""
+    others would sit inside the rounding of the closed form's terms."""
     return st.one_of(st.just(0.0), st.floats(0.01, hi), st.floats(-hi, -0.01))
 
 
@@ -252,7 +253,7 @@ def _with_extremum(draw):
 
 def _extremum(seg, k):
     """Interior zero of d x_k/dt = (a x + b)_k, found from the values alone."""
-    slope = lambda t: float((seg.a @ seg.value(t) + seg.b)[k - 1])  # noqa: E731
+    slope = lambda t: float((seg.kind.a @ seg.value(t) + seg.kind.b)[k - 1])  # noqa: E731
     lo, hi = slope(seg.t0), slope(seg.t1)
     if lo == 0.0 or hi == 0.0 or (lo > 0.0) == (hi > 0.0):
         return None
@@ -261,14 +262,14 @@ def _extremum(seg, k):
 
 def _rounding(seg, k):
     """How far the values of component k may round: 1e-15 of its terms."""
-    c0, terms = seg.exponential_terms(k)
-    return 1e-15 * (abs(c0) + sum(abs(c) for c, _ in terms))
+    return 1e-15 * term_scale(seg, k)
 
 
 def _half_width(seg, k, t_star, depth):
     """Half the width of the parabola x_star + x''(t_star) (t - t_star)^2 / 2
     at ``depth`` from its vertex."""
-    curvature = abs(float((seg.a @ (seg.a @ seg.value(t_star) + seg.b))[k - 1]))
+    a, b = seg.kind.a, seg.kind.b
+    curvature = abs(float((a @ (a @ seg.value(t_star) + b))[k - 1]))
     return math.sqrt(2.0 * depth / curvature)
 
 
@@ -281,18 +282,16 @@ def _assert_matches_sampled(seg, xi, k):
     fast, _ = _crossings_and_warnings(Trajectory([seg]), xi, k)
     slow, _ = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi, k)
     assert [rising for _, rising in fast] == [rising for _, rising in slow]
-    c0, terms = seg.exponential_terms(k)
-    span = seg.t1 - seg.t0
-    scale = abs(c0) + sum(abs(c) * max(1.0, math.exp(lam * span)) for c, lam in terms)
+    scale = term_scale(seg, k)
     for (t_fast, _), (t_slow, _) in zip(fast, slow):
-        slope = abs(float((seg.a @ seg.value(t_fast) + seg.b)[k - 1]))
+        slope = abs(float((seg.kind.a @ seg.value(t_fast) + seg.kind.b)[k - 1]))
         assert abs(t_fast - t_slow) <= 1e-12 + 1e-14 * scale / max(slope, 1e-300)
     return fast
 
 
 class TestExponentialSumAgainstSampledPath:
-    """2-state affine segments with a real spectrum: split at the extremum,
-    bracketed root per monotone piece."""
+    """2-state affine segments with a real spectrum: c + p e^{l1 s} + q e^{l2 s}
+    split at its extremum, a bracketed root per monotone piece."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -307,12 +306,12 @@ class TestExponentialSumAgainstSampledPath:
     def test_single_segment(self, net, x0, k, at, offset, t0, span):
         a, b = net
         seg = AffineSegment(t0, t0 + span, x0, a, b)
-        assume(seg.exponential_terms(k) is not None)  # a defective matrix is sampled
         xi = float(seg.value(t0 + at * span)[k - 1]) + offset
         if not np.any(np.asarray(a) @ x0 + b):
-            # at rest, so no edge; the sampled path would read the terms'
-            # rounding as edges when xi is the resting value
-            assert find_crossings(Trajectory([seg]), xi, k) == []
+            # at rest, so no edge (and a plateau warning when xi is the
+            # resting value); the sampled path would read the terms'
+            # rounding as edges there
+            assert _crossings_and_warnings(Trajectory([seg]), xi, k)[0] == []
             return
         t_star = _extremum(seg, k)
         # the sampled grid resolves a dip of the extremum past xi only when
@@ -379,20 +378,21 @@ class TestExponentialSumAgainstSampledPath:
             reach = 2.0 * _half_width(seg, k, t_star, _rounding(seg, k)) + 1e-12
             assert abs(got[0][0] - t_star) <= reach and abs(got[1][0] - t_star) <= reach
 
-    def test_complex_spectrum_takes_the_sampled_path(self, monkeypatch):
-        # a damped rotation, x1 = e^{-t/10} cos t
-        seg = AffineSegment(0.0, 10.0, [1.0, 0.0], [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0])
-        assert seg.exponential_terms(1) is None
-        calls = []
-        bisect = threshold._bisect_crossing
+    def test_complex_spectrum_is_never_sampled(self, monkeypatch):
+        # a damped rotation, x1 = e^{-t/10} cos t, which turns every pi
+        a, b, box = [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0], StateSpace(((-2.0, 2.0),) * 2)
+        seg = AffineSegment(0.0, 10.0, [1.0, 0.0], a, b)
+        slow = find_crossings(Trajectory([_sampled(seg)]), 0.5)
         monkeypatch.setattr(
-            threshold, "_bisect_crossing", lambda *args: calls.append(args) or bisect(*args)
+            modes._SegmentBase, "sample_times", lambda *args: pytest.fail("sampled")
         )
+        seg = solve_mode(affine_mode("rotate", a, b, box), [1.0, 0.0], 0.0, 10.0, box)
+        assert len(seg.pieces(1)[0]) == 3
         got = find_crossings(Trajectory([seg]), 0.5)
-        assert len(calls) == len(got) == 3
-        assert got == find_crossings(Trajectory([_sampled(seg)]), 0.5)
+        assert len(got) == 3
+        _assert_same_crossings(got, slow)
         for t, _ in got:
-            assert math.exp(-t / 10.0) * math.cos(t) == pytest.approx(0.5, abs=1e-11)
+            assert math.exp(-t / 10.0) * math.cos(t) == pytest.approx(0.5, abs=1e-13)
 
 
 class TestTangentialAndDegenerate:
