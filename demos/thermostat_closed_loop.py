@@ -31,7 +31,7 @@ c = Circuit(
 )
 
 ex = execute(c, {}, 50.0)
-temp = ex.trajectories["plant_high"]
+temp = ex.trajectory("plant_high")
 switches = [round(t.time, 3) for t in ex.signals["Q"].transitions[:6]]
 print("heater command edges (first six):", switches)
 

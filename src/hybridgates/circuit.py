@@ -16,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .gates import GateSpec, ModeEntry, boolean_table, initial_output_bit, make_boolean_gate, make_const_gate
-from .modes import Trajectory, solve_mode
-from .signals import TIME_EPS, BinarySignal, one_norm_distance
+from .modes import ModeFunction, Trajectory, matching_output_signal, solve_mode
+from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal, one_norm_distance
 from .threshold import find_crossings
 
 __all__ = [
@@ -235,21 +235,39 @@ class TransitionRecord:
 
 @dataclass
 class Execution:
-    """Everything produced by one circuit run."""
+    """Everything produced by one circuit run.
 
+    A run keeps no trajectory: ``modes[g]`` lists gate ``g``'s mode
+    entries, ``(entry time, mode)`` with the first at 0, from which
+    ``trajectory`` re-solves its analog state when asked.
+    """
+
+    circuit: Circuit
     horizon: float
     signals: dict[str, BinarySignal]
     records: dict[str, tuple[TransitionRecord, ...]]
-    trajectories: dict[str, Trajectory]
+    modes: dict[str, tuple[tuple[float, ModeFunction], ...]]
     iteration_times: list[float]
     event_count: int
     delta_min: float
 
+    def switching(self, name: str) -> tuple[ModeSwitchSignal, dict[Hashable, ModeFunction]]:
+        """Gate ``name``'s modes over the run, by id, and the modes by id."""
+        (_, initial), *switches = self.modes[name]
+        signal = ModeSwitchSignal(initial.id, tuple((t, mode.id) for t, mode in switches), self.horizon)
+        return signal, {mode.id: mode for _, mode in self.modes[name]}
+
+    def trajectory(self, name: str) -> Trajectory:
+        """Gate ``name``'s analog state, pasted from its mode entries by
+        ``matching_output_signal``; each call solves them again."""
+        spec, (switching, family) = self.circuit.vertices[name], self.switching(name)
+        return matching_output_signal(family, switching, spec.initial_state, spec.state_space)
+
 
 class _GateState:
     __slots__ = (
-        "spec", "bits", "last_change", "max_arr_depth", "mode",
-        "segments", "live", "generation", "records", "out_bit",
+        "spec", "bits", "last_change", "max_arr_depth", "modes",
+        "live", "generation", "records", "out_bit",
     )
 
     def __init__(self, spec: GateSpec):
@@ -258,9 +276,8 @@ class _GateState:
         self.bits: tuple[int, ...] = spec.initial_inputs
         self.last_change: list[float | None] = [None] * spec.arity
         self.max_arr_depth = -1
-        self.mode = None
-        self.segments: list = []
-        self.live = None
+        self.modes: list[tuple[float, ModeFunction]] = []  # (entry time, mode)
+        self.live = None  # the active mode's segment, solved to the horizon
         # bumped by every mode switch; queued transitions of older
         # generations are cancelled and skipped when they surface
         self.generation = 0
@@ -309,6 +326,8 @@ def execute(
     generation and queues the new trajectory's transitions; entries of an
     older generation are cancelled lazily, skipped when they reach the head
     of the queue, so each event costs O(log n) however many gates there are.
+    A gate holds only its live segment, solved to the horizon, and the run
+    records its mode entries (``Execution.modes``).
 
     The result is unique: all delays are strictly positive, and events
     closer than ``TIME_EPS`` to the queue head are applied as one atomic
@@ -357,7 +376,7 @@ def execute(
     def enter(name: str, st: _GateState, mode, x, t: float, depth: int) -> None:
         # solve the mode from (t, x) to the horizon and queue its crossings
         spec = st.spec
-        st.mode = mode
+        st.modes.append((t, mode))
         st.live = solve_mode(mode, x, t, horizon, spec.state_space)
         crossings = find_crossings(Trajectory([st.live]), spec.threshold.xi, spec.threshold.component)
         for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
@@ -448,10 +467,9 @@ def execute(
                 st.last_change[slot] = t_a
                 st.max_arr_depth = max(st.max_arr_depth, depth)
             new_mode = st.spec.choice(st.bits, prev_bits, ctx)
-            if new_mode is st.mode:
+            if new_mode is st.modes[-1][1]:
                 continue  # no-op switch: retained transitions keep their depths
             x_star = st.live.state_at(t_star)
-            st.segments.append(st.live.with_end(t_star))
             # Transitions born in the new mode sit one causal step past
             # everything the gate's state carries: the deepest transition seen
             # on any input pin (per-signal depths never decrease, so the
@@ -466,10 +484,10 @@ def execute(
     # the horizon are not needed for them
     queue.clear()
 
-    # materialize signals, records, trajectories
+    # materialize signals, records, mode entries
     signals: dict[str, BinarySignal] = {}
     records: dict[str, tuple[TransitionRecord, ...]] = {}
-    trajectories: dict[str, Trajectory] = {}
+    modes: dict[str, tuple[tuple[float, ModeFunction], ...]] = {}
     for name, sig in input_signals.items():
         signals[name] = sig
         records[name] = tuple(
@@ -482,7 +500,7 @@ def execute(
             horizon,
         )
         records[name] = tuple(st.records)
-        trajectories[name] = Trajectory(st.segments + [st.live])
+        modes[name] = tuple(st.modes)
     for name, v in circuit.vertices.items():
         if isinstance(v, OutputPort):
             (drv,) = circuit.incoming(name)
@@ -490,10 +508,11 @@ def execute(
             records[name] = records[drv.src]
 
     return Execution(
+        circuit=circuit,
         horizon=horizon,
         signals=signals,
         records=records,
-        trajectories=trajectories,
+        modes=modes,
         iteration_times=iteration_times,
         event_count=event_count,
         delta_min=report.delta_min,

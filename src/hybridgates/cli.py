@@ -180,7 +180,7 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
         doc = {k: v for k, v in entry.items() if k != "id"}
         try:
             built[vid] = _build_vertex(vid, doc)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CircuitFileError(f"{source}: vertex {vid!r}: {exc}") from exc
         docs[vid] = doc
 
@@ -389,10 +389,11 @@ def cmd_simulate(args) -> int:
     trajectory_files: dict[str, str] = {}
     if args.dump_trajectories:
         traj_used: set[str] = set()
-        for name, traj in ex.trajectories.items():
+        for name in ex.modes:
             fname = _safe_name(name, traj_used) + ".traj.csv"
             write_trajectory_csv(
-                traj, out_dir / fname, metadata={**meta, "vertex": name, "horizon": repr(horizon)}
+                ex.trajectory(name), out_dir / fname,
+                metadata={**meta, "vertex": name, "horizon": repr(horizon)},
             )
             trajectory_files[name] = fname
 

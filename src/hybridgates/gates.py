@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,10 +23,10 @@ from .modes import (
     StateSpace,
     Trajectory,
     affine_mode,
-    matching_output_signal,  # not called here; bench/spans.py wraps it by name
+    matching_output_signal,
 )
 from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal
-from .threshold import ThresholdSpec, digitize  # digitize: likewise
+from .threshold import ThresholdSpec, digitize  # digitize: unused; bench/spans.py wraps it by name
 
 __all__ = [
     "ModeEntry",
@@ -116,12 +116,21 @@ def initial_output_bit(gate: GateSpec) -> int:
 
 @dataclass(frozen=True)
 class GateRun:
-    """Everything produced by one standalone gate evaluation."""
+    """Everything produced by one standalone gate evaluation.
 
+    ``trajectory`` is pasted from ``switching`` and ``family`` each time it
+    is read, so a run read only for its ``output`` solves each mode once.
+    """
+
+    gate: GateSpec
     output: BinarySignal
-    trajectory: Trajectory
     switching: ModeSwitchSignal
     family: dict
+
+    @property
+    def trajectory(self) -> Trajectory:
+        g = self.gate
+        return matching_output_signal(self.family, self.switching, g.initial_state, g.state_space)
 
 
 def gate_output(
@@ -134,8 +143,9 @@ def gate_output(
     This is a one-gate circuit run: input ``i`` drives slot ``i`` through
     the gate's pure delay, so every delay must be strictly positive, as in
     any circuit (a zero delay raises ``InvalidCircuitError``, a ValueError).
-    ``switching`` and ``family`` are the modes the gate's choice function
-    selected during the run; a source gate needs an explicit ``horizon``.
+    ``switching`` and ``family`` are the modes the gate entered during the
+    run, as ``Execution.switching`` reads them; a source gate needs an
+    explicit ``horizon``.
     """
     from .circuit import Circuit, InputPort, OutputPort, execute  # circuit imports gates
 
@@ -146,26 +156,13 @@ def gate_output(
     elif horizon is None:
         raise ValueError(f"{gate.name}: a horizon is required for a source gate")
 
-    chosen: list[tuple[float | None, ModeFunction]] = []
-
-    def recording_choice(bits, prev_bits, ctx):
-        mode = gate.choice(bits, prev_bits, ctx)
-        chosen.append((ctx.time, mode))
-        return mode
-
     ports = {f"in{i}": InputPort(s.initial_value) for i, s in enumerate(inputs)}
     circuit = Circuit(
-        {**ports, "gate": replace(gate, choice=recording_choice), "out": OutputPort()},
+        {**ports, "gate": gate, "out": OutputPort()},
         [(port, "gate", slot) for slot, port in enumerate(ports)] + [("gate", "out", 0)],
     )
     ex = execute(circuit, dict(zip(ports, inputs)), horizon)
-    (_, initial), *switches = chosen
-    # no-op decisions return the active mode, which ModeSwitchSignal drops
-    switching = ModeSwitchSignal(
-        initial.id, tuple((t, mode.id) for t, mode in switches), horizon
-    )
-    family = {mode.id: mode for _, mode in chosen}
-    return GateRun(ex.signals["gate"], ex.trajectories["gate"], switching, family)
+    return GateRun(gate, ex.signals["gate"], *ex.switching("gate"))
 
 
 # -- boolean gates ---------------------------------------------------------

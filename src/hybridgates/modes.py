@@ -12,8 +12,10 @@ through an adaptive Runge-Kutta integrator with dense output, the only
 place scipy is imported, so importing this module loads no scipy module.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
-constant-mode interval from the previous endpoint, so it is continuous by
-construction and follows the active mode's ODE between switches.
+constant-mode interval from the previous segment's end state, so it is
+continuous by construction and follows the active mode's ODE between
+switches.  A circuit run keeps only each gate's mode entries and pastes its
+trajectories this way when they are asked for.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class AffineConstant:
     """dx/dt = a x + b with constant coefficients.
 
     One state solves to a :class:`ScalarAffineSegment`, two to an
-    :class:`AffineSegment` from the constants ``plane`` derives once, and
-    three or more are integrated like ``GeneralNumeric`` (``plane`` is None).
+    :class:`AffineSegment` from the constants ``plane`` derives once (one
+    beyond the floats raises ValueError), and three or more are integrated
+    like ``GeneralNumeric`` (``plane`` is None).
     """
 
     a: np.ndarray
@@ -117,7 +120,11 @@ class AffineConstant:
             raise ValueError(f"inconsistent affine shapes {a.shape} / {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "plane", _Plane(a, b) if b.shape[0] == 2 else None)
+        try:
+            plane = _Plane(a, b) if b.shape[0] == 2 else None
+        except OverflowError as exc:  # from float() of a Fraction
+            raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has constants beyond the floats") from exc
+        object.__setattr__(self, "plane", plane)
 
 
 class _Plane:
@@ -296,8 +303,8 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> fl
 # -- trajectory segments -------------------------------------------------------
 
 # Each segment covers [t0, t1] and can evaluate the state at arbitrary times
-# inside it.  Endpoint states are exact in the sense that chaining segments
-# reuses the evaluated endpoint, so junctions match to machine precision.
+# inside it.  The next segment starts from the state this one reads at its
+# end (``state_at``), so junctions match exactly.
 # Kinds with a closed form also cut each component into monotone ``pieces``,
 # which containment and the crossing search read instead of sampling.
 
@@ -318,21 +325,6 @@ class _SegmentBase:
     def ends(self, ts, component: int) -> list[float]:
         """One state component (1-based) at the times ``ts``, as floats."""
         return self.values(ts)[:, component - 1].tolist()
-
-    @property
-    def end_state(self) -> np.ndarray:
-        return self.value(self.t1)
-
-    def with_end(self, t1: float):
-        """The same solution cut at ``t1``: every slot is shared, so a
-        closed form is not rebuilt."""
-        if t1 < self.t0:
-            raise ValueError(f"segment must run forward: [{self.t0}, {t1}]")
-        seg = object.__new__(type(self))
-        for name in type(self).__slots__:
-            setattr(seg, name, getattr(self, name))
-        seg.t1 = float(t1)
-        return seg
 
     def sample_times(self, n: int) -> np.ndarray:
         return np.linspace(self.t0, self.t1, max(n, 2))
@@ -564,35 +556,25 @@ class RelaxationSegment(_FloatSegment):
 class DenseSegment(_SegmentBase):
     """Adaptive-integrator solution with dense output on [t0, t1]."""
 
-    __slots__ = ("t0", "t1", "_sol", "_steps", "_end")
+    __slots__ = ("t0", "t1", "_sol", "_steps")
 
-    def __init__(self, t0: float, t1: float, sol, steps, end_state=None):
+    def __init__(self, t0: float, t1: float, sol, steps):
         if t1 < t0:
             raise ValueError(f"segment must run forward: [{t0}, {t1}]")
         self.t0 = float(t0)
         self.t1 = float(t1)
         self._sol = sol
         self._steps = np.asarray(steps, dtype=float)
-        if end_state is None:
-            end_state = sol(t1)
-        self._end = np.atleast_1d(np.asarray(end_state, dtype=float))
 
     @property
     def dimension(self) -> int:
-        return self._end.shape[0]
+        return np.atleast_1d(self._sol(self.t0)).shape[0]
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         ts = np.clip(ts, self.t0, self.t1)
         out = self._sol(ts)
         return np.atleast_2d(out).T if out.ndim == 1 else out.T
-
-    @property
-    def end_state(self) -> np.ndarray:
-        return self._end
-
-    def with_end(self, t1: float) -> "DenseSegment":
-        return DenseSegment(self.t0, t1, self._sol, self._steps, end_state=self._sol(t1))
 
     def sample_times(self, n: int) -> np.ndarray:
         inside = self._steps[(self._steps >= self.t0) & (self._steps <= self.t1)]
@@ -628,10 +610,6 @@ class Trajectory:
     @property
     def dimension(self) -> int:
         return self.segments[0].dimension
-
-    @property
-    def end_state(self) -> np.ndarray:
-        return self.segments[-1].end_state
 
     def breakpoints(self) -> np.ndarray:
         return np.asarray([self.t0] + [s.t1 for s in self.segments])
@@ -737,7 +715,7 @@ def solve_mode(
         seg = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
     elif t1 - t0 <= TIME_EPS:  # a degenerate span: the state stands still
         still = lambda ts, _x=x0: np.multiply.outer(_x, np.ones_like(ts))  # noqa: E731
-        seg = DenseSegment(t0, t1, still, (t0, t1), end_state=x0)
+        seg = DenseSegment(t0, t1, still, (t0, t1))
     else:
         sol = solve_ivp(
             mode.rhs,
@@ -752,7 +730,7 @@ def solve_mode(
             raise IntegrationError(
                 f"integration of mode {mode.id!r} failed on [{t0}, {t1}]: {sol.message}"
             )
-        seg = DenseSegment(t0, t1, sol.sol, sol.t, end_state=sol.y[:, -1])
+        seg = DenseSegment(t0, t1, sol.sol, sol.t)
     _containment_scan(seg, space)
     return seg
 
@@ -764,9 +742,12 @@ def matching_output_signal(
     space: StateSpace,
 ) -> Trajectory:
     """Trajectory that starts at ``x0``, is continuous, and follows the
-    active mode's ODE on every inter-switch interval."""
+    active mode's ODE on every inter-switch interval.  Each interval starts
+    from the state the previous segment reads at its end (``state_at``), as
+    ``circuit.execute`` carries it, so the closed-form segments of a run
+    paste bit for bit (an integrated one stops at its interval's end)."""
     segments: list[Segment] = []
-    state = np.atleast_1d(np.asarray(x0, dtype=float))
+    state = x0
     for start, end, mode_id in switching.intervals():
         if mode_id not in family:
             raise KeyError(f"mode id {mode_id!r} not present in the mode family")
@@ -774,7 +755,7 @@ def matching_output_signal(
             continue
         seg = solve_mode(family[mode_id], state, start, end, space)
         segments.append(seg)
-        state = seg.end_state
+        state = seg.state_at(end)
     return Trajectory(segments)
 
 

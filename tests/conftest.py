@@ -62,8 +62,9 @@ def binary_signals(draw, horizon: float = 10.0, max_transitions: int = 6):
     return BinarySignal(init, tuple(zip(times, vals)), horizon)
 
 
-def run_every_shipped_gate():
-    """Every preset with a staggered pulse on each input, and both NOR MIS sweeps."""
+def shipped_preset_runs():
+    """Each preset run with a staggered pulse on each input, as (circuit,
+    execution) pairs."""
     for preset in _preset_names():
         cf = load_circuit(f"preset:{preset}")
         horizon = cf.defaults["horizon"]
@@ -71,7 +72,13 @@ def run_every_shipped_gate():
         for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
             b = port.initial_value  # a pulse away from it, staggered per input
             inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
-        execute(cf.circuit, inputs, horizon)
+        yield cf.circuit, execute(cf.circuit, inputs, horizon)
+
+
+def run_every_shipped_gate():
+    """Every preset with a staggered pulse on each input, and both NOR MIS sweeps."""
+    for _ in shipped_preset_runs():
+        pass
     gaps = [0.0, 1e-9, 0.5, 3.0]
     mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), gaps)
     mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), gaps)

@@ -422,7 +422,7 @@ def _thermostat() -> Circuit:
 def test_09_thermostat_band_and_period():
     horizon = 50.0
     ex = execute(_thermostat(), {}, horizon)
-    temp = ex.trajectories["plant_high"]
+    temp = ex.trajectory("plant_high")
 
     breaks = temp.breakpoints()
     first_switch = float(breaks[1])

@@ -31,10 +31,15 @@ from hybridgates.gates import (
     make_boolean_gate,
     make_const_gate,
     make_idm_channel,
+    make_simple_nor,
+    mis_delay_sweep,
 )
+import hybridgates.modes as modes_module
 from hybridgates.modes import StateSpace, affine_mode
 from hybridgates.signals import TIME_EPS, BinarySignal, one_norm_distance
-from hybridgates.threshold import ThresholdSpec
+from hybridgates.threshold import ThresholdSpec, digitize
+
+from conftest import shipped_preset_runs
 
 LN2 = math.log(2.0)
 
@@ -358,6 +363,50 @@ def _random_edges(r, horizon, count):
     return BinarySignal(0, tuple((t, (i + 1) % 2) for i, t in enumerate(times)), horizon)
 
 
+class TestModeEntries:
+    """A run keeps each gate's mode entries and pastes its trajectory on demand."""
+
+    @staticmethod
+    def _assert_trajectories_digitize_to_the_signals(circuit, ex):
+        for name, spec in circuit.gates().items():
+            got, want = digitize(ex.trajectory(name), spec.threshold), ex.signals[name]
+            assert got.initial_value == want.initial_value, name
+            assert [tr.value for tr in got.transitions] == [tr.value for tr in want.transitions], name
+            assert got.times == pytest.approx(want.times, abs=TIME_EPS, rel=0), name
+
+    def test_shipped_gates_paste_what_they_ran(self):
+        for circuit, ex in shipped_preset_runs():
+            assert all(ex.modes[name][0][0] == 0.0 for name in circuit.gates())
+            self._assert_trajectories_digitize_to_the_signals(circuit, ex)
+
+    def test_random_circuits_paste_what_they_ran(self):
+        master = random.Random(1217)
+        for _ in range(60):
+            c = random_boolean_circuit(master, feedback=True, allow_flight=master.random() < 0.5)
+            ins = {name: _random_edges(master, 8.0, 6) for name in c.input_ports()}
+            self._assert_trajectories_digitize_to_the_signals(c, execute(c, ins, 8.0))
+
+    @pytest.mark.parametrize("factory", [make_advanced_nor, make_simple_nor])
+    def test_a_mis_sweep_solves_each_mode_entry_once(self, factory, monkeypatch):
+        # 2 entries at gap 0 (both inputs fall together) and 3 at each other
+        # gap; GateRun.trajectory, which nothing here reads, pastes nothing
+        calls = {"circuit": 0, "modes": 0}
+
+        def counted(module, key):
+            solve = module.solve_mode
+
+            def wrapper(*args):
+                calls[key] += 1
+                return solve(*args)
+
+            monkeypatch.setattr(module, "solve_mode", wrapper)
+
+        counted(circuit_module, "circuit")
+        counted(modes_module, "modes")
+        mis_delay_sweep(lambda: factory(initial_inputs=(1, 1)), [0.0, 1e-9, 0.5, 3.0])
+        assert calls == {"circuit": 11, "modes": 0}
+
+
 class TestScheduler:
     """Lazy cancellation of pending transitions and executor invariants."""
 
@@ -391,7 +440,7 @@ class TestScheduler:
         }
         ex = execute(c, ins, horizon)
         assert ex.records["x"] == ()
-        assert len(ex.trajectories["x"].segments) == 3  # two mode switches
+        assert len(ex.modes["x"]) == 3  # two mode switches
         near = [t for t in ex.iteration_times if abs(t - stale) <= TIME_EPS]
         assert near == ([] if alone else [pytest.approx(stale - 5e-13, abs=1e-15)])
         (r_late,) = ex.records["late"]
@@ -419,8 +468,7 @@ class TestScheduler:
             "b": BinarySignal(0, ((1.0 + 2e-5, 1), (1.0 + 4e-5, 0)), horizon),
         }
         ex = execute(c, ins, horizon)
-        segments = ex.trajectories["twin"].segments
-        assert len(segments) == 4  # initial low, high_a, high_b, high_a again
+        assert len(ex.trajectory("twin").segments) == 4  # initial low, high_a, high_b, high_a again
         (rec,) = ex.records["twin"]
         assert rec.value == 1
         assert rec.time == pytest.approx(1.1 + tau * LN2, abs=TIME_EPS)
@@ -721,6 +769,20 @@ class TestShortPulseFiltration:
         width, norm = bisect_pulse_norm(circuit, target, lo=0.5, hi=1.2, horizon=12.0, tol=1e-9)
         assert 0.5 < width < 1.2
         assert abs(norm - target) <= 1e-9
+
+    def test_storage_loop_norm_jumps_between_adjacent_widths(self):
+        # Witness: the exact width-to-norm map is continuous, its ringing
+        # growing like log(1/delta) toward the latch boundary, but at
+        # horizon 30 no float width reaches a norm between 2.31 and 26.63,
+        # so a bisection toward 10 runs out of floats.
+        w = 0.03395391806096948
+        assert math.nextafter(w, 1.0) == 0.033953918060969486
+        below = circuit_module._pulse_response(storage_loop(), "I", "O", w, 30.0, 1.0)
+        above = circuit_module._pulse_response(storage_loop(), "I", "O", math.nextafter(w, 1.0), 30.0, 1.0)
+        assert (below[0].final_value, below[1]) == (0, pytest.approx(2.3095716931484027, rel=1e-12))
+        assert (above[0].final_value, above[1]) == (1, pytest.approx(26.626598058786723, rel=1e-12))
+        with pytest.raises(RuntimeError, match="^bisection did not reach the requested norm tolerance$"):
+            bisect_pulse_norm(storage_loop(), 10.0, lo=0.01, hi=0.06, horizon=30.0)
 
     def test_bisect_requires_bracket(self):
         with pytest.raises(ValueError, match="not bracketed"):

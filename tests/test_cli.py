@@ -155,6 +155,54 @@ class TestCircuitFiles:
         err = capsys.readouterr().err
         assert f"vertex 'nor': c must be finite and positive, got {bad!r}" in err
 
+    @pytest.mark.parametrize(
+        "field, vertex",
+        [
+            ("initial", {"id": "I", "kind": "input"}),
+            ("value", {"id": "n1", "kind": "const"}),
+            ("initial_input", {"id": "n1", "kind": "idm"}),
+            ("initial_inputs", {"id": "n1", "kind": "boolean", "function": "buf", "delays": [0.1]}),
+            ("initial_output", {"id": "n1", "kind": "boolean", "function": "buf", "delays": [0.1]}),
+        ],
+    )
+    def test_an_infinite_integer_field_is_named(self, tmp_path, capsys, field, vertex):
+        doc = pipeline_doc()
+        doc["vertices"][0 if vertex["id"] == "I" else 1] = {
+            **vertex, field: [math.inf] if field == "initial_inputs" else math.inf
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vertex {vertex['id']!r}: cannot convert float infinity to integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, a",
+        [
+            ("c", 1e-155, "[[0.0, 0.0], [0.0, -2e+155]]"),
+            ("r2", 1e-160, "[[-1e+160, 1e+160], [1e+160, -1e+160]]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_simple_nor_whose_constants_overflow_is_named(self, tmp_path, capsys, command, field, value, a):
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 1},
+                {"id": "B", "kind": "input", "initial": 1},
+                {"id": "nor", "kind": "simple_nor", "initial_inputs": [1, 1], field: value},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"], ["nor", 0, "O"]],
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vertex 'nor': affine mode a={a}, b=[0.0, 0.0] has constants beyond the floats\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2
 
@@ -305,6 +353,13 @@ class TestSweepPulse:
         assert min_pulse <= 0.3 + 1e-6
         # the found width reproduces the closed-form response of the channel
         assert norm == pytest.approx(width + math.log(1.0 - math.exp(-width)), abs=1e-9)
+
+    def test_bisection_across_the_storage_loop_latch_is_a_numeric_failure(self, tmp_path, capsys):
+        # adjacent float widths give norms 2.31 and 26.63, so 10 is never met
+        out = tmp_path / "out"
+        assert run("sweep-pulse", "preset:storage_loop", "--widths", "0.01:0.06:2",
+                   "--target-norm", 10, "--out-dir", out) == 3
+        assert capsys.readouterr().err == "error: bisection did not reach the requested norm tolerance\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bisection_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):

@@ -1,6 +1,7 @@
 """Gate model tests: frozen closed-form delays and analytic charging oracles."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -191,6 +192,12 @@ class TestSimpleNor:
         assert make_simple_nor(initial_inputs=(0, 1)).initial_state == pytest.approx((1.0, 0.0))
         assert make_simple_nor(initial_inputs=(1, 1)).initial_state == pytest.approx((0.0, 0.0))
 
+    @pytest.mark.parametrize("field, value", [("c", 1e-155), ("r2", 1e-160)])
+    def test_constants_beyond_the_floats_are_a_value_error(self, field, value):
+        # the exact discriminant of a network, some 1e310, has no float
+        with pytest.raises(ValueError, match="has constants beyond the floats"):
+            make_simple_nor(SimpleNorParams(**{field: value}))
+
     def test_simultaneous_rise_discharges_through_both(self):
         gate = make_simple_nor()
         h = 5.0
@@ -371,7 +378,7 @@ class TestChargingClosedForm:
         params = AdvancedNorParams(c=1e-3)
         gate, mode = _charging_mode(params, 1.0, 0.5, 1)
         seg = solve_mode(mode, [1.005], 1.0, 21.0, gate.state_space)
-        assert seg.end_state[0] == 1.0
+        assert seg.value(seg.t1)[0] == 1.0
         assert find_crossings(Trajectory([seg]), 1.0) == []
 
     @pytest.mark.parametrize("gap", [1e-323, 1e-310])
@@ -433,6 +440,63 @@ class TestChargingClosedForm:
                 settle=4.0 * elmore + 1.0,
             )
         assert all(0.0 < d <= 2.0 * elmore + 0.1 for d in delays)
+
+
+_LOG_PARAM = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _factory_modes(draw):
+    """A factory's gate at its default or at random parameters, every mode
+    it can enter (for the advanced NOR, one charging mode at a drawn entry
+    time and gap), and a time at or after that entry."""
+    kind = draw(st.sampled_from(("boolean", "const", "idm", "heater", "snor", "anor")))
+    rand = draw(st.booleans())
+
+    def params(*names):
+        return {name: draw(_LOG_PARAM) for name in names} if rand else {}
+
+    if kind == "boolean":
+        fn = draw(st.sampled_from(("not", "nand2", "xor2")))
+        gate = make_boolean_gate(fn, (0.1,) if fn == "not" else (0.1, 0.1), **params("tau_fast", "v_dd"))
+    elif kind == "const":
+        gate = make_const_gate(draw(st.sampled_from((0, 1))), **params("v_dd"))
+    elif kind == "idm":
+        gate = make_idm_channel(**params("tau"))
+    elif kind == "heater":
+        gate = make_heater_plant()  # its two modes take no parameter
+    elif kind == "snor":
+        gate = make_simple_nor(SimpleNorParams(**params(*(f.name for f in dataclasses.fields(SimpleNorParams)))))
+    else:
+        nor = AdvancedNorParams(**params(*(f.name for f in dataclasses.fields(AdvancedNorParams))))
+        gate = make_advanced_nor(nor)
+    entry = ModeEntry(None, (None,) * gate.arity)
+    modes = [gate.choice(bits, None, entry) for bits in itertools.product((0, 1), repeat=gate.arity)]
+    t_on = draw(st.floats(0.0, 100.0))
+    if kind == "anor":
+        gap, first_fell = draw(_charging_cases["gap"]), draw(_charging_cases["first_fell"])
+        modes.append(_charging_mode(nor, t_on, gap, first_fell)[1])
+    return gate.state_space, modes, t_on + draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+
+
+class TestDeclaredRegularity:
+    @given(case=_factory_modes(), u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           v=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    @settings(max_examples=400, deadline=None)
+    def test_every_mode_keeps_its_declared_bounds(self, case, u, v):
+        # the mode-switch envelope 2 M exp(T K) d rests on |rhs| <= M over
+        # the box and on rhs being K-Lipschitz in the state
+        space, modes, t = case
+        lo, hi = np.array(space.bounds).T
+        x, y = (lo + np.array(w[: space.dimension]) * (hi - lo) for w in (u, v))
+        for mode in modes:
+            m, k = mode.rhs_bound_m, mode.lipschitz_k
+            fx, fy = (np.atleast_1d(mode.rhs(t, z)) for z in (x, y))
+            assert max(np.linalg.norm(fx), np.linalg.norm(fy)) <= m * (1 + 1e-12)
+            # each evaluation rounds by a few ulps of its terms, at most ~3 M
+            # on this box, which no Lipschitz bound covers for points ulps apart
+            rounding = 16 * np.finfo(float).eps * m
+            assert np.linalg.norm(fx - fy) <= k * np.linalg.norm(x - y) * (1 + 1e-12) + rounding
 
 
 def _refuse(name):

@@ -50,7 +50,7 @@ def test_scalar_decay_closed_form():
     mode = affine_mode("decay", [[-1.0]], [0.0], BOX)
     seg = solve_mode(mode, [1.0], 0.0, 5.0, BOX)
     assert seg.value(2.0)[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
-    assert seg.end_state[0] == pytest.approx(math.exp(-5.0), rel=1e-12)
+    assert seg.value(seg.t1)[0] == pytest.approx(math.exp(-5.0), rel=1e-12)
 
 
 def test_heating_mode_matches_exponential_approach():
@@ -201,21 +201,6 @@ def test_closed_form_reads_its_start_state_exactly(a, b, x0):
     assert np.array_equal(seg.values([1.5, 4.0])[0], x0)
 
 
-def test_with_end_keeps_the_values_of_a_rebuilt_segment():
-    a = np.array([[-1.0, 1.0], [1.0, -2.0]])
-    b = np.array([0.3, 0.1])
-    seg = AffineSegment(0.5, 4.0, [0.2, 0.9], a, b)
-    cut = seg.with_end(2.0)
-    rebuilt = AffineSegment(0.5, 2.0, [0.2, 0.9], a, b)
-    ts = np.linspace(0.5, 2.0, 7)
-    assert (cut.t0, cut.t1) == (0.5, 2.0)
-    assert np.array_equal(cut.values(ts), rebuilt.values(ts))
-    assert np.array_equal(cut.end_state, rebuilt.end_state)
-    assert seg.t1 == 4.0
-    with pytest.raises(ValueError):
-        seg.with_end(0.25)
-
-
 def test_a_mode_decomposes_once_for_all_its_segments(monkeypatch):
     box = StateSpace(((-50.0, 50.0), (-50.0, 50.0)))
     mode = affine_mode("planar", [[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], box)
@@ -228,12 +213,13 @@ def test_a_mode_decomposes_once_for_all_its_segments(monkeypatch):
 
     monkeypatch.setattr(modes, "_Plane", Counted)
     seg = solve_mode(mode, [0.2, 0.9], 0.0, 4.0, box)
-    cut = seg.with_end(2.0)
-    assert calls == [] and seg.kind is cut.kind is mode.kind
+    shorter = solve_mode(mode, [0.2, 0.9], 0.0, 2.0, box)
+    assert calls == [] and seg.kind is shorter.kind is mode.kind
     rebuilt = AffineSegment(0.0, 4.0, [0.2, 0.9], mode.kind.a, mode.kind.b)
     assert len(calls) == 1  # a directly built segment derives its own constants
     ts = np.linspace(0.0, 2.0, 9)
-    assert np.array_equal(cut.values(ts), rebuilt.values(ts))
+    assert np.array_equal(shorter.values(ts), rebuilt.values(ts))
+    assert np.array_equal(shorter.values(ts), seg.values(ts))
 
 
 def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
@@ -533,7 +519,7 @@ def test_scalar_exit_reports_the_sampled_scan_time_and_state(a, b, x0, box, samp
 def test_scalar_mode_just_inside_a_bound_is_accepted(a, b, x0, t1):
     box = StateSpace(((0.0, 50.0),))
     seg = solve_mode(affine_mode("m", [[a]], [b], box), [x0], 0.0, t1, box)
-    assert 0.0 < seg.end_state[0] <= 50.0
+    assert 0.0 < seg.value(seg.t1)[0] <= 50.0
 
 
 # Two networks of the simple NOR with unit parameters, state (V_int, V_out):
@@ -589,7 +575,7 @@ def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box, monkey
     # the piece ends decide it: no sample is taken
     monkeypatch.setattr(_SegmentBase, "sample_times", lambda self, n: pytest.fail("sampled"))
     got = solve_mode(affine_mode("m", *net, box), x0, 0.0, t1, box)
-    assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.end_state, box.bounds))
+    assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.value(got.t1), box.bounds))
 
 
 def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
@@ -628,7 +614,7 @@ def test_junctions_are_continuous():
     )
     traj = matching_output_signal(family, switching, [20.0], PLANT_BOX)
     for prev, cur in zip(traj.segments, traj.segments[1:]):
-        assert abs(prev.end_state[0] - cur.value(cur.t0)[0]) <= 1e-9
+        assert abs(prev.value(prev.t1)[0] - cur.value(cur.t0)[0]) <= 1e-9
 
 
 def test_mode_refinement_noop_is_identity():

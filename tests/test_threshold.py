@@ -180,11 +180,11 @@ class TestClosedFormAgainstSampledPath:
         # jump above at t=1, then decay toward 0.2 through 0.5
         segs.append(ScalarAffineSegment(1.0, 2.0, 0.7, -1.0, 0.2))
         # continue from the end state, rising toward 1 through 0.5
-        segs.append(ScalarAffineSegment(2.0, 4.0, segs[-1].end_state[0], -2.0, 2.0))
+        segs.append(ScalarAffineSegment(2.0, 4.0, segs[-1].value(segs[-1].t1)[0], -2.0, 2.0))
         # jump onto the threshold itself, then rise off it at once
         segs.append(ScalarAffineSegment(4.0, 5.0, 0.5, 0.0, 1.0))
         # continue from the end state, ramping down through 0.5
-        segs.append(ScalarAffineSegment(5.0, 6.0, segs[-1].end_state[0], 0.0, -2.0))
+        segs.append(ScalarAffineSegment(5.0, 6.0, segs[-1].value(segs[-1].t1)[0], 0.0, -2.0))
         fast = find_crossings(Trajectory(segs), 0.5)
         slow = find_crossings(Trajectory([_sampled(s) for s in segs]), 0.5)
         _assert_same_crossings(fast, slow)
