@@ -223,9 +223,11 @@ def validate(circuit: Circuit) -> ValidationReport:
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
-    """A committed output transition with its causal bookkeeping."""
+class TransitionRecord(NamedTuple):
+    """A committed output transition with its causal bookkeeping.
+
+    Unchecked: the executor builds one per commit.
+    """
 
     time: float
     value: int

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,13 +50,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeEntry:
+class ModeEntry(NamedTuple):
     """Context handed to a choice function at a mode decision point.
 
     ``time`` is None for the initial selection.  ``last_input_change[i]`` is
     the time input ``i`` last changed BEFORE the current event (None if it
     never has), so a choice function can recover inter-edge gaps.
+    Unchecked: the executor builds one per arrival group.
     """
 
     time: float | None
@@ -72,13 +72,16 @@ ChoiceFunction = Callable[
 class GateSpec:
     """A digitized hybrid gate: delays, mode choice, comparator, state box.
 
-    ``initial_inputs`` declares the input bits the gate is built for at time
-    zero; runs whose (delayed) inputs start elsewhere are rejected so the
-    initial mode and ``initial_state`` stay consistent.
+    The gate has one input per entry of ``input_delays``; ``arity`` is read
+    from them.  ``initial_inputs`` declares the input bits the gate is built
+    for at time zero; runs whose (delayed) inputs start elsewhere are
+    rejected so the initial mode and ``initial_state`` stay consistent.
+    ``choice`` picks the mode at each change of the input bits.  A
+    memoryless gate's is one table from input bits to modes (``_table_gate``);
+    the history-aware NOR's also reads the previous bits and the context.
     """
 
     name: str
-    arity: int
     input_delays: tuple[float, ...]
     choice: ChoiceFunction
     initial_inputs: tuple[int, ...]
@@ -92,8 +95,6 @@ class GateSpec:
         object.__setattr__(
             self, "initial_state", tuple(float(v) for v in self.initial_state)
         )
-        if len(self.input_delays) != self.arity:
-            raise ValueError(f"need {self.arity} input delays")
         if len(self.initial_inputs) != self.arity:
             raise ValueError(f"need {self.arity} initial input bits")
         if not all(math.isfinite(d) and d >= 0 for d in self.input_delays):
@@ -106,6 +107,10 @@ class GateSpec:
             raise ValueError("initial state outside the state space")
         if self.threshold.component > self.state_space.dimension:
             raise ValueError("threshold component out of range")
+
+    @property
+    def arity(self) -> int:
+        return len(self.input_delays)
 
 
 def initial_output_bit(gate: GateSpec) -> int:
@@ -163,6 +168,33 @@ def gate_output(
     )
     ex = execute(circuit, dict(zip(ports, inputs)), horizon)
     return GateRun(gate, ex.signals["gate"], *ex.switching("gate"))
+
+
+# -- memoryless gates ------------------------------------------------------
+
+
+def _table_gate(
+    name: str,
+    delays: Sequence[float],
+    modes: dict[tuple[int, ...], ModeFunction],
+    initial_inputs: Sequence[int],
+    initial_state: Sequence[float],
+    threshold: ThresholdSpec,
+    space: StateSpace,
+) -> GateSpec:
+    """A gate whose mode is ``modes[bits]`` for the current input bits alone."""
+
+    def choice(bits, prev_bits, ctx, _modes=modes):
+        return _modes[bits]
+
+    return GateSpec(name, delays, choice, initial_inputs, initial_state, threshold, space)
+
+
+def _lag_modes(
+    ids: Sequence[str], tau: float, levels: Sequence[float], space: StateSpace
+) -> list[ModeFunction]:
+    """First-order lags dx/dt = (level - x)/tau, one mode per id and level."""
+    return [affine_mode(i, [[-1.0 / tau]], [level / tau], space) for i, level in zip(ids, levels)]
 
 
 # -- boolean gates ---------------------------------------------------------
@@ -242,24 +274,14 @@ def make_boolean_gate(
         raise ValueError(f"tau_fast must be finite and positive, got {tau_fast!r}")
     if initial_output is None:
         initial_output = table[initial_inputs]
+    if initial_output not in (0, 1):
+        raise ValueError(f"initial_output must be a bit, got {initial_output!r}")
 
     box = StateSpace(((-0.01 * v_dd, 1.01 * v_dd),))
-    lo = affine_mode("low", [[-1.0 / tau_fast]], [0.0], box)
-    hi = affine_mode("high", [[-1.0 / tau_fast]], [v_dd / tau_fast], box)
-
-    def choice(bits, prev_bits, ctx, _table=table, _lo=lo, _hi=hi):
-        return _hi if _table[bits] else _lo
-
-    return GateSpec(
-        name=gate_name,
-        arity=arity,
-        input_delays=tuple(delays),
-        choice=choice,
-        initial_inputs=initial_inputs,
-        initial_state=(v_dd * float(initial_output),),
-        threshold=ThresholdSpec(v_dd / 2.0),
-        state_space=box,
-    )
+    lag = _lag_modes(("low", "high"), tau_fast, (0.0, v_dd), box)
+    modes = {bits: lag[out] for bits, out in table.items()}
+    x0 = (v_dd * float(initial_output),)
+    return _table_gate(gate_name, delays, modes, initial_inputs, x0, ThresholdSpec(v_dd / 2.0), box)
 
 
 def make_const_gate(value: int, v_dd: float = 1.0, name: str | None = None) -> GateSpec:
@@ -268,21 +290,9 @@ def make_const_gate(value: int, v_dd: float = 1.0, name: str | None = None) -> G
     if value not in (0, 1):
         raise ValueError(f"constant must be a bit, got {value!r}")
     box = StateSpace(((-0.01 * v_dd, 1.01 * v_dd),))
-    hold = affine_mode("hold", [[0.0]], [0.0], box)
-
-    def choice(bits, prev_bits, ctx, _hold=hold):
-        return _hold
-
-    return GateSpec(
-        name=name or f"const{value}",
-        arity=0,
-        input_delays=(),
-        choice=choice,
-        initial_inputs=(),
-        initial_state=(v_dd * float(value),),
-        threshold=ThresholdSpec(v_dd / 2.0),
-        state_space=box,
-    )
+    modes = {(): affine_mode("hold", [[0.0]], [0.0], box)}
+    x0 = (v_dd * float(value),)
+    return _table_gate(name or f"const{value}", (), modes, (), x0, ThresholdSpec(v_dd / 2.0), box)
 
 
 # -- single-input exponential channel ---------------------------------------
@@ -308,22 +318,10 @@ def make_idm_channel(
     if not 0.0 < xi < 1.0:
         raise ValueError(f"threshold must sit strictly inside (0, 1), got {xi}")
     box = StateSpace(((-0.01, 1.01),))
-    up = affine_mode("up", [[-1.0 / tau]], [1.0 / tau], box)
-    down = affine_mode("down", [[-1.0 / tau]], [0.0], box)
-
-    def choice(bits, prev_bits, ctx, _up=up, _down=down):
-        return _up if bits[0] else _down
-
-    return GateSpec(
-        name=name,
-        arity=1,
-        input_delays=(delta_min,),
-        choice=choice,
-        initial_inputs=(int(initial_input),),
-        initial_state=(float(initial_input),),
-        threshold=ThresholdSpec(xi),
-        state_space=box,
-    )
+    down, up = _lag_modes(("down", "up"), tau, (0.0, 1.0), box)
+    modes = {(0,): down, (1,): up}
+    x0 = (float(initial_input),)
+    return _table_gate(name, (delta_min,), modes, (int(initial_input),), x0, ThresholdSpec(xi), box)
 
 
 def make_heater_plant(
@@ -339,22 +337,10 @@ def make_heater_plant(
     with different levels give the band sensors of a thermostat loop.
     """
     box = StateSpace(((-1.0, 51.0),))
-    on = affine_mode("on", [[-0.1]], [5.0], box)
-    off = affine_mode("off", [[-0.1]], [0.0], box)
-
-    def choice(bits, prev_bits, ctx, _on=on, _off=off):
-        return _on if bits[0] else _off
-
-    return GateSpec(
-        name=name,
-        arity=1,
-        input_delays=(delta,),
-        choice=choice,
-        initial_inputs=(int(initial_input),),
-        initial_state=(float(initial_state),),
-        threshold=ThresholdSpec(xi),
-        state_space=box,
-    )
+    off, on = _lag_modes(("off", "on"), 10.0, (0.0, 50.0), box)  # a = -0.1, b = 5.0 exactly
+    modes = {(0,): off, (1,): on}
+    x0 = (float(initial_state),)
+    return _table_gate(name, (delta,), modes, (int(initial_input),), x0, ThresholdSpec(xi), box)
 
 
 # -- two-transistor NOR models ----------------------------------------------
@@ -422,10 +408,6 @@ def make_simple_nor(
     modes = {
         bits: affine_mode(f"s{bits[0]}{bits[1]}", a, b, box) for bits, (a, b) in nets.items()
     }
-
-    def choice(bits, prev_bits, ctx, _modes=modes):
-        return _modes[bits]
-
     initial_inputs = tuple(int(b) for b in initial_inputs)
     if initial_state is None:
         a, b = nets[initial_inputs]
@@ -434,17 +416,8 @@ def make_simple_nor(
         except np.linalg.LinAlgError:
             x0 = np.zeros(2)  # (1,1) network is singular; quiescent is discharged
         initial_state = tuple(float(v) for v in x0)
-
-    return GateSpec(
-        name=name,
-        arity=2,
-        input_delays=tuple(delays),
-        choice=choice,
-        initial_inputs=initial_inputs,
-        initial_state=tuple(initial_state),
-        threshold=ThresholdSpec(p.v_dd / 2.0, component=2),
-        state_space=box,
-    )
+    threshold = ThresholdSpec(p.v_dd / 2.0, component=2)
+    return _table_gate(name, delays, modes, initial_inputs, initial_state, threshold, box)
 
 
 @dataclass(frozen=True)
@@ -530,9 +503,11 @@ def make_advanced_nor(
     """
     p = params or AdvancedNorParams()
     box = StateSpace(((-0.01 * p.v_dd, 1.01 * p.v_dd),))
-    f1 = affine_mode("f1", [[-1.0 / (p.c * p.r_na)]], [0.0], box)
-    f2 = affine_mode("f2", [[-1.0 / (p.c * p.r_nb)]], [0.0], box)
-    f6 = affine_mode("f6", [[-(1.0 / p.r_na + 1.0 / p.r_nb) / p.c]], [0.0], box)
+    discharge = {  # memoryless: one or both nMOS paths conduct
+        (1, 0): affine_mode("f1", [[-1.0 / (p.c * p.r_na)]], [0.0], box),
+        (0, 1): affine_mode("f2", [[-1.0 / (p.c * p.r_nb)]], [0.0], box),
+        (1, 1): affine_mode("f6", [[-(1.0 / p.r_na + 1.0 / p.r_nb) / p.c]], [0.0], box),
+    }
     settled = affine_mode(
         "f0", [[-1.0 / (2.0 * p.r * p.c)]], [p.v_dd / (2.0 * p.r * p.c)], box
     )
@@ -562,13 +537,9 @@ def make_advanced_nor(
         kind = ScalarRelaxation(p.v_dd, _charging_exponent(p, t_on, gap, alpha_first))
         return ModeFunction(f"chg{next(fresh)}", rhs, kind, k_chg, m_chg)
 
-    def choice(bits, prev_bits, ctx):
-        if bits == (1, 0):
-            return f1
-        if bits == (0, 1):
-            return f2
-        if bits == (1, 1):
-            return f6
+    def choice(bits, prev_bits, ctx, _discharge=discharge):
+        if bits in _discharge:
+            return _discharge[bits]
         if prev_bits is None:
             return settled
         if prev_bits == (1, 1):
@@ -585,16 +556,8 @@ def make_advanced_nor(
 
     initial_inputs = tuple(int(b) for b in initial_inputs)
     x0 = p.v_dd if initial_inputs == (0, 0) else 0.0
-    return GateSpec(
-        name=name,
-        arity=2,
-        input_delays=tuple(delays),
-        choice=choice,
-        initial_inputs=initial_inputs,
-        initial_state=(x0,),
-        threshold=ThresholdSpec(p.v_dd / 2.0),
-        state_space=box,
-    )
+    threshold = ThresholdSpec(p.v_dd / 2.0)
+    return GateSpec(name, delays, choice, initial_inputs, (x0,), threshold, box)
 
 
 # -- delay measurements ------------------------------------------------------

@@ -106,7 +106,8 @@ class AffineConstant:
     One state solves to a :class:`ScalarAffineSegment`, two to an
     :class:`AffineSegment` from the constants ``plane`` derives once (one
     beyond the floats raises ValueError), and three or more are integrated
-    like ``GeneralNumeric`` (``plane`` is None).
+    like ``GeneralNumeric`` (``plane`` is None).  A non-finite entry of
+    ``a`` or ``b`` raises ValueError for every size.
     """
 
     a: np.ndarray
@@ -120,6 +121,8 @@ class AffineConstant:
             raise ValueError(f"inconsistent affine shapes {a.shape} / {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if not all(map(math.isfinite, [*a.ravel().tolist(), *b.tolist()])):
+            raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has non-finite constants")
         try:
             plane = _Plane(a, b) if b.shape[0] == 2 else None
         except OverflowError as exc:  # from float() of a Fraction
@@ -218,23 +221,26 @@ class ModeFunction:
     rhs_bound_m: float
 
     def __post_init__(self) -> None:
-        if self.lipschitz_k < 0 or self.rhs_bound_m < 0:
-            raise ValueError("regularity bounds must be nonnegative")
+        if not (self.lipschitz_k >= 0 and self.rhs_bound_m >= 0):  # NaN fails too
+            raise ValueError(
+                f"regularity bounds must be nonnegative, got K={self.lipschitz_k!r}, M={self.rhs_bound_m!r}"
+            )
 
 
 def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     """Build an AffineConstant mode with K and M computed from the data.
 
     K is the spectral norm of ``a``.  ``|a x + b|`` is convex in ``x``, so its
-    maximum over the box sits at a corner; M is the corner maximum.
+    maximum over the box sits at a corner; M is the corner maximum.  A value
+    beyond the floats at a corner makes M infinite, still a bound; one that
+    cancels to NaN makes ``ModeFunction`` refuse the mode.
     """
     kind = AffineConstant(a, b)
     a_mat, b_vec = kind.a, kind.b
     k = float(np.linalg.norm(a_mat, 2))
-    m = max(
-        float(np.linalg.norm(a_mat @ np.asarray(corner, dtype=float) + b_vec))
-        for corner in space.corners()
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [float(np.linalg.norm(a_mat @ np.asarray(c, dtype=float) + b_vec)) for c in space.corners()]
+    m = math.nan if any(map(math.isnan, norms)) else max(norms)
     rhs = lambda t, x, _a=a_mat, _b=b_vec: _a @ x + _b
     return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
 

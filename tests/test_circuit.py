@@ -348,7 +348,6 @@ def twin_mode_gate(delay, tau):
 
     return GateSpec(
         name="twin",
-        arity=2,
         input_delays=(delay, delay),
         choice=choice,
         initial_inputs=(0, 0),

@@ -203,6 +203,36 @@ class TestCircuitFiles:
         )
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field, value, a, b",
+        [("tau_fast", 1e-320, "[[-inf]]", "[0.0]"), ("v_dd", 1e308, "[[-10000.0]]", "[inf]")],
+    )
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_boolean_whose_lag_constants_are_not_finite_is_named(
+        self, tmp_path, capsys, command, field, value, a, b
+    ):
+        doc = pipeline_doc()
+        doc["vertices"][1][field] = value
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        argv = ["--input", "I=pulse:1:1", "--out-dir", out] if command == "simulate" else []
+        assert run(command, path, *argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vertex 'n1': affine mode a={a}, b={b} has non-finite constants\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_boolean_initial_output_that_is_not_a_bit_is_named(self, tmp_path, capsys, command):
+        doc = pipeline_doc()
+        doc["vertices"][1]["initial_output"] = 2
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
+        assert capsys.readouterr().err == f"error: {path}: vertex 'n1': initial_output must be a bit, got 2\n"
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2
 

@@ -81,6 +81,12 @@ class TestBooleanGates:
         assert len(run.output.times) == 1
         assert run.output.times[0] == pytest.approx(1e-4 * LN2, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_initial_output_must_be_a_bit(self, bad):
+        with pytest.raises(ValueError) as exc:
+            make_boolean_gate("buf", (0.1,), initial_output=bad)
+        assert str(exc.value) == f"initial_output must be a bit, got {bad}"
+
     def test_declared_initial_inputs_enforced(self):
         gate = make_boolean_gate("nor2", (0.1, 0.1), initial_inputs=(0, 0))
         with pytest.raises(ValueError):
@@ -173,6 +179,46 @@ class TestHeaterPlant:
         # T(t) = 20 e^{-t/10} falls to 19 at 10 ln(20/19)
         assert run.output.initial_value == 1
         assert run.output.times == pytest.approx((10.0 * math.log(20.0 / 19.0),), abs=1e-9)
+
+
+_MEMORYLESS = {
+    "boolean": lambda: make_boolean_gate("xor2", (0.1, 0.2)),
+    "const": lambda: make_const_gate(1),
+    "idm": make_idm_channel,
+    "heater": make_heater_plant,
+    "simple_nor": make_simple_nor,
+}
+
+
+def _lag(mode):
+    return mode.kind.a.tolist(), mode.kind.b.tolist()
+
+
+class TestMemorylessGates:
+    @pytest.mark.parametrize("factory", _MEMORYLESS.values(), ids=_MEMORYLESS)
+    def test_choice_reads_the_current_bits_alone(self, factory):
+        gate = factory()
+        every_bits = list(itertools.product((0, 1), repeat=gate.arity))
+        contexts = [ModeEntry(None, (None,) * gate.arity), ModeEntry(3.5, (1.0,) * gate.arity)]
+        for bits in every_bits:
+            mode = gate.choice(bits, None, contexts[0])
+            for prev, ctx in itertools.product(every_bits, contexts):
+                assert gate.choice(bits, prev, ctx) is mode
+
+    def test_lag_constants_keep_their_floats(self):
+        ctx = ModeEntry(None, (None,))
+        off, on = (make_heater_plant().choice((b,), None, ctx) for b in (0, 1))
+        assert (off.id, _lag(off)) == ("off", ([[-0.1]], [0.0]))
+        assert (on.id, _lag(on)) == ("on", ([[-0.1]], [5.0]))
+        tau = 0.3
+        down, up = (make_idm_channel(tau=tau).choice((b,), None, ctx) for b in (0, 1))
+        assert (down.id, _lag(down)) == ("down", ([[-1.0 / tau]], [0.0]))
+        assert (up.id, _lag(up)) == ("up", ([[-1.0 / tau]], [1.0 / tau]))
+        tau_fast, v_dd = 3e-4, 1.2
+        gate = make_boolean_gate("buf", (0.1,), tau_fast=tau_fast, v_dd=v_dd)
+        low, high = (gate.choice((b,), None, ctx) for b in (0, 1))
+        assert (low.id, _lag(low)) == ("low", ([[-1.0 / tau_fast]], [0.0]))
+        assert (high.id, _lag(high)) == ("high", ([[-1.0 / tau_fast]], [v_dd / tau_fast]))
 
 
 def _simple_nor_rise_oracle():
@@ -511,12 +557,22 @@ class TestGateSpecValidation:
         with pytest.raises(ValueError):
             make_boolean_gate("nor2", (0.1,))
 
+    def test_arity_is_read_from_the_delays(self):
+        assert "arity" not in {f.name for f in dataclasses.fields(GateSpec)}
+        gates = (make_const_gate(0), make_idm_channel(), make_boolean_gate("nor2", (0.1, 0.2)), make_advanced_nor())
+        assert [g.arity for g in gates] == [len(g.input_delays) for g in gates] == [0, 1, 2, 2]
+
+    def test_initial_inputs_must_match_the_delays(self):
+        gate = make_idm_channel()
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(gate, initial_inputs=(0, 0))
+        assert str(exc.value) == "need 1 initial input bits"
+
     def test_initial_state_outside_box(self):
         gate = make_idm_channel()
         with pytest.raises(ValueError):
             GateSpec(
                 name="bad",
-                arity=1,
                 input_delays=(0.1,),
                 choice=gate.choice,
                 initial_inputs=(0,),
@@ -531,7 +587,6 @@ class TestGateSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             GateSpec(
                 name="bad",
-                arity=1,
                 input_delays=(bad,),
                 choice=gate.choice,
                 initial_inputs=(0,),

@@ -705,6 +705,36 @@ def test_heat_mode_bound_at_corners():
     assert HEAT.rhs_bound_m == pytest.approx(5.1)  # |5 - 0.1*(-1)| = 5.1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[-math.inf]], [0.0]),
+        ([[-1e4]], [math.inf]),
+        ([[-1.0, 0.0], [0.0, math.nan]], [0.0, 0.0]),
+        ([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], [0.0, -math.inf, 0.0]),
+    ],
+)
+def test_an_affine_mode_with_non_finite_constants_is_refused(a, b):
+    space = StateSpace(((-1.0, 1.0),) * len(b))
+    with pytest.raises(ValueError) as exc:
+        affine_mode("m", a, b, space)
+    assert str(exc.value) == f"affine mode a={a}, b={b} has non-finite constants"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_corner_beyond_the_floats_bounds_the_rhs_by_infinity():
+    mode = affine_mode("m", [[-1e4]], [0.0], StateSpace(((-1e306, 1.01e308),)))
+    assert mode.rhs_bound_m == math.inf
+
+
+@pytest.mark.parametrize("k, m", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0)])
+def test_a_mode_with_negative_or_nan_bounds_is_refused(k, m):
+    with pytest.raises(ValueError) as exc:
+        ModeFunction("m", lambda t, x: x, GeneralNumeric(), k, m)
+    assert str(exc.value) == f"regularity bounds must be nonnegative, got K={k!r}, M={m!r}"
+
+
 # -- function segments and CSV dumps ------------------------------------------------------------
 
 
