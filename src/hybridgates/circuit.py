@@ -328,8 +328,10 @@ def execute(
     generation and queues the new trajectory's transitions; entries of an
     older generation are cancelled lazily, skipped when they reach the head
     of the queue, so each event costs O(log n) however many gates there are.
-    A gate holds only its live segment, solved to the horizon, and the run
-    records its mode entries (``Execution.modes``).
+    A gate holds only its live segment, solved to the horizon and crossed
+    without a ``Trajectory`` around it, and the run records its mode entries
+    (``Execution.modes``).  Live segments are released when the queue is,
+    before the results are built.
 
     The result is unique: all delays are strictly positive, and events
     closer than ``TIME_EPS`` to the queue head are applied as one atomic
@@ -380,7 +382,7 @@ def execute(
         spec = st.spec
         st.modes.append((t, mode))
         st.live = solve_mode(mode, x, t, horizon, spec.state_space)
-        crossings = find_crossings(Trajectory([st.live]), spec.threshold.xi, spec.threshold.component)
+        crossings = find_crossings((st.live,), spec.threshold.xi, spec.threshold.component)
         for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
             push(queue, (t_c, _FIRE, name, st.generation, d, value))
 
@@ -416,32 +418,34 @@ def execute(
                 firing.setdefault(entry[2], []).append(entry)
 
         # fire committed output transitions first
-        ordered = sorted(firing)
-        if _shuffle is not None:
-            _shuffle.shuffle(ordered)
-        for name in ordered:
-            st = states[name]
-            for t_c, _kind, _name, _gen, depth, value in firing[name]:
-                if value == st.out_bit:
-                    raise AssertionError(f"{name}: non-alternating commit at t={t_c}")
-                if depth > iteration:
-                    raise AssertionError(f"{name}: depth {depth} exceeds iteration {iteration}")
-                if st.records and depth < st.records[-1].depth:
-                    raise AssertionError(f"{name}: depth decreased at t={t_c}")
-                st.records.append(TransitionRecord(min(t_c, horizon), value, depth, iteration))
-                st.out_bit = value
-                event_count += 1
-                if event_count > event_cap:
-                    raise EventCapExceeded(f"more than {event_cap} events before t={t_c}")
-                propagate(name, t_c, value, depth)
+        if firing:
+            ordered = sorted(firing)
+            if _shuffle is not None:
+                _shuffle.shuffle(ordered)
+            for name in ordered:
+                st = states[name]
+                for t_c, _kind, _name, _gen, depth, value in firing[name]:
+                    if value == st.out_bit:
+                        raise AssertionError(f"{name}: non-alternating commit at t={t_c}")
+                    if depth > iteration:
+                        raise AssertionError(f"{name}: depth {depth} exceeds iteration {iteration}")
+                    if st.records and depth < st.records[-1].depth:
+                        raise AssertionError(f"{name}: depth decreased at t={t_c}")
+                    st.records.append(TransitionRecord(min(t_c, horizon), value, depth, iteration))
+                    st.out_bit = value
+                    event_count += 1
+                    if event_count > event_cap:
+                        raise EventCapExceeded(f"more than {event_cap} events before t={t_c}")
+                    propagate(name, t_c, value, depth)
 
-        # arrivals the firings sent into the window join this batch
-        if queue and queue[0][0] <= window:
-            while queue and queue[0][0] <= window:
-                arrived.append(pop(queue))
-            arrived.sort()
+            # arrivals the firings sent into the window join this batch
+            if queue and queue[0][0] <= window:
+                while queue and queue[0][0] <= window:
+                    arrived.append(pop(queue))
+                arrived.sort()
 
-        # then apply input arrivals, atomically per gate
+        # then apply input arrivals, atomically per gate; each gate's
+        # arrivals stay in time order
         groups: dict[str, list[tuple[float, int, int, int]]] = {}
         for t_a, _kind, dst, slot, depth, value in arrived:
             groups.setdefault(dst, []).append((t_a, slot, value, depth))
@@ -454,7 +458,7 @@ def execute(
         for name in ordered:
             st = states[name]
             arrivals = groups[name]
-            t_star = min(min(a[0] for a in arrivals), horizon)
+            t_star = min(arrivals[0][0], horizon)
             prev_bits = st.bits
             ctx = ModeEntry(t_star, tuple(st.last_change))
             new_bits = list(st.bits)
@@ -482,9 +486,12 @@ def execute(
             st.generation += 1  # cancels every transition still queued
             enter(name, st, new_mode, x_star, t_star, 1 + max(st.max_arr_depth, prior))
 
-    # memory peaks while the results are built; the queue's entries past
-    # the horizon are not needed for them
+    # memory peaks while the results are built; neither the queue's entries
+    # past the horizon nor the live segments are needed for them, and each
+    # gate's lists are dropped once copied
     queue.clear()
+    for st in states.values():
+        st.live = None
 
     # materialize signals, records, mode entries
     signals: dict[str, BinarySignal] = {}
@@ -503,6 +510,7 @@ def execute(
         )
         records[name] = tuple(st.records)
         modes[name] = tuple(st.modes)
+        st.records = st.modes = None
     for name, v in circuit.vertices.items():
         if isinstance(v, OutputPort):
             (drv,) = circuit.incoming(name)

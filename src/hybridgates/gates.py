@@ -91,16 +91,12 @@ class GateSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_delays", tuple(float(d) for d in self.input_delays))
-        object.__setattr__(self, "initial_inputs", tuple(int(b) for b in self.initial_inputs))
+        object.__setattr__(self, "initial_inputs", _input_bits(self.initial_inputs, self.arity))
         object.__setattr__(
             self, "initial_state", tuple(float(v) for v in self.initial_state)
         )
-        if len(self.initial_inputs) != self.arity:
-            raise ValueError(f"need {self.arity} initial input bits")
         if not all(math.isfinite(d) and d >= 0 for d in self.input_delays):
             raise ValueError("input delays must be finite and nonnegative")
-        if any(b not in (0, 1) for b in self.initial_inputs):
-            raise ValueError("initial inputs must be bits")
         if len(self.initial_state) != self.state_space.dimension:
             raise ValueError("initial state dimension mismatch")
         if not self.state_space.contains(np.asarray(self.initial_state)):
@@ -111,6 +107,17 @@ class GateSpec:
     @property
     def arity(self) -> int:
         return len(self.input_delays)
+
+
+def _input_bits(values: Sequence[int], arity: int) -> tuple[int, ...]:
+    """``values`` as ``arity`` input bits; a factory checks them before it
+    looks them up in a table, so a bad one is named, not a ``KeyError``."""
+    bits = tuple(int(b) for b in values)
+    if len(bits) != arity:
+        raise ValueError(f"need {arity} initial input bits")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("initial inputs must be bits")
+    return bits
 
 
 def initial_output_bit(gate: GateSpec) -> int:
@@ -263,9 +270,7 @@ def make_boolean_gate(
     gate_name = name or (function if isinstance(function, str) else "bool")
     if not all(math.isfinite(d) for d in delays):  # before tau_fast is derived from them
         raise ValueError("input delays must be finite and nonnegative")
-    if initial_inputs is None:
-        initial_inputs = (0,) * arity
-    initial_inputs = tuple(int(b) for b in initial_inputs)
+    initial_inputs = _input_bits((0,) * arity if initial_inputs is None else initial_inputs, arity)
     if tau_fast is None:
         if not delays or min(delays) <= 0:
             raise ValueError("tau_fast must be given when a delay is zero")
@@ -317,6 +322,8 @@ def make_idm_channel(
         raise ValueError(f"delta_min must be nonnegative, got {delta_min!r}")
     if not 0.0 < xi < 1.0:
         raise ValueError(f"threshold must sit strictly inside (0, 1), got {xi}")
+    if initial_input not in (0, 1):  # it is the initial state too
+        raise ValueError(f"initial_input must be a bit, got {initial_input!r}")
     box = StateSpace(((-0.01, 1.01),))
     down, up = _lag_modes(("down", "up"), tau, (0.0, 1.0), box)
     modes = {(0,): down, (1,): up}
@@ -336,6 +343,8 @@ def make_heater_plant(
     The comparator reports whether the temperature exceeds ``xi``; two copies
     with different levels give the band sensors of a thermostat loop.
     """
+    if initial_input not in (0, 1):
+        raise ValueError(f"initial_input must be a bit, got {initial_input!r}")
     box = StateSpace(((-1.0, 51.0),))
     off, on = _lag_modes(("off", "on"), 10.0, (0.0, 50.0), box)  # a = -0.1, b = 5.0 exactly
     modes = {(0,): off, (1,): on}
@@ -408,7 +417,7 @@ def make_simple_nor(
     modes = {
         bits: affine_mode(f"s{bits[0]}{bits[1]}", a, b, box) for bits, (a, b) in nets.items()
     }
-    initial_inputs = tuple(int(b) for b in initial_inputs)
+    initial_inputs = _input_bits(initial_inputs, len(delays))
     if initial_state is None:
         a, b = nets[initial_inputs]
         try:

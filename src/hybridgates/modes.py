@@ -103,15 +103,17 @@ class StateSpace:
 class AffineConstant:
     """dx/dt = a x + b with constant coefficients.
 
-    One state solves to a :class:`ScalarAffineSegment`, two to an
-    :class:`AffineSegment` from the constants ``plane`` derives once (one
-    beyond the floats raises ValueError), and three or more are integrated
-    like ``GeneralNumeric`` (``plane`` is None).  A non-finite entry of
-    ``a`` or ``b`` raises ValueError for every size.
+    One state solves to a :class:`ScalarAffineSegment` from ``line``, the
+    floats (a, b) read once; two to an :class:`AffineSegment` from the
+    constants ``plane`` derives once (one beyond the floats raises
+    ValueError); and three or more are integrated like ``GeneralNumeric``.
+    ``line`` and ``plane`` are None where they do not apply.  A non-finite
+    entry of ``a`` or ``b`` raises ValueError for every size.
     """
 
     a: np.ndarray
     b: np.ndarray
+    line: tuple[float, float] | None = field(init=False, repr=False, compare=False)
     plane: _Plane | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -127,6 +129,7 @@ class AffineConstant:
             plane = _Plane(a, b) if b.shape[0] == 2 else None
         except OverflowError as exc:  # from float() of a Fraction
             raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has constants beyond the floats") from exc
+        object.__setattr__(self, "line", (a.item(), b.item()) if b.shape[0] == 1 else None)
         object.__setattr__(self, "plane", plane)
 
 
@@ -312,7 +315,8 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> fl
 # inside it.  The next segment starts from the state this one reads at its
 # end (``state_at``), so junctions match exactly.
 # Kinds with a closed form also cut each component into monotone ``pieces``,
-# which containment and the crossing search read instead of sampling.
+# with its values at the piece ends, which containment and the crossing
+# search each read in one call instead of sampling.
 
 
 class _SegmentBase:
@@ -328,22 +332,22 @@ class _SegmentBase:
         for the 1-state kinds that evaluate on floats, an array otherwise."""
         return self.value(t)
 
-    def ends(self, ts, component: int) -> list[float]:
-        """One state component (1-based) at the times ``ts``, as floats."""
-        return self.values(ts)[:, component - 1].tolist()
-
     def sample_times(self, n: int) -> np.ndarray:
         return np.linspace(self.t0, self.t1, max(n, 2))
 
     def pieces(self, component: int):
-        """Monotone pieces of one state component (1-based).
+        """Monotone pieces of one state component (1-based), with the
+        component's value at each piece end.
 
-        A segment kind with a closed form returns ``(breaks, meet)``:
-        ``breaks`` are the interior times where the component turns, so it
-        is monotone between consecutive times of ``(t0, *breaks, t1)``, and
-        ``meet(xi, lo, hi)`` is the time in such a piece ``[lo, hi]``, whose
-        end values straddle ``xi``, at which the component equals ``xi``.
-        None, as here, means the segment must be sampled.
+        A segment kind with a closed form returns ``(ts, xs, meet)``: ``ts``
+        is ``(t0, *breaks, t1)``, where the breaks are the interior times
+        where the component turns, so it is monotone between consecutive
+        times; ``xs`` are the component's values at ``ts``, as floats, read
+        once for every reader (containment and the crossing search each make
+        one call); and ``meet(xi, lo, hi)`` is the time in such a piece
+        ``[lo, hi]``, whose end values straddle ``xi``, at which the
+        component equals ``xi``.  None, as here, means the segment must be
+        sampled.
         """
         return None
 
@@ -363,15 +367,13 @@ class _FloatSegment(_SegmentBase):
     def state_at(self, t: float) -> float:
         return self.at(t)
 
-    def ends(self, ts, component: int) -> list[float]:
-        return [self.at(t) for t in ts]
-
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
         return np.array([self.at(t) for t in ts]).reshape(-1, 1)
 
     def pieces(self, component: int):
-        return (), self._meet
+        # at(t0) is x0 itself
+        return (self.t0, self.t1), (self.x0, self.at(self.t1)), self._meet
 
 
 class AffineSegment(_SegmentBase):
@@ -434,7 +436,8 @@ class AffineSegment(_SegmentBase):
             return ()
         return (t0 + (math.log(abs(g2)) - math.log(abs(g1))) / den,)
 
-    def ends(self, ts, component: int) -> list[float]:
+    def _component_at(self, ts, component: int) -> list[float]:
+        """Component ``component`` (1-based) at the times ``ts``, as floats."""
         t0, x, f = self.t0, self.x0[component - 1], self._component(component)
         try:
             return [x if t == t0 else f(t) for t in ts]
@@ -444,14 +447,14 @@ class AffineSegment(_SegmentBase):
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
-        return np.array([self.ends(ts, 1), self.ends(ts, 2)]).T
+        return np.array([self._component_at(ts, 1), self._component_at(ts, 2)]).T
 
     def pieces(self, component: int):
         """Monotone pieces of one state component; see ``_SegmentBase.pieces``."""
         t0, t1 = self.t0, self.t1
         # a turn within TIME_EPS of an end could only add a pulse narrower
         # than TIME_EPS
-        breaks = tuple(t for t in self._turns(component) if t0 + TIME_EPS < t < t1 - TIME_EPS)
+        ts = (t0, *(t for t in self._turns(component) if t0 + TIME_EPS < t < t1 - TIME_EPS), t1)
 
         def meet(xi: float, lo: float, hi: float) -> float:
             excess = self._component(component, xi)
@@ -461,7 +464,7 @@ class AffineSegment(_SegmentBase):
                 return lo if abs(g_lo) <= abs(g_hi) else hi
             return _brent(excess, lo, hi, 1e-13)
 
-        return breaks, meet
+        return ts, self._component_at(ts, component), meet
 
 
 class ScalarAffineSegment(_FloatSegment):
@@ -592,7 +595,8 @@ Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment | DenseSegment
 
 
 class Trajectory:
-    """Continuous piecewise solution: consecutive segments tiling [t0, t1]."""
+    """Continuous piecewise solution: consecutive segments tiling [t0, t1].
+    Iterating it yields the segments in time order."""
 
     def __init__(self, segments: Sequence[Segment]):
         if not segments:
@@ -604,6 +608,9 @@ class Trajectory:
                 )
         self.segments = tuple(segments)
         self._starts = [s.t0 for s in self.segments]
+
+    def __iter__(self):
+        return iter(self.segments)
 
     @property
     def t0(self) -> float:
@@ -653,8 +660,8 @@ def _containment_scan(segment: Segment, space: StateSpace) -> None:
         form = segment.pieces(k)
         if form is None:
             break
-        ends = segment.ends((segment.t0, *form[0], segment.t1), k)
-        if not (lo - 1e-12 < min(ends) and max(ends) < hi + 1e-12):
+        xs = form[1]
+        if not (lo - 1e-12 < min(xs) and max(xs) < hi + 1e-12):
             break
     else:
         return
@@ -714,7 +721,7 @@ def solve_mode(
     kind = mode.kind
     if isinstance(kind, AffineConstant) and n <= 2:
         if n == 1:
-            seg: Segment = ScalarAffineSegment(t0, t1, x0, kind.a.item(), kind.b.item())
+            seg: Segment = ScalarAffineSegment(t0, t1, x0, *kind.line)
         else:
             seg = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
     elif isinstance(kind, ScalarRelaxation):

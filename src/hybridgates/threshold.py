@@ -9,17 +9,21 @@ so a piece whose end predicates differ crosses xi once, at the time the
 segment's ``meet`` gives.  The formulas of each kind are documented on its
 segment class in ``modes``.
 
-The piece-end predicates are read through the segment's ``ends``, which
-each closed-form kind evaluates on floats, so they are the numbers every
-other reader of the segment sees.  When a scalar segment's ``asymptote``
-is xi itself it never crosses, even where ``exp`` underflows and its
-computed end value lands exactly on xi.  Every other segment (the numeric
-ones of ``GeneralNumeric`` modes and of affine modes with three or more
-states) is sampled on a fixed 64-point grid per segment, refined near xi,
-and each bracketed predicate change is bisected to ``TIME_EPS``; tangential
-touches that never change the predicate between samples produce no
-transition.  The sampled path reads the predicate off the computed values,
-so a sampled trajectory that underflows onto xi does report an edge there.
+The piece-end predicates are read off the values ``pieces`` returns with
+the piece ends, which each closed-form kind evaluates on floats, so they
+are the numbers every other reader of the segment sees.  When a scalar
+segment's ``asymptote`` is xi itself it never crosses, even where ``exp``
+underflows and its computed end value lands exactly on xi.  Every other
+segment (the numeric ones of ``GeneralNumeric`` modes and of affine modes
+with three or more states) is sampled on a fixed 64-point grid per
+segment, refined near xi, and each bracketed predicate change is bisected
+to ``TIME_EPS``; tangential touches that never change the predicate
+between samples produce no transition.  The sampled path reads the
+predicate off the computed values, so a sampled trajectory that underflows
+onto xi does report an edge there.
+
+``find_crossings`` reads any sequence of consecutive segments; a circuit
+run hands it each live segment alone, with no ``Trajectory`` around it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -107,30 +112,25 @@ def _bisect_crossing(
 def _monotone_crossings(segment: Segment, xi: float, component: int):
     """Crossings of a segment that answers ``pieces``.
 
-    The piece-end predicates come from the segment's ``ends``, and each
-    piece whose end predicates differ crosses once, at the time its
+    The piece-end predicates come from the values ``pieces`` returns, and
+    each piece whose end predicates differ crosses once, at the time its
     ``meet`` gives.  Returns ``(start predicate, end predicate, crossings,
     plateau)``, or None for a segment that must be sampled.
     """
     form = segment.pieces(component)
     if form is None:
         return None
-    breaks, meet = form
-    ts = (segment.t0, *breaks, segment.t1)
-    g_ends = [x - xi for x in segment.ends(ts, component)]
+    ts, xs, meet = form
+    preds = [x > xi for x in xs]
     if segment.dimension == 1 and segment.asymptote == xi:
         # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes sign; an
         # exp that underflows onto xi is not an edge.
-        g_ends[-1] = g_ends[0]
-    pred = pred_start = g_ends[0] > 0.0
-    found = []
-    for i in range(len(breaks) + 1):
-        pred_next = g_ends[i + 1] > 0.0
-        if pred_next != pred:
-            found.append((meet(xi, ts[i], ts[i + 1]), pred_next))
-        pred = pred_next
-    plateau = g_ends[0] == 0.0 and not any(g_ends) and segment.t1 > segment.t0
-    return pred_start, pred, found, plateau
+        preds[-1] = preds[0]
+    found = [
+        (meet(xi, ts[i], ts[i + 1]), preds[i + 1]) for i in range(len(ts) - 1) if preds[i] != preds[i + 1]
+    ]
+    plateau = xs.count(xi) == len(xs) and segment.t1 > segment.t0
+    return preds[0], preds[-1], found, plateau
 
 
 def _sampled_crossings(segment: Segment, xi: float, component: int, cap: int):
@@ -157,28 +157,32 @@ _PROBE_POINTS = 64
 
 
 def find_crossings(
-    traj: Trajectory,
+    segments: Iterable[Segment],
     xi: float,
     component: int = 1,
     max_crossings: int = 1_000_000,
 ) -> list[tuple[float, bool]]:
-    """Threshold crossing times of one state component of a trajectory.
+    """Threshold crossing times of one state component along consecutive
+    segments: a :class:`Trajectory`, or any iterable of segments that tile
+    a span, such as the one live segment a circuit run crosses.
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
-    the predicate ``x > xi`` turns on.  A segment that answers ``pieces``
-    is crossed piece by piece: the piece-end predicates are read through
-    the segment's ``ends``, and each piece whose end predicates differ
-    crosses once, at the time of the segment's closed form (documented on each
+    the predicate ``x > xi`` turns on, and consecutive pairs alternate.  A
+    segment that answers ``pieces`` is crossed piece by piece: the
+    piece-end predicates are read off the values ``pieces`` returns with
+    the piece ends, and each piece whose end predicates differ crosses
+    once, at the time of the segment's closed form (documented on each
     segment class).  A scalar segment whose asymptote is ``xi`` never
     crosses.  Every other segment is sampled and bisected to ``TIME_EPS``,
     its predicate read off the computed values (so an ``exp`` that
-    underflows onto ``xi`` there still reads as an edge).  Raises
-    :class:`CrossingCapExceeded` if any single segment yields more than
-    ``max_crossings`` crossings.
+    underflows onto ``xi`` there still reads as an edge).  A segment whose
+    start predicate differs from the previous segment's end predicate
+    crosses at its start.  Raises :class:`CrossingCapExceeded` if any single
+    segment yields more than ``max_crossings`` crossings.
     """
     crossings: list[tuple[float, bool]] = []
     carried: bool | None = None  # predicate at the end of the previous segment
-    for segment in traj.segments:
+    for segment in segments:
         pred_start, pred_end, found, plateau = _monotone_crossings(
             segment, xi, component
         ) or _sampled_crossings(segment, xi, component, max_crossings)
@@ -199,13 +203,9 @@ def find_crossings(
             )
         crossings.extend(found)
         carried = pred_end
-    # Junction double-detections collapse to one event.
-    deduped: list[tuple[float, bool]] = []
-    for t, rising in crossings:
-        if deduped and t - deduped[-1][0] <= TIME_EPS and rising == deduped[-1][1]:
-            continue
-        deduped.append((t, rising))
-    return deduped
+    # Each pair flips the predicate it follows, so no two consecutive pairs
+    # share a direction and a junction cannot report one edge twice.
+    return crossings
 
 
 def digitize(traj: Trajectory, spec: ThresholdSpec) -> BinarySignal:

@@ -405,6 +405,19 @@ class TestModeEntries:
         mis_delay_sweep(lambda: factory(initial_inputs=(1, 1)), [0.0, 1e-9, 0.5, 3.0])
         assert calls == {"circuit": 11, "modes": 0}
 
+    def test_a_run_builds_no_trajectory(self, monkeypatch):
+        # each mode entry crosses its live segment as it is; a Trajectory is
+        # built only when Execution.trajectory is asked for one
+        built = []
+        for module in (circuit_module, modes_module):
+            cls = module.Trajectory
+            monkeypatch.setattr(module, "Trajectory", lambda segments, _cls=cls: built.append(1) or _cls(segments))
+        runs = list(shipped_preset_runs())
+        assert runs and built == []
+        circuit, ex = runs[0]
+        ex.trajectory(next(iter(circuit.gates())))
+        assert built == [1]  # the counter sees the one pasted on demand
+
 
 class TestScheduler:
     """Lazy cancellation of pending transitions and executor invariants."""

@@ -233,6 +233,23 @@ class TestCircuitFiles:
         assert capsys.readouterr().err == f"error: {path}: vertex 'n1': initial_output must be a bit, got 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "vertex",
+        [
+            {"id": "n1", "kind": "boolean", "function": "buf", "delays": [0.1], "initial_inputs": [2]},
+            {"id": "n1", "kind": "simple_nor", "delays": [0.1, 0.1], "initial_inputs": [2, 0]},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_initial_inputs_that_are_not_bits_are_named(self, tmp_path, capsys, command, vertex):
+        doc = pipeline_doc()
+        doc["vertices"][1] = vertex
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
+        assert capsys.readouterr().err == f"error: {path}: vertex 'n1': initial inputs must be bits\n"
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2
 

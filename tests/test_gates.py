@@ -87,6 +87,15 @@ class TestBooleanGates:
             make_boolean_gate("buf", (0.1,), initial_output=bad)
         assert str(exc.value) == f"initial_output must be a bit, got {bad}"
 
+    def test_initial_inputs_that_are_not_bits_are_named(self):
+        # checked before the truth table is read, so not a bare KeyError: (2,)
+        with pytest.raises(ValueError) as exc:
+            make_boolean_gate("buf", (0.1,), initial_inputs=(2,))
+        assert str(exc.value) == "initial inputs must be bits"
+        with pytest.raises(ValueError) as exc:
+            make_boolean_gate("nor2", (0.1, 0.1), initial_inputs=(0,))
+        assert str(exc.value) == "need 2 initial input bits"
+
     def test_declared_initial_inputs_enforced(self):
         gate = make_boolean_gate("nor2", (0.1, 0.1), initial_inputs=(0, 0))
         with pytest.raises(ValueError):
@@ -155,6 +164,13 @@ class TestIdmChannel:
         run = gate_output(gate, [sig])
         assert run.output.initial_value == 1
         assert run.output.times == ()
+
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    def test_initial_input_must_be_a_bit(self, bad):
+        # the channel starts at its input's level, so 0.5 is no bit to round
+        with pytest.raises(ValueError) as exc:
+            make_idm_channel(initial_input=bad)
+        assert str(exc.value) == f"initial_input must be a bit, got {bad!r}"
 
 
 class TestHeaterPlant:
@@ -233,6 +249,12 @@ def _simple_nor_rise_oracle():
 
 
 class TestSimpleNor:
+    def test_initial_inputs_that_are_not_bits_are_named(self):
+        # checked before the networks are read, so not a bare KeyError: (2, 0)
+        with pytest.raises(ValueError) as exc:
+            make_simple_nor(initial_inputs=(2, 0))
+        assert str(exc.value) == "initial inputs must be bits"
+
     def test_initial_state_is_network_equilibrium(self):
         assert make_simple_nor().initial_state == pytest.approx((1.0, 1.0))
         assert make_simple_nor(initial_inputs=(0, 1)).initial_state == pytest.approx((1.0, 0.0))

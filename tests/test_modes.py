@@ -106,8 +106,8 @@ def test_float_segment_meets_xi_inside_the_piece(a, b, x0, t0, span, u):
     x_lo, x_hi = seg.at(lo), seg.at(hi)
     xi = x_lo + u * (x_hi - x_lo)
     assume(min(x_lo, x_hi) < xi < max(x_lo, x_hi))
-    breaks, meet = seg.pieces(1)
-    assert breaks == ()
+    ts, xs, meet = seg.pieces(1)
+    assert ts == (lo, hi) and xs == (x_lo, x_hi)
     t = meet(xi, lo, hi)
     assert lo <= t <= hi
     # the state is x_inf + (x0 - x_inf) e^{a (t - t0)}, and a time rounded
@@ -229,7 +229,7 @@ def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
     plane = seg.kind.plane
     assert (plane.form, plane.rates, plane.c) == ("repeated", (-1.0,), (1.0, 0.0))
     assert seg._pq == (-0.75, 0.0, 0.75, 0.0)  # (p1, q1, p2, q2) of c + e^{-s} (p + q s)
-    assert seg.pieces(1)[0] == seg.pieces(2)[0] == ()
+    assert seg.pieces(1)[0] == seg.pieces(2)[0] == (0.0, 5.0)
     # the (1,1) network: x1 is frozen, so its zero eigenvalue joins the constant
     seg = AffineSegment(0.0, 5.0, [0.25, 0.75], [[0.0, 0.0], [0.0, -2.0]], [0.0, 0.0])
     plane = seg.kind.plane

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from hybridgates import modes, threshold
 from hybridgates.modes import (
     AffineSegment,
+    RelaxationSegment,
     ScalarAffineSegment,
     StateSpace,
     Trajectory,
@@ -387,12 +388,71 @@ class TestExponentialSumAgainstSampledPath:
             modes._SegmentBase, "sample_times", lambda *args: pytest.fail("sampled")
         )
         seg = solve_mode(affine_mode("rotate", a, b, box), [1.0, 0.0], 0.0, 10.0, box)
-        assert len(seg.pieces(1)[0]) == 3
+        assert len(seg.pieces(1)[0]) == 5  # t0, three turns, t1
         got = find_crossings(Trajectory([seg]), 0.5)
         assert len(got) == 3
         _assert_same_crossings(got, slow)
         for t, _ in got:
             assert math.exp(-t / 10.0) * math.cos(t) == pytest.approx(0.5, abs=1e-13)
+
+
+_ONE_SEGMENT = {
+    "scalar_affine": ScalarAffineSegment(0.0, 5.0, 0.0, -1.0, 1.0),
+    "relaxation": RelaxationSegment(0.0, 5.0, 1.0, 0.0, lambda t: t * t),
+    "affine_real": AffineSegment(0.0, 5.0, [1.0, 0.0], [[-1.0, 1.0], [1.0, -2.0]], [0.0, 0.5]),
+    "affine_repeated": AffineSegment(0.0, 5.0, [0.25, 0.75], [[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+    "affine_complex": AffineSegment(0.0, 10.0, [1.0, 0.0], [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0]),
+    "affine_quadratic": AffineSegment(0.0, 3.0, [0.6, -1.0], [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]),
+    "function": FunctionSegment(0.0, 6.0, np.sin),
+}
+
+
+class TestCrossingInput:
+    """``find_crossings`` reads any iterable of segments; a circuit run hands
+    it the live segment in a tuple, with no ``Trajectory`` around it."""
+
+    @pytest.mark.parametrize("kind", sorted(_ONE_SEGMENT))
+    def test_a_segment_in_a_tuple_crosses_as_its_trajectory(self, kind):
+        seg = _ONE_SEGMENT[kind]
+        crossed = 0
+        for k in range(1, seg.dimension + 1):
+            for xi in (-0.3, 0.2, 0.5):
+                got = find_crossings((seg,), xi, k)
+                assert got == find_crossings(Trajectory([seg]), xi, k), (k, xi)
+                crossed += len(got)
+        assert crossed  # each kind crosses some level
+
+    def test_a_junction_crosses_once_from_a_tuple(self):
+        lo = ScalarAffineSegment(0.0, 1.0, 0.4, 0.0, 0.0)
+        hi = ScalarAffineSegment(1.0, 2.0, 0.7, 0.0, 0.0)
+        assert find_crossings((lo, hi), 0.5) == find_crossings(Trajectory([lo, hi]), 0.5) == [(1.0, True)]
+
+    @given(
+        pieces=st.lists(
+            st.tuples(
+                st.floats(0.01, 2.0),  # span
+                st.floats(0.0, 1.0),  # x0
+                st.sampled_from([-3.0, -1.0, 0.0, 1.0]),  # a
+                st.floats(-1.0, 1.0),  # b
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        xi=st.sampled_from([0.0, 0.25, 0.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:trajectory runs exactly on the threshold")
+    def test_crossings_alternate_across_junctions(self, pieces, xi):
+        # each pair flips the predicate it follows, junction pairs included,
+        # so no edge can be reported twice
+        segments, t = [], 0.0
+        for span, x0, a, b in pieces:
+            segments.append(ScalarAffineSegment(t, t + span, x0, a, b))
+            t += span
+        got = find_crossings(segments, xi)
+        start = segments[0].x0 > xi
+        assert [rising for _, rising in got] == [not start if i % 2 == 0 else start for i in range(len(got))]
+        assert [t for t, _ in got] == sorted(t for t, _ in got)
 
 
 class TestTangentialAndDegenerate:
