@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
-from .gates import GateSpec, ModeEntry, boolean_table, initial_output_bit, make_boolean_gate, make_const_gate
+from .gates import GateSpec, ModeEntry, _bit, boolean_table, initial_output_bit
+from .gates import make_boolean_gate, make_const_gate
 from .modes import ModeFunction, Trajectory, matching_output_signal, solve_mode
 from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal, one_norm_distance
 from .threshold import find_crossings
@@ -56,8 +57,7 @@ class InputPort:
     initial_value: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_value not in (0, 1):
-            raise ValueError(f"port initial value must be a bit, got {self.initial_value!r}")
+        object.__setattr__(self, "initial_value", _bit(self.initial_value, "port initial value"))
 
 
 @dataclass(frozen=True)

@@ -114,16 +114,11 @@ _KINDS = {
     **{kind: _nor_kind(*spec) for kind, spec in _NOR_KINDS.items()},
 }
 
-# a field means the same in every kind; any field not listed is a float
-_COERCE = {
-    "delays": lambda v: tuple(float(d) for d in v),
-    "initial_inputs": lambda v: tuple(int(b) for b in v),
-    "initial": int,
-    "value": int,
-    "initial_input": int,
-    "initial_output": int,
-    "function": lambda v: v,
-}
+# a field means the same in every kind; any field not listed is a float.
+# ``function`` and the bit fields reach the builder as they are: it refuses
+# a bit that is not 0 or 1, where int() would truncate it.
+_AS_IS = ("function", "initial", "initial_input", "initial_inputs", "initial_output", "value")
+_COERCE = {"delays": lambda v: tuple(float(d) for d in v), **dict.fromkeys(_AS_IS, lambda v: v)}
 
 
 @dataclasses.dataclass

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .modes import (
     ModeFunction,
     ScalarRelaxation,
@@ -99,7 +97,7 @@ class GateSpec:
             raise ValueError("input delays must be finite and nonnegative")
         if len(self.initial_state) != self.state_space.dimension:
             raise ValueError("initial state dimension mismatch")
-        if not self.state_space.contains(np.asarray(self.initial_state)):
+        if not self.state_space.contains(self.initial_state):
             raise ValueError("initial state outside the state space")
         if self.threshold.component > self.state_space.dimension:
             raise ValueError("threshold component out of range")
@@ -109,15 +107,20 @@ class GateSpec:
         return len(self.input_delays)
 
 
+def _bit(value, field: str) -> int:
+    """``value`` as an int if it equals 0 or 1, else a ValueError naming
+    ``field``; checked before converting, so 0.5 is refused, not truncated."""
+    if value not in (0, 1):
+        raise ValueError(f"{field} must be a bit, got {value!r}")
+    return int(value)
+
+
 def _input_bits(values: Sequence[int], arity: int) -> tuple[int, ...]:
     """``values`` as ``arity`` input bits; a factory checks them before it
     looks them up in a table, so a bad one is named, not a ``KeyError``."""
-    bits = tuple(int(b) for b in values)
-    if len(bits) != arity:
+    if len(values) != arity:
         raise ValueError(f"need {arity} initial input bits")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("initial inputs must be bits")
-    return bits
+    return tuple(_bit(b, f"initial_inputs[{i}]") for i, b in enumerate(values))
 
 
 def initial_output_bit(gate: GateSpec) -> int:
@@ -279,8 +282,7 @@ def make_boolean_gate(
         raise ValueError(f"tau_fast must be finite and positive, got {tau_fast!r}")
     if initial_output is None:
         initial_output = table[initial_inputs]
-    if initial_output not in (0, 1):
-        raise ValueError(f"initial_output must be a bit, got {initial_output!r}")
+    initial_output = _bit(initial_output, "initial_output")
 
     box = StateSpace(((-0.01 * v_dd, 1.01 * v_dd),))
     lag = _lag_modes(("low", "high"), tau_fast, (0.0, v_dd), box)
@@ -291,9 +293,7 @@ def make_boolean_gate(
 
 def make_const_gate(value: int, v_dd: float = 1.0, name: str | None = None) -> GateSpec:
     """Zero-input gate holding a constant digitized output."""
-    value = int(value)
-    if value not in (0, 1):
-        raise ValueError(f"constant must be a bit, got {value!r}")
+    value = _bit(value, "value")
     box = StateSpace(((-0.01 * v_dd, 1.01 * v_dd),))
     modes = {(): affine_mode("hold", [[0.0]], [0.0], box)}
     x0 = (v_dd * float(value),)
@@ -322,13 +322,12 @@ def make_idm_channel(
         raise ValueError(f"delta_min must be nonnegative, got {delta_min!r}")
     if not 0.0 < xi < 1.0:
         raise ValueError(f"threshold must sit strictly inside (0, 1), got {xi}")
-    if initial_input not in (0, 1):  # it is the initial state too
-        raise ValueError(f"initial_input must be a bit, got {initial_input!r}")
+    initial_input = _bit(initial_input, "initial_input")  # it is the initial state too
     box = StateSpace(((-0.01, 1.01),))
     down, up = _lag_modes(("down", "up"), tau, (0.0, 1.0), box)
     modes = {(0,): down, (1,): up}
     x0 = (float(initial_input),)
-    return _table_gate(name, (delta_min,), modes, (int(initial_input),), x0, ThresholdSpec(xi), box)
+    return _table_gate(name, (delta_min,), modes, (initial_input,), x0, ThresholdSpec(xi), box)
 
 
 def make_heater_plant(
@@ -343,13 +342,12 @@ def make_heater_plant(
     The comparator reports whether the temperature exceeds ``xi``; two copies
     with different levels give the band sensors of a thermostat loop.
     """
-    if initial_input not in (0, 1):
-        raise ValueError(f"initial_input must be a bit, got {initial_input!r}")
+    initial_input = _bit(initial_input, "initial_input")
     box = StateSpace(((-1.0, 51.0),))
     off, on = _lag_modes(("off", "on"), 10.0, (0.0, 50.0), box)  # a = -0.1, b = 5.0 exactly
     modes = {(0,): off, (1,): on}
     x0 = (float(initial_state),)
-    return _table_gate(name, (delta,), modes, (int(initial_input),), x0, ThresholdSpec(xi), box)
+    return _table_gate(name, (delta,), modes, (initial_input,), x0, ThresholdSpec(xi), box)
 
 
 # -- two-transistor NOR models ----------------------------------------------
@@ -419,12 +417,9 @@ def make_simple_nor(
     }
     initial_inputs = _input_bits(initial_inputs, len(delays))
     if initial_state is None:
-        a, b = nets[initial_inputs]
-        try:
-            x0 = np.linalg.solve(np.asarray(a), -np.asarray(b))
-        except np.linalg.LinAlgError:
-            x0 = np.zeros(2)  # (1,1) network is singular; quiescent is discharged
-        initial_state = tuple(float(v) for v in x0)
+        # the exact rest state its mode derives; for positive parameters only
+        # (1, 1) is singular, with b = 0, so m = (0, 0) and c = (0.0, 0.0)
+        initial_state = modes[initial_inputs].kind.plane.c
     threshold = ThresholdSpec(p.v_dd / 2.0, component=2)
     return _table_gate(name, delays, modes, initial_inputs, initial_state, threshold, box)
 
@@ -563,7 +558,7 @@ def make_advanced_nor(
             return charging(ctx.time, gap, p.alpha2)
         raise AssertionError(f"unreachable mode decision: {prev_bits} -> {bits}")
 
-    initial_inputs = tuple(int(b) for b in initial_inputs)
+    initial_inputs = _input_bits(initial_inputs, len(delays))
     x0 = p.v_dd if initial_inputs == (0, 0) else 0.0
     threshold = ThresholdSpec(p.v_dd / 2.0)
     return GateSpec(name, delays, choice, initial_inputs, (x0,), threshold, box)

@@ -84,10 +84,9 @@ class StateSpace:
         return len(self.bounds)
 
     def contains(self, x, slack: float = 1e-12) -> bool:
-        """Whether ``x``, a float in a 1-state space or else a sequence, lies
-        inside the box widened by ``slack``."""
-        xs = (x,) if isinstance(x, float) else np.asarray(x, dtype=float)
-        for value, (lo, hi) in zip(xs, self.bounds):
+        """Whether ``x``, a float in a 1-state space or else a sequence of
+        floats, lies inside the box widened by ``slack``."""
+        for value, (lo, hi) in zip((x,) if isinstance(x, float) else x, self.bounds):
             if not (lo - slack < value < hi + slack):
                 return False
         return True
@@ -328,9 +327,10 @@ class _SegmentBase:
         return self.values([t])[0]
 
     def state_at(self, t: float):
-        """The state at ``t`` in the form ``solve_mode`` returns it: a float
-        for the 1-state kinds that evaluate on floats, an array otherwise."""
-        return self.value(t)
+        """The state at ``t`` in the one form a run carries between modes: a
+        float in a 1-state space, otherwise a tuple of floats."""
+        row = self.value(t).tolist()
+        return row[0] if len(row) == 1 else tuple(row)
 
     def sample_times(self, n: int) -> np.ndarray:
         return np.linspace(self.t0, self.t1, max(n, 2))
@@ -396,7 +396,7 @@ class AffineSegment(_SegmentBase):
         if kind.plane is None:
             raise ValueError("an affine segment has 2 states; 1 state is a ScalarAffineSegment")
         self.t0, self.t1 = float(t0), float(t1)
-        self.x0 = x1, x2 = np.asarray(x0, dtype=float).tolist()
+        self.x0 = x1, x2 = tuple(map(float, x0))
         self.kind = kind
         y1, y2 = x1 - kind.plane.c[0], x2 - kind.plane.c[1]
         self._pq = tuple([u * y1 + v * y2 + o for u, v, o in kind.plane.rows])
@@ -444,6 +444,9 @@ class AffineSegment(_SegmentBase):
         except OverflowError:  # inf, as numpy's exp gives
             f = self._component(component, exp=lambda u: math.exp(u) if u < 709.78 else math.inf)
             return [x if t == t0 else f(t) for t in ts]
+
+    def state_at(self, t: float) -> tuple[float, float]:
+        return self._component_at((t,), 1)[0], self._component_at((t,), 2)[0]
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
@@ -700,21 +703,24 @@ def solve_mode(
 ) -> Segment:
     """Solve one mode from ``x0`` over ``[t0, t1]``; returns a segment.
 
-    In a 1-state space ``x0`` may be a float or a length-1 sequence, and an
-    affine or relaxation mode returns a float segment, whose ``state_at``
-    gives the float that the next entry takes; affine modes of three or
-    more states are integrated like ``GeneralNumeric`` ones.  Raises
+    ``x0`` (an int, float, numpy scalar, 0-d array, or list, tuple or array
+    of one entry per state) becomes, without numpy, the one form a run
+    carries and ``state_at`` returns: a float in a 1-state space, else a
+    tuple of floats.  Affine modes of three or more states are integrated
+    like ``GeneralNumeric`` ones, from ``x0`` as an array.  Raises
     :class:`StateSpaceExit` if the solution leaves the open box,
     :class:`IntegrationError` if the numeric integrator fails, and
-    ``ValueError`` from the segment's constructor if ``t1 < t0``.
+    ``ValueError`` for a wrong state dimension or ``t1 < t0``.
     """
     n = space.dimension
     if not (n == 1 and isinstance(x0, float)):
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape[0] != n:
-            raise ValueError(f"state dimension {x0.shape[0]} != space dimension {n}")
-        if n == 1:
-            x0 = float(x0[0])
+        try:
+            k = len(x0)
+        except TypeError:  # a scalar: an int, a numpy scalar or a 0-d array
+            k, x0 = 1, (x0,)
+        if k != n:
+            raise ValueError(f"state dimension {k} != space dimension {n}")
+        x0 = float(x0[0]) if n == 1 else tuple(map(float, x0))
     if not space.contains(x0):
         raise StateSpaceExit(t0, x0)
 

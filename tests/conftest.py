@@ -62,17 +62,23 @@ def binary_signals(draw, horizon: float = 10.0, max_transitions: int = 6):
     return BinarySignal(init, tuple(zip(times, vals)), horizon)
 
 
+def preset_stimulus(preset: str):
+    """A preset's circuit, a staggered pulse on each input, and its horizon."""
+    cf = load_circuit(f"preset:{preset}")
+    horizon = cf.defaults["horizon"]
+    inputs = {}
+    for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
+        b = port.initial_value  # a pulse away from it, staggered per input
+        inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
+    return cf.circuit, inputs, horizon
+
+
 def shipped_preset_runs():
-    """Each preset run with a staggered pulse on each input, as (circuit,
-    execution) pairs."""
+    """Each preset run on its ``preset_stimulus``, as (circuit, execution)
+    pairs."""
     for preset in _preset_names():
-        cf = load_circuit(f"preset:{preset}")
-        horizon = cf.defaults["horizon"]
-        inputs = {}
-        for i, (name, port) in enumerate(cf.circuit.input_ports().items()):
-            b = port.initial_value  # a pulse away from it, staggered per input
-            inputs[name] = BinarySignal(b, ((1.0 + 0.3 * i, 1 - b), (3.0 + 0.7 * i, b)), horizon)
-        yield cf.circuit, execute(cf.circuit, inputs, horizon)
+        circuit, inputs, horizon = preset_stimulus(preset)
+        yield circuit, execute(circuit, inputs, horizon)
 
 
 def run_every_shipped_gate():

@@ -172,8 +172,10 @@ class TestCircuitFiles:
         }
         path = write_yaml(tmp_path / "c.yaml", doc)
         assert run("validate", path) == 1
+        # checked as a bit, not truncated by int(), so the field is named
+        named = {"initial": "port initial value", "initial_inputs": "initial_inputs[0]"}.get(field, field)
         assert capsys.readouterr().err == (
-            f"error: {path}: vertex {vertex['id']!r}: cannot convert float infinity to integer\n"
+            f"error: {path}: vertex {vertex['id']!r}: {named} must be a bit, got inf\n"
         )
 
     @pytest.mark.parametrize(
@@ -247,8 +249,24 @@ class TestCircuitFiles:
         path = write_yaml(tmp_path / "c.yaml", doc)
         out = tmp_path / "out"
         assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
-        assert capsys.readouterr().err == f"error: {path}: vertex 'n1': initial inputs must be bits\n"
+        assert capsys.readouterr().err == f"error: {path}: vertex 'n1': initial_inputs[0] must be a bit, got 2\n"
         assert not out.exists()
+
+    def test_a_bit_field_that_is_not_a_bit_is_refused_not_truncated(self, tmp_path, capsys):
+        doc = {
+            "vertices": [
+                {"id": "a", "kind": "input", "initial": 0.5},
+                {"id": "ch", "kind": "idm", "initial_input": 0.7},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["a", 0, "ch"], ["ch", 0, "O"]],
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err == f"error: {path}: vertex 'a': port initial value must be a bit, got 0.5\n"
+        doc["vertices"][0]["initial"] = 1.0
+        assert run("validate", write_yaml(tmp_path / "c.yaml", doc)) == 1
+        assert capsys.readouterr().err == f"error: {path}: vertex 'ch': initial_input must be a bit, got 0.7\n"
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.yaml") == 2

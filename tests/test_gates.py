@@ -31,6 +31,7 @@ from hybridgates.gates import (
 )
 from hybridgates import modes, threshold
 from hybridgates.circuit import Circuit, InputPort, OutputPort, execute
+from hybridgates.cli import _preset_names
 from hybridgates.modes import (
     RelaxationSegment,
     Trajectory,
@@ -40,7 +41,7 @@ from hybridgates.modes import (
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
 from hybridgates.threshold import digitize, find_crossings
 
-from conftest import FunctionSegment, binary_signals, run_every_shipped_gate, run_fresh_python
+from conftest import FunctionSegment, binary_signals, preset_stimulus, run_every_shipped_gate, run_fresh_python
 
 LN2 = math.log(2.0)
 
@@ -91,7 +92,7 @@ class TestBooleanGates:
         # checked before the truth table is read, so not a bare KeyError: (2,)
         with pytest.raises(ValueError) as exc:
             make_boolean_gate("buf", (0.1,), initial_inputs=(2,))
-        assert str(exc.value) == "initial inputs must be bits"
+        assert str(exc.value) == "initial_inputs[0] must be a bit, got 2"
         with pytest.raises(ValueError) as exc:
             make_boolean_gate("nor2", (0.1, 0.1), initial_inputs=(0,))
         assert str(exc.value) == "need 2 initial input bits"
@@ -253,12 +254,15 @@ class TestSimpleNor:
         # checked before the networks are read, so not a bare KeyError: (2, 0)
         with pytest.raises(ValueError) as exc:
             make_simple_nor(initial_inputs=(2, 0))
-        assert str(exc.value) == "initial inputs must be bits"
+        assert str(exc.value) == "initial_inputs[0] must be a bit, got 2"
 
     def test_initial_state_is_network_equilibrium(self):
         assert make_simple_nor().initial_state == pytest.approx((1.0, 1.0))
         assert make_simple_nor(initial_inputs=(0, 1)).initial_state == pytest.approx((1.0, 0.0))
         assert make_simple_nor(initial_inputs=(1, 1)).initial_state == pytest.approx((0.0, 0.0))
+        # exactly: the (0, 0) network rests with both nodes at v_dd
+        params = SimpleNorParams(r1=0.3, r2=0.7, c_int=0.9, v_dd=0.1)
+        assert make_simple_nor(params, initial_inputs=(0, 0)).initial_state == (0.1, 0.1)
 
     @pytest.mark.parametrize("field, value", [("c", 1e-155), ("r2", 1e-160)])
     def test_constants_beyond_the_floats_are_a_value_error(self, field, value):
@@ -489,6 +493,19 @@ class TestChargingClosedForm:
             monkeypatch.setattr(kind, "values", _refuse(f"{kind.__name__}.values"))
         run_every_shipped_gate()
 
+    @pytest.mark.parametrize("preset", _preset_names())
+    def test_no_shipped_gate_calls_numpy_during_a_run(self, monkeypatch, preset):
+        # the state is a float or a tuple of floats from the initial entry to
+        # every mode switch; numpy builds modes, never a run
+        circuit, inputs, horizon = preset_stimulus(preset)
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} during a run")
+
+        monkeypatch.setattr(modes, "np", NoNumpy())
+        execute(circuit, inputs, horizon)
+
     @settings(max_examples=100, deadline=None)
     @given(params=st.builds(
         SimpleNorParams,
@@ -575,6 +592,31 @@ def _refuse(name):
 
 
 class TestGateSpecValidation:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: make_const_gate(0.5), "value must be a bit, got 0.5"),
+            (lambda: make_boolean_gate("not", (0.1,), initial_inputs=(0.5,)), "initial_inputs[0] must be a bit, got 0.5"),
+            (lambda: make_simple_nor(initial_inputs=(0.5, 1)), "initial_inputs[0] must be a bit, got 0.5"),
+            (lambda: make_advanced_nor(initial_inputs=(1, 0.5)), "initial_inputs[1] must be a bit, got 0.5"),
+            (lambda: InputPort(0.5), "port initial value must be a bit, got 0.5"),
+        ],
+        ids=["const", "boolean", "simple_nor", "advanced_nor", "port"],
+    )
+    def test_a_bit_field_is_checked_not_truncated(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_bit_fields_are_stored_as_ints(self):
+        assert type(InputPort(1.0).initial_value) is int
+        gates = (
+            make_const_gate(True), make_advanced_nor(initial_inputs=(1.0, 0)), make_idm_channel(initial_input=1.0)
+        )
+        assert [g.initial_inputs for g in gates] == [(), (1, 0), (1,)]
+        assert [type(b) for g in gates for b in g.initial_inputs] == [int, int, int]
+        assert make_const_gate(True).name == "const1"
+
     def test_wrong_delay_count(self):
         with pytest.raises(ValueError):
             make_boolean_gate("nor2", (0.1,))

@@ -137,21 +137,47 @@ def test_a_one_state_affine_segment_is_refused():
         AffineSegment(0.0, 1.0, [0.5], [[-1.0]], [0.0])
 
 
+_WIDE_PLANE = StateSpace(((-1e300, 1e300),) * 2)
+
+
 @given(a=_rates, b=_levels, x0=st.floats(-50.0, 50.0), span=_spans)
 def test_solve_mode_takes_a_float_or_a_sequence_alike(a, b, x0, span):
     mode = affine_mode("m", [[a]], [b], BOX)
+    forms = (x0, np.float64(x0), np.array(x0), (x0,), np.array([x0]))
     try:
         want = solve_mode(mode, [x0], 1.0, 1.0 + span, BOX)
     except StateSpaceExit as exc:
-        with pytest.raises(StateSpaceExit) as got:
-            solve_mode(mode, x0, 1.0, 1.0 + span, BOX)
-        assert (got.value.time, str(got.value)) == (exc.time, str(exc))
+        for form in forms:
+            with pytest.raises(StateSpaceExit) as got:
+                solve_mode(mode, form, 1.0, 1.0 + span, BOX)
+            assert (got.value.time, str(got.value)) == (exc.time, str(exc))
         return
-    got = solve_mode(mode, x0, 1.0, 1.0 + span, BOX)
-    assert type(got) is type(want) is ScalarAffineSegment
     fields = lambda s: (s.t0, s.t1, s.x0, s.a, s.b)  # noqa: E731
-    assert fields(got) == fields(want)
-    assert type(got.state_at(got.t1)) is float
+    for form in forms:
+        got = solve_mode(mode, form, 1.0, 1.0 + span, BOX)
+        assert type(got) is type(want) is ScalarAffineSegment
+        assert fields(got) == fields(want)
+        assert type(got.state_at(got.t1)) is float
+    # a 2-state mode carries a tuple of the floats its values read
+    plane = affine_mode("p", [[a, 0.5], [0.5, a - 1.0]], [b, -b], _WIDE_PLANE)
+    for form in ((x0, -x0), [x0, -x0], np.array([x0, -x0])):
+        seg = solve_mode(plane, form, 1.0, 1.0 + span, _WIDE_PLANE)
+        for t in (seg.t0, (seg.t0 + seg.t1) / 2, seg.t1):
+            state = seg.state_at(t)
+            assert type(state) is tuple and [type(v) for v in state] == [float, float]
+            assert [v.hex() for v in state] == [v.hex() for v in seg.values([t])[0].tolist()]
+
+
+def test_solve_mode_takes_an_int_and_names_a_wrong_dimension():
+    mode = affine_mode("m", [[-1.0]], [0.5], BOX)
+    assert solve_mode(mode, 3, 0.0, 1.0, BOX).x0 == 3.0
+    plane = affine_mode("p", [[-1.0, 0.0], [0.0, -2.0]], [0.0, 0.0], _PLANE)
+    assert solve_mode(plane, [1, 2], 0.0, 1.0, _PLANE).x0 == (1.0, 2.0)
+    wrong = ((mode, [1.0, 2.0], BOX, 2, 1), (plane, 1.0, _PLANE, 1, 2), (plane, [1.0], _PLANE, 1, 2))
+    for m, x0, space, k, n in wrong:
+        with pytest.raises(ValueError) as exc:
+            solve_mode(m, x0, 0.0, 1.0, space)
+        assert str(exc.value) == f"state dimension {k} != space dimension {n}"
 
 
 # -- matrix closed forms ---------------------------------------------------------
