@@ -373,10 +373,6 @@ def execute(
     push, pop = heapq.heappush, heapq.heappop
     event_count = 0
 
-    def propagate(src: str, t: float, value: int, depth: int) -> None:
-        for dst, slot, delay in fanout[src]:
-            push(queue, (t + delay, _ARRIVE, dst, slot, depth, value))
-
     def enter(name: str, st: _GateState, mode, x, t: float, depth: int) -> None:
         # solve the mode from (t, x) to the horizon and queue its crossings
         spec = st.spec
@@ -388,8 +384,9 @@ def execute(
 
     # iteration 1: initial modes from declared initial bits, input edges queued
     for name, sig in input_signals.items():
-        for tr in sig.transitions:
-            propagate(name, tr.time, tr.value, 0)
+        for t, value in sig.transitions:
+            for dst, slot, delay in fanout[name]:
+                push(queue, (t + delay, _ARRIVE, dst, slot, 0, value))
     for name, st in states.items():
         spec = st.spec
         mode = spec.choice(st.bits, None, ModeEntry(None, tuple(st.last_change)))
@@ -431,18 +428,22 @@ def execute(
                         raise AssertionError(f"{name}: depth {depth} exceeds iteration {iteration}")
                     if st.records and depth < st.records[-1].depth:
                         raise AssertionError(f"{name}: depth decreased at t={t_c}")
-                    st.records.append(TransitionRecord(min(t_c, horizon), value, depth, iteration))
+                    t_r = horizon if horizon < t_c else t_c
+                    st.records.append(TransitionRecord(t_r, value, depth, iteration))
                     st.out_bit = value
                     event_count += 1
                     if event_count > event_cap:
                         raise EventCapExceeded(f"more than {event_cap} events before t={t_c}")
-                    propagate(name, t_c, value, depth)
+                    for dst, slot, delay in fanout[name]:
+                        push(queue, (t_c + delay, _ARRIVE, dst, slot, depth, value))
 
             # arrivals the firings sent into the window join this batch
             if queue and queue[0][0] <= window:
                 while queue and queue[0][0] <= window:
                     arrived.append(pop(queue))
                 arrived.sort()
+        if not arrived:
+            continue
 
         # then apply input arrivals, atomically per gate; each gate's
         # arrivals stay in time order
@@ -458,7 +459,7 @@ def execute(
         for name in ordered:
             st = states[name]
             arrivals = groups[name]
-            t_star = min(arrivals[0][0], horizon)
+            t_star = horizon if horizon < arrivals[0][0] else arrivals[0][0]
             prev_bits = st.bits
             ctx = ModeEntry(t_star, tuple(st.last_change))
             new_bits = list(st.bits)
@@ -471,7 +472,8 @@ def execute(
             st.bits = tuple(new_bits)
             for t_a, slot, _value, depth in arrivals:
                 st.last_change[slot] = t_a
-                st.max_arr_depth = max(st.max_arr_depth, depth)
+                if depth > st.max_arr_depth:
+                    st.max_arr_depth = depth
             new_mode = st.spec.choice(st.bits, prev_bits, ctx)
             if new_mode is st.modes[-1][1]:
                 continue  # no-op switch: retained transitions keep their depths
@@ -482,9 +484,11 @@ def execute(
             # running maximum over arrivals equals the maximum over each pin's
             # latest transition) and the gate's own last committed transition,
             # whose timing the continuing trajectory remembers.
-            prior = st.records[-1].depth if st.records else -1
+            deepest = st.records[-1].depth if st.records else -1
+            if deepest < st.max_arr_depth:
+                deepest = st.max_arr_depth
             st.generation += 1  # cancels every transition still queued
-            enter(name, st, new_mode, x_star, t_star, 1 + max(st.max_arr_depth, prior))
+            enter(name, st, new_mode, x_star, t_star, 1 + deepest)
 
     # memory peaks while the results are built; neither the queue's entries
     # past the horizon nor the live segments are needed for them, and each

@@ -364,10 +364,12 @@ def _require_finite_positive(params) -> None:
 class SimpleNorParams:
     """Per-branch resistances, node capacitances, and the supply rail.
 
-    Every field must be finite and positive.  That keeps every network's
-    spectrum real (the off-diagonal product k2 g2 is positive).  Each
-    network is solved in closed form from its exact determinant, so a stiff
-    one, with eigenvalues many decades apart, keeps its slow rate.
+    Every field must be finite and positive, and no branch's capacitance
+    times resistance may underflow to 0 (``make_simple_nor`` checks).  That
+    keeps every network's spectrum real (the off-diagonal product k2 g2 is
+    positive).  Each network is solved in closed form from its exact
+    determinant, so a stiff one, with eigenvalues many decades apart, keeps
+    its slow rate.
     """
 
     r1: float = 1.0
@@ -401,11 +403,15 @@ def make_simple_nor(
     box = StateSpace(
         ((-0.01 * p.v_dd, 1.01 * p.v_dd), (-0.01 * p.v_dd, 1.01 * p.v_dd))
     )
-    k1 = 1.0 / (p.c_int * p.r1)
-    k2 = 1.0 / (p.c_int * p.r2)
-    g2 = 1.0 / (p.c * p.r2)
-    g3 = 1.0 / (p.c * p.r3)
-    g4 = 1.0 / (p.c * p.r4)
+
+    def rate(cap: str, res: str) -> float:  # of one RC branch
+        c, r = getattr(p, cap), getattr(p, res)
+        if c * r == 0.0:
+            raise ValueError(f"{cap} * {res} underflows to 0 ({cap}={c!r}, {res}={r!r})")
+        return 1.0 / (c * r)
+
+    k1, k2 = rate("c_int", "r1"), rate("c_int", "r2")
+    g2, g3, g4 = rate("c", "r2"), rate("c", "r3"), rate("c", "r4")
     nets = {
         (1, 1): ([[0.0, 0.0], [0.0, -(g3 + g4)]], [0.0, 0.0]),
         (1, 0): ([[-k2, k2], [g2, -(g2 + g3)]], [0.0, 0.0]),

@@ -126,7 +126,7 @@ class AffineConstant:
             raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has non-finite constants")
         try:
             plane = _Plane(a, b) if b.shape[0] == 2 else None
-        except OverflowError as exc:  # from float() of a Fraction
+        except ArithmeticError as exc:  # float() of a Fraction, or a Fraction(0, 0)
             raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has constants beyond the floats") from exc
         object.__setattr__(self, "line", (a.item(), b.item()) if b.shape[0] == 1 else None)
         object.__setattr__(self, "plane", plane)
@@ -356,7 +356,8 @@ class _FloatSegment(_SegmentBase):
     """A 1-state closed form evaluated on floats by ``at(t)``.
 
     The state is monotone, so the segment is one piece, which meets xi at
-    the time its ``_meet`` gives.  ``values`` applies ``at`` time by time,
+    the time its ``_meet`` gives.  Its end value ``x1`` is ``at(t1)``, read
+    once when the segment is built.  ``values`` applies ``at`` time by time,
     so the array API and the float one agree float for float.
     """
 
@@ -372,8 +373,8 @@ class _FloatSegment(_SegmentBase):
         return np.array([self.at(t) for t in ts]).reshape(-1, 1)
 
     def pieces(self, component: int):
-        # at(t0) is x0 itself
-        return (self.t0, self.t1), (self.x0, self.at(self.t1)), self._meet
+        # at(t0) is x0 itself, and x1 is at(t1)
+        return (self.t0, self.t1), (self.x0, self.x1), self._meet
 
 
 class AffineSegment(_SegmentBase):
@@ -480,7 +481,7 @@ class ScalarAffineSegment(_FloatSegment):
     x0)/b`` when a = 0).
     """
 
-    __slots__ = ("t0", "t1", "x0", "a", "b")
+    __slots__ = ("t0", "t1", "x0", "a", "b", "x1")
 
     def __init__(self, t0: float, t1: float, x0: float, a: float, b: float):
         if t1 < t0:
@@ -490,6 +491,7 @@ class ScalarAffineSegment(_FloatSegment):
         self.x0 = float(x0)
         self.a = float(a)
         self.b = float(b)
+        self.x1 = self.at(self.t1)
 
     @property
     def asymptote(self) -> float:
@@ -532,7 +534,7 @@ class RelaxationSegment(_FloatSegment):
     before t0 read as t0.
     """
 
-    __slots__ = ("t0", "t1", "x0", "target", "exponent", "_phi0")
+    __slots__ = ("t0", "t1", "x0", "target", "exponent", "_phi0", "x1")
 
     def __init__(self, t0: float, t1: float, x0: float, target: float, exponent: Callable):
         if t1 < t0:
@@ -543,6 +545,7 @@ class RelaxationSegment(_FloatSegment):
         self.target = float(target)
         self.exponent = exponent
         self._phi0 = exponent(self.t0)
+        self.x1 = self.at(self.t1)
 
     @property
     def asymptote(self) -> float:

@@ -69,33 +69,42 @@ class BinarySignal:
 
         # One pass converts, checks and clamps each item, keeping strict
         # time order and cancelling zero-width pulses: a pair of opposite
-        # transitions closer than TIME_EPS annihilates.
+        # transitions closer than TIME_EPS annihilates.  (last_t, last_v) is
+        # the stack's top, (-inf, initial value) while it is empty.  A later
+        # cancellation may take back a kept repeat of the value below it, so
+        # alternation is checked at the end, if a repeat was kept.
+        horizon, hi = self.horizon, self.horizon + TIME_EPS
         stack: list[Transition] = []
+        last_t, last_v, repeated = -math.inf, self.initial_value, False
         for t, v in self.transitions:
             if v not in (0, 1):
                 raise ValueError(f"transition value must be 0 or 1, got {v!r}")
             t, v = float(t), int(v)
             if not math.isfinite(t):
                 raise ValueError(f"transition time must be finite, got {t!r}")
-            if t < -TIME_EPS or t > self.horizon + TIME_EPS:
-                raise ValueError(f"transition at t={t} outside [0, {self.horizon}]")
-            t = min(max(t, 0.0), self.horizon)
-            if stack and t < stack[-1].time - TIME_EPS:
+            if t < -TIME_EPS or t > hi:
+                raise ValueError(f"transition at t={t} outside [0, {horizon}]")
+            t = 0.0 if t < 0.0 else horizon if t > horizon else t
+            if t < last_t - TIME_EPS:
                 raise ValueError("transition times must be sorted increasing")
-            if stack and t - stack[-1].time <= TIME_EPS:
-                if v != stack[-1].value:
-                    stack.pop()
-                    continue
-                raise ValueError(f"two transitions to value {v} at time {t}")
+            if t - last_t <= TIME_EPS:
+                if v == last_v:
+                    raise ValueError(f"two transitions to value {v} at time {t}")
+                stack.pop()
+                last_t, last_v = stack[-1] if stack else (-math.inf, self.initial_value)
+                continue
+            repeated = repeated or v == last_v
             stack.append(Transition(t, v))
+            last_t, last_v = t, v
 
-        prev = self.initial_value
-        for tr in stack:
-            if tr.value == prev:
-                raise ValueError(
-                    f"transition at t={tr.time} does not alternate (value {tr.value} repeated)"
-                )
-            prev = tr.value
+        if repeated:
+            prev = self.initial_value
+            for tr in stack:
+                if tr.value == prev:
+                    raise ValueError(
+                        f"transition at t={tr.time} does not alternate (value {tr.value} repeated)"
+                    )
+                prev = tr.value
 
         object.__setattr__(self, "transitions", tuple(stack))
         object.__setattr__(self, "_times", tuple(tr.time for tr in stack))

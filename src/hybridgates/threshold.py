@@ -121,16 +121,20 @@ def _monotone_crossings(segment: Segment, xi: float, component: int):
     if form is None:
         return None
     ts, xs, meet = form
-    preds = [x > xi for x in xs]
-    if segment.dimension == 1 and segment.asymptote == xi:
-        # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes sign; an
-        # exp that underflows onto xi is not an edge.
-        preds[-1] = preds[0]
-    found = [
-        (meet(xi, ts[i], ts[i + 1]), preds[i + 1]) for i in range(len(ts) - 1) if preds[i] != preds[i + 1]
-    ]
-    plateau = xs.count(xi) == len(xs) and segment.t1 > segment.t0
-    return preds[0], preds[-1], found, plateau
+    found, start = [], xs[0] > xi
+    last, lo = start, ts[0]
+    for hi, x in zip(ts, xs):
+        pred = x > xi
+        if pred != last:
+            if segment.dimension == 1 and segment.asymptote == xi:
+                # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes
+                # sign; an exp that underflows onto xi is not an edge.
+                pred = start
+            else:
+                found.append((meet(xi, lo, hi), pred))
+        last, lo = pred, hi
+    plateau = xs[0] == xi and xs.count(xi) == len(xs) and segment.t1 > segment.t0
+    return start, last, found, plateau
 
 
 def _sampled_crossings(segment: Segment, xi: float, component: int, cap: int):

@@ -18,7 +18,7 @@ from hybridgates.circuit import execute
 from hybridgates.cli import _preset_names, load_circuit
 from hybridgates.gates import make_advanced_nor, make_simple_nor, mis_delay_sweep
 from hybridgates.modes import _SegmentBase
-from hybridgates.signals import BinarySignal, ModeSwitchSignal
+from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, Transition
 
 
 @pytest.fixture
@@ -60,6 +60,42 @@ def binary_signals(draw, horizon: float = 10.0, max_transitions: int = 6):
     init = draw(st.integers(min_value=0, max_value=1))
     vals = [(init + i + 1) % 2 for i in range(len(times))]
     return BinarySignal(init, tuple(zip(times, vals)), horizon)
+
+
+def reference_signal_transitions(initial_value, transitions, horizon: float) -> tuple[Transition, ...]:
+    """What ``BinarySignal(initial_value, transitions, horizon)`` keeps, or
+    raises, computed in two passes: one that checks, clamps and cancels,
+    reading the last kept transition off the stack, then an alternation
+    check of what is left.  The reference that construction's single pass
+    is held to."""
+    if initial_value not in (0, 1):
+        raise ValueError(f"initial value must be 0 or 1, got {initial_value!r}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    stack: list[Transition] = []
+    for t, v in transitions:
+        if v not in (0, 1):
+            raise ValueError(f"transition value must be 0 or 1, got {v!r}")
+        t, v = float(t), int(v)
+        if not math.isfinite(t):
+            raise ValueError(f"transition time must be finite, got {t!r}")
+        if t < -TIME_EPS or t > horizon + TIME_EPS:
+            raise ValueError(f"transition at t={t} outside [0, {horizon}]")
+        t = min(max(t, 0.0), horizon)
+        if stack and t < stack[-1].time - TIME_EPS:
+            raise ValueError("transition times must be sorted increasing")
+        if stack and t - stack[-1].time <= TIME_EPS:
+            if v != stack[-1].value:
+                stack.pop()
+                continue
+            raise ValueError(f"two transitions to value {v} at time {t}")
+        stack.append(Transition(t, v))
+    prev = initial_value
+    for tr in stack:
+        if tr.value == prev:
+            raise ValueError(f"transition at t={tr.time} does not alternate (value {tr.value} repeated)")
+        prev = tr.value
+    return tuple(stack)
 
 
 def preset_stimulus(preset: str):

@@ -1,5 +1,6 @@
 """Circuit wiring, event-driven execution, unrolling, pulse filtration."""
 
+import gc
 import math
 import random
 
@@ -24,6 +25,7 @@ from hybridgates.circuit import (
     unroll,
     validate,
 )
+from hybridgates.cli import _preset_names
 from hybridgates.gates import (
     GateSpec,
     gate_output,
@@ -39,7 +41,7 @@ from hybridgates.modes import StateSpace, affine_mode
 from hybridgates.signals import TIME_EPS, BinarySignal, one_norm_distance
 from hybridgates.threshold import ThresholdSpec, digitize
 
-from conftest import shipped_preset_runs
+from conftest import preset_stimulus, shipped_preset_runs
 
 LN2 = math.log(2.0)
 
@@ -417,6 +419,19 @@ class TestModeEntries:
         circuit, ex = runs[0]
         ex.trajectory(next(iter(circuit.gates())))
         assert built == [1]  # the counter sees the one pasted on demand
+
+    @pytest.mark.parametrize("preset", _preset_names())
+    def test_a_run_leaves_no_reference_cycle(self, preset):
+        # a cycle, such as a segment that keeps a closure over itself, holds
+        # a run's memory until the collector runs, and raises its peak
+        circuit, inputs, horizon = preset_stimulus(preset)
+        gc.collect()
+        gc.disable()
+        try:
+            execute(circuit, inputs, horizon)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestScheduler:

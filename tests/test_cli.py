@@ -205,6 +205,26 @@ class TestCircuitFiles:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_simple_nor_whose_rc_product_underflows_is_named(self, tmp_path, capsys, command):
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 1},
+                {"id": "B", "kind": "input", "initial": 1},
+                {"id": "nor", "kind": "simple_nor", "initial_inputs": [1, 1], "r1": 1e-310, "c_int": 1e-160},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"], ["nor", 0, "O"]],
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vertex 'nor': c_int * r1 underflows to 0 (c_int=1e-160, r1=1e-310)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "field, value, a, b",

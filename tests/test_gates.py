@@ -270,6 +270,14 @@ class TestSimpleNor:
         with pytest.raises(ValueError, match="has constants beyond the floats"):
             make_simple_nor(SimpleNorParams(**{field: value}))
 
+    @pytest.mark.parametrize("cap, res", [("c_int", "r1"), ("c_int", "r2"), ("c", "r2"), ("c", "r3"), ("c", "r4")])
+    def test_a_branch_whose_rc_product_underflows_is_named(self, cap, res):
+        # 1/(cap res) of a product that underflows to 0 was a bare
+        # ZeroDivisionError
+        with pytest.raises(ValueError) as exc:
+            make_simple_nor(SimpleNorParams(**{cap: 1e-160, res: 1e-310}))
+        assert str(exc.value) == f"{cap} * {res} underflows to 0 ({cap}=1e-160, {res}=1e-310)"
+
     def test_simultaneous_rise_discharges_through_both(self):
         gate = make_simple_nor()
         h = 5.0

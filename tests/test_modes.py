@@ -748,6 +748,15 @@ def test_an_affine_mode_with_non_finite_constants_is_refused(a, b):
     assert str(exc.value) == f"affine mode a={a}, b={b} has non-finite constants"
 
 
+def test_an_equilibrium_beyond_the_floats_with_zero_trace_is_refused():
+    # det(a) = -5e-324 != 0, but c = -a^-1 b lies beyond the floats, so the
+    # singular fallback divided by tr(a) = 0: a bare ZeroDivisionError
+    a, b = [[0.0, -1.0], [-5e-324, 0.0]], [0.0, 1.0]
+    with pytest.raises(ValueError) as exc:
+        affine_mode("m", a, b, StateSpace(((-1.0, 1.0),) * 2))
+    assert str(exc.value) == f"affine mode a={a}, b={b} has constants beyond the floats"
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_corner_beyond_the_floats_bounds_the_rhs_by_infinity():
     mode = affine_mode("m", [[-1e4]], [0.0], StateSpace(((-1e306, 1.01e308),)))

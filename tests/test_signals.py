@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridgates.signals import (
@@ -20,7 +20,7 @@ from hybridgates.signals import (
     write_signal_csv,
 )
 
-from conftest import binary_signals, random_mode_signal
+from conftest import binary_signals, random_mode_signal, reference_signal_transitions
 
 
 # -- construction and canonicalization -----------------------------------
@@ -57,6 +57,55 @@ def test_each_transition_is_checked_once_by_its_signal(item, message):
     with pytest.raises(ValueError) as exc:
         BinarySignal(0, (item,), 10.0)
     assert str(exc.value) == message
+
+
+@st.composite
+def signal_constructions(draw):
+    """``(initial value, transitions, horizon)`` to build a BinarySignal
+    from: chains of times within TIME_EPS of each other (cancel chains),
+    times just outside 0 and the horizon, unsorted times, values that are
+    not bits, and NaN or infinite times."""
+    horizon = draw(st.sampled_from([1.0, 10.0, 10]))
+    initial = draw(st.sampled_from([0, 1]))
+    ends = [-2e-12, -1e-12, -5e-13, -0.0, 0.0, horizon - 5e-13, horizon, horizon + 5e-13, horizon + 2e-12]
+    near = [0.0, 1e-13, 5e-13, 5e-13, 1e-12, 1e-12, 1.5e-12, -1e-13, -5e-13, -1.5e-12]
+    odd = draw(st.booleans())  # whether values that are not bits and times that are not finite may appear
+    steps = ["near"] * 6 + ["on"] * 3 + ["back", "end"] + ["not finite"] * odd
+    t, v, items = draw(st.sampled_from([0.0, -5e-13, horizon / 2, horizon / 2])), 1 - initial, []
+    for _ in range(draw(st.integers(0, 8))):
+        step = draw(st.sampled_from(steps))
+        if step == "near":
+            t += draw(st.sampled_from(near))
+        elif step == "on":
+            t += draw(st.floats(1e-6, horizon / 16))
+        elif step == "back":
+            t -= draw(st.floats(1e-11, horizon / 16))
+        elif step == "end":
+            t = draw(st.sampled_from(ends))
+        else:
+            t = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        value = draw(st.sampled_from([v] * 8 + [1 - v, float(v), bool(v)] + [2, -1, 0.5, math.nan] * odd))
+        items.append(draw(st.sampled_from([(t, value), Transition(t, value)])))
+        v = 1 - v
+    return initial, tuple(items), horizon
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=signal_constructions())
+@example(case=(0, ((10 + 5e-13, 1),), 10))  # clamped to the int horizon itself
+@example(case=(0, ((-0.0, 1),), 1.0))  # kept as -0.0
+@example(case=(0, ((1.0, 1), (2.0, 1), (2.0 + 5e-13, 0)), 10.0))  # a repeat that a cancellation takes back
+@example(case=(1, ((1.0, 0), (2.0, 1), (3.0, 0), (3.0 + 5e-13, 1), (2.0 + 5e-13, 0)), 10.0))  # a cancel chain
+def test_construction_in_one_pass_matches_the_two_pass_reference(case):
+    try:
+        expected = reference_signal_transitions(*case)
+    except Exception as exc:  # the same exception, with the same message
+        with pytest.raises(type(exc)) as got:
+            BinarySignal(*case)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        # repr tells -0.0 from 0.0 and an int time from a float one
+        assert repr(BinarySignal(*case).transitions) == repr(expected)
 
 
 def test_transitions_and_pairs_build_equal_signals():
