@@ -856,6 +856,12 @@ def check_spf(
     ``epsilon``; and outputs settle within ``stabilization_bound`` of the
     last input edge.  ``epsilon`` must be finite and positive and
     ``stabilization_bound`` finite and nonnegative, else ``ValueError``.
+
+    The verdicts certify only the widths on the grid: a width between two
+    grid points may still give an output of norm inside (0, epsilon), or
+    one that settles later.  On the storage loop (horizon 30, epsilon
+    0.005, bound 2), 20 widths evenly from 0.01 to 0.99 pass, while 21 from
+    0.01 to 0.06 find norm 0.0022 at width 0.015.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")

@@ -249,8 +249,9 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
 
 # -- root finding ----------------------------------------------------------------
 
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+# brentq's relative tolerance and iteration cap, shared by both root finders
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
+_ROOT_MAXITER = 100
 
 
 def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
@@ -273,14 +274,14 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> fl
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError(f"f({lo}) and f({hi}) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
+    for _ in range(_ROOT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -305,7 +306,51 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> fl
         fcur = f(xcur)
         if fcur != fcur:
             raise ValueError(f"NaN at t={xcur}")
-    raise RuntimeError(f"no root within {xtol} after {_BRENT_MAXITER} iterations")
+    raise RuntimeError(f"no root within {xtol} after {_ROOT_MAXITER} iterations")
+
+
+def _newton(
+    fd: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    g_lo: float,
+    g_hi: float,
+    t: float | None,
+    xtol: float,
+) -> float:
+    """Root of f in the bracket [lo, hi] by Newton steps, safeguarded by bisection.
+
+    ``fd(t)`` is ``(f(t), f'(t))``, and ``g_lo``, ``g_hi`` are f at the ends,
+    which must not have one sign.  An exact zero at an end returns that end.
+    The search starts at ``t``, a time inside (lo, hi), or if that is None
+    at the secant of the ends, and each value narrows the bracket.  A step
+    shorter than half of ``xtol + 4 eps |t|`` ends it, clamped to the
+    bracket; a step that leaves the bracket bisects instead.  100 iterations
+    without convergence raise RuntimeError.
+    """
+    if not (g_lo and g_hi):
+        return hi if g_lo else lo
+    if t is None:
+        t = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    rising = g_lo < 0.0
+    for _ in range(_ROOT_MAXITER):
+        f, df = fd(t)
+        if (f < 0.0) == rising:
+            lo = t
+        else:
+            hi = t
+        half = (xtol + _ROOT_RTOL * abs(t)) / 2
+        if df:
+            step = f / df
+            if abs(step) <= half:  # before the bracket test: t - step may round onto an end
+                return min(max(t - step, lo), hi)
+            t -= step
+            if lo < t < hi:
+                continue
+        if hi - lo <= 2.0 * half:
+            return (lo + hi) / 2
+        t = (lo + hi) / 2
+    raise RuntimeError(f"no root within {xtol} after {_ROOT_MAXITER} iterations")
 
 
 # -- trajectory segments -------------------------------------------------------
@@ -382,8 +427,10 @@ class AffineSegment(_SegmentBase):
     ``t0``, on floats: each component's (p, q) in the form of ``kind.plane``
     (:class:`_Plane`; ``kind`` is built from ``a`` and ``b`` if not given).
     A component turns at most once for a real spectrum and every pi/w for a
-    complex one; :func:`_brent` meets xi in each piece to 1e-13.  ``x0`` is
-    the state at ``t0``, so a start on the threshold digitizes as its bit.
+    complex one; :func:`_newton` meets xi in each piece to 1e-13, on the
+    component's closed-form slope, from the one-exponential estimate of
+    ``_start`` or else the secant of the piece ends.  ``x0`` is the state at
+    ``t0``, so a start on the threshold digitizes as its bit.
     """
 
     __slots__ = ("t0", "t1", "x0", "kind", "_pq")
@@ -402,11 +449,11 @@ class AffineSegment(_SegmentBase):
         y1, y2 = x1 - kind.plane.c[0], x2 - kind.plane.c[1]
         self._pq = tuple([u * y1 + v * y2 + o for u, v, o in kind.plane.rows])
 
-    def _component(self, k: int, xi: float = 0.0, exp=math.exp):
-        """Component ``k`` (1-based) minus ``xi``, as a function of t."""
+    def _component(self, k: int, exp=math.exp):
+        """Component ``k`` (1-based) as a function of t."""
         plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
         form, rates = plane.form, plane.rates
-        c = (self.x0 if form == "quadratic" else plane.c)[k - 1] - xi
+        c = (self.x0 if form == "quadratic" else plane.c)[k - 1]
         if form == "quadratic":
             return lambda t: c + (p + q * (t - t0)) * (t - t0)
         if form == "repeated":
@@ -416,6 +463,70 @@ class AffineSegment(_SegmentBase):
             return lambda t: c + exp(tau * (t - t0)) * (p * cos(w * (t - t0)) + q * sin(w * (t - t0)))
         m, (l1, l2, _) = plane.m[k - 1], rates
         return lambda t: c + m * (t - t0) + p * exp(l1 * (t - t0)) + q * exp(l2 * (t - t0))
+
+    def _excess(self, k: int, xi: float):
+        """Component ``k`` (1-based) minus ``xi``, folded into its constant,
+        and its slope: one function of t that returns both from shared exp,
+        cos and sin calls."""
+        plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
+        form, rates, exp = plane.form, plane.rates, math.exp
+        c = (self.x0 if form == "quadratic" else plane.c)[k - 1] - xi
+        if form == "quadratic":
+
+            def excess(t):
+                s = t - t0
+                return c + (p + q * s) * s, p + 2.0 * q * s
+
+        elif form == "repeated":
+            (tau,) = rates
+
+            def excess(t):
+                s = t - t0
+                e, r = exp(tau * s), p + q * s
+                return c + e * r, e * (tau * r + q)
+
+        elif form == "complex":
+            (tau, w), cos, sin = rates, math.cos, math.sin
+            dp, dq = tau * p + w * q, tau * q - w * p
+
+            def excess(t):
+                s = t - t0
+                e, u, v = exp(tau * s), cos(w * s), sin(w * s)
+                return c + e * (p * u + q * v), e * (dp * u + dq * v)
+
+        else:
+            m, (l1, l2, _) = plane.m[k - 1], rates
+
+            def excess(t):
+                s = t - t0
+                e1, e2 = p * exp(l1 * s), q * exp(l2 * s)
+                return c + m * s + e1 + e2, m + l1 * e1 + l2 * e2
+
+        return excess
+
+    def _start(self, k: int, xi: float, lo: float, hi: float) -> float | None:
+        """Where component ``k`` would meet ``xi`` if one exponential term
+        were all it had besides its constant: for a real form with m = 0 the
+        slow term, then the fast one (a zero rate belongs to the constant),
+        and for a repeated form e^{tau s} p, exact when q = 0.  None unless
+        that time lies inside (lo, hi)."""
+        plane, (p, q) = self.kind.plane, self._pq[2 * k - 2 : 2 * k]
+        c = plane.c[k - 1] - xi
+        if plane.form == "repeated":
+            terms = ((p, plane.rates[0]),)
+        elif plane.form == "real" and not plane.m[k - 1]:
+            l1, l2, _ = plane.rates
+            if not l2:
+                c, q = c + q, 0.0
+            terms = ((q, l2), (p, l1))
+        else:
+            return None
+        for w, l in terms:
+            if w and -c / w > 0.0:
+                t = self.t0 + math.log(-c / w) / l
+                if lo < t < hi:
+                    return t
+        return None
 
     def _turns(self, k: int) -> tuple[float, ...]:
         """The times where component ``k`` may turn."""
@@ -461,12 +572,12 @@ class AffineSegment(_SegmentBase):
         ts = (t0, *(t for t in self._turns(component) if t0 + TIME_EPS < t < t1 - TIME_EPS), t1)
 
         def meet(xi: float, lo: float, hi: float) -> float:
-            excess = self._component(component, xi)
+            excess = self._excess(component, xi)
             # where rounding leaves both ends on one side, the end nearer xi
-            g_lo, g_hi = excess(lo), excess(hi)
+            g_lo, g_hi = excess(lo)[0], excess(hi)[0]
             if (g_lo > 0.0) == (g_hi > 0.0):
                 return lo if abs(g_lo) <= abs(g_hi) else hi
-            return _brent(excess, lo, hi, 1e-13)
+            return _newton(excess, lo, hi, g_lo, g_hi, self._start(component, xi, lo, hi), 1e-13)
 
         return ts, self._component_at(ts, component), meet
 
@@ -508,6 +619,8 @@ class ScalarAffineSegment(_FloatSegment):
         try:
             growth = math.exp(a * dt)
         except OverflowError:  # as numpy's exp, which returns inf
+            if x0 == -b / a:  # an unstable equilibrium, where 0 * inf is nan
+                return x0
             growth = math.inf
         x_inf = -b / a
         return x_inf + (x0 - x_inf) * growth

@@ -25,7 +25,7 @@ from hybridgates.circuit import (
     unroll,
     validate,
 )
-from hybridgates.cli import _preset_names
+from hybridgates.cli import _parse_grid, _preset_names, load_circuit
 from hybridgates.gates import (
     GateSpec,
     gate_output,
@@ -746,6 +746,21 @@ class TestShortPulseFiltration:
         norms = [r.norm for r in report.results]
         assert norms[0] == 0.0  # too short: swallowed entirely
         assert norms[-1] > 20.0  # long: latched until the horizon
+
+    def test_storage_loop_passes_only_the_grid_it_is_given(self):
+        # Witness: check_spf certifies the widths on its grid and no others.
+        # The storage loop rings near its latch boundary, and CI's 20-width
+        # grid steps over the band where a finer grid finds a short output.
+        loop = load_circuit("preset:storage_loop").circuit
+        reports = {
+            grid: check_spf(loop, _parse_grid(grid, "--widths"), 30.0, epsilon=0.005, stabilization_bound=2.0)
+            for grid in ("0.01:0.99:20", "0.01:0.06:21")
+        }
+        assert reports["0.01:0.99:20"].ok, reports["0.01:0.99:20"].violations
+        fine = reports["0.01:0.06:21"]
+        assert not fine.no_short_outputs and fine.bounded_stabilization
+        short = [(r.width, r.norm) for r in fine.results if 0.0 < r.norm < 0.005]
+        assert short == [(0.015, pytest.approx(0.0022129306991927056, rel=1e-9))]
 
     def test_idm_channel_has_short_outputs(self):
         # the output pulse can be made arbitrarily small, violating filtration

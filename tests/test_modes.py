@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from hybridgates.modes import (
     write_trajectory_csv,
 )
 from hybridgates import modes
-from hybridgates.gates import AdvancedNorParams, _charging_exponent
-from hybridgates.modes import _brent, _containment_scan, _SegmentBase
+from hybridgates.gates import AdvancedNorParams, _charging_exponent, make_simple_nor, mis_delay_sweep
+from hybridgates.modes import _brent, _containment_scan, _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
@@ -130,6 +131,16 @@ def test_float_segment_never_crosses_its_asymptote(a, b, offset):
     assert seg.asymptote == xi
     assert seg.at(seg.t1) == xi  # exp underflows: the end value lands on xi
     assert find_crossings(Trajectory([seg]), xi) == []
+
+
+def test_a_scalar_segment_resting_on_an_unstable_equilibrium_stays_there():
+    # x_inf = -b/a = x0 = 2: (x0 - x_inf) e^{a s} is 0 * inf once exp overflows
+    seg = ScalarAffineSegment(0, 1000, 2.0, a=1.0, b=-2.0)
+    assert seg.at(1000.0) == 2.0
+    mode = affine_mode("unstable", [[1.0]], [-2.0], BOX)
+    seg = solve_mode(mode, 2.0, 0.0, 1000.0, BOX)
+    assert seg.x1 == seg.state_at(1000.0) == 2.0
+    assert find_crossings([seg], 1.0) == []
 
 
 def test_a_one_state_affine_segment_is_refused():
@@ -435,6 +446,128 @@ def test_brent_fails_where_brentq_does(f, lo, hi, error):
         brentq(f, lo, hi, xtol=1e-300)
     with pytest.raises(error):
         _brent(f, lo, hi, 1e-300)
+
+
+# -- Newton steps on 2-state pieces -------------------------------------------------
+
+
+@st.composite
+def _meet_cases(draw):
+    """(segment, component, xi), with xi between the end values of one of
+    the segment's pieces."""
+    a, b, x0 = draw(_affine_cases())
+    seg = AffineSegment(1.0, 1.0 + draw(st.floats(0.1, 5.0)), x0, a, b)
+    k = draw(st.sampled_from([1, 2]))
+    ts, xs, _ = seg.pieces(k)
+    j = draw(st.integers(0, len(ts) - 2))
+    return seg, k, xs[j] + draw(st.floats(0.0, 1.0)) * (xs[j + 1] - xs[j])
+
+
+_EPS = sys.float_info.epsilon
+
+
+def _terms_at(seg, k: int, t: float) -> float:
+    """The magnitudes that the closed form of component ``k`` adds up at
+    ``t``; its rounding there is relative to this."""
+    plane, (p, q), s = seg.kind.plane, seg._pq[2 * k - 2 : 2 * k], t - seg.t0
+    c = abs((seg.x0 if plane.form == "quadratic" else plane.c)[k - 1])
+    if plane.form == "quadratic":
+        return c + (abs(p) + abs(q) * s) * s
+    if plane.form == "real":
+        l1, l2, _ = plane.rates
+        return c + abs(plane.m[k - 1]) * s + abs(p) * math.exp(l1 * s) + abs(q) * math.exp(l2 * s)
+    return c + math.exp(plane.rates[0] * s) * (abs(p) + abs(q) * (s if plane.form == "repeated" else 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_meet_cases())
+# the nor workload's bracket: the simple NOR's (0, 0) network charging V_out
+@example(case=(
+    AffineSegment(2.358242409585118, 28.0, (0.0, 0.0), [[-2.0, 1.0], [1.0, -1.0]], [1.0, 0.0]), 2, 0.5
+))
+# the ends' values straddle xi, but rounding leaves both of meet's excesses below 0
+@example(case=(
+    AffineSegment(
+        1.0, 1.852126641551222, (-2.920992050670755, 2.02481449257876),
+        [[-1.5722122374486518, 0.26537535177571137], [-0.7802690007115247, 0.6235202315771669]],
+        [0.7543218246483239, -2.6068268445611213],
+    ),
+    1, -0.16355789853759725,
+))
+# x1 = 0.5 + s + s^2/2 starts exactly on xi
+@example(case=(AffineSegment(1.0, 3.0, (0.5, 1.0), [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]), 1, 0.5))
+# a stiff real pair: x1 rises within ~2e-11 and decays at rate 8e-7
+@example(case=(AffineSegment(0.0, 1e7, (0.0, 1.0), [[-2.5e8, 2.5e8], [0.0, -8e-7]], [0.0, 0.0]), 1, 0.01))
+def test_newton_meet_agrees_with_brentq(case):
+    # every spectrum, every piece that crosses xi: the time meet gives lies
+    # in the piece and within meet's tolerance of the root brentq finds
+    seg, k, xi = case
+    ts, xs, meet = seg.pieces(k)
+    a, b = seg.kind.a, seg.kind.b
+
+    def excess(t: float) -> float:
+        return seg.state_at(t)[k - 1] - xi
+
+    for lo, hi, x_lo, x_hi in zip(ts, ts[1:], xs, xs[1:]):
+        if (x_lo > xi) == (x_hi > xi):
+            continue
+        t = meet(xi, lo, hi)
+        want = brentq(excess, lo, hi, xtol=1e-15)
+        # meet and the reference each round by eps times the terms and xi,
+        # or by ulp(0) below the normal range, which over the slope moves a
+        # root by more than the tolerance where the component barely moves;
+        # such roots are left out
+        tol = 1e-13 + 4.0 * _EPS * abs(want)
+        slope = (a @ np.array(seg.state_at(want)) + b)[k - 1]
+        rounding = _EPS * (_terms_at(seg, k, want) + abs(xi)) + math.ulp(0.0)
+        assume(8.0 * rounding <= tol * abs(slope))
+        assert lo <= t <= hi
+        assert abs(t - want) <= tol
+
+
+@given(case=_affine_cases(), span=st.floats(0.1, 5.0), u=st.floats(0.0, 1.0), xi=_entries)
+def test_newton_reads_the_mode_rhs_as_the_slope(case, span, u, xi):
+    # meet's Newton steps read component k minus xi and its slope, which is
+    # (a x + b)_k at the state
+    a, b, x0 = case
+    seg = AffineSegment(1.0, 1.0 + span, x0, a, b)
+    t = 1.0 + u * span
+    x = np.array(seg.state_at(t))
+    for k in (1, 2):
+        f, df = seg._excess(k, xi)(t)
+        scale = term_scale(seg, k)
+        rate = np.abs(a).sum() + sum(map(abs, seg.kind.plane.rates))
+        # below the normal range each rounding is off by up to ulp(0)
+        underflow = 8.0 * math.ulp(0.0) * (1.0 + rate)
+        assert abs(f - (x[k - 1] - xi)) <= 8.0 * _EPS * (scale + abs(xi)) + underflow
+        assert abs(df - (a @ x + b)[k - 1]) <= 64.0 * _EPS * (1.0 + rate) * (scale + abs(b[k - 1])) + underflow
+
+
+def test_newton_meet_takes_few_evaluations_per_root(monkeypatch):
+    # the simple NOR's MIS sweep at gaps 0:5:6 meets xi once per gap
+    counts = []
+    excess = AffineSegment._excess
+
+    def counted(self, k, xi):
+        f, calls = excess(self, k, xi), [0]
+        counts.append(calls)
+
+        def g(t):
+            calls[0] += 1
+            return f(t)
+
+        return g
+
+    monkeypatch.setattr(AffineSegment, "_excess", counted)
+    mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    assert len(counts) == 6
+    assert max(n for (n,) in counts) <= 8  # the two ends included; Brent took 13
+
+
+def test_newton_fails_after_100_steps_that_crawl():
+    # a slope claimed 1e10 times too steep moves t by 1e-10 a step
+    with pytest.raises(RuntimeError, match="^no root within 1e-13 after 100 iterations$"):
+        _newton(lambda t: (t - 1.0, 1e10), 0.0, 3.0, -1.0, 2.0, 0.5, 1e-13)
 
 
 # -- numeric vs closed form -------------------------------------------------------
