@@ -86,11 +86,9 @@ class Circuit:
         self.vertices: Mapping[str, Vertex] = MappingProxyType(dict(vertices))
         self.edges: tuple[Edge, ...] = tuple(Edge(*e) for e in edges)
         self._in: dict[str, list[Edge]] = {name: [] for name in self.vertices}
-        for e in self.edges:
+        for e in sorted(self.edges, key=lambda e: e.slot):  # stable: ties keep edge order
             if e.dst in self._in:
                 self._in[e.dst].append(e)
-        for lst in self._in.values():
-            lst.sort(key=lambda e: e.slot)
         self.report = validate(self)
         # per source: (dst, slot, delay) of every edge into a gate
         self._fanout: dict[str, list] = {name: [] for name in self.vertices}
@@ -182,20 +180,19 @@ def validate(circuit: Circuit) -> ValidationReport:
         return report
 
     for name, v in circuit.vertices.items():
-        inc = circuit.incoming(name)
+        inc = circuit._in[name]  # read, not copied as incoming() does
         if isinstance(v, OutputPort):
             if len(inc) != 1:
                 report.add("output-port-fanin", name, f"needs exactly one driver, has {len(inc)}")
         elif isinstance(v, GateSpec):
-            by_slot: dict[int, list[Edge]] = {}
+            feeds = [0] * v.arity
             for e in inc:
-                by_slot.setdefault(e.slot, []).append(e)
-            for slot in range(v.arity):
-                feeds = by_slot.get(slot, [])
-                if not feeds:
+                feeds[e.slot] += 1
+            for slot, n in enumerate(feeds):
+                if not n:
                     report.add("slot-unfilled", name, f"input slot {slot} has no driver")
-                elif len(feeds) > 1:
-                    report.add("slot-multiply-driven", name, f"input slot {slot} has {len(feeds)} drivers")
+                elif n > 1:
+                    report.add("slot-multiply-driven", name, f"input slot {slot} has {n} drivers")
             for slot, d in enumerate(v.input_delays):
                 if d <= 0:
                     report.add("nonpositive-delay", name, f"slot {slot} delay {d} must be > 0")
@@ -205,12 +202,13 @@ def validate(circuit: Circuit) -> ValidationReport:
     if not report.ok:
         return report
 
+    bits = {src: _driver_initial_bit(circuit, src) for src in {e.src for e in circuit.edges}}  # read once
     for name, v in circuit.vertices.items():
         if not isinstance(v, GateSpec):
             continue
-        for e in circuit.incoming(name):
+        for e in circuit._in[name]:
             declared = v.initial_inputs[e.slot]
-            actual = _driver_initial_bit(circuit, e.src)
+            actual = bits[e.src]
             if declared != actual:
                 report.add(
                     "initial-input-mismatch",

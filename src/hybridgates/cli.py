@@ -27,8 +27,6 @@ from collections.abc import Mapping, Sequence
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from . import __version__
 from .circuit import (
     Circuit,
@@ -237,6 +235,7 @@ def _read_source(spec: str) -> str:
 
 def load_circuit(spec: str) -> CircuitFile:
     """Load a circuit file (or ``preset:NAME``) and check it against the schema."""
+    import yaml  # on first use: importing this module loads no YAML parser
     data = yaml.safe_load(_read_source(spec))
     return parse_circuit_data(data, spec)
 
@@ -522,17 +521,6 @@ def _serialize_unrolled(cf: CircuitFile, un) -> dict:
     }
 
 
-# libyaml's safe dumper and loader, where PyYAML was built with it, write the
-# same text as the pure-Python ones and read it back to the same document,
-# several times faster on a deep unrolling.  User files keep ``safe_load``,
-# whose error messages the CLI reports.
-_UNROLL_DUMPER, _UNROLL_LOADER = (
-    (yaml.CSafeDumper, yaml.CSafeLoader)
-    if yaml.__with_libyaml__
-    else (yaml.SafeDumper, yaml.SafeLoader)
-)
-
-
 def cmd_unroll(args) -> int:
     cf = _load_validated(args.file)
     sink = args.from_port
@@ -551,10 +539,19 @@ def cmd_unroll(args) -> int:
     else:
         stem = args.file[len(_PRESET_PREFIX):] if args.file.startswith(_PRESET_PREFIX) else Path(args.file).stem
         path = out_dir / f"{stem}_unrolled_k{args.k}.yaml"
-    path.write_text(yaml.dump(doc, Dumper=_UNROLL_DUMPER, sort_keys=False))
+    import yaml
+
+    # libyaml's safe dumper and loader, where PyYAML was built with it, write
+    # the same text as the pure-Python ones and read it back to the same
+    # document, several times faster on a deep unrolling.  User files keep
+    # ``safe_load``, whose error messages the CLI reports.
+    dumper, loader = (
+        (yaml.CSafeDumper, yaml.CSafeLoader) if yaml.__with_libyaml__ else (yaml.SafeDumper, yaml.SafeLoader)
+    )
+    path.write_text(yaml.dump(doc, Dumper=dumper, sort_keys=False))
 
     # the emitted file must survive its own schema and structural checks
-    rt = parse_circuit_data(yaml.load(path.read_text(), Loader=_UNROLL_LOADER), str(path))
+    rt = parse_circuit_data(yaml.load(path.read_text(), Loader=loader), str(path))
     if not rt.circuit.report.ok:
         raise RuntimeError(f"unrolled circuit failed to round-trip: {rt.circuit.report.violations}")
 
@@ -695,6 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    import yaml  # for YAMLError
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -116,19 +116,20 @@ class AffineConstant:
     plane: _Plane | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        a = np.array(self.a, dtype=float, ndmin=2)
+        b = np.array(self.b, dtype=float, ndmin=1)
         if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
             raise ValueError(f"inconsistent affine shapes {a.shape} / {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if not all(map(math.isfinite, [*a.ravel().tolist(), *b.tolist()])):
-            raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has non-finite constants")
+        rows, bs = a.tolist(), b.tolist()
+        if not all(map(math.isfinite, itertools.chain(*rows, bs))):
+            raise ValueError(f"affine mode a={rows}, b={bs} has non-finite constants")
         try:
-            plane = _Plane(a, b) if b.shape[0] == 2 else None
+            plane = _Plane(rows, bs) if len(bs) == 2 else None
         except ArithmeticError as exc:  # float() of a Fraction, or a Fraction(0, 0)
-            raise ValueError(f"affine mode a={a.tolist()}, b={b.tolist()} has constants beyond the floats") from exc
-        object.__setattr__(self, "line", (a.item(), b.item()) if b.shape[0] == 1 else None)
+            raise ValueError(f"affine mode a={rows}, b={bs} has constants beyond the floats") from exc
+        object.__setattr__(self, "line", (rows[0][0], bs[0]) if len(bs) == 1 else None)
         object.__setattr__(self, "plane", plane)
 
 
@@ -154,9 +155,9 @@ class _Plane:
     cancel.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        (a11, a12), (a21, a22) = a.tolist()
-        f11, f12, f21, f22, fb1, fb2 = map(Fraction, (a11, a12, a21, a22, *b.tolist()))
+    def __init__(self, a: list[list[float]], b: list[float]):
+        (a11, a12), (a21, a22) = a
+        f11, f12, f21, f22, fb1, fb2 = map(Fraction, (a11, a12, a21, a22, *b))
         det, tr = f11 * f22 - f12 * f21, f11 + f22
         disc = float((f11 - f22) ** 2 / 4 + f12 * f21)
         adj_b = (f22 * fb1 - f12 * fb2, f11 * fb2 - f21 * fb1)
@@ -232,16 +233,30 @@ class ModeFunction:
 def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     """Build an AffineConstant mode with K and M computed from the data.
 
-    K is the spectral norm of ``a``.  ``|a x + b|`` is convex in ``x``, so its
-    maximum over the box sits at a corner; M is the corner maximum.  A value
-    beyond the floats at a corner makes M infinite, still a bound; one that
-    cancels to NaN makes ``ModeFunction`` refuse the mode.
+    K is the spectral norm of ``a``: |a|, or (|(a11 + a22, a21 - a12)| +
+    |(a11 - a22, a12 + a21)|)/2 for two states.  ``|a x + b|`` is convex in
+    ``x``, so M is its maximum over the box's corners.  Both are floats, from
+    numpy only for three or more states.  A value beyond the floats at a
+    corner makes M infinite, still a bound; one that cancels to NaN makes
+    ``ModeFunction`` refuse the mode.  A refusal names ``mode_id``.
     """
-    kind = AffineConstant(a, b)
+    try:
+        kind = AffineConstant(a, b)
+    except ValueError as exc:
+        raise ValueError(f"mode {mode_id!r}: {exc}") from exc
     a_mat, b_vec = kind.a, kind.b
-    k = float(np.linalg.norm(a_mat, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [float(np.linalg.norm(a_mat @ np.asarray(c, dtype=float) + b_vec)) for c in space.corners()]
+    if kind.line is not None:
+        a1, b1 = kind.line
+        k, xs = abs(a1), [(a1 * c + b1,) for (c,) in space.corners()]
+    elif kind.plane is not None:
+        ((a11, a12), (a21, a22)), (b1, b2) = a_mat.tolist(), b_vec.tolist()
+        k = (math.hypot(a11 + a22, a21 - a12) + math.hypot(a11 - a22, a12 + a21)) / 2
+        xs = [(a11 * c1 + a12 * c2 + b1, a21 * c1 + a22 * c2 + b2) for c1, c2 in space.corners()]
+    else:
+        k = float(np.linalg.norm(a_mat, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = [(a_mat @ np.asarray(c, dtype=float) + b_vec).tolist() for c in space.corners()]
+    norms = [math.sqrt(sum([v * v for v in x])) for x in xs]  # numpy's 2-norm, sqrt(x . x)
     m = math.nan if any(map(math.isnan, norms)) else max(norms)
     rhs = lambda t, x, _a=a_mat, _b=b_vec: _a @ x + _b
     return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
@@ -774,23 +789,31 @@ class Trajectory:
 
 def _containment_scan(segment: Segment, space: StateSpace) -> None:
     # A component that is monotone between its piece ends is inside when
-    # they are.  Other segments, and every exit, are sampled.
+    # they are.  Other segments, and every exit, are sampled.  A NaN meets no
+    # comparison with the box, so a NaN piece end or sample is an exit.
     for k, (lo, hi) in enumerate(space.bounds, 1):
         form = segment.pieces(k)
         if form is None:
             break
-        xs = form[1]
-        if not (lo - 1e-12 < min(xs) and max(xs) < hi + 1e-12):
-            break
+        lo, hi = lo - 1e-12, hi + 1e-12
+        for x in form[1]:
+            if not lo < x < hi:
+                break
+        else:
+            continue
+        break
     else:
         return
     ts = segment.sample_times(64)
     vals = segment.values(ts)
     for i, (lo, hi) in enumerate(space.bounds):
-        bad = (vals[:, i] <= lo - 1e-12) | (vals[:, i] >= hi + 1e-12)
+        bad = ~((vals[:, i] > lo - 1e-12) & (vals[:, i] < hi + 1e-12))
         if bad.any():
             j = int(np.argmax(bad))
             raise StateSpaceExit(float(ts[j]), vals[j])
+    if form is not None:  # a piece end outside the box that no sample met
+        t = form[0][form[1].index(x)]
+        raise StateSpaceExit(t, segment.value(t))
 
 
 # RK45 tolerances of the modes solved numerically: GeneralNumeric ones and

@@ -20,6 +20,8 @@ from hybridgates.gates import (
 )
 from hybridgates.signals import BinarySignal, read_signal_csv
 
+from conftest import run_fresh_python
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -200,8 +202,10 @@ class TestCircuitFiles:
         path = write_yaml(tmp_path / "c.yaml", doc)
         out = tmp_path / "out"
         assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
+        mode = {"c": "s11", "r2": "s10"}[field]  # the network whose constants overflow
         assert capsys.readouterr().err == (
-            f"error: {path}: vertex 'nor': affine mode a={a}, b=[0.0, 0.0] has constants beyond the floats\n"
+            f"error: {path}: vertex 'nor': mode {mode!r}: affine mode a={a}, b=[0.0, 0.0] "
+            "has constants beyond the floats\n"
         )
         assert not out.exists()
 
@@ -240,8 +244,9 @@ class TestCircuitFiles:
         out = tmp_path / "out"
         argv = ["--input", "I=pulse:1:1", "--out-dir", out] if command == "simulate" else []
         assert run(command, path, *argv) == 1
+        mode = {"tau_fast": "low", "v_dd": "high"}[field]  # the first lag refused
         assert capsys.readouterr().err == (
-            f"error: {path}: vertex 'n1': affine mode a={a}, b={b} has non-finite constants\n"
+            f"error: {path}: vertex 'n1': mode {mode!r}: affine mode a={a}, b={b} has non-finite constants\n"
         )
         assert not out.exists()
 
@@ -559,6 +564,17 @@ class TestMisc:
             main(["--version"])
         assert exc.value.code == 0
         assert "hybridgates" in capsys.readouterr().out
+
+    def test_importing_the_cli_loads_no_yaml_module(self):
+        # a fresh interpreter, because this module imports yaml itself; a
+        # circuit built from Python, as the benchmark's are, parses no YAML
+        out = run_fresh_python(
+            "import sys\n"
+            "import hybridgates.cli as cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('yaml', '_yaml')))\n"
+            "print(sorted(cli.load_circuit('preset:storage_loop').circuit.vertices))\n"
+        )
+        assert out == "[]\n['I', 'O', 'keep']\n"
 
 
 # each subcommand with its required arguments; {out} is an output directory

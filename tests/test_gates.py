@@ -504,7 +504,8 @@ class TestChargingClosedForm:
     @pytest.mark.parametrize("preset", _preset_names())
     def test_no_shipped_gate_calls_numpy_during_a_run(self, monkeypatch, preset):
         # the state is a float or a tuple of floats from the initial entry to
-        # every mode switch; numpy builds modes, never a run
+        # every mode switch, so a run calls no numpy; the build calls it only
+        # to hold each affine mode's a and b as arrays
         circuit, inputs, horizon = preset_stimulus(preset)
 
         class NoNumpy:

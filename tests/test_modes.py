@@ -737,6 +737,41 @@ def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box, monkey
     assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.value(got.t1), box.bounds))
 
 
+class _NanEndSegment(_SegmentBase):
+    """One piece on [0, 1] whose end values are (0.0, nan); its samples read
+    ``fill`` after t = 0."""
+
+    __slots__ = ("t0", "t1", "fill")
+    dimension = 1
+
+    def __init__(self, fill: float):
+        self.t0, self.t1, self.fill = 0.0, 1.0, fill
+
+    def values(self, ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return np.where(ts > 0.0, self.fill, 0.0)[:, None]
+
+    def pieces(self, component):
+        return (0.0, 1.0), (0.0, math.nan), None
+
+
+@pytest.mark.parametrize("fill, time", [(0.0, 1.0), (math.nan, 1.0 / 63)])
+def test_a_nan_piece_end_is_an_exit(fill, time):
+    # min and max of (0.0, nan) both read 0.0, which let the NaN through;
+    # where no sample reads it, the piece end is the exit
+    with pytest.raises(StateSpaceExit) as exc:
+        _containment_scan(_NanEndSegment(fill), StateSpace(((-1.0, 1.0),)))
+    assert exc.value.time == time
+
+
+def test_a_nan_sample_is_an_exit():
+    seg = FunctionSegment(0.0, 1.0, lambda ts: np.where(ts > 0.5, math.nan, 0.0))
+    with pytest.raises(StateSpaceExit) as exc:
+        _containment_scan(seg, StateSpace(((-1.0, 1.0),)))
+    assert exc.value.time == np.linspace(0.0, 1.0, 64)[32]
+    assert math.isnan(exc.value.state[0])
+
+
 def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
     # e^{a t} passes the largest float long before t1; the state reads inf
     # there, as numpy's exp gives, and the scan reports the first sample out
@@ -878,7 +913,7 @@ def test_an_affine_mode_with_non_finite_constants_is_refused(a, b):
     space = StateSpace(((-1.0, 1.0),) * len(b))
     with pytest.raises(ValueError) as exc:
         affine_mode("m", a, b, space)
-    assert str(exc.value) == f"affine mode a={a}, b={b} has non-finite constants"
+    assert str(exc.value) == f"mode 'm': affine mode a={a}, b={b} has non-finite constants"
 
 
 def test_an_equilibrium_beyond_the_floats_with_zero_trace_is_refused():
@@ -887,13 +922,98 @@ def test_an_equilibrium_beyond_the_floats_with_zero_trace_is_refused():
     a, b = [[0.0, -1.0], [-5e-324, 0.0]], [0.0, 1.0]
     with pytest.raises(ValueError) as exc:
         affine_mode("m", a, b, StateSpace(((-1.0, 1.0),) * 2))
-    assert str(exc.value) == f"affine mode a={a}, b={b} has constants beyond the floats"
+    assert str(exc.value) == f"mode 'm': affine mode a={a}, b={b} has constants beyond the floats"
 
 
 @pytest.mark.filterwarnings("error")
 def test_a_corner_beyond_the_floats_bounds_the_rhs_by_infinity():
     mode = affine_mode("m", [[-1e4]], [0.0], StateSpace(((-1e306, 1.01e308),)))
     assert mode.rhs_bound_m == math.inf
+
+
+# floats of magnitude 1e-300 to 1e300, of either sign, or zero
+_WIDE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda s, m, e: s * m * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(1.0, 10.0), st.integers(-300, 299)),
+)
+
+
+def _wide_box(n: int):
+    """A box of ``n`` intervals whose ends are drawn from ``_WIDE``."""
+    ends = st.lists(_WIDE, min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+    return st.lists(ends, min_size=n, max_size=n).map(lambda b: StateSpace(tuple(b)))
+
+
+def _numpy_k_and_m(a, b, space):
+    """K and M as numpy computes them: the test-side reference."""
+    a, b = np.array(a), np.array(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [float(np.linalg.norm(a @ np.array(c) + b)) for c in space.corners()]
+    return float(np.linalg.norm(a, 2)), max(norms)
+
+
+def _ulps(x: float, y: float) -> float:
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_WIDE, b=_WIDE, space=_wide_box(1))
+@example(a=1e300, b=0.0, space=StateSpace(((-1.0, 1e10),)))  # a corner beyond the floats
+@example(a=-3e-300, b=1e-300, space=StateSpace(((-1e-20, 5.0),)))  # products below the normals
+def test_one_state_k_and_m_are_numpys_on_floats(a, b, space):
+    mode = affine_mode("m", [[a]], [b], space)
+    k, m = _numpy_k_and_m([[a]], [b], space)
+    assert mode.lipschitz_k == abs(a)  # exact; numpy's SVD may read 1 ulp below
+    assert _ulps(mode.lipschitz_k, k) <= 1
+    assert mode.rhs_bound_m == m  # the same floats: |x| as sqrt(x * x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.lists(_WIDE, min_size=4, max_size=4), b=st.lists(_WIDE, min_size=2, max_size=2), space=_wide_box(2))
+@example(a=[1.0, -1e-300, 2.5e-300, 1.0], b=[0.0, 1e-300], space=StateSpace(((-1.0, 1.0), (0.0, 3.0))))
+@example(a=[-1.0, 1.0, 1.0, -2.0], b=[0.0, 0.0], space=StateSpace(((-0.01, 1.01),) * 2))  # NOR_SHARE
+def test_two_state_k_and_m_on_floats_match_numpys(a, b, space):
+    a = [a[:2], a[2:]]
+    try:
+        mode = affine_mode("m", a, b, space)
+    except ValueError as exc:  # constants the closed form cannot hold, or M cancelling to NaN
+        assert str(exc).endswith("has constants beyond the floats") or "M=nan" in str(exc)
+        return
+    k, m = _numpy_k_and_m(a, b, space)
+    assert _ulps(mode.lipschitz_k, k) <= 8
+    corners = list(space.corners())
+    if any(math.isinf(r[j] * c[j]) for c in corners for r in a for j in (0, 1)):
+        # a product beyond the floats makes a component infinite (M is) or
+        # NaN (refused above); numpy's fused matmul may read either
+        assert mode.rhs_bound_m == math.inf
+        return
+    # numpy's matmul may fuse a multiply and an add, so each component can
+    # round differently by a few eps of its terms, which cancel to less
+    terms = max(math.hypot(*(abs(r[0] * c[0]) + abs(r[1] * c[1]) + abs(v) for r, v in zip(a, b))) for c in corners)
+    tol = 8 * math.ulp(m) + 4 * sys.float_info.epsilon * terms
+    assert mode.rhs_bound_m == m or abs(mode.rhs_bound_m - m) <= tol  # == for a square beyond the floats
+
+
+def test_factories_and_presets_build_without_numpy_linalg(monkeypatch):
+    # K and M of every shipped mode, one or two states, are computed on floats
+    from hybridgates import gates
+    from hybridgates.cli import _preset_names, load_circuit
+
+    class NoLinalg:
+        def __getattr__(self, name):
+            if name == "linalg":
+                raise AssertionError("numpy.linalg while building")
+            return getattr(np, name)
+
+    monkeypatch.setattr(modes, "np", NoLinalg())
+    gates.make_boolean_gate("nand2", [0.1, 0.1])
+    gates.make_const_gate(1)
+    gates.make_idm_channel()
+    gates.make_heater_plant()
+    gates.make_simple_nor()
+    gates.make_advanced_nor()
+    for name in _preset_names():
+        assert load_circuit(f"preset:{name}").circuit.report.ok
 
 
 @pytest.mark.parametrize("k, m", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0)])
