@@ -162,6 +162,36 @@ class FunctionSegment(_SegmentBase):
         return out[:, None] if out.ndim == 1 else out
 
 
+def reference_component(seg, k: int, t: float) -> float:
+    """Component ``k`` (1-based) of a 2-state ``AffineSegment`` at ``t``,
+    from that component's own closed form with its own exp, cos and sin
+    calls: ``x0`` itself at t0, and where an exp overflows, the same form
+    with each overflowing exp read as inf (so a zero coefficient times it
+    is NaN).  The per-component evaluation that the segment's shared one
+    is held to, float for float."""
+    plane, t0, (p, q) = seg.kind.plane, seg.t0, seg._pq[2 * k - 2 : 2 * k]
+    form, rates = plane.form, plane.rates
+    c = (seg.x0 if form == "quadratic" else plane.c)[k - 1]
+
+    def at(exp):
+        if form == "quadratic":
+            return c + (p + q * (t - t0)) * (t - t0)
+        if form == "repeated":
+            return c + exp(rates[0] * (t - t0)) * (p + q * (t - t0))
+        if form == "complex":
+            tau, w = rates
+            return c + exp(tau * (t - t0)) * (p * math.cos(w * (t - t0)) + q * math.sin(w * (t - t0)))
+        m, (l1, l2, _) = plane.m[k - 1], rates
+        return c + m * (t - t0) + p * exp(l1 * (t - t0)) + q * exp(l2 * (t - t0))
+
+    if t == t0:
+        return seg.x0[k - 1]
+    try:
+        return at(math.exp)
+    except OverflowError:  # inf where math.exp overflows, as numpy's exp reads
+        return at(lambda u: math.exp(u) if u <= math.log(sys.float_info.max) else math.inf)
+
+
 def term_scale(seg, k: int) -> float:
     """Bound on the magnitudes that the closed form of component ``k`` of a
     2-state ``AffineSegment`` adds up over the segment: its constant and

@@ -34,7 +34,7 @@ from hybridgates.modes import _brent, _containment_scan, _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
-from conftest import FunctionSegment, run_fresh_python, term_scale
+from conftest import FunctionSegment, reference_component, run_fresh_python, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -347,6 +347,43 @@ def test_two_state_closed_form_matches_a_tight_integrator(case, span):
         # the integrator's error, and the closed form's rounding of its terms
         tol = 1e-9 * np.maximum(1.0, np.abs(ref.y[k - 1])) + 1e-14 * term_scale(seg, k)
         assert np.all(np.abs(got[:, k - 1] - ref.y[k - 1]) <= tol)
+
+
+@st.composite
+def _plane_segments(draw):
+    """2-state segments of every spectrum, some of them of zero span."""
+    a, b, x0 = draw(_affine_cases())
+    t0, span = draw(st.floats(-5.0, 5.0)), draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    return AffineSegment(t0, t0 + span, x0, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seg=_plane_segments(), u=st.floats(0.0, 1.0))
+# t == t0 reads x0 itself
+@example(seg=AffineSegment(1.0, 3.0, (0.25, -0.5), [[-1.0, 0.5], [0.25, -2.0]], [0.1, 0.0]), u=0.0)
+# exps that overflow, each with a nonzero coefficient: real, repeated, complex
+@example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0]), u=0.9)
+@example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0]), u=0.9)
+@example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, -1.0], [1.0, 1.0]], [0.0, 0.0]), u=0.9)
+# the nor workload's bracket: the simple NOR's (0, 0) network charging V_out
+@example(
+    seg=AffineSegment(2.358242409585118, 28.0, (0.0, 0.0), [[-2.0, 1.0], [1.0, -1.0]], [1.0, 0.0]),
+    u=0.5,
+)
+def test_two_state_states_are_each_components_own_closed_form(seg, u):
+    # every reader of the segment sees the floats of each component's own
+    # closed form: state_at, values and the values at every piece end
+    def want(t):
+        return [reference_component(seg, k, t).hex() for k in (1, 2)]
+
+    t = seg.t0 + u * (seg.t1 - seg.t0)
+    ts = [seg.t0, t, seg.t1, *np.linspace(seg.t0, seg.t1, 7).tolist()]
+    for s in ts:
+        assert [x.hex() for x in seg.state_at(s)] == want(s)
+    assert [[x.hex() for x in row] for row in seg.values(ts).tolist()] == [want(s) for s in ts]
+    for k in (1, 2):
+        ends, xs, _ = seg.pieces(k)
+        assert [x.hex() for x in xs] == [reference_component(seg, k, s).hex() for s in ends]
 
 
 def test_a_three_state_affine_mode_is_integrated():
