@@ -368,14 +368,19 @@ def _newton(
     raise RuntimeError(f"no root within {xtol} after {_ROOT_MAXITER} iterations")
 
 
+def _exp(u: float) -> float:
+    """e^u, or inf past ln of the largest float, where ``math.exp`` raises, as numpy's exp."""
+    return math.exp(u) if u <= 709.782712893384 else math.inf
+
+
 # -- trajectory segments -------------------------------------------------------
 
 # Each segment covers [t0, t1] and can evaluate the state at arbitrary times
 # inside it.  The next segment starts from the state this one reads at its
 # end (``state_at``), so junctions match exactly.
-# Kinds with a closed form also cut each component into monotone ``pieces``,
-# with its values at the piece ends, which containment and the crossing
-# search each read in one call instead of sampling.
+# Kinds with a closed form read their end state ``x1`` once, when built, and
+# cut each component into monotone ``pieces`` with its values at the piece
+# ends, which containment and the crossing search each read in one call.
 
 
 class _SegmentBase:
@@ -441,14 +446,16 @@ class AffineSegment(_SegmentBase):
     """Closed-form solution of a 2-state mode dx/dt = a x + b from ``x0`` at
     ``t0``, on floats: each component's (p, q) in the form of ``kind.plane``
     (:class:`_Plane`; ``kind`` is built from ``a`` and ``b`` if not given).
-    A component turns at most once for a real spectrum and every pi/w for a
+    Both components come from one set of exp, cos and sin calls per time,
+    and the end state ``x1`` is read once, when the segment is built.  A
+    component turns at most once for a real spectrum and every pi/w for a
     complex one; :func:`_newton` meets xi in each piece to 1e-13, on the
     component's closed-form slope, from the one-exponential estimate of
     ``_start`` or else the secant of the piece ends.  ``x0`` is the state at
     ``t0``, so a start on the threshold digitizes as its bit.
     """
 
-    __slots__ = ("t0", "t1", "x0", "kind", "_pq")
+    __slots__ = ("t0", "t1", "x0", "kind", "_pq", "x1")
 
     dimension = 2
 
@@ -463,28 +470,43 @@ class AffineSegment(_SegmentBase):
         self.kind = kind
         y1, y2 = x1 - kind.plane.c[0], x2 - kind.plane.c[1]
         self._pq = tuple([u * y1 + v * y2 + o for u, v, o in kind.plane.rows])
+        self.x1 = self.state_at(self.t1)
 
-    def _component(self, k: int, exp=math.exp):
-        """Component ``k`` (1-based) as a function of t."""
-        plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
-        form, rates = plane.form, plane.rates
-        c = (self.x0 if form == "quadratic" else plane.c)[k - 1]
-        if form == "quadratic":
-            return lambda t: c + (p + q * (t - t0)) * (t - t0)
-        if form == "repeated":
-            return lambda t: c + exp(rates[0] * (t - t0)) * (p + q * (t - t0))
-        if form == "complex":
-            (tau, w), cos, sin = rates, math.cos, math.sin
-            return lambda t: c + exp(tau * (t - t0)) * (p * cos(w * (t - t0)) + q * sin(w * (t - t0)))
-        m, (l1, l2, _) = plane.m[k - 1], rates
-        return lambda t: c + m * (t - t0) + p * exp(l1 * (t - t0)) + q * exp(l2 * (t - t0))
+    def _states(self, ts, exp=math.exp) -> tuple[list[float], list[float]]:
+        """Each component at the times ``ts`` (``x0`` itself at t0).  An exp
+        that overflows reads inf, and a zero coefficient times it adds 0."""
+        plane, t0, x0, (p1, q1, p2, q2) = self.kind.plane, self.t0, self.x0, self._pq
+        form, (m1, m2), (l1, l2) = plane.form, plane.m, (*plane.rates, 0.0, 0.0)[:2]
+        (c1, c2), cos, sin = x0 if form == "quadratic" else plane.c, math.cos, math.sin
+        xs1, xs2 = out = [], []
+        try:
+            for t in ts:
+                s = t - t0
+                if t == t0:
+                    a, b = x0
+                elif form == "real":
+                    e1, e2 = exp(l1 * s), exp(l2 * s)
+                    a = c1 + m1 * s + (p1 and p1 * e1) + (q1 and q1 * e2)
+                    b = c2 + m2 * s + (p2 and p2 * e1) + (q2 and q2 * e2)
+                elif form == "quadratic":
+                    a, b = c1 + (p1 + q1 * s) * s, c2 + (p2 + q2 * s) * s
+                else:  # c + e^{tau s} (p u + q v): (u, v) = (cos ws, sin ws), or (1, s) if repeated
+                    e, u, v = exp(l1 * s), cos(l2 * s) if l2 else 1.0, sin(l2 * s) if l2 else s
+                    r1, r2 = p1 * u + q1 * v, p2 * u + q2 * v
+                    a, b = c1 + (r1 and e * r1), c2 + (r2 and e * r2)
+                xs1.append(a)
+                xs2.append(b)
+        except OverflowError:
+            return self._states(ts, _exp)
+        return out
 
     def _excess(self, k: int, xi: float):
         """Component ``k`` (1-based) minus ``xi``, folded into its constant,
         and its slope: one function of t that returns both from shared exp,
-        cos and sin calls."""
+        cos and sin calls.  No exp overflows on [t0, t1] unless one at t1 does;
+        then each reads inf, and one at rest (p = q = 0) has no exp term."""
         plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
-        form, rates, exp = plane.form, plane.rates, math.exp
+        form, rates, span = plane.form, plane.rates, self.t1 - t0
         c = (self.x0 if form == "quadratic" else plane.c)[k - 1] - xi
         if form == "quadratic":
 
@@ -493,7 +515,8 @@ class AffineSegment(_SegmentBase):
                 return c + (p + q * s) * s, p + 2.0 * q * s
 
         elif form == "repeated":
-            (tau,) = rates
+            tau = rates[0] if p or q else 0.0
+            exp = math.exp if tau * span < 709.0 else _exp
 
             def excess(t):
                 s = t - t0
@@ -501,8 +524,8 @@ class AffineSegment(_SegmentBase):
                 return c + e * r, e * (tau * r + q)
 
         elif form == "complex":
-            (tau, w), cos, sin = rates, math.cos, math.sin
-            dp, dq = tau * p + w * q, tau * q - w * p
+            (tau, w), cos, sin = rates if p or q else (0.0, 0.0), math.cos, math.sin
+            dp, dq, exp = tau * p + w * q, tau * q - w * p, math.exp if tau * span < 709.0 else _exp
 
             def excess(t):
                 s = t - t0
@@ -511,10 +534,11 @@ class AffineSegment(_SegmentBase):
 
         else:
             m, (l1, l2, _) = plane.m[k - 1], rates
+            exp = math.exp if max(l1, l2) * span < 709.0 else _exp
 
             def excess(t):
                 s = t - t0
-                e1, e2 = p * exp(l1 * s), q * exp(l2 * s)
+                e1, e2 = p and p * exp(l1 * s), q and q * exp(l2 * s)
                 return c + m * s + e1 + e2, m + l1 * e1 + l2 * e2
 
         return excess
@@ -526,16 +550,16 @@ class AffineSegment(_SegmentBase):
         and for a repeated form e^{tau s} p, exact when q = 0.  None unless
         that time lies inside (lo, hi)."""
         plane, (p, q) = self.kind.plane, self._pq[2 * k - 2 : 2 * k]
+        if plane.form in ("complex", "quadratic") or plane.m[k - 1]:
+            return None
         c = plane.c[k - 1] - xi
         if plane.form == "repeated":
             terms = ((p, plane.rates[0]),)
-        elif plane.form == "real" and not plane.m[k - 1]:
+        else:
             l1, l2, _ = plane.rates
             if not l2:
                 c, q = c + q, 0.0
             terms = ((q, l2), (p, l1))
-        else:
-            return None
         for w, l in terms:
             if w and -c / w > 0.0:
                 t = self.t0 + math.log(-c / w) / l
@@ -543,7 +567,7 @@ class AffineSegment(_SegmentBase):
                     return t
         return None
 
-    def _turns(self, k: int) -> tuple[float, ...]:
+    def _turns(self, k: int) -> Sequence[float]:
         """The times where component ``k`` may turn."""
         plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
         if plane.form == "quadratic":
@@ -552,10 +576,10 @@ class AffineSegment(_SegmentBase):
             return (t0 - p / q - 1.0 / plane.rates[0],) if q else ()
         if plane.form == "complex":
             # the slope e^{tau s} (A cos ws + B sin ws) vanishes every pi/w
-            tau, w = plane.rates
-            first = math.atan2(-tau * p - w * q, tau * q - w * p) % math.pi / w
-            count = int((self.t1 - t0 - first) * w / math.pi) + 1 if p or q else 0
-            return tuple(t0 + first + j * math.pi / w for j in range(max(count, 0)))
+            (tau, w), pi = plane.rates, math.pi
+            first = math.atan2(-tau * p - w * q, tau * q - w * p) % pi / w
+            count = int((self.t1 - t0 - first) * w / pi) + 1 if p or q else 0
+            return [t0 + first + j * pi / w for j in range(max(count, 0))]
         # the slope g1 e^{l1 s} + g2 e^{l2 s} vanishes where its terms cancel
         (l1, l2, den), m = plane.rates, plane.m[k - 1]
         g1, g2 = p * l1, q * l2 + m
@@ -563,28 +587,19 @@ class AffineSegment(_SegmentBase):
             return ()
         return (t0 + (math.log(abs(g2)) - math.log(abs(g1))) / den,)
 
-    def _component_at(self, ts, component: int) -> list[float]:
-        """Component ``component`` (1-based) at the times ``ts``, as floats."""
-        t0, x, f = self.t0, self.x0[component - 1], self._component(component)
-        try:
-            return [x if t == t0 else f(t) for t in ts]
-        except OverflowError:  # inf, as numpy's exp gives
-            f = self._component(component, exp=lambda u: math.exp(u) if u < 709.78 else math.inf)
-            return [x if t == t0 else f(t) for t in ts]
-
     def state_at(self, t: float) -> tuple[float, float]:
-        return self._component_at((t,), 1)[0], self._component_at((t,), 2)[0]
+        (a,), (b,) = self._states((t,))
+        return a, b
 
     def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
-        return np.array([self._component_at(ts, 1), self._component_at(ts, 2)]).T
+        return np.array(self._states(np.atleast_1d(np.asarray(ts, dtype=float)).tolist())).T
 
     def pieces(self, component: int):
         """Monotone pieces of one state component; see ``_SegmentBase.pieces``."""
-        t0, t1 = self.t0, self.t1
         # a turn within TIME_EPS of an end could only add a pulse narrower
         # than TIME_EPS
-        ts = (t0, *(t for t in self._turns(component) if t0 + TIME_EPS < t < t1 - TIME_EPS), t1)
+        k, after, before = component - 1, self.t0 + TIME_EPS, self.t1 - TIME_EPS
+        turns = [t for t in self._turns(component) if after < t < before]
 
         def meet(xi: float, lo: float, hi: float) -> float:
             excess = self._excess(component, xi)
@@ -594,7 +609,8 @@ class AffineSegment(_SegmentBase):
                 return lo if abs(g_lo) <= abs(g_hi) else hi
             return _newton(excess, lo, hi, g_lo, g_hi, self._start(component, xi, lo, hi), 1e-13)
 
-        return ts, self._component_at(ts, component), meet
+        xs = (self.x0[k], *(self._states(turns)[k] if turns else ()), self.x1[k])
+        return (self.t0, *turns, self.t1), xs, meet
 
 
 class ScalarAffineSegment(_FloatSegment):

@@ -155,6 +155,29 @@ class TestIdmChannel:
             assert m.roundtrip_error <= 1e-6
             assert m.t_prime == pytest.approx(-m.delta_down, abs=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tau=st.floats(0.1, 10.0),
+        lag=st.floats(1e-3, 2.0),
+        separation=st.floats(0.0, 13.0),
+    )
+    def test_delay_roundtrip_is_identity_over_drawn_channels(self, tau, lag, separation):
+        # delta_min and T in time constants, 15 at most together: a zero
+        # delta_min is refused by validation, past ~25 the cancelling edge is
+        # refused as unresolvable, and in between delta_up loses precision
+        # (pinned below)
+        T, dm = separation * tau, lag * tau
+        m = measure_idm_delays(T, tau=tau, delta_min=dm)
+        assert m.roundtrip_error <= 1e-6
+        assert m.t_prime == -m.delta_down
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="delta_up is read off a state within 1e-9 of 1")
+    def test_delay_roundtrip_twenty_time_constants_out(self):
+        # not refused (the cancelling edge comes 9.3e-10 after the falling
+        # one), but 1 - x_sw keeps ~7 digits, so the round trip misses by 2.1e-6
+        m = measure_idm_delays(20.0, tau=1.0, delta_min=0.1)
+        assert m.roundtrip_error <= 1e-6
+
     def test_cancelling_rise_removes_output_edge(self):
         # the rising input lands before the output would fall, so the output
         # pulse is swallowed entirely

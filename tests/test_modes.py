@@ -143,6 +143,52 @@ def test_a_scalar_segment_resting_on_an_unstable_equilibrium_stays_there():
     assert find_crossings([seg], 1.0) == []
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([[1.0, 0.0], [0.0, 2.0]], [-1.0, -2.0]),
+        ([[1.0, 1.0], [0.0, 1.0]], [-2.0, -1.0]),
+        ([[1.0, -1.0], [1.0, 1.0]], [0.0, -2.0]),
+    ],
+    ids=["real", "repeated", "complex"],
+)
+def test_a_plane_segment_resting_on_an_unstable_equilibrium_stays_there(a, b):
+    # c = (1, 1) = x0, so every coefficient is 0 and each exp overflows
+    seg = AffineSegment(0, 1000, (1.0, 1.0), a, b)
+    assert seg.x1 == seg.state_at(1000.0) == (1.0, 1.0)
+    box = StateSpace(((0.0, 2.0), (0.0, 2.0)))
+    seg = solve_mode(affine_mode("unstable", a, b, box), (1.0, 1.0), 0.0, 1000.0, box)
+    assert seg.x1 == (1.0, 1.0)
+    assert seg._excess(1, 0.5)(1000.0) == (0.5, 0.0)
+
+
+def test_a_plane_segment_whose_exp_overflows_reads_inf_and_crosses_once():
+    # x1 = 0.1 e^s and x2 = 0.1 e^{2s}: each component has one exp term and a
+    # zero coefficient on the other, which overflows too
+    seg = AffineSegment(0, 1000, (0.1, 0.1), [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
+    assert seg.x1 == (math.inf, math.inf)
+    assert seg.pieces(1)[1] == (0.1, math.inf)
+    # one rising crossing at ln 5, as the 1-state x1 = 0.1 e^s has
+    for found in (find_crossings((seg,), 0.5, 1), find_crossings((ScalarAffineSegment(0, 1000, 0.1, 1, 0),), 0.5)):
+        [(t, rising)] = found
+        assert rising and abs(t - math.log(5.0)) <= 1e-13
+
+
+def test_a_plane_mode_entry_reads_its_end_state_once(monkeypatch):
+    # containment and the crossing search read the end state that the
+    # segment read when it was built; every evaluation goes through _states
+    calls, times = [], []
+    states, state_at = AffineSegment._states, AffineSegment.state_at
+    monkeypatch.setattr(AffineSegment, "_states", lambda self, ts, *a: times.extend(ts) or states(self, ts, *a))
+    monkeypatch.setattr(AffineSegment, "state_at", lambda self, t: calls.append(t) or state_at(self, t))
+    gate = make_simple_nor(initial_inputs=(1, 1))
+    for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        calls.clear(), times.clear()
+        seg = solve_mode(gate.choice(bits, None, None), (0.3, 0.4), 0.0, 28.0, gate.state_space)
+        find_crossings((seg,), gate.threshold.xi, gate.threshold.component)
+        assert calls == [28.0] and times.count(28.0) == 1
+
+
 def test_a_one_state_affine_segment_is_refused():
     with pytest.raises(ValueError, match="ScalarAffineSegment"):
         AffineSegment(0.0, 1.0, [0.5], [[-1.0]], [0.0])
@@ -359,10 +405,10 @@ def _plane_segments(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(seg=_plane_segments(), u=st.floats(0.0, 1.0))
-# t == t0 reads x0 itself
+# t == t0 reads x0
 @example(seg=AffineSegment(1.0, 3.0, (0.25, -0.5), [[-1.0, 0.5], [0.25, -2.0]], [0.1, 0.0]), u=0.0)
 # exps that overflow, each with a nonzero coefficient: real, repeated, complex
-@example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0]), u=0.9)
+@example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, 1.0], [1.0, 2.0]], [0.0, 0.0]), u=0.9)
 @example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0]), u=0.9)
 @example(seg=AffineSegment(0.0, 1000.0, (0.1, 0.2), [[1.0, -1.0], [1.0, 1.0]], [0.0, 0.0]), u=0.9)
 # the nor workload's bracket: the simple NOR's (0, 0) network charging V_out
@@ -378,6 +424,7 @@ def test_two_state_states_are_each_components_own_closed_form(seg, u):
 
     t = seg.t0 + u * (seg.t1 - seg.t0)
     ts = [seg.t0, t, seg.t1, *np.linspace(seg.t0, seg.t1, 7).tolist()]
+    assert [x.hex() for x in seg.x1] == want(seg.t1)
     for s in ts:
         assert [x.hex() for x in seg.state_at(s)] == want(s)
     assert [[x.hex() for x in row] for row in seg.values(ts).tolist()] == [want(s) for s in ts]
