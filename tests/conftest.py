@@ -192,6 +192,33 @@ def reference_component(seg, k: int, t: float) -> float:
         return at(lambda u: math.exp(u) if u <= math.log(sys.float_info.max) else math.inf)
 
 
+def reference_charging_exponent(p, t_on: float, gap: float, alpha_first: float):
+    """phi of the advanced NOR's charging mode, as ``gates._charging_exponent``
+    computed it when it returned phi alone: the same poles, and the same
+    operations in the same order.  The value that the exponent is held to,
+    float for float."""
+    two_r, alpha = 2.0 * p.r, p.alpha1 + p.alpha2
+    if math.isinf(gap):
+        poles = ((alpha_first, alpha_first / two_r),)
+    else:
+        b = alpha + two_r * gap
+        root = b + math.sqrt(b * b - 4.0 * two_r * alpha_first * gap)
+        r1 = 2.0 * alpha_first * gap / root
+        r2 = root / (2.0 * two_r)
+        a = two_r * r1 * (gap - r1) / (r2 - r1)
+        poles = ((a, r1), (alpha - a, r2)) if a != 0.0 else ((alpha, r2),)
+    terms = tuple((w / (two_r * two_r), r) for w, r in poles)
+
+    def phi(t: float) -> float:
+        tau = t - t_on
+        value = tau / two_r
+        for w, r in terms:
+            value = value - w * math.log1p(tau / r)
+        return value / p.c
+
+    return phi
+
+
 def term_scale(seg, k: int) -> float:
     """Bound on the magnitudes that the closed form of component ``k`` of a
     2-state ``AffineSegment`` adds up over the segment: its constant and

@@ -41,7 +41,14 @@ from hybridgates.modes import (
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, delay
 from hybridgates.threshold import digitize, find_crossings
 
-from conftest import FunctionSegment, binary_signals, preset_stimulus, run_every_shipped_gate, run_fresh_python
+from conftest import (
+    FunctionSegment,
+    binary_signals,
+    preset_stimulus,
+    reference_charging_exponent,
+    run_every_shipped_gate,
+    run_fresh_python,
+)
 
 LN2 = math.log(2.0)
 
@@ -474,6 +481,26 @@ class TestChargingClosedForm:
         assert [rising for _, rising in fast] == [rising for _, rising in slow]
         for (t_fast, _), (t_slow, _) in zip(fast, slow):
             assert abs(t_fast - t_slow) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=_charging_cases["params"],
+        gap=_charging_cases["gap"],
+        first_fell=_charging_cases["first_fell"],
+        t_on=_charging_cases["t_on"],
+        lag=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    )
+    def test_exponent_is_the_partial_fraction_integral(self, params, gap, first_fell, t_on, lag):
+        _, mode = _charging_mode(params, t_on, gap, first_fell)
+        # the gap and the first fall as the gate reads them off its inputs
+        if gap == 0.0:
+            alpha_first = params.alpha1
+        else:
+            gap = gap if math.isinf(gap) else t_on - (t_on - gap)
+            alpha_first = params.alpha1 if first_fell == 1 else params.alpha2
+        t = t_on + lag
+        phi = mode.kind.exponent(t)
+        assert phi == reference_charging_exponent(params, t_on, gap, alpha_first)(t)
 
     def test_underflow_onto_the_rail_is_not_an_edge(self):
         # from just above V_DD the state decays onto it; exp underflows at
