@@ -107,6 +107,11 @@ class GateSpec:
         return len(self.input_delays)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _bit(value, field: str) -> int:
     """``value`` as an int if it equals 0 or 1, else a ValueError naming
     ``field``; checked before converting, so 0.5 is refused, not truncated."""
@@ -278,8 +283,7 @@ def make_boolean_gate(
         if not delays or min(delays) <= 0:
             raise ValueError("tau_fast must be given when a delay is zero")
         tau_fast = 1e-3 * min(delays)
-    if not (math.isfinite(tau_fast) and tau_fast > 0):
-        raise ValueError(f"tau_fast must be finite and positive, got {tau_fast!r}")
+    _require_positive("tau_fast", tau_fast)
     if initial_output is None:
         initial_output = table[initial_inputs]
     initial_output = _bit(initial_output, "initial_output")
@@ -316,10 +320,8 @@ def make_idm_channel(
     are mutual negative inverses, so cancelled-pulse behaviour extrapolates
     consistently to negative input-to-output separations.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if delta_min < 0:
-        raise ValueError(f"delta_min must be nonnegative, got {delta_min!r}")
+    _require_positive("tau", tau)
+    _require_positive("delta_min", delta_min)
     if not 0.0 < xi < 1.0:
         raise ValueError(f"threshold must sit strictly inside (0, 1), got {xi}")
     initial_input = _bit(initial_input, "initial_input")  # it is the initial state too
@@ -342,6 +344,7 @@ def make_heater_plant(
     The comparator reports whether the temperature exceeds ``xi``; two copies
     with different levels give the band sensors of a thermostat loop.
     """
+    _require_positive("delta", delta)
     initial_input = _bit(initial_input, "initial_input")
     box = StateSpace(((-1.0, 51.0),))
     off, on = _lag_modes(("off", "on"), 10.0, (0.0, 50.0), box)  # a = -0.1, b = 5.0 exactly
@@ -355,9 +358,7 @@ def make_heater_plant(
 
 def _require_finite_positive(params) -> None:
     for f in fields(params):
-        value = getattr(params, f.name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        _require_positive(f.name, getattr(params, f.name))
 
 
 @dataclass(frozen=True)
@@ -452,7 +453,8 @@ class AdvancedNorParams:
 
 
 def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_first: float):
-    """Exponent phi(t) = (integral of rho from t_on to t) / C of a charging mode.
+    """Exponent phi(t) = (integral of rho from t_on to t) / C of a charging
+    mode, and its slope phi'(t) = rho(t) / C.
 
     rho = num/den with den = 2R (tau + r1)(tau + r2), tau = t - t_on, where
     b = alpha1 + alpha2 + 2 gap R, c = alpha_first gap, D = b^2 - 8 R c and
@@ -468,7 +470,8 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
     overflow), or of infinity leaves one pole:
     phi = (tau/(2R) - alpha/(4R^2) log1p(2R tau/alpha)) / C with alpha =
     alpha1 + alpha2 or alpha_first.  Defined for t >= t_on; it takes a float
-    t and computes with ``math``.
+    t and returns the pair (phi, phi'), computed with ``math`` in one pass
+    over the poles.
     """
     two_r, alpha = 2.0 * p.r, p.alpha1 + p.alpha2
     if math.isinf(gap):
@@ -484,10 +487,11 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
 
     def exponent(t, _t_on=t_on, _terms=terms):
         tau = t - _t_on
-        phi = tau / two_r
+        phi, rate = tau / two_r, 1.0 / two_r
         for w, r in _terms:
             phi = phi - w * math.log1p(tau / r)
-        return phi / p.c
+            rate = rate - w / (r + tau)
+        return phi / p.c, rate / p.c
 
     return exponent
 

@@ -195,8 +195,9 @@ class ScalarRelaxation:
 
     ``exponent`` is phi, nondecreasing in t, so the solution
     x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))) moves
-    monotonically toward ``target``.  It takes a float time and returns a
-    float (computed with ``math``, so a root search over it stays cheap).
+    monotonically toward ``target``.  It takes a float time and returns the
+    pair (phi(t), phi'(t)) of floats (computed with ``math``, so a Newton
+    search over it stays cheap).
     """
 
     target: float
@@ -264,64 +265,9 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
 
 # -- root finding ----------------------------------------------------------------
 
-# brentq's relative tolerance and iteration cap, shared by both root finders
+# _newton's relative tolerance and iteration cap: scipy brentq's defaults
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 _ROOT_MAXITER = 100
-
-
-def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Root of ``f`` in the bracket [lo, hi] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of the C routine behind ``scipy.optimize.brentq``,
-    with its relative tolerance 4 eps and its 100 iterations, so it returns
-    the same float.  An exact zero at an end returns that end.  Ends whose
-    values have one sign, or a NaN value, raise ValueError, and 100
-    iterations without convergence raise RuntimeError.
-    """
-    xpre, xcur = lo, hi
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre != fpre or fcur != fcur:
-        raise ValueError(f"NaN at an end of the bracket [{lo}, {hi}]")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C's inf or nan, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise ValueError(f"NaN at t={xcur}")
-    raise RuntimeError(f"no root within {xtol} after {_ROOT_MAXITER} iterations")
 
 
 def _newton(
@@ -340,9 +286,12 @@ def _newton(
     The search starts at ``t``, a time inside (lo, hi), or if that is None
     at the secant of the ends, and each value narrows the bracket.  A step
     shorter than half of ``xtol + 4 eps |t|`` ends it, clamped to the
-    bracket; a step that leaves the bracket bisects instead.  100 iterations
-    without convergence raise RuntimeError.
+    bracket; a step that leaves the bracket bisects instead.  A NaN value,
+    at an end or inside, raises ValueError, and 100 iterations without
+    convergence raise RuntimeError.
     """
+    if g_lo != g_lo or g_hi != g_hi:
+        raise ValueError(f"NaN at an end of the bracket [{lo}, {hi}]")
     if not (g_lo and g_hi):
         return hi if g_lo else lo
     if t is None:
@@ -350,6 +299,8 @@ def _newton(
     rising = g_lo < 0.0
     for _ in range(_ROOT_MAXITER):
         f, df = fd(t)
+        if f != f:
+            raise ValueError(f"NaN at t={t}")
         if (f < 0.0) == rising:
             lo = t
         else:
@@ -671,11 +622,11 @@ class RelaxationSegment(_FloatSegment):
     """Closed-form solution of dx/dt = (target - x) phi'(t) from ``x0`` at ``t0``.
 
     x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))), with phi(t0)
-    computed once.  phi is nondecreasing, so the state moves monotonically
-    toward ``target``; it meets xi where ``phi(t) - phi(t0) = ln((x0 -
-    target)/(xi - target))``, a root that a bracketed Brent search
-    (:func:`_brent`) finds to 1e-13.  x(t0) is ``x0`` itself, and times
-    before t0 read as t0.
+    computed once; ``exponent(t)`` returns (phi(t), phi'(t)).  phi is
+    nondecreasing, so the state moves monotonically toward ``target``; it
+    meets xi where ``phi(t) - phi(t0) = ln((x0 - target)/(xi - target))``, a
+    root that :func:`_newton` finds to 1e-13 on the slope phi'.  x(t0) is
+    ``x0`` itself, and times before t0 read as t0.
     """
 
     __slots__ = ("t0", "t1", "x0", "target", "exponent", "_phi0", "x1")
@@ -688,7 +639,7 @@ class RelaxationSegment(_FloatSegment):
         self.x0 = float(x0)
         self.target = float(target)
         self.exponent = exponent
-        self._phi0 = exponent(self.t0)
+        self._phi0 = exponent(self.t0)[0]
         self.x1 = self.at(self.t1)
 
     @property
@@ -698,7 +649,7 @@ class RelaxationSegment(_FloatSegment):
     def at(self, t: float) -> float:
         if t <= self.t0:
             return self.x0
-        decay = math.exp(self._phi0 - self.exponent(t))
+        decay = math.exp(self._phi0 - self.exponent(t)[0])
         return self.target + (self.x0 - self.target) * decay
 
     def _meet(self, xi: float, lo: float, hi: float) -> float:
@@ -707,9 +658,16 @@ class RelaxationSegment(_FloatSegment):
         rise = math.log1p((self.x0 - xi) / (xi - self.target))
         if rise <= 0.0:
             return lo
-        if phi(hi) - phi0 <= rise:
+        g_hi = phi(hi)[0] - phi0 - rise
+        if g_hi <= 0.0:
             return hi
-        return _brent(lambda t: phi(t) - phi0 - rise, lo, hi, 1e-13)
+
+        def excess(t: float) -> tuple[float, float]:
+            value, slope = phi(t)
+            return value - phi0 - rise, slope
+
+        # lo is t0, where the excess is -rise
+        return _newton(excess, lo, hi, -rise, g_hi, None, 1e-13)
 
 
 class DenseSegment(_SegmentBase):

@@ -6,10 +6,10 @@ The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
 2-state affine segments, for every spectrum, and relaxation segments) is
 crossed piece by piece: its component is monotone between the piece ends,
 so a piece whose end predicates differ crosses xi once, at the time the
-segment's ``meet`` gives: exact for a scalar affine segment, a Newton root
-on the closed-form slope (safeguarded by bisection) for a 2-state one, and
-a Brent root for a relaxation.  The formulas of each kind are documented on
-its segment class in ``modes``.
+segment's ``meet`` gives: exact for a scalar affine segment, and a Newton
+root on the closed-form slope, safeguarded by bisection, for a 2-state one
+(the component's slope) and a relaxation (the exponent's slope).  The
+formulas of each kind are documented on its segment class in ``modes``.
 
 The piece-end predicates are read off the values ``pieces`` returns with
 the piece ends, which each closed-form kind evaluates on floats, so they

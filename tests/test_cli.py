@@ -714,6 +714,15 @@ class TestVertexKinds:
         err = capsys.readouterr().err
         assert err == f"error: {path}: vertex 'g': {message}, got {value!r}\n"
 
+    @pytest.mark.parametrize("kind, field", [("idm", "delta_min"), ("heater", "delta")])
+    def test_a_zero_delay_is_named_by_its_field(self, tmp_path, capsys, kind, field):
+        # refused by the factory, not reported as a nonpositive-delay finding
+        path = write_yaml(tmp_path / "c.yaml", one_gate_doc(kind, **{field: 0}))
+        assert run("validate", path) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: vertex 'g': {field} must be finite and positive, got 0.0\n"
+
     def test_gate_error_names_the_vertex_once(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", one_gate_doc("heater", initial_state=math.nan))
         assert run("simulate", path, "--out-dir", tmp_path / "out") == 1

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ class TestIdmChannel:
     )
     def test_delay_roundtrip_is_identity_over_drawn_channels(self, tau, lag, separation):
         # delta_min and T in time constants, 15 at most together: a zero
-        # delta_min is refused by validation, past ~25 the cancelling edge is
+        # delta_min is refused by the factory, past ~25 the cancelling edge is
         # refused as unresolvable, and in between delta_up loses precision
         # (pinned below)
         T, dm = separation * tau, lag * tau
@@ -202,6 +203,17 @@ class TestIdmChannel:
         with pytest.raises(ValueError) as exc:
             make_idm_channel(initial_input=bad)
         assert str(exc.value) == f"initial_input must be a bit, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "factory, field", [(make_idm_channel, "delta_min"), (make_heater_plant, "delta")]
+)
+def test_a_single_delay_factory_refuses_a_delay_no_run_can_use(factory, field, bad):
+    # circuits need positive delays, so the factory refuses as validation would
+    with pytest.raises(ValueError) as exc:
+        factory(**{field: bad})
+    assert str(exc.value) == f"{field} must be finite and positive, got {bad!r}"
 
 
 class TestHeaterPlant:
@@ -489,8 +501,11 @@ class TestChargingClosedForm:
         first_fell=_charging_cases["first_fell"],
         t_on=_charging_cases["t_on"],
         lag=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        x=st.floats(-0.01, 0.99),
     )
-    def test_exponent_is_the_partial_fraction_integral(self, params, gap, first_fell, t_on, lag):
+    def test_exponent_is_the_partial_fraction_integral(self, params, gap, first_fell, t_on, lag, x):
+        # phi is today's float, and phi' is the charging rate rho/C that the
+        # mode's rhs multiplies V_DD - x by
         _, mode = _charging_mode(params, t_on, gap, first_fell)
         # the gap and the first fall as the gate reads them off its inputs
         if gap == 0.0:
@@ -498,9 +513,13 @@ class TestChargingClosedForm:
         else:
             gap = gap if math.isinf(gap) else t_on - (t_on - gap)
             alpha_first = params.alpha1 if first_fell == 1 else params.alpha2
-        t = t_on + lag
-        phi = mode.kind.exponent(t)
+        t, x = t_on + lag, x * params.v_dd
+        phi, slope = mode.kind.exponent(t)
         assert phi == reference_charging_exponent(params, t_on, gap, alpha_first)(t)
+        # the two sums cancel to 0 at t_on, so their rounding is relative to
+        # the settled rate 1/(2RC)
+        rate = mode.rhs(t, x) / (params.v_dd - x)
+        assert abs(slope - rate) <= 8.0 * sys.float_info.epsilon / (2.0 * params.r * params.c)
 
     def test_underflow_onto_the_rail_is_not_an_edge(self):
         # from just above V_DD the state decays onto it; exp underflows at
@@ -720,7 +739,7 @@ class TestGateSpecValidation:
 
     def test_zero_delay_is_rejected(self):
         # gate_output is a circuit run, and circuits need positive delays
-        gate = make_idm_channel(delta_min=0.0)
+        gate = make_boolean_gate("buf", (0.0,), tau_fast=1e-4, initial_inputs=(0,))
         with pytest.raises(ValueError, match="nonpositive-delay"):
             gate_output(gate, [BinarySignal(0, ((1.0, 1),), 5.0)])
 

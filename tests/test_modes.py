@@ -17,6 +17,7 @@ from hybridgates.modes import (
     AffineSegment,
     GeneralNumeric,
     ModeFunction,
+    RelaxationSegment,
     ScalarAffineSegment,
     ScalarRelaxation,
     StateSpace,
@@ -29,8 +30,14 @@ from hybridgates.modes import (
     write_trajectory_csv,
 )
 from hybridgates import modes
-from hybridgates.gates import AdvancedNorParams, _charging_exponent, make_simple_nor, mis_delay_sweep
-from hybridgates.modes import _brent, _containment_scan, _newton, _SegmentBase
+from hybridgates.gates import (
+    AdvancedNorParams,
+    _charging_exponent,
+    make_advanced_nor,
+    make_simple_nor,
+    mis_delay_sweep,
+)
+from hybridgates.modes import _containment_scan, _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
@@ -455,83 +462,6 @@ def test_a_three_state_affine_mode_is_integrated():
     assert np.array_equal(still.values([4.0])[0], x0)
 
 
-# -- the bracketed root finder ----------------------------------------------------
-
-# Exponents as in 2-state segments: decays up to rate 100, growth up to ~3.
-_exponents = st.one_of(
-    st.floats(-3.0, 2.0).map(lambda e: -(10.0**e)), st.floats(-3.0, 0.5).map(lambda e: 10.0**e)
-)
-
-
-@given(
-    c1=st.floats(-3.0, 3.0),
-    c2=st.floats(-3.0, 3.0),
-    l1=_exponents,
-    l2=_exponents,
-    t0=st.floats(0.0, 10.0),
-    span=st.one_of(st.floats(1e-6, 1e-2), st.floats(0.01, 20.0)),
-    u=st.floats(0.0, 1.0),
-)
-def test_brent_returns_brentqs_float_on_exponential_sums(c1, c2, l1, l2, t0, span, u):
-    # c0 puts a root at t0 + u span; the crossing search brackets excesses
-    # c0 - xi + c1 e^{l1 s} + c2 e^{l2 s} of this form
-    c0 = -(c1 * math.exp(l1 * u * span) + c2 * math.exp(l2 * u * span))
-
-    def excess(t: float) -> float:
-        s = t - t0
-        return c0 + c1 * math.exp(l1 * s) + c2 * math.exp(l2 * s)
-
-    lo, hi = t0, t0 + span
-    assume(excess(lo) * excess(hi) < 0.0)
-    assert _brent(excess, lo, hi, 1e-13) == brentq(excess, lo, hi, xtol=1e-13)
-
-
-@given(
-    params=st.builds(
-        AdvancedNorParams, *(st.floats(0.1, 3.0) for _ in range(6)), v_dd=st.floats(0.5, 2.0)
-    ),
-    gap=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 10.0), st.just(math.inf)),
-    t_on=st.floats(0.0, 10.0),
-    lag=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
-    span=st.floats(1e-3, 20.0),
-    u=st.floats(0.0, 1.0),
-)
-def test_brent_returns_brentqs_float_on_charging_exponents(params, gap, t_on, lag, span, u):
-    # RelaxationSegment._meet solves phi(t) - phi(t0) = rise
-    phi = _charging_exponent(params, t_on, gap, params.alpha1)
-    lo, hi = t_on + lag, t_on + lag + span
-    phi0 = phi(lo)
-    rise = u * (phi(hi) - phi0)
-
-    def excess(t: float) -> float:
-        return phi(t) - phi0 - rise
-
-    assume(excess(lo) * excess(hi) < 0.0)
-    assert _brent(excess, lo, hi, 1e-13) == brentq(excess, lo, hi, xtol=1e-13)
-
-
-@pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-2.0, 1.0)])
-def test_brent_returns_an_exact_zero_at_an_end(lo, hi):
-    # f(1) is exactly 0, so that end comes back without a step
-    assert _brent(lambda t: t - 1.0, lo, hi, 1e-13) == 1.0
-
-
-@pytest.mark.parametrize(
-    "f,lo,hi,error",
-    [
-        (lambda t: t - 5.0, 1.0, 3.0, ValueError),  # both ends below the root
-        (lambda t: math.nan if 0.0 < t < 3.0 else t - 1.0, 0.0, 3.0, ValueError),
-        # a step at 0 defeats interpolation; bisecting 4 down to 1e-300 takes ~1000 steps
-        (lambda t: math.copysign(1.0, t), -1.0, 3.0, RuntimeError),
-    ],
-)
-def test_brent_fails_where_brentq_does(f, lo, hi, error):
-    with pytest.raises(error):
-        brentq(f, lo, hi, xtol=1e-300)
-    with pytest.raises(error):
-        _brent(f, lo, hi, 1e-300)
-
-
 # -- Newton steps on 2-state pieces -------------------------------------------------
 
 
@@ -648,10 +578,105 @@ def test_newton_meet_takes_few_evaluations_per_root(monkeypatch):
     assert max(n for (n,) in counts) <= 8  # the two ends included; Brent took 13
 
 
+@pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-2.0, 1.0)])
+def test_newton_returns_an_exact_zero_at_an_end(lo, hi):
+    # f(1) is exactly 0, so that end comes back without a step
+    got = _newton(lambda t: pytest.fail("stepped"), lo, hi, lo - 1.0, hi - 1.0, None, 1e-13)
+    assert got == 1.0
+
+
+@pytest.mark.parametrize(
+    "f,message",
+    [
+        (lambda t: math.nan if 0.0 < t < 3.0 else t - 1.0, "NaN at t=1.0"),
+        (lambda t: math.nan if t == 3.0 else t - 1.0, r"NaN at an end of the bracket \[0\.0, 3\.0\]"),
+    ],
+    ids=["inside", "end"],
+)
+def test_newton_refuses_a_nan(f, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _newton(lambda t: (f(t), 1.0), 0.0, 3.0, f(0.0), f(3.0), None, 1e-13)
+
+
 def test_newton_fails_after_100_steps_that_crawl():
     # a slope claimed 1e10 times too steep moves t by 1e-10 a step
     with pytest.raises(RuntimeError, match="^no root within 1e-13 after 100 iterations$"):
         _newton(lambda t: (t - 1.0, 1e10), 0.0, 3.0, -1.0, 2.0, 0.5, 1e-13)
+
+
+# -- Newton steps on relaxation pieces -----------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.builds(
+        AdvancedNorParams, *(st.floats(0.1, 3.0) for _ in range(6)), v_dd=st.floats(0.5, 2.0)
+    ),
+    gap=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 10.0), st.just(math.inf)),
+    t_on=st.floats(0.0, 10.0),
+    lag=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    span=st.floats(1e-3, 20.0),
+    u=st.floats(0.0, 1.0),
+)
+@example(params=AdvancedNorParams(), gap=0.0, t_on=1.0, lag=0.0, span=5.0, u=0.5)
+@example(params=AdvancedNorParams(), gap=math.inf, t_on=1.0, lag=0.5, span=5.0, u=0.5)
+# the small pole's weight underflows to 0, leaving one pole
+@example(params=AdvancedNorParams(alpha1=1.0, alpha2=1.0), gap=1e-310, t_on=0.0, lag=0.0, span=3.0, u=0.3)
+# xi is the end value itself, so the root is the piece end
+@example(params=AdvancedNorParams(), gap=0.5, t_on=2.0, lag=0.25, span=4.0, u=1.0)
+def test_relaxation_meet_agrees_with_brentq(params, gap, t_on, lag, span, u):
+    # x = e^{-(phi(t) - phi(t0))} falls from 1 toward 0 and meets xi where
+    # phi(t) - phi(t0) = rise: the time meet gives lies in the piece and
+    # within meet's tolerance of the root brentq finds
+    phi = _charging_exponent(params, t_on, gap, params.alpha1)
+    lo, hi = t_on + lag, t_on + lag + span
+    seg = RelaxationSegment(lo, hi, 1.0, 0.0, phi)
+    phi0 = seg._phi0
+    xi = math.exp(-u * (phi(hi)[0] - phi0))
+    (_, _), (x_lo, x_hi), meet = seg.pieces(1)
+    assume(x_hi <= xi < x_lo)
+    rise = math.log1p((1.0 - xi) / xi)
+
+    def excess(t: float) -> float:
+        return phi(t)[0] - phi0 - rise
+
+    # where rounding leaves both ends at or below the rise, the piece end
+    want = brentq(excess, lo, hi, xtol=1e-15) if excess(hi) > 0.0 else hi
+    t = meet(xi, lo, hi)
+    assert lo <= t <= hi
+    assert abs(t - want) <= 1e-13 + 4.0 * _EPS * abs(want)
+
+
+def test_relaxation_meet_takes_few_evaluations_per_root(monkeypatch):
+    # the advanced NOR's MIS sweep at gaps 0:5:6 meets xi once per gap
+    counts = []
+    meet = RelaxationSegment._meet
+
+    def counted(self, xi, lo, hi):
+        phi, calls = self.exponent, [0]
+        counts.append(calls)
+
+        def read(t):
+            calls[0] += 1
+            return phi(t)
+
+        self.exponent = read
+        try:
+            return meet(self, xi, lo, hi)
+        finally:
+            self.exponent = phi
+
+    monkeypatch.setattr(RelaxationSegment, "_meet", counted)
+    mis_delay_sweep(lambda: make_advanced_nor(initial_inputs=(1, 1)), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    assert len(counts) == 6
+    assert max(n for (n,) in counts) <= 6  # the end read included; Brent took 10
+
+
+def test_a_relaxation_whose_exponent_reads_nan_at_its_end_is_refused():
+    # x falls from 1 toward 0, and x1 = nan reads as below xi, so meet runs
+    seg = RelaxationSegment(0.0, 2.0, 1.0, 0.0, lambda t: (math.nan, math.nan) if t == 2.0 else (t, 1.0))
+    with pytest.raises(ValueError, match=r"^NaN at an end of the bracket \[0\.0, 2\.0\]$"):
+        find_crossings((seg,), 0.5)
 
 
 # -- numeric vs closed form -------------------------------------------------------
@@ -674,7 +699,7 @@ _PLANE = StateSpace(((-100.0, 100.0), (-100.0, 100.0)))
     "mode, x0, space",
     [(COOL, 20.0, PLANT_BOX),
      (affine_mode("pair", [[-1.0, 0.5], [0.0, -2.0]], [0.0, 1.0], _PLANE), [1.0, 0.0], _PLANE),
-     (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: 0.1 * t), 0.1, 5.1),
+     (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
       20.0, PLANT_BOX),
      (_as_numeric(COOL), [20.0], PLANT_BOX)],
     ids=["affine1", "affine_n", "relaxation", "numeric"],

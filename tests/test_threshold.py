@@ -398,7 +398,7 @@ class TestExponentialSumAgainstSampledPath:
 
 _ONE_SEGMENT = {
     "scalar_affine": ScalarAffineSegment(0.0, 5.0, 0.0, -1.0, 1.0),
-    "relaxation": RelaxationSegment(0.0, 5.0, 1.0, 0.0, lambda t: t * t),
+    "relaxation": RelaxationSegment(0.0, 5.0, 1.0, 0.0, lambda t: (t * t, 2.0 * t)),
     "affine_real": AffineSegment(0.0, 5.0, [1.0, 0.0], [[-1.0, 1.0], [1.0, -2.0]], [0.0, 0.5]),
     "affine_repeated": AffineSegment(0.0, 5.0, [0.25, 0.75], [[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
     "affine_complex": AffineSegment(0.0, 10.0, [1.0, 0.0], [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0]),
