@@ -193,10 +193,9 @@ def reference_component(seg, k: int, t: float) -> float:
 
 
 def reference_charging_exponent(p, t_on: float, gap: float, alpha_first: float):
-    """phi of the advanced NOR's charging mode, as ``gates._charging_exponent``
-    computed it when it returned phi alone: the same poles, and the same
-    operations in the same order.  The value that the exponent is held to,
-    float for float."""
+    """phi alone of the advanced NOR's charging mode, from the same poles and
+    with the same operations in the same order as ``gates._charging_exponent``.
+    The reference that the exponent's phi is held to, float for float."""
     two_r, alpha = 2.0 * p.r, p.alpha1 + p.alpha2
     if math.isinf(gap):
         poles = ((alpha_first, alpha_first / two_r),)

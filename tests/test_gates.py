@@ -504,8 +504,8 @@ class TestChargingClosedForm:
         x=st.floats(-0.01, 0.99),
     )
     def test_exponent_is_the_partial_fraction_integral(self, params, gap, first_fell, t_on, lag, x):
-        # phi is today's float, and phi' is the charging rate rho/C that the
-        # mode's rhs multiplies V_DD - x by
+        # phi is the reference's float, and phi' is the charging rate rho/C
+        # that the mode's rhs multiplies V_DD - x by
         _, mode = _charging_mode(params, t_on, gap, first_fell)
         # the gap and the first fall as the gate reads them off its inputs
         if gap == 0.0:
