@@ -18,6 +18,7 @@ from hybridgates import (
     check_simulation_equivalence,
     execute,
     make_boolean_gate,
+    reach_times,
     unroll,
 )
 
@@ -56,12 +57,16 @@ loop = Circuit(
     },
     [("I", "A", 0), ("B", "B", 0), ("B", "C", 0), ("A", "C", 1), ("C", "O", 0)],
 )
+pulse = {"I": BinarySignal.pulse(0.7, 2.2, 8.0)}
 un = unroll(loop, "O", 3)
-print("\nunrolled to depth 3; z budget per copy:")
-for name, z in sorted(un.z_values.items()):
-    print(f"  {name:>8}: z = {z}")
+reach = reach_times(loop, un, execute(loop, pulse, 8.0))
+# B never switches, so the constant standing for it is never reached, and
+# every copy is compared over the whole horizon
+print("\nunrolled to depth 3; reach time per copy:")
+for key, name in un.copy_map.items():
+    print(f"  {name:>8}: {reach[key]}")
 
-rep = check_simulation_equivalence(loop, "O", 3, {"I": BinarySignal.pulse(0.7, 2.2, 8.0)}, 8.0)
+rep = check_simulation_equivalence(loop, "O", 3, pulse, 8.0)
 print(
     f"equivalence up to each copy's reach time: checked {rep.checked} copies, "
     f"{rep.reach_compared} transitions, mismatches {rep.reach_mismatches}"

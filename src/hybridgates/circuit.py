@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -541,21 +542,13 @@ class UnrolledCircuit:
     ``copy_map`` maps (original vertex, level) to the copy's name, each key
     after the keys its copy's predecessors come from; input ports are
     shared, level-0 gates collapse to constants holding their initial
-    output bit.  ``z_values[copy]`` is the copy's depth budget: 0
-    for a constant, infinite for a port, and for a gate copy 1 plus the
-    least budget among its predecessors (an output port copy takes its
-    driver's).  The budget is not a faithfulness bound.  A constant stands
-    for a gate that may switch later, and that switch can mask an input
-    edge in the original (an OR already held high, a loop already
-    latched) which the copy then answers with a transition of depth at
-    most z that the original never makes, and the copy's extra edges can
-    pre-empt a transition the original commits below z.  What the copy does
-    reproduce is every record before its reach time (see ``reach_times``).
+    output bit.  Each copy reproduces every record of its original vertex
+    before the copy's reach time, the earliest time a switch of a gate cut
+    at level 0 can arrive at it (see ``reach_times``).
     """
 
     circuit: Circuit
     copy_map: dict[tuple[str, int], str]
-    z_values: dict[str, float]
     sink: str
 
 
@@ -566,12 +559,15 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
         circuit.vertices[output_port], OutputPort
     ):
         raise ValueError(f"{output_port!r} is not an output port")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"the unrolling level must be an integer, got {k!r}") from None
     if k < 0:
         raise ValueError("the unrolling level must be nonnegative")
 
     new_vertices: dict[str, Vertex] = {}
     new_edges: list[Edge] = []
-    z: dict[str, float] = {}
     memo: dict[tuple[str, int], str] = {}
     const_names: dict[int, str] = {}
 
@@ -586,8 +582,9 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
     # (vertex, level) pairs are walked depth first on an explicit stack, so
     # the depth of an unrolling is not bounded by the recursion limit.  A
     # copy is named before its predecessors (pre-order), and each in-edge is
-    # added once its predecessor's copy is finished.
-    stack: list[tuple[tuple[str, int], str, list[Edge], int, float, list[float]]] = []
+    # added once its predecessor's copy is finished; the last entry of a
+    # frame counts the in-edges added.
+    stack: list[list] = []
 
     def copy_of(v_name: str, level: int) -> str | None:
         """The finished copy of ``(v_name, level)``, or None after opening
@@ -597,14 +594,12 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
             return memo[key]
         v = circuit.vertices[v_name]
         if isinstance(v, InputPort):
-            if v_name not in new_vertices:
-                new_vertices[v_name] = v
-                z[v_name] = math.inf
+            new_vertices.setdefault(v_name, v)
             memo[key] = v_name
             return v_name
         if isinstance(v, OutputPort):
-            # observation keeps the level and its driver's budget
-            name, pred_level, step = fresh(f"{v_name}^({level})"), level, 0.0
+            # observation keeps the level
+            name, pred_level = fresh(f"{v_name}^({level})"), level
             new_vertices[name] = OutputPort()
         elif level == 0:
             # constants are interchangeable, so one stub per value serves
@@ -613,34 +608,33 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
             if bit not in const_names:
                 name = fresh(f"X_{bit}")
                 new_vertices[name] = make_const_gate(bit, name=name)
-                z[name] = 0.0
                 const_names[bit] = name
             memo[key] = const_names[bit]
             return memo[key]
         else:
-            name, pred_level, step = fresh(f"{v_name}^({level})"), level - 1, 1.0
+            name, pred_level = fresh(f"{v_name}^({level})"), level - 1
             new_vertices[name] = v  # specs are stateless and shareable
-        stack.append((key, name, circuit.incoming(v_name), pred_level, step, []))
+        stack.append([key, name, circuit.incoming(v_name), pred_level, 0])
         return None
 
     copy_of(output_port, k)
     while stack:
-        key, name, incoming, pred_level, step, bounds = stack[-1]
-        if len(bounds) < len(incoming):
-            e = incoming[len(bounds)]
+        frame = stack[-1]
+        key, name, incoming, pred_level, done = frame
+        if done < len(incoming):
+            e = incoming[done]
             pred_copy = copy_of(e.src, pred_level)
             if pred_copy is not None:
                 new_edges.append(Edge(pred_copy, name, e.slot))
-                bounds.append(step + z[pred_copy])
+                frame[-1] += 1
             continue
-        z[name] = min(bounds, default=math.inf)
         memo[key] = name
         stack.pop()
     sink = memo[(output_port, k)]
     unrolled = Circuit(new_vertices, new_edges)
     if not unrolled.report.ok:  # construction bug, not user error
         raise AssertionError(f"unrolled circuit is invalid: {unrolled.report.violations}")
-    return UnrolledCircuit(unrolled, memo, z, sink)
+    return UnrolledCircuit(unrolled, memo, sink)
 
 
 def reach_times(
@@ -685,21 +679,19 @@ def reach_times(
 class EquivalenceReport:
     """Outcome of ``check_simulation_equivalence``.
 
-    ``checked`` counts copies; ``mismatches`` and ``ok`` are the depth-budget
-    comparison, which masking by a cut gate can fail on a correct executor.
-    ``reach_mismatches`` are copies whose records differ from the original's
-    before the copy's reach time, each one an executor fault, and
-    ``reach_compared`` counts the original transitions that comparison saw.
+    ``checked`` counts copies.  ``reach_mismatches`` are copies whose
+    records differ from the original's before the copy's reach time, each
+    one an executor fault, and ``reach_compared`` counts the original
+    transitions that comparison saw.  ``ok`` holds when there are none.
     """
 
     checked: int
-    mismatches: list[str]
     reach_mismatches: list[str]
     reach_compared: int
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return not self.reach_mismatches
 
 
 def _records_mismatch(
@@ -728,15 +720,12 @@ def check_simulation_equivalence(
 ) -> EquivalenceReport:
     """Compare every copy of the k-unrolling against its original vertex.
 
-    Two comparisons, each requiring the records kept to agree in count,
-    value, depth, and time (to ``TIME_EPS``):
-
-    - depth budget: records of depth at most the copy's z.  A copy can
-      diverge here, at and below z, when a cut gate would have masked an
-      input edge (see ``UnrolledCircuit``); these go to ``mismatches``.
-    - reach time: records strictly before the copy's reach time (see
-      ``reach_times``).  This one always holds for a correct executor;
-      failures go to ``reach_mismatches``.
+    The records strictly before each copy's reach time (see
+    ``reach_times``) must agree in count, value, depth, and time (to
+    ``TIME_EPS``).  This holds for a correct executor; failures go to
+    ``reach_mismatches``.  After its reach time a copy may diverge, because
+    a cut gate can mask an input edge the copy then answers, so nothing
+    later is compared.
     """
     un = unroll(circuit, output_port, k)
     ex_orig = execute(circuit, input_signals, horizon)
@@ -748,32 +737,21 @@ def check_simulation_equivalence(
         horizon,
     )
     reach = reach_times(circuit, un, ex_orig)
-    mismatches: list[str] = []
     reach_mismatches: list[str] = []
     reach_compared = 0
     for key, copy_name in sorted(un.copy_map.items()):
-        orig, copy = ex_orig.records[key[0]], ex_unr.records[copy_name]
-        bound = un.z_values[copy_name]
-        found = _records_mismatch(
-            copy_name,
-            [r for r in orig if r.depth <= bound],
-            [r for r in copy if r.depth <= bound],
-            f"of depth <= {bound}",
-        )
-        if found:
-            mismatches.append(found)
         t_reach = reach[key]
-        before = [r for r in orig if r.time < t_reach]
+        before = [r for r in ex_orig.records[key[0]] if r.time < t_reach]
         reach_compared += len(before)
         found = _records_mismatch(
             copy_name,
             before,
-            [r for r in copy if r.time < t_reach],
+            [r for r in ex_unr.records[copy_name] if r.time < t_reach],
             f"before t={t_reach}",
         )
         if found:
             reach_mismatches.append(found)
-    return EquivalenceReport(len(un.copy_map), mismatches, reach_mismatches, reach_compared)
+    return EquivalenceReport(len(un.copy_map), reach_mismatches, reach_compared)
 
 
 # -- short-pulse filtration ----------------------------------------------------

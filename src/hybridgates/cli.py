@@ -75,7 +75,7 @@ class CircuitFileError(ValueError):
 
 # -- circuit files ---------------------------------------------------------------
 
-_TOP_KEYS = {"vertices", "edges", "defaults", "z_values"}
+_TOP_KEYS = {"vertices", "edges", "defaults"}
 _DEFAULT_KEYS = {"horizon"}
 
 
@@ -200,18 +200,6 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
             raise CircuitFileError(
                 f"{source}: defaults.{key} must be a finite positive number, got {value!r}"
             )
-
-    # an unrolled file carries its copies' depth budgets; they are checked,
-    # and nothing reads them back
-    z_values = data.get("z_values")
-    if z_values is not None:
-        if not isinstance(z_values, Mapping):
-            raise CircuitFileError(f"{source}: 'z_values' must be a mapping")
-        for key, value in z_values.items():
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                raise CircuitFileError(f"{source}: z_values.{key} must be a number, got {value!r}") from None
 
     return CircuitFile(Circuit(built, edge_list), docs, dict(defaults), source)
 
@@ -517,7 +505,6 @@ def _serialize_unrolled(cf: CircuitFile, un) -> dict:
         "defaults": dict(cf.defaults),
         "vertices": verts,
         "edges": [[e.src, e.slot, e.dst] for e in un.circuit.edges],
-        "z_values": {name: float(z) for name, z in un.z_values.items()},
     }
 
 
@@ -557,8 +544,6 @@ def cmd_unroll(args) -> int:
 
     print(f"unrolled {cf.source} toward {sink!r} at k={args.k}: "
           f"{len(un.circuit.vertices)} vertices")
-    for name in sorted(un.z_values):
-        print(f"  z[{name}] = {un.z_values[name]!r}")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -308,9 +308,6 @@ def _feedback_example() -> Circuit:
 
 def test_07_unrolling_equivalence():
     example = _feedback_example()
-    z = unroll(example, "O", 3).z_values
-    z_ok = z["B^(1)"] == 1.0 and z["B^(2)"] == 2.0 and z["O^(3)"] == 3.0
-
     ins = {"I": BinarySignal(0, ((0.7, 1), (2.9, 0), (4.0, 1), (6.2, 0)), 8.0)}
     example_ok = all(
         check_simulation_equivalence(example, "O", k, ins, 8.0).ok for k in (1, 2, 3, 4)
@@ -325,12 +322,10 @@ def test_07_unrolling_equivalence():
     )
 
     # Copies must reproduce the original until a switch of a gate cut at
-    # level 0 can reach them.  The depth budget z is no such bound: a cut
-    # gate can mask an input edge the copy then answers at depth <= z, so
-    # divergences there are reported, not asserted.
+    # level 0 can reach them; after that a cut gate can mask an input edge
+    # the copy then answers, so nothing later is compared.
     rng = random.Random(8260507)
     faults = []
-    budget_divergences = []
     compared = 0
     for idx in range(50):
         circuit = random_boolean_circuit(rng, feedback=True, allow_flight=False)
@@ -338,21 +333,17 @@ def test_07_unrolling_equivalence():
         for k in (1, 2, 3, 4):
             report = check_simulation_equivalence(circuit, "out", k, ins, 9.0)
             compared += report.reach_compared
-            if report.reach_mismatches:
-                faults.append((idx, k))
             if not report.ok:
-                budget_divergences.append((idx, k))
+                faults.append((idx, k))
 
-    ok = z_ok and example_ok and example_unreached and not faults and compared > 0
+    ok = example_ok and example_unreached and not faults and compared > 0
     _report(
         "unrolling equivalence",
         ok,
-        f"z-table {'ok' if z_ok else 'WRONG'}; bundled example k=1..4 "
-        f"{'ok' if example_ok else 'mismatch'}, k=2..4 "
+        f"bundled example k=1..4 {'ok' if example_ok else 'mismatch'}, k=2..4 "
         f"{'never reached' if example_unreached else 'REACHED'}; random feedback circuits: "
         f"{len(faults)} of 200 (circuit, k) pairs mismatched before the reach time "
-        f"{faults[:6]}{'...' if len(faults) > 6 else ''} over {compared} original "
-        f"transitions; depth-budget divergences by masking {budget_divergences}",
+        f"{faults[:6]}{'...' if len(faults) > 6 else ''} over {compared} original transitions",
     )
 
 

@@ -554,16 +554,8 @@ class TestScheduler:
 
 
 class TestUnroll:
-    def test_feedback_example_z_table(self):
+    def test_feedback_example_copies(self):
         un = unroll(fig_feedback_circuit(), "O", 3)
-        z = un.z_values
-        assert z["I"] == math.inf
-        assert z["X_0"] == 0.0
-        assert z["A^(2)"] == math.inf
-        assert z["B^(1)"] == 1.0
-        assert z["B^(2)"] == 2.0
-        assert z["C^(3)"] == 3.0
-        assert z["O^(3)"] == 3.0
         assert un.sink == "O^(3)"
         # shared port, one constant, and one copy per unrolled gate level
         assert set(un.circuit.vertices) == {"I", "X_0", "A^(2)", "B^(1)", "B^(2)", "C^(3)", "O^(3)"}
@@ -574,8 +566,6 @@ class TestUnroll:
         c = fig_feedback_circuit()
         un = unroll(c, "O", 3000)
         assert un.sink == "O^(3000)"
-        assert un.z_values["O^(3000)"] == 3000.0
-        assert un.z_values["B^(2999)"] == 2999.0
         assert len(un.circuit.vertices) == 2999 + 5  # B^(1..2999), I, X_0, A, C, O
         assert validate(un.circuit).ok
         original = execute(c, {"I": BinarySignal.pulse(1.0, 0.5, 8.0)}, 8.0)
@@ -584,16 +574,32 @@ class TestUnroll:
         # B idles, so the constant standing for it is never reached
         assert reach[("B", 0)] == reach[("O", 3000)] == math.inf
 
-    def test_copy_depth_bound_grows_with_level(self):
+    def test_reach_time_grows_with_level(self):
+        # a copy at level L is at least L input delays from any cut gate,
+        # and no cut gate switches before the first commit of the run
         rng = random.Random(4242)
-        for _ in range(6):
+        reached = 0
+        # most draws leave every cut gate idle; 50 give the bound a few dozen
+        # reached copies to check
+        for _ in range(50):
             c = random_boolean_circuit(rng, feedback=True, allow_flight=False)
             k = rng.randint(1, 4)
+            ins = {name: BinarySignal(0, ((0.7, 1), (2.9, 0), (4.0, 1)), 9.0) for name in c.input_ports()}
+            original = execute(c, ins, 9.0)
             un = unroll(c, "out", k)
-            for (orig, level), copy_name in un.copy_map.items():
-                if copy_name.startswith("X_") or orig in c.input_ports():
-                    continue
-                assert un.z_values[copy_name] >= level
+            reach = reach_times(c, un, original)
+            t_cut = min((original.records[g][0].time for g in c.gates() if original.records[g]),
+                        default=math.inf)
+            # t_cut + L * delta_min, summed the way reach times are, so
+            # rounding cannot put a reach time below it
+            bound = [t_cut]
+            for _level in range(k):
+                bound.append(bound[-1] + c.report.delta_min)
+            for v, level in un.copy_map:
+                if v in c.gates():
+                    assert reach[(v, level)] >= bound[level]
+                    reached += math.isfinite(reach[(v, level)])
+        assert reached > 0
 
     def test_unroll_argument_errors(self):
         c = fig_feedback_circuit()
@@ -601,11 +607,15 @@ class TestUnroll:
             unroll(c, "B", 2)
         with pytest.raises(ValueError, match="nonnegative"):
             unroll(c, "O", -1)
+        # a level that is not an integer would step down past 0 forever
+        for level in (1.5, float("nan"), "2"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                unroll(c, "O", level)
 
     def test_level_zero_collapses_to_constant(self):
         un = unroll(fig_feedback_circuit(), "O", 0)
         assert un.sink == "O^(0)"
-        assert un.z_values["X_0"] == 0.0
+        assert set(un.circuit.vertices) == {"X_0", "O^(0)"}
         # the constant cuts the recursion, so no input port survives
         assert not un.circuit.input_ports()
         ex = execute(un.circuit, None, 2.0)
@@ -616,7 +626,7 @@ class TestUnroll:
         ins = {"I": BinarySignal(0, ((0.5, 1), (2.0, 0), (3.0, 1), (3.4, 0)), 8.0)}
         for k in (1, 2, 3, 4):
             report = check_simulation_equivalence(c, "O", k, ins, 8.0)
-            assert report.ok, report.mismatches
+            assert report.ok, report.reach_mismatches
             assert report.checked >= 3
 
     def test_equivalence_on_random_circuits(self):
@@ -629,14 +639,14 @@ class TestUnroll:
             }
             k = rng.randint(1, 3)
             report = check_simulation_equivalence(c, "out", k, ins, 9.0)
-            assert report.ok, report.mismatches
+            assert report.ok, report.reach_mismatches
 
     def test_mismatches_are_reported(self):
-        # A shallow replica can diverge right at its depth bound when a
-        # constant stub erases the cause of a latched value while a shared
-        # port stays live: the replica then re-arms at small depth and emits
-        # transitions the original never produces.  The comparison must
-        # report these rather than hide them.
+        # A shallow replica diverges when a constant stub erases the cause
+        # of a latched value while a shared port stays live: the replica
+        # then re-arms at small depth and emits transitions the original
+        # never produces.  It does so only after its reach time, so the
+        # executor is not at fault and the report is ok.
         g3 = make_boolean_gate("buf", (0.1,), initial_inputs=(0,), name="g3")
         g2 = make_boolean_gate("and2", (0.1, 0.1), initial_inputs=(0, 0), name="g2")
         g1 = make_boolean_gate("or2", (0.1, 0.1), initial_inputs=(0, 0), name="g1")
@@ -651,10 +661,19 @@ class TestUnroll:
             "Q": BinarySignal(0, ((0.5, 1),), 9.0),
             "R": BinarySignal(0, ((0.1, 1),), 9.0),
         }
-        report = check_simulation_equivalence(c, "O", 2, ins, 9.0)
-        assert not report.ok
-        assert any("g1^(2)" in m for m in report.mismatches)
+        original = execute(c, ins, 9.0)
+        un = unroll(c, "O", 2)
+        # R drives only the cut g3, so the unrolling has no port for it
+        kept = {n: ins[n] for n in un.circuit.input_ports()}
+        copy = execute(un.circuit, kept, 9.0).records["g1^(2)"]
+        assert [(r.value, r.depth) for r in original.records["g1"]] == [(1, 3)]
+        assert [(r.value, r.depth) for r in copy] == [(1, 1), (0, 2)]
         # the divergence starts only once the stubbed g2 could have switched
+        t_reach = reach_times(c, un, original)[("g1", 2)]
+        assert min(r.time for r in original.records["g1"] + copy) >= t_reach
+
+        report = check_simulation_equivalence(c, "O", 2, ins, 9.0)
+        assert report.ok
         assert report.reach_mismatches == []
         assert report.reach_compared > 0
 
@@ -663,9 +682,9 @@ class TestUnroll:
         # The loop g0 -> g2 -> g0 latches g0 high once in0 rises, so the
         # original ignores in0's later falling edge.  In the k=4 unrolling
         # g0^(2) sees g2 only through g2^(1), which hangs off a constant, so
-        # the copy falls at depth 2 = z and the extra edges run on to
+        # the copy falls at depth 2 and the extra edges run on to
         # g2^(3), g1^(4) and out^(4).  All of it happens after the copies'
-        # reach times: the depth budget is wrong, not the executor.
+        # reach times, so the executor is not at fault and the report is ok.
         g0 = make_boolean_gate(
             "or2", (0.2575825223303738, 0.16819126639773208), initial_inputs=(0, 0), name="g0"
         )
@@ -682,9 +701,7 @@ class TestUnroll:
         ins = {"in0": BinarySignal(0, edges, 9.0)}
 
         report = check_simulation_equivalence(c, "out", 4, ins, 9.0)
-        assert sorted(m.split(":")[0] for m in report.mismatches) == [
-            "g0^(2)", "g1^(4)", "g2^(3)", "out^(4)"
-        ]
+        assert report.ok
         assert report.reach_mismatches == []
         assert report.reach_compared > 0
 
@@ -696,10 +713,17 @@ class TestUnroll:
         assert reach[("g0", 2)] == pytest.approx(
             reach[("g0", 0)] + 0.10548290458026534 + 0.2575825223303738
         )
-        copy = execute(un.circuit, ins, 9.0).records["g0^(2)"]
-        assert [(r.value, r.depth) for r in copy] == [(1, 1), (0, 2), (1, 3)]
-        assert un.z_values["g0^(2)"] == 2.0
-        assert copy[1].time > reach[("g0", 2)]
+        copies = execute(un.circuit, ins, 9.0).records
+        assert [(r.value, r.depth) for r in copies["g0^(2)"]] == [(1, 1), (0, 2), (1, 3)]
+        # the constant standing for g0 and the g2 copy hanging off it never
+        # switch; the other four repeat the original's one transition and
+        # add two of their own after their reach time
+        differ = {name for key, name in un.copy_map.items() if copies[name] != original.records[key[0]]}
+        assert differ == {"X_0", "g2^(1)", "g0^(2)", "g2^(3)", "g1^(4)", "out^(4)"}
+        for key in (("g0", 2), ("g2", 3), ("g1", 4), ("out", 4)):
+            orig, copy = original.records[key[0]], copies[un.copy_map[key]]
+            assert copy[:1] == orig and len(copy) == 3
+            assert copy[1].time > reach[key]
 
 
 def storage_loop():

@@ -496,10 +496,7 @@ class TestUnroll:
         path = tmp_path / "un.yaml"
         assert run("unroll", "preset:fig3_feedback", "-k", 3, "--out", path) == 0
         doc = yaml.safe_load(path.read_text())
-        assert doc["z_values"] == {
-            "X_0": 0.0, "B^(1)": 1.0, "B^(2)": 2.0, "C^(3)": 3.0, "O^(3)": 3.0,
-            "I": math.inf, "A^(2)": math.inf,
-        }
+        assert "z_values" not in doc
         ids = {v["id"] for v in doc["vertices"]}
         assert ids == {"I", "X_0", "A^(2)", "B^(1)", "B^(2)", "C^(3)", "O^(3)"}
 
@@ -744,9 +741,11 @@ class TestVertexKinds:
         err = capsys.readouterr().err
         assert err == f"error: {path}: vertex 'g' (idm) has unknown fields [2, 'wobble']\n"
 
-    def test_non_numeric_z_value_is_named(self, tmp_path, capsys):
+    def test_depth_budgets_of_an_old_unroll_file_are_refused(self, tmp_path, capsys):
+        # files written by earlier versions of ``hybridgates unroll`` carry
+        # a ``z_values`` key, which no longer means anything
         doc = one_gate_doc("idm")
-        doc["z_values"] = {"I": [1]}
+        doc["z_values"] = {"I": float("inf"), "g": 1.0}
         path = write_yaml(tmp_path / "c.yaml", doc)
         assert run("validate", path) == 1
-        assert capsys.readouterr().err == f"error: {path}: z_values.I must be a number, got [1]\n"
+        assert capsys.readouterr().err == f"error: {path}: unknown top-level keys ['z_values']\n"
