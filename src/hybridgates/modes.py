@@ -133,6 +133,19 @@ class AffineConstant:
         object.__setattr__(self, "plane", plane)
 
 
+def _root(v: Fraction) -> float:
+    """|v|^1/2, rounded from v scaled by a power of 4 into the normal floats,
+    so the root of a v whose float is subnormal keeps every bit."""
+    k = (v.numerator.bit_length() - v.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(abs(float(v / Fraction(4) ** k))), k)
+
+
+def _over(x: Fraction, fx: float, y: float) -> float:
+    """x / y from ``fx``, the float of x, or rounded once from x itself where
+    fx is subnormal and so keeps few of its bits."""
+    return fx / y if abs(fx) >= sys.float_info.min or not x else float(x / Fraction(y))
+
+
 class _Plane:
     """What every solution of a 2-state mode dx/dt = a x + b shares.
 
@@ -148,8 +161,10 @@ class _Plane:
     - ``x0 + p s + q s^2`` for a nilpotent a: (a x0 + b, a b/2).
 
     det(a), disc, c and m are exact in the float entries, rounded once, so
-    a stiff mode keeps its slow rate.  An a whose equilibrium c lies beyond
-    the floats counts as singular (its dropped terms are below rounding).
+    a stiff mode keeps its slow rate; disc^1/2, l2 and the eigenvectors come
+    from the exact disc, det(a) and a12 a21 where their floats are subnormal.
+    An a whose equilibrium c lies beyond the floats counts as singular (its
+    dropped terms are below rounding).
     Near a repeated eigenvalue of a non-normal a, or a singular a with b
     outside its range, p and q (or c) grow like disc^-1/2 (or 1/det(a)) and
     cancel.
@@ -159,26 +174,28 @@ class _Plane:
         (a11, a12), (a21, a22) = a
         f11, f12, f21, f22, fb1, fb2 = map(Fraction, (a11, a12, a21, a22, *b))
         det, tr = f11 * f22 - f12 * f21, f11 + f22
-        disc = float((f11 - f22) ** 2 / 4 + f12 * f21)
+        exact_disc = (f11 - f22) ** 2 / 4 + f12 * f21
+        disc = float(exact_disc)
         adj_b = (f22 * fb1 - f12 * fb2, f11 * fb2 - f21 * fb1)
         tau, d = float(tr / 2), float((f11 - f22) / 2)
         eq = det and [-v / det for v in adj_b]  # c is None if singular or beyond the floats
         self.c = tuple(map(float, eq)) if eq and max(map(abs, eq)) < sys.float_info.max else None
         self.m, offset = (0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
         if disc > 0.0:
-            sr = math.copysign(math.sqrt(disc), tau)
+            sr = math.copysign(_root(exact_disc), tau)
             # (d + sr)(sr - d) = a12 a21 gives the one of them that would cancel
             same = (d >= 0.0) == (sr >= 0.0)
-            e11 = d + sr if same else a12 * a21 / (sr - d)
-            e22 = a12 * a21 / e11 if same else sr - d
+            cross, fcross = f12 * f21, a12 * a21
+            e11 = d + sr if same else _over(cross, fcross, sr - d)
+            e22 = _over(cross, fcross, e11) if same else sr - d
             self.form, den, l1 = "real", 2.0 * sr, tau + sr
-            self.rates = (l1, float(det) / l1, den)
+            self.rates = (l1, _over(det, float(det), l1), den)
             rows = [(u / den, v / den) for u, v in ((e11, a12), (e22, -a12), (a21, e22), (-a21, e11))]
             if self.c is None:
                 self.c = (float(-fb1 / tr), float(-fb2 / tr))
                 self.m = tuple(float(v / tr) for v in adj_b)
         elif self.c is not None:
-            w = math.sqrt(-disc)
+            w = disc and _root(exact_disc)
             self.form, self.rates = ("complex", (tau, w)) if w else ("repeated", (tau,))
             n = [v / (w or 1.0) for v in (d, a12, a21, -d)]
             rows = [(1.0, 0.0), n[:2], (0.0, 1.0), n[2:]]

@@ -381,6 +381,9 @@ def _affine_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=_affine_cases(), span=st.floats(0.1, 5.0))
+# spectra whose disc, and det(a) or a12 a21, are subnormal floats
+@example(case=(np.diag([0.0, 1.55149271e-161]), np.zeros(2), np.array([0.0, 1.0])), span=1.0)
+@example(case=(np.array([[0.0, 4.678067e-157], [4.678067e-157, 0.0]]), np.array([0.0, 1.0]), np.zeros(2)), span=1.0)
 def test_two_state_closed_form_matches_a_tight_integrator(case, span):
     # every spectrum: real, repeated (scalar and defective), complex,
     # singular with b inside and outside the range of a, and nilpotent
