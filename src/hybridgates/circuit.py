@@ -80,7 +80,10 @@ class Circuit:
 
     The wiring is checked and indexed once, when the circuit is built, so
     ``vertices`` and ``edges`` must not change afterwards.  ``report`` is
-    :func:`validate`'s result; building never raises on bad wiring.
+    :func:`validate`'s result; building never raises on bad wiring.  The
+    input ports, the gates, each output port's driver and each source's
+    fan-out are derived then too, and every ``execute`` reads them; the
+    accessors return fresh dicts, so a caller may change what they return.
     """
 
     def __init__(self, vertices: Mapping[str, Vertex], edges: Sequence) -> None:
@@ -90,26 +93,32 @@ class Circuit:
         for e in sorted(self.edges, key=lambda e: e.slot):  # stable: ties keep edge order
             if e.dst in self._in:
                 self._in[e.dst].append(e)
+        self._inputs = {n: v for n, v in self.vertices.items() if isinstance(v, InputPort)}
+        self._outputs = {n: v for n, v in self.vertices.items() if isinstance(v, OutputPort)}
+        self._gates = {n: v for n, v in self.vertices.items() if isinstance(v, GateSpec)}
         self.report = validate(self)
-        # per source: (dst, slot, delay) of every edge into a gate
+        # per source: (dst, slot, delay) of every edge into a gate; and
+        # (output port, driver) pairs, each port having exactly one
         self._fanout: dict[str, list] = {name: [] for name in self.vertices}
+        self._drivers: list[tuple[str, str]] = []
         if self.report.ok:
             for e in self.edges:
                 dst = self.vertices[e.dst]
                 if isinstance(dst, GateSpec):
                     self._fanout[e.src].append((e.dst, e.slot, dst.input_delays[e.slot]))
+            self._drivers = [(n, self._in[n][0].src) for n in self._outputs]
 
     def incoming(self, name: str) -> list[Edge]:
         return list(self._in.get(name, ()))
 
     def input_ports(self) -> dict[str, InputPort]:
-        return {n: v for n, v in self.vertices.items() if isinstance(v, InputPort)}
+        return dict(self._inputs)
 
     def output_ports(self) -> dict[str, OutputPort]:
-        return {n: v for n, v in self.vertices.items() if isinstance(v, OutputPort)}
+        return dict(self._outputs)
 
     def gates(self) -> dict[str, GateSpec]:
-        return {n: v for n, v in self.vertices.items() if isinstance(v, GateSpec)}
+        return dict(self._gates)
 
 
 @dataclass
@@ -351,7 +360,7 @@ def execute(
         raise ValueError(f"event_cap must be at least 1, got {event_cap!r}")
 
     input_signals = dict(input_signals or {})
-    ports = circuit.input_ports()
+    ports = circuit._inputs
     if set(input_signals) != set(ports):
         raise ValueError(
             f"input signals {sorted(input_signals)} do not match ports {sorted(ports)}"
@@ -365,7 +374,7 @@ def execute(
                 f"port declares {ports[name].initial_value}"
             )
 
-    states = {name: _GateState(spec) for name, spec in circuit.gates().items()}
+    states = {name: _GateState(spec) for name, spec in circuit._gates.items()}
     fanout = circuit._fanout
 
     queue: list[tuple[float, int, str, int, int, int]] = []
@@ -506,19 +515,15 @@ def execute(
             TransitionRecord(tr.time, tr.value, 0, 1) for tr in sig.transitions
         )
     for name, st in states.items():
-        signals[name] = BinarySignal(
-            initial_output_bit(st.spec),
-            tuple((r.time, r.value) for r in st.records),
-            horizon,
+        signals[name] = BinarySignal._of(
+            initial_output_bit(st.spec), [(r.time, r.value) for r in st.records], horizon
         )
         records[name] = tuple(st.records)
         modes[name] = tuple(st.modes)
         st.records = st.modes = None
-    for name, v in circuit.vertices.items():
-        if isinstance(v, OutputPort):
-            (drv,) = circuit.incoming(name)
-            signals[name] = signals[drv.src]
-            records[name] = records[drv.src]
+    for name, src in circuit._drivers:
+        signals[name] = signals[src]
+        records[name] = records[src]
 
     return Execution(
         circuit=circuit,
@@ -571,10 +576,11 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
     memo: dict[tuple[str, int], str] = {}
     const_names: dict[int, str] = {}
 
+    # input ports keep their names, so a made-up name avoids them too
     def fresh(base: str) -> str:
         name = base
         n = 2
-        while name in new_vertices:
+        while name in new_vertices or name in circuit._inputs:
             name = f"{base}_{n}"
             n += 1
         return name

@@ -222,9 +222,18 @@ def _read_source(spec: str) -> str:
 
 
 def load_circuit(spec: str) -> CircuitFile:
-    """Load a circuit file (or ``preset:NAME``) and check it against the schema."""
+    """Load a circuit file (or ``preset:NAME``) and check it against the schema.
+
+    libyaml's safe loader parses the file where PyYAML was built with it.
+    A file it refuses is parsed again by ``yaml.safe_load``, whose error
+    is the one raised, so the CLI words a parse error the same either way.
+    """
     import yaml  # on first use: importing this module loads no YAML parser
-    data = yaml.safe_load(_read_source(spec))
+    text = _read_source(spec)
+    try:
+        data = yaml.load(text, Loader=yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    except yaml.YAMLError:
+        data = yaml.safe_load(text)
     return parse_circuit_data(data, spec)
 
 
@@ -530,8 +539,7 @@ def cmd_unroll(args) -> int:
 
     # libyaml's safe dumper and loader, where PyYAML was built with it, write
     # the same text as the pure-Python ones and read it back to the same
-    # document, several times faster on a deep unrolling.  User files keep
-    # ``safe_load``, whose error messages the CLI reports.
+    # document, several times faster on a deep unrolling.
     dumper, loader = (
         (yaml.CSafeDumper, yaml.CSafeLoader) if yaml.__with_libyaml__ else (yaml.SafeDumper, yaml.SafeLoader)
     )

@@ -10,6 +10,7 @@ input signals as a one-gate circuit, so its delays must be positive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -106,6 +107,13 @@ class GateSpec:
     def arity(self) -> int:
         return len(self.input_delays)
 
+    @functools.cached_property
+    def _circuits(self) -> dict:
+        """This gate's one-gate circuits by input initial bits, built on
+        first use by ``_run_alone``; held here, not in a table keyed by the
+        gate, so they go when the gate does."""
+        return {}
+
 
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
@@ -163,10 +171,20 @@ def gate_output(
     This is a one-gate circuit run: input ``i`` drives slot ``i`` through
     the gate's pure delay, so every delay must be strictly positive, as in
     any circuit (a zero delay raises ``InvalidCircuitError``, a ValueError).
-    ``switching`` and ``family`` are the modes the gate entered during the
-    run, as ``Execution.switching`` reads them; a source gate needs an
-    explicit ``horizon``.
+    The circuit is built and validated once per gate and tuple of input
+    initial bits, and kept on the gate: a later call with the same bits
+    only runs it, and one whose bits do not match the gate's raises the
+    same ``InvalidCircuitError`` each time.  ``switching`` and ``family``
+    are the modes the gate entered during the run, as
+    ``Execution.switching`` reads them; a source gate needs an explicit
+    ``horizon``.
     """
+    ex = _run_alone(gate, inputs, horizon)
+    return GateRun(gate, ex.signals["gate"], *ex.switching("gate"))
+
+
+def _run_alone(gate: GateSpec, inputs: Sequence[BinarySignal], horizon: float | None):
+    """``execute`` of ``gate`` alone on ``inputs``, as ``gate_output`` runs it."""
     from .circuit import Circuit, InputPort, OutputPort, execute  # circuit imports gates
 
     if len(inputs) != gate.arity:
@@ -176,13 +194,16 @@ def gate_output(
     elif horizon is None:
         raise ValueError(f"{gate.name}: a horizon is required for a source gate")
 
-    ports = {f"in{i}": InputPort(s.initial_value) for i, s in enumerate(inputs)}
-    circuit = Circuit(
-        {**ports, "gate": gate, "out": OutputPort()},
-        [(port, "gate", slot) for slot, port in enumerate(ports)] + [("gate", "out", 0)],
-    )
-    ex = execute(circuit, dict(zip(ports, inputs)), horizon)
-    return GateRun(gate, ex.signals["gate"], *ex.switching("gate"))
+    ports = [f"in{i}" for i in range(gate.arity)]
+    bits = tuple(s.initial_value for s in inputs)
+    circuit = gate._circuits.get(bits)
+    if circuit is None:
+        circuit = Circuit(
+            {**{p: InputPort(b) for p, b in zip(ports, bits)}, "gate": gate, "out": OutputPort()},
+            [(p, "gate", slot) for slot, p in enumerate(ports)] + [("gate", "out", 0)],
+        )
+        gate._circuits[bits] = circuit
+    return execute(circuit, dict(zip(ports, inputs)), horizon)
 
 
 # -- memoryless gates ------------------------------------------------------
@@ -652,6 +673,10 @@ def mis_delay_sweep(
     Both inputs start high (output low).  Input B falls at ``lead``, input A
     falls ``gap`` later, and the reported delay is from A's fall to the
     output's rise.  Gate factories must declare initial inputs (1, 1).
+    ``gate_factory`` is called once per gap.  Each gap is one run of the
+    gate alone, as ``gate_output`` makes it, so a factory that returns one
+    gate builds and validates its circuit once; only the output signal is
+    read, not the modes the gate entered.
     """
     out: list[float] = []
     for gap in gaps:
@@ -661,10 +686,10 @@ def mis_delay_sweep(
         if gate.initial_inputs != (1, 1):
             raise ValueError(f"{gate.name}: sweep needs a gate built for inputs (1, 1)")
         horizon = lead + gap + settle
-        sig_a = BinarySignal(1, ((lead + gap, 0),), horizon)
-        sig_b = BinarySignal(1, ((lead, 0),), horizon)
-        run = gate_output(gate, [sig_a, sig_b])
-        rises = [tr.time for tr in run.output.transitions if tr.value == 1]
+        sig_a = BinarySignal._of(1, ((lead + gap, 0),), horizon)
+        sig_b = BinarySignal._of(1, ((lead, 0),), horizon)
+        output = _run_alone(gate, [sig_a, sig_b], None).signals["gate"]
+        rises = [tr.time for tr in output.transitions if tr.value == 1]
         if not rises:
             raise RuntimeError(f"{gate.name}: output never rose within the horizon")
         out.append(rises[0] - (lead + gap))

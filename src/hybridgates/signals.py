@@ -113,12 +113,64 @@ class BinarySignal:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _of(cls, initial_value, transitions, horizon) -> "BinarySignal":
+        """``cls(initial_value, transitions, horizon)``, for signals the
+        library builds itself, with the checking loop skipped where it
+        would change nothing.
+
+        The fields are set directly when every value is a bit that differs
+        from the one before it, every time lies in ``[0, horizon]`` and
+        every gap exceeds ``TIME_EPS``: the checking constructor would
+        then only convert each pair, as done here.  Anything else goes to
+        the checking constructor, which clamps, cancels or raises.  A test
+        here that raises (``float`` of a string, say) raises the same error
+        there, since every item before it passed the checking loop too.
+        """
+        if initial_value in (0, 1) and math.isfinite(horizon) and horizon > 0:
+            stack: list[Transition] = []
+            times: list[float] = []
+            levels = [initial_value]
+            last_t, last_v = -math.inf, initial_value
+            for t, v in transitions:
+                if v not in (0, 1):
+                    break
+                t, v = float(t), int(v)
+                if not (t - last_t > TIME_EPS and 0.0 <= t <= horizon and v != last_v):
+                    break
+                stack.append(Transition(t, v))
+                times.append(t)
+                levels.append(v)
+                last_t, last_v = t, v
+            else:
+                # set as the checking constructor sets them, so the object
+                # keeps its attributes inline, not in a dict of its own
+                signal = object.__new__(cls)
+                setattr_ = object.__setattr__
+                setattr_(signal, "initial_value", initial_value)
+                setattr_(signal, "transitions", tuple(stack))
+                setattr_(signal, "horizon", horizon)
+                setattr_(signal, "_times", tuple(times))
+                setattr_(signal, "_levels", tuple(levels))
+                return signal
+        return cls(initial_value, tuple(transitions), horizon)
+
+    @classmethod
     def constant(cls, value: int, horizon: float) -> "BinarySignal":
-        return cls(value, (), horizon)
+        """``value`` on all of ``[0, horizon]``, built by ``_of``: a value
+        that is not a bit, or a horizon that is not finite and positive,
+        goes through the checking constructor, which refuses it."""
+        return cls._of(value, (), horizon)
 
     @classmethod
     def pulse(cls, start: float, width: float, horizon: float) -> "BinarySignal":
-        """Zero signal with a single high pulse ``[start, start+width)``."""
+        """Zero signal with a single high pulse ``[start, start+width)``.
+
+        Edges past the horizon are dropped, and the rest are built by
+        ``_of``: a start before 0, or a fall within ``TIME_EPS`` of the
+        rise, goes through the checking constructor, which clamps, cancels
+        or refuses it.  Times are stored as floats either way, so
+        ``pulse(1, 0.5, 30)`` starts at 1.0.
+        """
         if not math.isfinite(start):
             raise ValueError(f"pulse start must be finite, got {start!r}")
         if not (math.isfinite(width) and width > 0):
@@ -128,7 +180,7 @@ class BinarySignal:
             transitions.append((start, 1))
             if start + width <= horizon:
                 transitions.append((start + width, 0))
-        return cls(0, tuple(transitions), horizon)
+        return cls._of(0, transitions, horizon)
 
     # -- evaluation -----------------------------------------------------
 

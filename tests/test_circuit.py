@@ -14,6 +14,7 @@ from hybridgates.circuit import (
     Edge,
     EventCapExceeded,
     InputPort,
+    InvalidCircuitError,
     OutputPort,
     bisect_pulse_norm,
     check_simulation_equivalence,
@@ -275,6 +276,40 @@ class TestExecution:
             execute(c, {"I": BinarySignal.pulse(1.0, width, 5.0)}, 5.0)
         unroll(c, "O", 2)
         assert sum(1 for seen in calls if seen is c) == 1
+
+    def test_a_gate_run_alone_is_validated_once_per_initial_bits(self, monkeypatch):
+        calls = []
+
+        def counting_validate(circuit):
+            calls.append(circuit)
+            return validate(circuit)
+
+        monkeypatch.setattr(circuit_module, "validate", counting_validate)
+        gate = make_simple_nor(initial_inputs=(1, 1))
+        mis_delay_sweep(lambda: gate, [0.0, 0.5, 1.0])
+        gate_output(gate, [BinarySignal.constant(1, 5.0)] * 2)
+        assert len(calls) == 1
+        for _ in range(2):
+            with pytest.raises(InvalidCircuitError):
+                gate_output(gate, [BinarySignal.constant(0, 5.0)] * 2)
+        assert len(calls) == 2
+
+    def test_what_the_accessors_return_is_the_callers(self):
+        c = two_not_pipeline()
+        ins = {"in": BinarySignal(0, ((1.0, 1), (2.0, 0)), 4.0)}
+        before = execute(c, ins, 4.0)
+        c.input_ports().clear()
+        c.gates().clear()
+        c.output_ports().clear()
+        c.input_ports()["extra"] = InputPort(1)
+        c.gates()["n3"] = make_boolean_gate("not", (0.2,), initial_inputs=(0,), name="n3")
+        c.output_ports()["extra_out"] = OutputPort()
+        assert list(c.input_ports()) == ["in"]
+        assert list(c.gates()) == ["n1", "n2"]
+        assert list(c.output_ports()) == ["out"]
+        after = execute(c, ins, 4.0)
+        assert after.signals == before.signals
+        assert after.records == before.records
 
     def test_a_cancelled_pulse_leaves_the_gate_undisturbed(self):
         # g fed back into both inputs commits a zero-width pulse: its records
@@ -611,6 +646,31 @@ class TestUnroll:
         for level in (1.5, float("nan"), "2"):
             with pytest.raises(ValueError, match="must be an integer"):
                 unroll(c, "O", level)
+
+    @pytest.mark.parametrize(
+        "port, k, copy",
+        [
+            # the constant standing for the cut g would be named X_0
+            ("X_0", 1, "X_0_2"),
+            # the copy of g at level 1 would be named after the port
+            ("g^(1)", 2, "g^(1)_2"),
+        ],
+    )
+    def test_made_up_names_avoid_input_ports(self, port, k, copy):
+        g = make_boolean_gate("or2", (0.1, 0.1), initial_inputs=(0, 0), name="g")
+        c = Circuit(
+            {port: InputPort(0), "g": g, "O": OutputPort()},
+            [("g", "g", 0), (port, "g", 1), ("g", "O", 0)],
+        )
+        un = unroll(c, "O", k)
+        assert set(un.circuit.input_ports()) == {port}
+        assert copy in un.circuit.vertices
+        assert all(e.src != e.dst for e in un.circuit.edges)
+        assert Edge(port, f"g^({k})", 1) in un.circuit.edges
+        ins = {port: BinarySignal(0, ((0.5, 1), (2.0, 0)), 4.0)}
+        report = check_simulation_equivalence(c, "O", k, ins, 4.0)
+        assert report.ok, report.reach_mismatches
+        assert report.reach_compared > 0
 
     def test_level_zero_collapses_to_constant(self):
         un = unroll(fig_feedback_circuit(), "O", 0)

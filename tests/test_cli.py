@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hybridgates import __version__
+from hybridgates import __version__, cli
 from hybridgates.circuit import execute
 from hybridgates.cli import _KINDS, _preset_names, load_circuit, main, parse_circuit_data
 from hybridgates.gates import (
@@ -25,6 +25,32 @@ from conftest import run_fresh_python
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _parsed(text: str, loader) -> str:
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return "refused"
+
+
+@pytest.fixture(autouse=True)
+def both_yaml_loaders_agree(monkeypatch):
+    """Every YAML text a test here loads, presets and written files alike,
+    parses to equal data with libyaml's safe loader and ``yaml.safe_load``,
+    or is refused by both."""
+    texts = []
+    read = cli._read_source
+
+    def recording(spec):
+        texts.append(read(spec))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "_read_source", recording)
+    yield
+    if yaml.__with_libyaml__:
+        for text in texts:
+            assert _parsed(text, yaml.CSafeLoader) == _parsed(text, yaml.SafeLoader), text
 
 
 def write_yaml(path: Path, doc) -> Path:
@@ -299,10 +325,34 @@ class TestCircuitFiles:
     def test_unknown_preset_is_io_error(self):
         assert run("validate", "preset:nosuch") == 2
 
-    def test_malformed_yaml_is_io_error(self, tmp_path):
+    def test_malformed_yaml_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("vertices: [1\n")
         assert run("validate", path) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse circuit file: while parsing a flow sequence\n"
+            '  in "<unicode string>", line 1, column 11:\n'
+            "    vertices: [1\n"
+            "              ^\n"
+            "expected ',' or ']', but got '<stream end>'\n"
+            '  in "<unicode string>", line 2, column 1:\n'
+            "    \n"
+            "    ^\n"
+        )
+
+    def test_a_parse_error_is_worded_by_the_pure_python_parser(self, tmp_path, capsys):
+        # libyaml reads this as "while scanning a plain scalar ... found a
+        # tab character that violates indentation"
+        path = tmp_path / "tab.yaml"
+        path.write_text("vertices: x\n\tedges: []\n")
+        assert run("validate", path) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse circuit file: while scanning for the next token\n"
+            "found character '\\t' that cannot start any token\n"
+            '  in "<unicode string>", line 2, column 1:\n'
+            "    \tedges: []\n"
+            "    ^\n"
+        )
 
     def test_missing_subcommand_argument_is_usage_error(self):
         assert run("simulate") == 1

@@ -1,9 +1,11 @@
 """Gate model tests: frozen closed-form delays and analytic charging oracles."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from hybridgates.gates import (
     mis_delay_sweep,
 )
 from hybridgates import modes, threshold
-from hybridgates.circuit import Circuit, InputPort, OutputPort, execute
+from hybridgates.circuit import Circuit, InputPort, InvalidCircuitError, OutputPort, execute
 from hybridgates.cli import _preset_names
 from hybridgates.modes import (
     RelaxationSegment,
@@ -107,8 +109,39 @@ class TestBooleanGates:
 
     def test_declared_initial_inputs_enforced(self):
         gate = make_boolean_gate("nor2", (0.1, 0.1), initial_inputs=(0, 0))
-        with pytest.raises(ValueError):
-            gate_output(gate, [BinarySignal.constant(1, 5.0), BinarySignal.constant(0, 5.0)])
+        bad = [BinarySignal.constant(1, 5.0), BinarySignal.constant(0, 5.0)]
+        # the same whole message on every call, before and after a good one
+        for inputs in (bad, bad, [BinarySignal.constant(0, 5.0)] * 2, bad):
+            if inputs is not bad:
+                gate_output(gate, inputs)
+                continue
+            with pytest.raises(InvalidCircuitError) as exc:
+                gate_output(gate, inputs)
+            assert str(exc.value) == (
+                "circuit failed validation: initial-input-mismatch[gate]: "
+                "slot 0 declared 0 but 'in0' starts at 1"
+            )
+
+    def test_repeated_runs_of_one_gate_are_equal(self):
+        gate = make_advanced_nor()
+        inputs = [BinarySignal(0, ((1.0, 1), (3.0, 0)), 8.0), BinarySignal(0, ((1.5, 1),), 8.0)]
+        first = gate_output(gate, inputs)
+        assert gate_output(gate, inputs) == first
+        # a circuit built for other initial bits leaves this one alone
+        with pytest.raises(InvalidCircuitError):
+            gate_output(gate, [BinarySignal.constant(1, 8.0)] * 2)
+        again = gate_output(gate, inputs)
+        assert again == first
+        assert gate_output(make_advanced_nor(), inputs).output == first.output
+
+    def test_a_gate_that_has_run_is_collected(self):
+        gate = make_simple_nor(initial_inputs=(1, 1))
+        mis_delay_sweep(lambda: gate, [0.0, 1.0])
+        gate_output(gate, [BinarySignal.constant(1, 5.0)] * 2)
+        ref = weakref.ref(gate)
+        del gate
+        gc.collect()
+        assert ref() is None
 
     @given(a=binary_signals(), b=binary_signals())
     @settings(max_examples=40, deadline=None)

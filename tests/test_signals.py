@@ -108,6 +108,57 @@ def test_construction_in_one_pass_matches_the_two_pass_reference(case):
         assert repr(BinarySignal(*case).transitions) == repr(expected)
 
 
+def _built(make, *args):
+    """Every attribute ``make(*args)`` stores, each with its type, and its
+    repr; or the type and message of what it raised."""
+
+    def typed(x):
+        return (type(x), tuple(map(typed, x))) if isinstance(x, tuple) else (type(x), x)
+
+    try:
+        signal = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(signal), typed(tuple(vars(signal).items()))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=signal_constructions())
+@example(case=(0, ((0.0, 1), (1e-12, 0), (10.0, 1)), 10.0))  # a gap of exactly TIME_EPS
+@example(case=(1.0, ((0.0, 0), (5, True)), 10))  # a float bit, an int time and a bool value
+def test_the_fast_constructor_builds_what_the_checking_one_does(case):
+    assert _built(BinarySignal._of, *case) == _built(BinarySignal, *case)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    horizon=st.sampled_from([1.0, 10.0, 10]),
+    start=st.one_of(
+        st.integers(-1, 11),
+        st.sampled_from([-2e-12, -5e-13, -0.0, 0.0, 1.0 - 5e-13, 10.0 - 1e-12, 10.0, 10.0 + 5e-13]),
+        st.floats(-1.0, 11.0),
+    ),
+    width=st.one_of(st.sampled_from([5e-13, 1e-12, 1.5e-12]), st.integers(1, 3), st.floats(1e-13, 12.0)),
+)
+@example(horizon=30, start=1, width=0.5)
+def test_pulse_builds_what_the_checking_constructor_does(horizon, start, width):
+    edges = ((start, 1), (start + width, 0))
+    checked = _built(BinarySignal, 0, tuple(e for e in edges if e[0] <= horizon), horizon)
+    assert _built(BinarySignal.pulse, start, width, horizon) == checked
+
+
+@pytest.mark.parametrize("value", [0, 1, True, 1.0, 2, 0.5])
+@pytest.mark.parametrize("horizon", [10.0, 10, True, 0.0, -1.0, math.inf, math.nan])
+def test_constant_builds_what_the_checking_constructor_does(value, horizon):
+    assert _built(BinarySignal.constant, value, horizon) == _built(BinarySignal, value, (), horizon)
+
+
+def test_an_int_pulse_start_is_stored_as_a_float():
+    (rise, fall) = BinarySignal.pulse(1, 0.5, 30).transitions
+    assert type(rise.time) is float and rise.time == 1.0
+    assert fall == (1.5, 0)
+
+
 def test_transitions_and_pairs_build_equal_signals():
     pairs = BinarySignal(1, ((0.0, 0), (2.5, 1), (7, 0)), 10.0)
     records = BinarySignal(1, (Transition(0.0, 0), Transition(2.5, 1), Transition(7, 0)), 10.0)
