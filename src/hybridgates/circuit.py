@@ -515,7 +515,7 @@ def execute(
             TransitionRecord(tr.time, tr.value, 0, 1) for tr in sig.transitions
         )
     for name, st in states.items():
-        signals[name] = BinarySignal._of(
+        signals[name] = BinarySignal(
             initial_output_bit(st.spec), [(r.time, r.value) for r in st.records], horizon
         )
         records[name] = tuple(st.records)

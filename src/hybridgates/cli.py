@@ -224,17 +224,30 @@ def _read_source(spec: str) -> str:
 def load_circuit(spec: str) -> CircuitFile:
     """Load a circuit file (or ``preset:NAME``) and check it against the schema.
 
-    libyaml's safe loader parses the file where PyYAML was built with it.
-    A file it refuses is parsed again by ``yaml.safe_load``, whose error
-    is the one raised, so the CLI words a parse error the same either way.
+    A file that libyaml's loader refuses is parsed again by
+    ``yaml.safe_load``, whose error is the one raised, so the CLI words a
+    parse error the same with or without libyaml.
     """
-    import yaml  # on first use: importing this module loads no YAML parser
+    yaml, _, loader = _yaml()
     text = _read_source(spec)
     try:
-        data = yaml.load(text, Loader=yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError:
+        if loader is yaml.SafeLoader:
+            raise
         data = yaml.safe_load(text)
     return parse_circuit_data(data, spec)
+
+
+def _yaml():
+    """PyYAML with its safe dumper and loader: libyaml's where PyYAML was
+    built with it, which write the same text and read the same documents
+    as the pure-Python ones, several times faster.  Imported on first use:
+    importing this module loads no YAML parser."""
+    import yaml
+    if yaml.__with_libyaml__:
+        return yaml, yaml.CSafeDumper, yaml.CSafeLoader
+    return yaml, yaml.SafeDumper, yaml.SafeLoader
 
 
 def _load_validated(spec: str) -> CircuitFile:
@@ -478,9 +491,9 @@ def cmd_sweep_mis(args) -> int:
     doc = _find_nor_doc(cf)
     gaps = _parse_grid(args.gaps, "--gaps", allow_zero=True)
     out_dir = _ensure_out_dir(args)
-    delays = mis_delay_sweep(
-        lambda: _build_vertex(doc["id"], doc), gaps, lead=args.lead, settle=args.settle
-    )
+    # one gate for every gap, so its one-gate circuit is built once
+    gate = _build_vertex(doc["id"], doc)
+    delays = mis_delay_sweep(lambda: gate, gaps, lead=args.lead, settle=args.settle)
 
     meta = _metadata(
         args, cf, gate=doc["id"], lead=repr(args.lead), settle=repr(args.settle), gaps=args.gaps
@@ -535,14 +548,7 @@ def cmd_unroll(args) -> int:
     else:
         stem = args.file[len(_PRESET_PREFIX):] if args.file.startswith(_PRESET_PREFIX) else Path(args.file).stem
         path = out_dir / f"{stem}_unrolled_k{args.k}.yaml"
-    import yaml
-
-    # libyaml's safe dumper and loader, where PyYAML was built with it, write
-    # the same text as the pure-Python ones and read it back to the same
-    # document, several times faster on a deep unrolling.
-    dumper, loader = (
-        (yaml.CSafeDumper, yaml.CSafeLoader) if yaml.__with_libyaml__ else (yaml.SafeDumper, yaml.SafeLoader)
-    )
+    yaml, dumper, loader = _yaml()
     path.write_text(yaml.dump(doc, Dumper=dumper, sort_keys=False))
 
     # the emitted file must survive its own schema and structural checks

@@ -111,7 +111,8 @@ class GateSpec:
     def _circuits(self) -> dict:
         """This gate's one-gate circuits by input initial bits, built on
         first use by ``_run_alone``; held here, not in a table keyed by the
-        gate, so they go when the gate does."""
+        gate, so they go when the gate does (each refers back to the gate,
+        so the cyclic collector frees the pair)."""
         return {}
 
 
@@ -686,8 +687,8 @@ def mis_delay_sweep(
         if gate.initial_inputs != (1, 1):
             raise ValueError(f"{gate.name}: sweep needs a gate built for inputs (1, 1)")
         horizon = lead + gap + settle
-        sig_a = BinarySignal._of(1, ((lead + gap, 0),), horizon)
-        sig_b = BinarySignal._of(1, ((lead, 0),), horizon)
+        sig_a = BinarySignal(1, ((lead + gap, 0),), horizon)
+        sig_b = BinarySignal(1, ((lead, 0),), horizon)
         output = _run_alone(gate, [sig_a, sig_b], None).signals["gate"]
         rises = [tr.time for tr in output.transitions if tr.value == 1]
         if not rises:

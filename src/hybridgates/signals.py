@@ -70,31 +70,41 @@ class BinarySignal:
         # One pass converts, checks and clamps each item, keeping strict
         # time order and cancelling zero-width pulses: a pair of opposite
         # transitions closer than TIME_EPS annihilates.  (last_t, last_v) is
-        # the stack's top, (-inf, initial value) while it is empty.  A later
-        # cancellation may take back a kept repeat of the value below it, so
-        # alternation is checked at the end, if a repeat was kept.
+        # the stack's top, (-inf, initial value) while it is empty.  An item
+        # that lies in [0, horizon], more than TIME_EPS after the top, with
+        # the other value, passes every check unchanged, so one comparison
+        # chain accepts it; only the others take the checks one by one.  A
+        # later cancellation may take back a kept repeat of the value below
+        # it, so alternation is checked at the end, if a repeat was kept.
         horizon, hi = self.horizon, self.horizon + TIME_EPS
         stack: list[Transition] = []
+        times: list[float] = []
+        levels = [self.initial_value]
         last_t, last_v, repeated = -math.inf, self.initial_value, False
         for t, v in self.transitions:
             if v not in (0, 1):
                 raise ValueError(f"transition value must be 0 or 1, got {v!r}")
             t, v = float(t), int(v)
-            if not math.isfinite(t):
-                raise ValueError(f"transition time must be finite, got {t!r}")
-            if t < -TIME_EPS or t > hi:
-                raise ValueError(f"transition at t={t} outside [0, {horizon}]")
-            t = 0.0 if t < 0.0 else horizon if t > horizon else t
-            if t < last_t - TIME_EPS:
-                raise ValueError("transition times must be sorted increasing")
-            if t - last_t <= TIME_EPS:
-                if v == last_v:
-                    raise ValueError(f"two transitions to value {v} at time {t}")
-                stack.pop()
-                last_t, last_v = stack[-1] if stack else (-math.inf, self.initial_value)
-                continue
-            repeated = repeated or v == last_v
+            if not (t - last_t > TIME_EPS and 0.0 <= t <= horizon and v != last_v):
+                if not math.isfinite(t):
+                    raise ValueError(f"transition time must be finite, got {t!r}")
+                if t < -TIME_EPS or t > hi:
+                    raise ValueError(f"transition at t={t} outside [0, {horizon}]")
+                t = 0.0 if t < 0.0 else horizon if t > horizon else t
+                if t < last_t - TIME_EPS:
+                    raise ValueError("transition times must be sorted increasing")
+                if t - last_t <= TIME_EPS:
+                    if v == last_v:
+                        raise ValueError(f"two transitions to value {v} at time {t}")
+                    stack.pop()
+                    times.pop()
+                    levels.pop()
+                    last_t, last_v = stack[-1] if stack else (-math.inf, self.initial_value)
+                    continue
+                repeated = repeated or v == last_v
             stack.append(Transition(t, v))
+            times.append(t)
+            levels.append(v)
             last_t, last_v = t, v
 
         if repeated:
@@ -107,68 +117,21 @@ class BinarySignal:
                 prev = tr.value
 
         object.__setattr__(self, "transitions", tuple(stack))
-        object.__setattr__(self, "_times", tuple(tr.time for tr in stack))
-        object.__setattr__(self, "_levels", (self.initial_value, *(tr.value for tr in stack)))
+        object.__setattr__(self, "_times", tuple(times))
+        object.__setattr__(self, "_levels", tuple(levels))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _of(cls, initial_value, transitions, horizon) -> "BinarySignal":
-        """``cls(initial_value, transitions, horizon)``, for signals the
-        library builds itself, with the checking loop skipped where it
-        would change nothing.
-
-        The fields are set directly when every value is a bit that differs
-        from the one before it, every time lies in ``[0, horizon]`` and
-        every gap exceeds ``TIME_EPS``: the checking constructor would
-        then only convert each pair, as done here.  Anything else goes to
-        the checking constructor, which clamps, cancels or raises.  A test
-        here that raises (``float`` of a string, say) raises the same error
-        there, since every item before it passed the checking loop too.
-        """
-        if initial_value in (0, 1) and math.isfinite(horizon) and horizon > 0:
-            stack: list[Transition] = []
-            times: list[float] = []
-            levels = [initial_value]
-            last_t, last_v = -math.inf, initial_value
-            for t, v in transitions:
-                if v not in (0, 1):
-                    break
-                t, v = float(t), int(v)
-                if not (t - last_t > TIME_EPS and 0.0 <= t <= horizon and v != last_v):
-                    break
-                stack.append(Transition(t, v))
-                times.append(t)
-                levels.append(v)
-                last_t, last_v = t, v
-            else:
-                # set as the checking constructor sets them, so the object
-                # keeps its attributes inline, not in a dict of its own
-                signal = object.__new__(cls)
-                setattr_ = object.__setattr__
-                setattr_(signal, "initial_value", initial_value)
-                setattr_(signal, "transitions", tuple(stack))
-                setattr_(signal, "horizon", horizon)
-                setattr_(signal, "_times", tuple(times))
-                setattr_(signal, "_levels", tuple(levels))
-                return signal
-        return cls(initial_value, tuple(transitions), horizon)
-
-    @classmethod
     def constant(cls, value: int, horizon: float) -> "BinarySignal":
-        """``value`` on all of ``[0, horizon]``, built by ``_of``: a value
-        that is not a bit, or a horizon that is not finite and positive,
-        goes through the checking constructor, which refuses it."""
-        return cls._of(value, (), horizon)
+        return cls(value, (), horizon)
 
     @classmethod
     def pulse(cls, start: float, width: float, horizon: float) -> "BinarySignal":
         """Zero signal with a single high pulse ``[start, start+width)``.
 
-        Edges past the horizon are dropped, and the rest are built by
-        ``_of``: a start before 0, or a fall within ``TIME_EPS`` of the
-        rise, goes through the checking constructor, which clamps, cancels
-        or refuses it.  Times are stored as floats either way, so
+        Edges past the horizon are dropped; the rest are checked, clamped
+        and cancelled as by the constructor, and stored as floats, so
         ``pulse(1, 0.5, 30)`` starts at 1.0.
         """
         if not math.isfinite(start):
@@ -180,7 +143,7 @@ class BinarySignal:
             transitions.append((start, 1))
             if start + width <= horizon:
                 transitions.append((start + width, 0))
-        return cls._of(0, transitions, horizon)
+        return cls(0, tuple(transitions), horizon)
 
     # -- evaluation -----------------------------------------------------
 

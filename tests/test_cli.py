@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from hybridgates import __version__, cli
+from hybridgates import circuit as circuit_module
 from hybridgates.circuit import execute
 from hybridgates.cli import _KINDS, _preset_names, load_circuit, main, parse_circuit_data
 from hybridgates.gates import (
@@ -340,9 +341,12 @@ class TestCircuitFiles:
             "    ^\n"
         )
 
-    def test_a_parse_error_is_worded_by_the_pure_python_parser(self, tmp_path, capsys):
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_a_parse_error_is_worded_by_the_pure_python_parser(self, tmp_path, capsys, monkeypatch, libyaml):
         # libyaml reads this as "while scanning a plain scalar ... found a
         # tab character that violates indentation"
+        if not libyaml:  # as on a PyYAML built without it
+            monkeypatch.setattr(cli, "_yaml", lambda: (yaml, yaml.SafeDumper, yaml.SafeLoader))
         path = tmp_path / "tab.yaml"
         path.write_text("vertices: x\n\tedges: []\n")
         assert run("validate", path) == 2
@@ -535,6 +539,16 @@ class TestSweepMis:
                 if line and not line.startswith("#")][1:]
         delays = [float(r[1]) for r in rows]
         assert (max(delays) - min(delays)) / max(delays) < 0.01
+
+    def test_one_gate_serves_every_gap(self, tmp_path, monkeypatch):
+        # the file's circuit and the gate's one-gate circuit, however many gaps
+        validated = []
+        real = circuit_module.validate
+        monkeypatch.setattr(circuit_module, "validate", lambda c: validated.append(c) or real(c))
+        for gaps in ("0,1", "0:5:6"):
+            validated.clear()
+            assert run("sweep-mis", "preset:simple_nor", "--gaps", gaps, "--out-dir", tmp_path) == 0
+            assert len(validated) == 2
 
     def test_requires_a_switching_nor_gate(self, tmp_path):
         assert run("sweep-mis", "preset:idm_channel", "--gaps", "0,1",
