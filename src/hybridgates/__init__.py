@@ -52,7 +52,6 @@ from .gates import (
     mis_delay_sweep,
 )
 from .modes import (
-    IntegrationError,
     ModeFunction,
     StateSpace,
     StateSpaceExit,
@@ -75,7 +74,7 @@ from .signals import (
     read_signal_csv,
     write_signal_csv,
 )
-from .threshold import CrossingCapExceeded, ThresholdSpec, digitize, find_crossings
+from .threshold import ThresholdSpec, digitize, find_crossings
 
 __all__ = [
     "__version__",
@@ -91,7 +90,6 @@ __all__ = [
     "read_signal_csv",
     "write_signal_csv",
     # modes
-    "IntegrationError",
     "ModeFunction",
     "StateSpace",
     "StateSpaceExit",
@@ -102,7 +100,6 @@ __all__ = [
     "sup_distance",
     "write_trajectory_csv",
     # threshold
-    "CrossingCapExceeded",
     "ThresholdSpec",
     "digitize",
     "find_crossings",

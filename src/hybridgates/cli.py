@@ -7,9 +7,9 @@ optional ``defaults`` (a finite positive ``horizon``, picked up when
 ``--horizon`` is absent).  ``preset:NAME`` in place of a path loads a
 bundled file.  Each kind is built by its factory in ``gates`` (or a port
 class), and a parameter the file leaves out takes that factory's default.
-Each subcommand takes only the flags it reads.  Threshold crossing times
-are exact where a segment has a closed form and bisected to ``TIME_EPS``
-where it is sampled.
+Each subcommand takes only the flags it reads.  Every mode has a closed
+form, and threshold crossing times and state-space exits are those of the
+closed forms.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """
@@ -705,7 +705,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    # EventCapExceeded, StateSpaceExit, IntegrationError, CrossingCapExceeded
+    # EventCapExceeded, StateSpaceExit
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -534,8 +534,7 @@ def make_advanced_nor(
     All variants share the settled charging rate (V_DD - V) / (2 R C).
     Every mode is solved in closed form: a charging mode is a
     :class:`ScalarRelaxation` toward V_DD whose exponent integrates the
-    profile by partial fractions (``_charging_exponent``), so no mode of
-    this gate is integrated numerically.
+    profile by partial fractions (``_charging_exponent``).
     """
     p = params or AdvancedNorParams()
     box = StateSpace(((-0.01 * p.v_dd, 1.01 * p.v_dd),))

@@ -3,13 +3,11 @@
 Each mode of a hybrid gate is an ODE right-hand side together with declared
 regularity constants: a Lipschitz bound K (in the state, uniform over time)
 and a bound M on the norm of the vector field over the gate's state space.
-Affine constant-coefficient modes of one or two states (for every 2x2
-spectrum, from the trace and determinant) and scalar relaxations (a state
-pulled toward a fixed target at a time-varying rate, whose exponent is
-known in closed form) are solved in closed form on Python floats.  Modes
-declared ``GeneralNumeric`` and affine modes of three or more states go
-through an adaptive Runge-Kutta integrator with dense output, the only
-place scipy is imported, so importing this module loads no scipy module.
+Every mode has a closed form, solved on Python floats: an affine
+constant-coefficient mode of one or two states (for every 2x2 spectrum,
+from the trace and determinant), or a scalar relaxation (a state pulled
+toward a fixed target at a time-varying rate, whose exponent is known in
+closed form).  Any other mode is refused when it is built.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous segment's end state, so it is
@@ -37,20 +35,17 @@ __all__ = [
     "StateSpace",
     "AffineConstant",
     "ScalarRelaxation",
-    "GeneralNumeric",
     "ModeFunction",
     "affine_mode",
     "AffineSegment",
     "ScalarAffineSegment",
     "RelaxationSegment",
-    "DenseSegment",
     "Segment",
     "Trajectory",
     "solve_mode",
     "matching_output_signal",
     "sup_distance",
     "StateSpaceExit",
-    "IntegrationError",
     "write_trajectory_csv",
 ]
 
@@ -62,10 +57,6 @@ class StateSpaceExit(RuntimeError):
         self.time = time
         self.state = np.atleast_1d(state)
         super().__init__(f"trajectory left the state space at t={time} (state {self.state})")
-
-
-class IntegrationError(RuntimeError):
-    """The numeric integrator failed to produce a solution."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +94,10 @@ class AffineConstant:
     """dx/dt = a x + b with constant coefficients.
 
     One state solves to a :class:`ScalarAffineSegment` from ``line``, the
-    floats (a, b) read once; two to an :class:`AffineSegment` from the
-    constants ``plane`` derives once (one beyond the floats raises
-    ValueError); and three or more are integrated like ``GeneralNumeric``.
-    ``line`` and ``plane`` are None where they do not apply.  A non-finite
-    entry of ``a`` or ``b`` raises ValueError for every size.
+    floats (a, b) read once, and two to an :class:`AffineSegment` from the
+    constants ``plane`` derives once; ``line`` is None for two states and
+    ``plane`` for one.  Three or more states, a non-finite entry of ``a`` or
+    ``b``, or a constant of ``plane`` beyond the floats raise ValueError.
     """
 
     a: np.ndarray
@@ -125,6 +115,8 @@ class AffineConstant:
         rows, bs = a.tolist(), b.tolist()
         if not all(map(math.isfinite, itertools.chain(*rows, bs))):
             raise ValueError(f"affine mode a={rows}, b={bs} has non-finite constants")
+        if len(bs) > 2:
+            raise ValueError(f"affine mode a={rows}, b={bs} has {len(bs)} states; only 1 or 2 have a closed form")
         try:
             plane = _Plane(rows, bs) if len(bs) == 2 else None
         except ArithmeticError as exc:  # float() of a Fraction, or a Fraction(0, 0)
@@ -222,26 +214,29 @@ class ScalarRelaxation:
 
 
 @dataclass(frozen=True)
-class GeneralNumeric:
-    """No exploitable structure; integrated numerically from the rhs."""
-
-
-@dataclass(frozen=True)
 class ModeFunction:
     """One mode of a hybrid gate: an ODE rhs plus declared regularity bounds.
 
-    ``lipschitz_k`` bounds the state-Lipschitz constant of the rhs and
-    ``rhs_bound_m`` bounds its norm over the state space; both feed the
-    mode-switch continuity envelope 2 M exp(T K) d(a, b).
+    ``kind`` is the closed form the mode is solved by: an
+    :class:`AffineConstant` or a :class:`ScalarRelaxation`; any other kind
+    is refused, naming the mode.  ``lipschitz_k`` bounds the
+    state-Lipschitz constant of the rhs and ``rhs_bound_m`` bounds its norm
+    over the state space; both feed the mode-switch continuity envelope
+    2 M exp(T K) d(a, b).
     """
 
     id: str
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    kind: AffineConstant | ScalarRelaxation | GeneralNumeric
+    kind: AffineConstant | ScalarRelaxation
     lipschitz_k: float
     rhs_bound_m: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, (AffineConstant, ScalarRelaxation)):
+            raise ValueError(
+                f"mode {self.id!r}: a {type(self.kind).__name__} has no closed form;"
+                " a mode is an AffineConstant or a ScalarRelaxation"
+            )
         if not (self.lipschitz_k >= 0 and self.rhs_bound_m >= 0):  # NaN fails too
             raise ValueError(
                 f"regularity bounds must be nonnegative, got K={self.lipschitz_k!r}, M={self.rhs_bound_m!r}"
@@ -253,10 +248,10 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
 
     K is the spectral norm of ``a``: |a|, or (|(a11 + a22, a21 - a12)| +
     |(a11 - a22, a12 + a21)|)/2 for two states.  ``|a x + b|`` is convex in
-    ``x``, so M is its maximum over the box's corners.  Both are floats, from
-    numpy only for three or more states.  A value beyond the floats at a
-    corner makes M infinite, still a bound; one that cancels to NaN makes
-    ``ModeFunction`` refuse the mode.  A refusal names ``mode_id``.
+    ``x``, so M is its maximum over the box's corners.  Both are floats.  A
+    value beyond the floats at a corner makes M infinite, still a bound; one
+    that cancels to NaN makes ``ModeFunction`` refuse the mode.  A refusal,
+    of three or more states too, names ``mode_id``.
     """
     try:
         kind = AffineConstant(a, b)
@@ -266,14 +261,10 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     if kind.line is not None:
         a1, b1 = kind.line
         k, xs = abs(a1), [(a1 * c + b1,) for (c,) in space.corners()]
-    elif kind.plane is not None:
+    else:
         ((a11, a12), (a21, a22)), (b1, b2) = a_mat.tolist(), b_vec.tolist()
         k = (math.hypot(a11 + a22, a21 - a12) + math.hypot(a11 - a22, a12 + a21)) / 2
         xs = [(a11 * c1 + a12 * c2 + b1, a21 * c1 + a22 * c2 + b2) for c1, c2 in space.corners()]
-    else:
-        k = float(np.linalg.norm(a_mat, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            xs = [(a_mat @ np.asarray(c, dtype=float) + b_vec).tolist() for c in space.corners()]
     norms = [math.sqrt(sum([v * v for v in x])) for x in xs]  # numpy's 2-norm, sqrt(x . x)
     m = math.nan if any(map(math.isnan, norms)) else max(norms)
     rhs = lambda t, x, _a=a_mat, _b=b_vec: _a @ x + _b
@@ -346,43 +337,31 @@ def _exp(u: float) -> float:
 # Each segment covers [t0, t1] and can evaluate the state at arbitrary times
 # inside it.  The next segment starts from the state this one reads at its
 # end (``state_at``), so junctions match exactly.
-# Kinds with a closed form read their end state ``x1`` once, when built, and
-# cut each component into monotone ``pieces`` with its values at the piece
-# ends, which containment and the crossing search each read in one call.
+# Every kind reads its end state ``x1`` once, when built, and cuts each
+# component into monotone ``pieces`` with its values at the piece ends, which
+# containment and the crossing search each read in one call.
 
 
 class _SegmentBase:
-    """What every segment kind derives from ``t0``, ``t1`` and ``values``."""
+    """What every segment kind shares.
+
+    ``state_at(t)`` is the state in the one form a run carries between
+    modes: a float in a 1-state space, otherwise a tuple of floats.
+    ``values(ts)`` is an array with one row per time, and ``value(t)`` one
+    such row.  ``pieces(component)`` returns, for one state component
+    (1-based), ``(ts, xs, meet)``: ``ts`` is ``(t0, *breaks, t1)``, where the
+    breaks are the interior times where the component turns, so it is
+    monotone between consecutive times; ``xs`` are the component's values at
+    ``ts``, as floats, read once for every reader (containment and the
+    crossing search each make one call); and ``meet(xi, lo, hi)`` is the
+    time in such a piece ``[lo, hi]``, whose end values straddle ``xi``, at
+    which the component equals ``xi``.
+    """
 
     __slots__ = ()
 
     def value(self, t: float) -> np.ndarray:
         return self.values([t])[0]
-
-    def state_at(self, t: float):
-        """The state at ``t`` in the one form a run carries between modes: a
-        float in a 1-state space, otherwise a tuple of floats."""
-        row = self.value(t).tolist()
-        return row[0] if len(row) == 1 else tuple(row)
-
-    def sample_times(self, n: int) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, max(n, 2))
-
-    def pieces(self, component: int):
-        """Monotone pieces of one state component (1-based), with the
-        component's value at each piece end.
-
-        A segment kind with a closed form returns ``(ts, xs, meet)``: ``ts``
-        is ``(t0, *breaks, t1)``, where the breaks are the interior times
-        where the component turns, so it is monotone between consecutive
-        times; ``xs`` are the component's values at ``ts``, as floats, read
-        once for every reader (containment and the crossing search each make
-        one call); and ``meet(xi, lo, hi)`` is the time in such a piece
-        ``[lo, hi]``, whose end values straddle ``xi``, at which the
-        component equals ``xi``.  None, as here, means the segment must be
-        sampled.
-        """
-        return None
 
 
 class _FloatSegment(_SegmentBase):
@@ -687,6 +666,7 @@ class RelaxationSegment(_FloatSegment):
         return _newton(excess, lo, hi, -rise, g_hi, None, 1e-13)
 
 
+# unused; bench/spans.py wraps DenseSegment.values by name
 class DenseSegment(_SegmentBase):
     """Adaptive-integrator solution with dense output on [t0, t1]."""
 
@@ -716,7 +696,7 @@ class DenseSegment(_SegmentBase):
         return np.unique(np.concatenate([inside, uniform]))
 
 
-Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment | DenseSegment
+Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment
 
 
 class Trajectory:
@@ -757,68 +737,47 @@ class Trajectory:
         return self.segments[max(idx, 0)].value(t)
 
     def values(self, ts) -> np.ndarray:
+        """The state at each of ``ts``, in their order: each segment reads
+        the times that fall in it, the first one those before t0 and the
+        last one those past the horizon."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        order = np.argsort(ts, kind="stable")
-        sorted_ts = ts[order]
         out = np.empty((len(ts), self.dimension))
-        idxs = np.searchsorted(self._starts, sorted_ts, side="right") - 1
+        idxs = np.searchsorted(self._starts, ts, side="right") - 1
         idxs = np.clip(idxs, 0, len(self.segments) - 1)
-        pos = 0
-        for seg_idx in range(len(self.segments)):
+        for seg_idx, segment in enumerate(self.segments):
             mask = idxs == seg_idx
-            if not mask.any():
-                continue
-            chunk = sorted_ts[mask]
-            out[pos : pos + len(chunk)] = self.segments[seg_idx].values(chunk)
-            pos += len(chunk)
-        unsorted = np.empty_like(out)
-        unsorted[order] = out
-        return unsorted
+            if mask.any():
+                out[mask] = segment.values(ts[mask])
+        return out
 
 
 # -- solving -------------------------------------------------------------------
 
 def _containment_scan(segment: Segment, space: StateSpace) -> None:
-    # A component that is monotone between its piece ends is inside when
-    # they are.  Other segments, and every exit, are sampled.  A NaN meets no
-    # comparison with the box, so a NaN piece end or sample is an exit.
+    # A component is monotone between its piece ends, so it is inside while
+    # they are: one comparison per end.  Otherwise it leaves in its first
+    # piece whose end is outside, where that piece meets the bound, and the
+    # segment leaves at the earliest of its components' exits.  A NaN meets
+    # no comparison with the box, so a NaN end is an exit, at that end.
+    exits = []
     for k, (lo, hi) in enumerate(space.bounds, 1):
-        form = segment.pieces(k)
-        if form is None:
-            break
-        lo, hi = lo - 1e-12, hi + 1e-12
-        for x in form[1]:
-            if not lo < x < hi:
+        ts, xs, meet = segment.pieces(k)
+        inside_lo, inside_hi = lo - 1e-12, hi + 1e-12
+        for x in xs:
+            if not inside_lo < x < inside_hi:
+                # no end before x is outside, so none equals it; a NaN is found as itself
+                i = xs.index(x)
+                at_end = not i or x != x
+                exits.append(ts[i] if at_end else meet(lo if x < lo else hi, ts[i - 1], ts[i]))
                 break
-        else:
-            continue
-        break
-    else:
-        return
-    ts = segment.sample_times(64)
-    vals = segment.values(ts)
-    for i, (lo, hi) in enumerate(space.bounds):
-        bad = ~((vals[:, i] > lo - 1e-12) & (vals[:, i] < hi + 1e-12))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise StateSpaceExit(float(ts[j]), vals[j])
-    if form is not None:  # a piece end outside the box that no sample met
-        t = form[0][form[1].index(x)]
-        raise StateSpaceExit(t, segment.value(t))
+    if exits:
+        t = min(exits)
+        raise StateSpaceExit(t, segment.state_at(t))
 
 
-# RK45 tolerances of the modes solved numerically: GeneralNumeric ones and
-# affine ones of three or more states
-_RK45_RTOL, _RK45_ATOL = 1e-9, 1e-12
-
-
+# unused; bench/spans.py wraps modes.solve_ivp by name
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
-
-    Only ``GeneralNumeric`` modes and affine modes of three or more states
-    integrate numerically, and ``scipy.integrate`` would take most of the
-    package's import time.
-    """
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
     from scipy.integrate import solve_ivp as integrate
 
     return integrate(*args, **kwargs)
@@ -836,10 +795,11 @@ def solve_mode(
     ``x0`` (an int, float, numpy scalar, 0-d array, or list, tuple or array
     of one entry per state) becomes, without numpy, the one form a run
     carries and ``state_at`` returns: a float in a 1-state space, else a
-    tuple of floats.  Affine modes of three or more states are integrated
-    like ``GeneralNumeric`` ones, from ``x0`` as an array.  Raises
-    :class:`StateSpaceExit` if the solution leaves the open box,
-    :class:`IntegrationError` if the numeric integrator fails, and
+    tuple of floats.  A relaxation solves to a :class:`RelaxationSegment`,
+    an affine mode to a :class:`ScalarAffineSegment` in a 1-state space and
+    to an :class:`AffineSegment` in a 2-state one.  Raises
+    :class:`StateSpaceExit` if the solution leaves the open box, at the
+    earliest time a component reaches a bound, with the state there, and
     ``ValueError`` for a wrong state dimension or ``t1 < t0``.
     """
     n = space.dimension
@@ -855,31 +815,12 @@ def solve_mode(
         raise StateSpaceExit(t0, x0)
 
     kind = mode.kind
-    if isinstance(kind, AffineConstant) and n <= 2:
-        if n == 1:
-            seg: Segment = ScalarAffineSegment(t0, t1, x0, *kind.line)
-        else:
-            seg = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
-    elif isinstance(kind, ScalarRelaxation):
-        seg = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
-    elif t1 - t0 <= TIME_EPS:  # a degenerate span: the state stands still
-        still = lambda ts, _x=x0: np.multiply.outer(_x, np.ones_like(ts))  # noqa: E731
-        seg = DenseSegment(t0, t1, still, (t0, t1))
+    if isinstance(kind, ScalarRelaxation):
+        seg: Segment = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
+    elif n == 1:
+        seg = ScalarAffineSegment(t0, t1, x0, *kind.line)
     else:
-        sol = solve_ivp(
-            mode.rhs,
-            (t0, t1),
-            np.atleast_1d(x0),
-            method="RK45",
-            rtol=_RK45_RTOL,
-            atol=_RK45_ATOL,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"integration of mode {mode.id!r} failed on [{t0}, {t1}]: {sol.message}"
-            )
-        seg = DenseSegment(t0, t1, sol.sol, sol.t)
+        seg = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
     _containment_scan(seg, space)
     return seg
 
@@ -893,8 +834,8 @@ def matching_output_signal(
     """Trajectory that starts at ``x0``, is continuous, and follows the
     active mode's ODE on every inter-switch interval.  Each interval starts
     from the state the previous segment reads at its end (``state_at``), as
-    ``circuit.execute`` carries it, so the closed-form segments of a run
-    paste bit for bit (an integrated one stops at its interval's end)."""
+    ``circuit.execute`` carries it, so the segments of a run paste bit for
+    bit."""
     segments: list[Segment] = []
     state = x0
     for start, end, mode_id in switching.intervals():

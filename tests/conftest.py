@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import hybridgates
 from hybridgates.circuit import execute
 from hybridgates.cli import _preset_names, load_circuit
 from hybridgates.gates import make_advanced_nor, make_simple_nor, mis_delay_sweep
-from hybridgates.modes import _SegmentBase
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, Transition
 
 
@@ -139,27 +139,89 @@ def run_fresh_python(code: str) -> str:
     return done.stdout
 
 
-class FunctionSegment(_SegmentBase):
+class FunctionSegment:
     """A known state function ``fn`` of an array of times on [t0, t1].  It
-    has no ``pieces``, so crossings and containment sample it: the reference
-    that the closed forms are checked against."""
+    has no ``pieces``, so the library cannot cross it; :func:`sampled_crossings`
+    samples it, the reference that the closed forms are checked against."""
 
-    __slots__ = ("t0", "t1", "fn", "_dim")
+    __slots__ = ("t0", "t1", "fn", "dimension")
 
     def __init__(self, t0: float, t1: float, fn):
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.fn = fn
         probe = np.atleast_2d(np.asarray(fn(np.asarray([t0]))))
-        self._dim = probe.shape[1] if probe.shape[0] == 1 else probe.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
+        self.dimension = probe.shape[1] if probe.shape[0] == 1 else probe.shape[0]
 
     def values(self, ts) -> np.ndarray:
         out = np.asarray(self.fn(np.atleast_1d(np.asarray(ts, dtype=float))), dtype=float)
         return out[:, None] if out.ndim == 1 else out
+
+    def value(self, t: float) -> np.ndarray:
+        return self.values([t])[0]
+
+
+# Per-segment sampling grid of the sampled reference, before refinement.
+_PROBE_POINTS = 64
+
+
+def _refined_samples(segment, xi: float, component: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sampling grid for one segment, uniform, then refined twice where the
+    state runs close to the threshold relative to its local variation."""
+    ts = np.linspace(segment.t0, segment.t1, max(_PROBE_POINTS, 2))
+    g = segment.values(ts)[:, component - 1] - xi
+    for _ in range(2):
+        extra: list[np.ndarray] = []
+        flips = (g[:-1] > 0) != (g[1:] > 0)
+        near = np.minimum(np.abs(g[:-1]), np.abs(g[1:])) < 10.0 * np.abs(np.diff(g))
+        for i in np.nonzero(flips | near)[0]:
+            if ts[i + 1] - ts[i] > 4 * TIME_EPS:
+                extra.append(np.linspace(ts[i], ts[i + 1], 18)[1:-1])
+        if not extra:
+            break
+        ts = np.unique(np.concatenate([ts, *extra]))
+        g = segment.values(ts)[:, component - 1] - xi
+    return ts, g
+
+
+def _bisect_crossing(segment, lo: float, hi: float, pred_lo: bool, xi: float, component: int) -> float:
+    while hi - lo > TIME_EPS:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # float exhaustion
+            break
+        if (segment.value(mid)[component - 1] > xi) == pred_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sampled_crossings(segments, xi: float, component: int = 1) -> list[tuple[float, bool]]:
+    """What ``find_crossings`` returns, found from samples of any segments
+    that answer ``values``: each segment's refined grid, each predicate
+    change between samples bisected to ``TIME_EPS``, and a junction whose
+    predicates differ crossed at the later segment's start.  Tangential
+    touches that never change the predicate between samples give no edge.
+    Three consecutive samples exactly on ``xi`` warn, as a plateau does."""
+    crossings: list[tuple[float, bool]] = []
+    carried = None
+    for segment in segments:
+        ts, g = _refined_samples(segment, xi, component)
+        on_line = g == 0.0
+        if on_line.size >= 3 and np.any(on_line[:-2] & on_line[1:-1] & on_line[2:]):
+            warnings.warn(
+                "trajectory runs exactly on the threshold over consecutive samples",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        pred = g > 0.0
+        if carried is not None and pred[0] != carried:
+            crossings.append((segment.t0, bool(pred[0])))
+        for i in np.nonzero(pred[:-1] != pred[1:])[0]:
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            crossings.append((_bisect_crossing(segment, lo, hi, bool(pred[i]), xi, component), bool(pred[i + 1])))
+        carried = pred[-1]
+    return crossings
 
 
 def reference_component(seg, k: int, t: float) -> float:

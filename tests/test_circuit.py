@@ -558,6 +558,34 @@ class TestScheduler:
             assert execute(c, {"I": BinarySignal.constant(0, 5.0)}, 5.0,
                            _shuffle=random.Random(seed)).records == ex.records
 
+    def test_arrivals_sent_into_the_window_join_the_batch(self):
+        # g2 and g3's slot 0 are 5e-13 behind their drivers, less than
+        # TIME_EPS, so each firing of g1 and g2 sends an arrival into the
+        # window of its own batch, where the gate enters its new mode
+        g1 = make_boolean_gate("buf", (0.1,), initial_inputs=(0,), name="g1")
+        g2 = make_boolean_gate("buf", (5e-13,), initial_inputs=(0,), name="g2")
+        g3 = make_boolean_gate("or2", (5e-13, 0.2), initial_inputs=(0, 0), name="g3")
+        c = Circuit(
+            {"I": InputPort(0), "g1": g1, "g2": g2, "g3": g3, "O": OutputPort()},
+            [("I", "g1", 0), ("g1", "g2", 0), ("g2", "g3", 0), ("g1", "g3", 1), ("g3", "O", 0)],
+        )
+        ins = {"I": BinarySignal.pulse(1.0, 0.5, 5.0)}
+        ex = execute(c, ins, 5.0)
+        assert (ex.event_count, len(ex.iteration_times)) == (14, 11)
+        # the rise of g1 and g2 each enters the next gate's mode in its batch
+        for driver, name in (("g1", "g2"), ("g2", "g3")):
+            entered = ex.modes[name][1][0]
+            assert entered == pytest.approx(ex.records[driver][0].time + 5e-13, abs=1e-15)
+            assert entered not in ex.iteration_times
+        for name in c.gates():
+            recs = ex.records[name]
+            values = [ex.signals[name].initial_value] + [r.value for r in recs]
+            assert all(u != v for u, v in zip(values, values[1:]))
+            assert [r.depth for r in recs] == sorted(r.depth for r in recs)
+            assert all(r.depth <= r.iteration for r in recs)
+        for seed in range(20):
+            assert execute(c, ins, 5.0, _shuffle=random.Random(seed)).records == ex.records
+
     @pytest.mark.slow
     def test_invariants_on_large_random_circuits(self):
         master = random.Random(4099)

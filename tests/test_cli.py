@@ -637,6 +637,26 @@ class TestMisc:
         )
         assert out == "[]\n['I', 'O', 'keep']\n"
 
+    def test_every_preset_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter in which importing scipy fails, as in an
+        # install without the test extra: every preset simulated with its
+        # trajectories dumped, and both NORs swept
+        out = run_fresh_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from hybridgates.cli import _preset_names, main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "codes = [main(['simulate', f'preset:{name}', '--dump-trajectories', '--out-dir', f'{out}/{name}'])\n"
+            "         for name in _preset_names()]\n"
+            "codes += [main(['sweep-mis', f'preset:{nor}', '--gaps', '0:5:6', '--out-dir', f'{out}/mis-{nor}'])\n"
+            "          for nor in ('simple_nor', 'advanced_nor')]\n"
+            "print(codes)\n"
+        )
+        assert out.splitlines()[-1] == repr([0] * (len(_preset_names()) + 2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*_preset_names(), "mis-simple_nor", "mis-advanced_nor"]
+        )
+
 
 # each subcommand with its required arguments; {out} is an output directory
 _COMMANDS = {

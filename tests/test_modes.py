@@ -1,10 +1,11 @@
-"""Mode solving: closed forms, dense output, pasting, and the sup metric."""
+"""Mode solving: closed forms, exact exits, pasting, and the sup metric."""
 
 from __future__ import annotations
 
-import json
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
+import hybridgates
 from hybridgates.modes import (
+    AffineConstant,
     AffineSegment,
-    GeneralNumeric,
     ModeFunction,
     RelaxationSegment,
     ScalarAffineSegment,
@@ -41,7 +43,7 @@ from hybridgates.modes import _containment_scan, _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
-from conftest import FunctionSegment, reference_component, run_fresh_python, term_scale
+from conftest import FunctionSegment, reference_component, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -443,26 +445,22 @@ def test_two_state_states_are_each_components_own_closed_form(seg, u):
         assert [x.hex() for x in xs] == [reference_component(seg, k, s).hex() for s in ends]
 
 
-def test_a_three_state_affine_mode_is_integrated():
-    from scipy.linalg import expm
+def test_a_three_state_affine_mode_is_refused():
+    # only one and two states have a closed form, and the refusal names the mode
+    a = [[-1.0, 0.5, 0.0], [0.2, -2.0, 0.3], [0.0, 0.4, -0.5]]
+    b = [0.1, 0.0, 0.2]
+    with pytest.raises(ValueError) as exc:
+        affine_mode("three", a, b, StateSpace(((-5.0, 5.0),) * 3))
+    assert str(exc.value) == f"mode 'three': affine mode a={a}, b={b} has 3 states; only 1 or 2 have a closed form"
 
-    a = np.array([[-1.0, 0.5, 0.0], [0.2, -2.0, 0.3], [0.0, 0.4, -0.5]])
-    b = np.array([0.1, 0.0, 0.2])
-    box = StateSpace(((-5.0, 5.0),) * 3)
-    mode = affine_mode("three", a, b, box)
-    assert mode.kind.plane is None
-    x0 = np.array([0.2, 0.9, -0.3])
-    seg = solve_mode(mode, x0, 0.0, 4.0, box)
-    assert type(seg) is modes.DenseSegment
-    aug = np.zeros((4, 4))
-    aug[:3, :3], aug[:3, 3] = a, b
-    ts = np.linspace(0.0, 4.0, 17)
-    want = np.array([(expm(aug * t) @ np.append(x0, 1.0))[:3] for t in ts])
-    # RK45 at rtol 1e-9 and atol 1e-12 accumulates a few of them
-    assert np.allclose(seg.values(ts), want, rtol=1e-8, atol=1e-10)
-    # a degenerate span stands still, without the integrator
-    still = solve_mode(mode, x0, 4.0, 4.0, box)
-    assert np.array_equal(still.values([4.0])[0], x0)
+
+def test_a_mode_of_any_other_kind_is_refused():
+    class Numeric:
+        pass
+
+    with pytest.raises(ValueError) as exc:
+        ModeFunction("heat", HEAT.rhs, Numeric(), 0.1, 5.1)
+    assert str(exc.value) == "mode 'heat': a Numeric has no closed form; a mode is an AffineConstant or a ScalarRelaxation"
 
 
 # -- Newton steps on 2-state pieces -------------------------------------------------
@@ -682,17 +680,7 @@ def test_a_relaxation_whose_exponent_reads_nan_at_its_end_is_refused():
         find_crossings((seg,), 0.5)
 
 
-# -- numeric vs closed form -------------------------------------------------------
-
-
-def _as_numeric(mode: ModeFunction) -> ModeFunction:
-    return ModeFunction(
-        mode.id + "_numeric",
-        mode.rhs,
-        GeneralNumeric(),
-        mode.lipschitz_k,
-        mode.rhs_bound_m,
-    )
+# -- an integrator vs the closed form ------------------------------------------------
 
 
 _PLANE = StateSpace(((-100.0, 100.0), (-100.0, 100.0)))
@@ -703,9 +691,8 @@ _PLANE = StateSpace(((-100.0, 100.0), (-100.0, 100.0)))
     [(COOL, 20.0, PLANT_BOX),
      (affine_mode("pair", [[-1.0, 0.5], [0.0, -2.0]], [0.0, 1.0], _PLANE), [1.0, 0.0], _PLANE),
      (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
-      20.0, PLANT_BOX),
-     (_as_numeric(COOL), [20.0], PLANT_BOX)],
-    ids=["affine1", "affine_n", "relaxation", "numeric"],
+      20.0, PLANT_BOX)],
+    ids=["affine1", "affine_n", "relaxation"],
 )
 def test_every_segment_kind_refuses_a_backward_span(mode, x0, space):
     with pytest.raises(ValueError) as exc:
@@ -716,35 +703,30 @@ def test_every_segment_kind_refuses_a_backward_span(mode, x0, space):
 @pytest.mark.parametrize("mode,x0", [(HEAT, [20.0]), (COOL, [45.0])])
 def test_adaptive_integrator_agrees_with_closed_form(mode, x0):
     closed = solve_mode(mode, x0, 0.0, 10.0, PLANT_BOX)
-    numeric = solve_mode(_as_numeric(mode), x0, 0.0, 10.0, PLANT_BOX)
+    numeric = solve_ivp(mode.rhs, (0.0, 10.0), x0, method="RK45", rtol=1e-9, atol=1e-12, dense_output=True)
     ts = np.linspace(0.0, 10.0, 400)
     ref = closed.values(ts)
-    err = np.max(np.abs(numeric.values(ts) - ref))
+    err = np.max(np.abs(numeric.sol(ts).T - ref))
     scale = np.max(np.abs(ref))
     assert err / scale < 1e-8, f"relative disagreement {err / scale}"
 
 
-def test_a_numeric_mode_imports_its_integrator_on_first_use():
-    # a fresh interpreter, because this module imports scipy itself
-    out = run_fresh_python(
-        "import json, sys\n"
-        "from hybridgates import modes\n"
-        "heat = modes.affine_mode('heat', [[-0.1]], [5.0], modes.StateSpace(((-1.0, 51.0),)))\n"
-        "numeric = modes.ModeFunction('heat', heat.rhs, modes.GeneralNumeric(), 0.1, 5.1)\n"
-        "before = 'scipy.integrate' in sys.modules\n"
-        "seg = modes.solve_mode(numeric, [20.0], 0.0, 10.0, modes.StateSpace(((-1.0, 51.0),)))\n"
-        "ts = [10.0 * i / 40 for i in range(41)]\n"
-        "print(json.dumps([before, type(seg).__name__, seg.values(ts)[:, 0].tolist()]))\n"
-    )
-    before, kind, values = json.loads(out)
-    assert (before, kind) == (False, "DenseSegment")
-    ref = solve_ivp(
-        HEAT.rhs, (0.0, 10.0), [20.0], method="RK45",
-        rtol=modes._RK45_RTOL, atol=modes._RK45_ATOL, dense_output=True,
-    )
-    assert values == ref.sol(np.linspace(0.0, 10.0, 41))[0].tolist()
-    # the benchmark's tracer wraps the module attribute
-    assert "solve_ivp" in vars(modes)
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/spans.py wraps package attributes by name, modes.solve_ivp and
+    # DenseSegment.values among them, which nothing else in the package uses
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import hybridgates.cli  # noqa: F401  (the tracer wraps cli.load_circuit)
+
+    before = {name: getattr(modes, name) for name in ("solve_mode", "solve_ivp")}
+    before_values = vars(modes.DenseSegment)["values"]
+    uninstall = spans.install(spans.Tracer(), hybridgates)
+    assert modes.solve_ivp is not before["solve_ivp"]
+    uninstall()
+    assert {name: getattr(modes, name) for name in before} == before
+    assert vars(modes.DenseSegment)["values"] is before_values
 
 
 # -- state-space exit ---------------------------------------------------------------
@@ -760,23 +742,21 @@ def test_trajectory_leaving_box_raises_with_first_exit_time():
 
 
 @pytest.mark.parametrize(
-    "a,b,x0,box,sample",
+    "a,b,x0,box,time,bound",
     [
-        # 50 - 30 exp(-t/10) passes 30 at 4.05, first seen at sample 13
-        (-0.1, 5.0, 20.0, StateSpace(((0.0, 30.0),)), 13),
-        # 20 - 3 t passes 0 at 6.67, first seen at sample 22
-        (0.0, -3.0, 20.0, StateSpace(((0.0, 30.0),)), 22),
+        # 50 - 30 exp(-t/10) reaches 30 at 10 ln(3/2)
+        (-0.1, 5.0, 20.0, StateSpace(((0.0, 30.0),)), 10.0 * math.log(1.5), 30.0),
+        # 20 - 3 t reaches 0 at 20/3
+        (0.0, -3.0, 20.0, StateSpace(((0.0, 30.0),)), 20.0 / 3.0, 0.0),
     ],
+    ids=["decay", "ramp"],
 )
-def test_scalar_exit_reports_the_sampled_scan_time_and_state(a, b, x0, box, sample):
+def test_scalar_exit_is_exact(a, b, x0, box, time, bound):
     mode = affine_mode("m", [[a]], [b], box)
-    with pytest.raises(StateSpaceExit) as closed:
+    with pytest.raises(StateSpaceExit) as exc:
         solve_mode(mode, [x0], 0.0, 20.0, box)
-    seg = ScalarAffineSegment(0.0, 20.0, x0, a, b)
-    with pytest.raises(StateSpaceExit) as sampled:
-        _containment_scan(FunctionSegment(0.0, 20.0, seg.values), box)
-    assert closed.value.time == sampled.value.time == np.linspace(0.0, 20.0, 64)[sample]
-    assert np.array_equal(closed.value.state, sampled.value.state)
+    assert exc.value.time == pytest.approx(time, rel=1e-15)
+    assert exc.value.state.tolist() == pytest.approx([bound], abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -821,14 +801,34 @@ SHARE_PEAK = _share_peak()
         (NOR_CHARGE, [0.0, 0.0], StateSpace(((-0.01, 0.6), (-0.01, 1.01)))),
     ],
 )
-def test_two_state_exit_reports_the_sampled_scan_time_and_state(net, x0, box):
-    with pytest.raises(StateSpaceExit) as closed:
+def test_two_state_exit_is_exact(net, x0, box):
+    # the earliest time a component meets a bound: each component's first
+    # grid step past one, narrowed by brentq on the closed form
+    with pytest.raises(StateSpaceExit) as exc:
         solve_mode(affine_mode("m", *net, box), x0, 0.0, 20.0, box)
     seg = AffineSegment(0.0, 20.0, x0, *net)
-    with pytest.raises(StateSpaceExit) as sampled:
-        _containment_scan(FunctionSegment(0.0, 20.0, seg.values), box)
-    assert closed.value.time == sampled.value.time
-    assert np.array_equal(closed.value.state, sampled.value.state)
+    ts = np.linspace(0.0, 20.0, 20_001)
+    vals, exits = seg.values(ts), []
+    for k, (lo, hi) in enumerate(box.bounds):
+        out = (vals[:, k] <= lo) | (vals[:, k] >= hi)
+        if out.any():
+            j = int(np.argmax(out))
+            bound = lo if vals[j, k] <= lo else hi
+            t = brentq(lambda t: seg.value(t)[k] - bound, ts[j - 1], ts[j], xtol=1e-15)
+            exits.append((t, k, bound))
+    want, k, bound = min(exits)
+    assert exc.value.time == pytest.approx(want, abs=1e-12)
+    assert exc.value.state[k] == pytest.approx(bound, abs=1e-12)
+    assert all(lo - 1e-12 < x < hi + 1e-12 for x, (lo, hi) in zip(exc.value.state, box.bounds))
+
+
+def test_two_state_exit_is_the_earliest_over_components():
+    # x = (1.5 t, 3 t) leaves through x2 at t = 1/3, before x1 leaves at 2/3
+    box = StateSpace(((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(StateSpaceExit) as exc:
+        solve_mode(affine_mode("m", [[0.0, 0.0], [0.0, 0.0]], [1.5, 3.0], box), (0.0, 0.0), 0.0, 2.0, box)
+    assert exc.value.time == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert exc.value.state.tolist() == pytest.approx([0.5, 1.0], rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -840,58 +840,47 @@ def test_two_state_exit_reports_the_sampled_scan_time_and_state(net, x0, box):
         (NOR_CHARGE, [0.0, 0.0], 1000.0, StateSpace(((-0.01, 1.0), (-0.01, 1.0)))),
     ],
 )
-def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box, monkeypatch):
+def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box):
     seg = AffineSegment(0.0, t1, x0, *net)
-    _containment_scan(FunctionSegment(0.0, t1, seg.values), box)  # the sampled scan agrees
-    # the piece ends decide it: no sample is taken
-    monkeypatch.setattr(_SegmentBase, "sample_times", lambda self, n: pytest.fail("sampled"))
+    assert all(box.contains(row) for row in seg.values(np.linspace(0.0, t1, 64)))  # samples agree
     got = solve_mode(affine_mode("m", *net, box), x0, 0.0, t1, box)
     assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.value(got.t1), box.bounds))
 
 
 class _NanEndSegment(_SegmentBase):
-    """One piece on [0, 1] whose end values are (0.0, nan); its samples read
-    ``fill`` after t = 0."""
+    """Two pieces on [0, 1], split at 1/2, whose end values are (0.0, mid,
+    nan); the state reads ``mid`` from 1/2 on.  No piece meets a bound."""
 
-    __slots__ = ("t0", "t1", "fill")
+    __slots__ = ("t0", "t1", "mid")
     dimension = 1
 
-    def __init__(self, fill: float):
-        self.t0, self.t1, self.fill = 0.0, 1.0, fill
+    def __init__(self, mid: float):
+        self.t0, self.t1, self.mid = 0.0, 1.0, mid
 
-    def values(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.where(ts > 0.0, self.fill, 0.0)[:, None]
+    def state_at(self, t):
+        return self.mid if t >= 0.5 else 0.0
 
     def pieces(self, component):
-        return (0.0, 1.0), (0.0, math.nan), None
+        return (0.0, 0.5, 1.0), (0.0, self.mid, math.nan), None
 
 
-@pytest.mark.parametrize("fill, time", [(0.0, 1.0), (math.nan, 1.0 / 63)])
+@pytest.mark.parametrize("fill, time", [(0.0, 1.0), (math.nan, 0.5)])
 def test_a_nan_piece_end_is_an_exit(fill, time):
-    # min and max of (0.0, nan) both read 0.0, which let the NaN through;
-    # where no sample reads it, the piece end is the exit
+    # a NaN meets no comparison with the box: min and max of (0.0, nan) both
+    # read 0.0, which let it through; the first NaN end is the exit
     with pytest.raises(StateSpaceExit) as exc:
         _containment_scan(_NanEndSegment(fill), StateSpace(((-1.0, 1.0),)))
     assert exc.value.time == time
 
 
-def test_a_nan_sample_is_an_exit():
-    seg = FunctionSegment(0.0, 1.0, lambda ts: np.where(ts > 0.5, math.nan, 0.0))
-    with pytest.raises(StateSpaceExit) as exc:
-        _containment_scan(seg, StateSpace(((-1.0, 1.0),)))
-    assert exc.value.time == np.linspace(0.0, 1.0, 64)[32]
-    assert math.isnan(exc.value.state[0])
-
-
 def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
-    # e^{a t} passes the largest float long before t1; the state reads inf
-    # there, as numpy's exp gives, and the scan reports the first sample out
+    # e^{t} passes the largest float long before t1, so the end reads inf,
+    # as numpy's exp gives; the state leaves where it meets 51, at ln 51
     box = StateSpace(((-1.0, 51.0),))
     with pytest.raises(StateSpaceExit) as err:
         solve_mode(affine_mode("grow", [[1.0]], [0.0], box), 1.0, 0.0, 1000.0, box)
-    assert err.value.time == np.linspace(0.0, 1000.0, 64)[1]
-    assert err.value.state[0] > 51.0
+    assert err.value.time == pytest.approx(math.log(51.0), rel=1e-15)
+    assert err.value.state[0] == pytest.approx(51.0, rel=1e-14)
 
 
 def test_initial_state_outside_box_rejected():
@@ -921,6 +910,19 @@ def test_junctions_are_continuous():
     traj = matching_output_signal(family, switching, [20.0], PLANT_BOX)
     for prev, cur in zip(traj.segments, traj.segments[1:]):
         assert abs(prev.value(prev.t1)[0] - cur.value(cur.t0)[0]) <= 1e-9
+
+
+def test_trajectory_values_keep_the_callers_order(rng):
+    # times in any order, junctions and both ends included, read the same
+    # floats as each segment reads them one by one
+    family = {"heat": HEAT, "cool": COOL}
+    switching = ModeSwitchSignal("heat", ((0.7, "cool"), (1.1, "heat"), (3.0, "cool")), 6.0)
+    traj = matching_output_signal(family, switching, [20.0], PLANT_BOX)
+    ts = [-1.0, 0.0, 0.7, 1.1, 3.0, 6.0, 7.0] + [rng.uniform(0.0, 6.0) for _ in range(50)]
+    rng.shuffle(ts)
+    got = traj.values(ts)
+    assert got.shape == (len(ts), 1)
+    assert [row[0].hex() for row in got.tolist()] == [traj.value(t)[0].hex() for t in ts]
 
 
 def test_mode_refinement_noop_is_identity():
@@ -1131,7 +1133,7 @@ def test_factories_and_presets_build_without_numpy_linalg(monkeypatch):
 @pytest.mark.parametrize("k, m", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0)])
 def test_a_mode_with_negative_or_nan_bounds_is_refused(k, m):
     with pytest.raises(ValueError) as exc:
-        ModeFunction("m", lambda t, x: x, GeneralNumeric(), k, m)
+        ModeFunction("m", lambda t, x: x, AffineConstant([[1.0]], [0.0]), k, m)
     assert str(exc.value) == f"regularity bounds must be nonnegative, got K={k!r}, M={m!r}"
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from hybridgates import modes, threshold
+import conftest
 from hybridgates.modes import (
     AffineSegment,
     RelaxationSegment,
@@ -19,14 +20,14 @@ from hybridgates.modes import (
     affine_mode,
     solve_mode,
 )
+from hybridgates.signals import BinarySignal
 from hybridgates.threshold import (
-    CrossingCapExceeded,
     ThresholdSpec,
     digitize,
     find_crossings,
 )
 
-from conftest import FunctionSegment, term_scale
+from conftest import FunctionSegment, sampled_crossings, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 
@@ -38,6 +39,13 @@ def _affine_traj(a, b, x0, t1):
 
 def _wave_traj(fn, t1):
     return Trajectory([FunctionSegment(0.0, t1, fn)])
+
+
+def _sampled_digitize(traj, spec):
+    """``digitize`` of a trajectory that the sampled reference crosses."""
+    initial = 1 if traj.value(traj.t0)[spec.component - 1] > spec.xi else 0
+    crossings = sampled_crossings(traj, spec.xi, spec.component)
+    return BinarySignal(initial, tuple((t, int(rising)) for t, rising in crossings), traj.horizon)
 
 
 class TestConstantsAndInitialValue:
@@ -81,23 +89,23 @@ class TestClosedFormCrossings:
         assert sig.times[0] == pytest.approx(10.0 * math.log(50.0 / 31.0), abs=1e-12)
 
     def test_sine_crossings_at_arcsin_values(self):
-        sig = digitize(_wave_traj(np.sin, 2.0 * math.pi), ThresholdSpec(0.5))
+        sig = _sampled_digitize(_wave_traj(np.sin, 2.0 * math.pi), ThresholdSpec(0.5))
         assert sig.initial_value == 0
         assert len(sig.times) == 2
         assert sig.times[0] == pytest.approx(math.pi / 6.0, abs=1e-11)
         assert sig.times[1] == pytest.approx(5.0 * math.pi / 6.0, abs=1e-11)
 
     def test_numeric_solution_matches_closed_form_crossing(self):
-        from hybridgates.modes import GeneralNumeric, ModeFunction
-
+        # an RK45 solution of the heating mode, crossed by the sampled
+        # reference, against the closed form's exact time
         mode = affine_mode("heat", [[-0.1]], [5.0], BOX)
-        numeric = ModeFunction(
-            "heat_num", mode.rhs, GeneralNumeric(), mode.lipschitz_k, mode.rhs_bound_m
-        )
-        traj = Trajectory([solve_mode(numeric, [0.0], 0.0, 20.0, BOX)])
-        sig = digitize(traj, ThresholdSpec(19.0))
+        sol = solve_ivp(mode.rhs, (0.0, 20.0), [0.0], method="RK45", rtol=1e-9, atol=1e-12, dense_output=True)
+        traj = Trajectory([FunctionSegment(0.0, 20.0, lambda ts: sol.sol(ts)[0])])
+        sig = _sampled_digitize(traj, ThresholdSpec(19.0))
         assert len(sig.times) == 1
         assert sig.times[0] == pytest.approx(10.0 * math.log(50.0 / 31.0), abs=1e-7)
+        closed = digitize(_affine_traj(-0.1, 5.0, 0.0, 20.0), ThresholdSpec(19.0))
+        assert sig.times[0] == pytest.approx(closed.times[0], abs=1e-7)
 
 
 def _grid_oracle_crossings(fn, xi, t1, n=1_000_001):
@@ -109,9 +117,11 @@ def _grid_oracle_crossings(fn, xi, t1, n=1_000_001):
 
 
 class TestAgainstBruteForceGrid:
+    """The sampled reference that the closed forms are checked against."""
+
     def test_damped_sine_matches_fine_grid(self):
         fn = lambda t: np.exp(-0.3 * t) * np.sin(3.0 * t)
-        got = find_crossings(_wave_traj(fn, 6.0), 0.2)
+        got = sampled_crossings(_wave_traj(fn, 6.0), 0.2)
         want = _grid_oracle_crossings(fn, 0.2, 6.0)
         assert len(got) == len(want) == 6
         for (tg, rg), (tw, rw) in zip(got, want):
@@ -123,8 +133,8 @@ class TestAgainstBruteForceGrid:
         traj = _wave_traj(fn, 6.0)
         runs = []
         for p in (47, 64, 128):
-            monkeypatch.setattr(threshold, "_PROBE_POINTS", p)
-            runs.append(find_crossings(traj, 0.2))
+            monkeypatch.setattr(conftest, "_PROBE_POINTS", p)
+            runs.append(sampled_crossings(traj, 0.2))
         assert all(len(r) == len(runs[0]) for r in runs)
         for other in runs[1:]:
             for (ta, ra), (tb, rb) in zip(runs[0], other):
@@ -133,14 +143,14 @@ class TestAgainstBruteForceGrid:
 
 
 def _sampled(segment):
-    """The same values as a FunctionSegment, which takes the sampled path."""
+    """The same values as a FunctionSegment, which the sampled reference crosses."""
     return FunctionSegment(segment.t0, segment.t1, segment.values)
 
 
-def _crossings_and_warnings(traj, xi, component=1):
+def _crossings_and_warnings(traj, xi, component=1, crossings=find_crossings):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = find_crossings(traj, xi, component)
+        got = crossings(traj, xi, component)
     return got, [w.category for w in caught]
 
 
@@ -171,7 +181,7 @@ class TestClosedFormAgainstSampledPath:
             b = -a * (xi + lean_sign * lean)  # x_inf = xi +- lean
         seg = ScalarAffineSegment(t0, t0 + span, xi + offset, a, b)
         fast, fast_warned = _crossings_and_warnings(Trajectory([seg]), xi)
-        slow, slow_warned = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi)
+        slow, slow_warned = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi, 1, sampled_crossings)
         assert len(fast) <= 1
         _assert_same_crossings(fast, slow)
         assert fast_warned == slow_warned
@@ -187,7 +197,7 @@ class TestClosedFormAgainstSampledPath:
         # continue from the end state, ramping down through 0.5
         segs.append(ScalarAffineSegment(5.0, 6.0, segs[-1].value(segs[-1].t1)[0], 0.0, -2.0))
         fast = find_crossings(Trajectory(segs), 0.5)
-        slow = find_crossings(Trajectory([_sampled(s) for s in segs]), 0.5)
+        slow = sampled_crossings(Trajectory([_sampled(s) for s in segs]), 0.5)
         _assert_same_crossings(fast, slow)
         x2 = 0.2 + 0.5 * math.exp(-1.0)
         want = [
@@ -281,7 +291,7 @@ def _assert_matches_sampled(seg, xi, k):
     values round onto xi (a frozen component, an exp that underflows) the
     sampled path sees three samples on it and the piece ends may not."""
     fast, _ = _crossings_and_warnings(Trajectory([seg]), xi, k)
-    slow, _ = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi, k)
+    slow, _ = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi, k, sampled_crossings)
     assert [rising for _, rising in fast] == [rising for _, rising in slow]
     scale = term_scale(seg, k)
     for (t_fast, _), (t_slow, _) in zip(fast, slow):
@@ -379,14 +389,11 @@ class TestExponentialSumAgainstSampledPath:
             reach = 2.0 * _half_width(seg, k, t_star, _rounding(seg, k)) + 1e-12
             assert abs(got[0][0] - t_star) <= reach and abs(got[1][0] - t_star) <= reach
 
-    def test_complex_spectrum_is_never_sampled(self, monkeypatch):
+    def test_complex_spectrum_is_never_sampled(self):
         # a damped rotation, x1 = e^{-t/10} cos t, which turns every pi
         a, b, box = [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0], StateSpace(((-2.0, 2.0),) * 2)
         seg = AffineSegment(0.0, 10.0, [1.0, 0.0], a, b)
-        slow = find_crossings(Trajectory([_sampled(seg)]), 0.5)
-        monkeypatch.setattr(
-            modes._SegmentBase, "sample_times", lambda *args: pytest.fail("sampled")
-        )
+        slow = sampled_crossings(Trajectory([_sampled(seg)]), 0.5)
         seg = solve_mode(affine_mode("rotate", a, b, box), [1.0, 0.0], 0.0, 10.0, box)
         assert len(seg.pieces(1)[0]) == 5  # t0, three turns, t1
         got = find_crossings(Trajectory([seg]), 0.5)
@@ -414,11 +421,13 @@ class TestCrossingInput:
     @pytest.mark.parametrize("kind", sorted(_ONE_SEGMENT))
     def test_a_segment_in_a_tuple_crosses_as_its_trajectory(self, kind):
         seg = _ONE_SEGMENT[kind]
+        # the sampled reference reads its input as find_crossings does
+        crossings = sampled_crossings if isinstance(seg, FunctionSegment) else find_crossings
         crossed = 0
         for k in range(1, seg.dimension + 1):
             for xi in (-0.3, 0.2, 0.5):
-                got = find_crossings((seg,), xi, k)
-                assert got == find_crossings(Trajectory([seg]), xi, k), (k, xi)
+                got = crossings((seg,), xi, k)
+                assert got == crossings(Trajectory([seg]), xi, k), (k, xi)
                 crossed += len(got)
         assert crossed  # each kind crosses some level
 
@@ -460,13 +469,13 @@ class TestTangentialAndDegenerate:
         # parabola grazes the threshold at one instant; predicate never flips
         # on any sample that misses the exact tangency point
         fn = lambda t: 0.5 + (t - 1.0) ** 2 + 1e-9
-        sig = digitize(_wave_traj(fn, 2.0), ThresholdSpec(0.5))
+        sig = _sampled_digitize(_wave_traj(fn, 2.0), ThresholdSpec(0.5))
         assert sig.initial_value == 1
         assert sig.times == ()
 
     def test_touch_from_below_stays_low(self):
         fn = lambda t: 0.5 - (t - 1.0) ** 2
-        sig = digitize(_wave_traj(fn, 2.0), ThresholdSpec(0.5))
+        sig = _sampled_digitize(_wave_traj(fn, 2.0), ThresholdSpec(0.5))
         assert sig.initial_value == 0
         assert sig.times == ()
 
@@ -482,16 +491,11 @@ class TestTangentialAndDegenerate:
         assert find_crossings(_affine_traj(-1.0, 0.0, 1.0, 1000.0), 0.0) == []
         assert find_crossings(_affine_traj(-1.0, 0.5, 1.0, 1000.0), 0.5) == []
 
-    def test_crossing_cap(self):
-        fn = lambda t: np.sin(40.0 * t)
-        with pytest.raises(CrossingCapExceeded):
-            find_crossings(_wave_traj(fn, 20.0), 0.0, max_crossings=5)
-
     def test_component_selection(self):
         fn = lambda t: np.stack([np.zeros_like(t), np.exp(-t)], axis=1)
         traj = _wave_traj(fn, 3.0)
-        assert find_crossings(traj, 0.5, component=1) == []
-        falls = find_crossings(traj, 0.5, component=2)
+        assert sampled_crossings(traj, 0.5, component=1) == []
+        falls = sampled_crossings(traj, 0.5, component=2)
         assert len(falls) == 1
         assert falls[0][0] == pytest.approx(math.log(2.0), abs=1e-11)
 
@@ -507,7 +511,7 @@ class TestContinuityTrend:
         dists = []
         for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
             fn = lambda t, d=delta: np.exp(-t) + d * np.sin(1.3 * t)
-            out = digitize(_wave_traj(fn, 5.0), ThresholdSpec(0.5))
+            out = _sampled_digitize(_wave_traj(fn, 5.0), ThresholdSpec(0.5))
             dists.append(one_norm_distance(ref, out))
         assert all(a >= b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-4
