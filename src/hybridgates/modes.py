@@ -14,6 +14,13 @@ constant-mode interval from the previous segment's end state, so it is
 continuous by construction and follows the active mode's ODE between
 switches.  A circuit run keeps only each gate's mode entries and pastes its
 trajectories this way when they are asked for.
+
+A state has one form from a mode's data to a CSV dump: a tuple of floats, or
+a bare float where a run carries a 1-state gate.  ``AffineConstant.a`` is a
+tuple of row tuples and ``.b`` a tuple; ``value(t)`` of a segment or a
+trajectory is one row tuple (a 1-tuple for one state), ``values(ts)`` a list
+of them, ``breakpoints()`` a list of times and ``StateSpaceExit.state`` a
+tuple.
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
-
-import numpy as np
 
 from .signals import TIME_EPS, ModeSwitchSignal
 
@@ -51,11 +56,12 @@ __all__ = [
 
 
 class StateSpaceExit(RuntimeError):
-    """A trajectory left the gate's open state-space box."""
+    """A trajectory left the gate's open state-space box; ``state`` is the
+    state there, a tuple of floats."""
 
     def __init__(self, time: float, state):
         self.time = time
-        self.state = np.atleast_1d(state)
+        self.state = (state,) if isinstance(state, float) else tuple(state)
         super().__init__(f"trajectory left the state space at t={time} (state {self.state})")
 
 
@@ -93,35 +99,41 @@ class StateSpace:
 class AffineConstant:
     """dx/dt = a x + b with constant coefficients.
 
-    One state solves to a :class:`ScalarAffineSegment` from ``line``, the
+    ``a`` is kept as a tuple of row tuples of floats and ``b`` as a tuple of
+    floats, so two kinds with equal entries compare and hash equal.  One
+    state solves to a :class:`ScalarAffineSegment` from ``line``, the
     floats (a, b) read once, and two to an :class:`AffineSegment` from the
     constants ``plane`` derives once; ``line`` is None for two states and
     ``plane`` for one.  Three or more states, a non-finite entry of ``a`` or
     ``b``, or a constant of ``plane`` beyond the floats raise ValueError.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: tuple[tuple[float, ...], ...]
+    b: tuple[float, ...]
     line: tuple[float, float] | None = field(init=False, repr=False, compare=False)
     plane: _Plane | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=float, ndmin=2)
-        b = np.array(self.b, dtype=float, ndmin=1)
-        if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-            raise ValueError(f"inconsistent affine shapes {a.shape} / {b.shape}")
+        a = tuple(tuple(map(float, row)) for row in self.a)
+        b = tuple(map(float, self.b))
+        # a's shape, or its row count and distinct row lengths if ragged
+        shape = (len(a), *sorted({len(row) for row in a}))
+        if shape != (len(b), len(b)):
+            raise ValueError(f"inconsistent affine shapes {shape} / {(len(b),)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        rows, bs = a.tolist(), b.tolist()
-        if not all(map(math.isfinite, itertools.chain(*rows, bs))):
-            raise ValueError(f"affine mode a={rows}, b={bs} has non-finite constants")
-        if len(bs) > 2:
-            raise ValueError(f"affine mode a={rows}, b={bs} has {len(bs)} states; only 1 or 2 have a closed form")
+        def refusal(why: str) -> ValueError:
+            return ValueError(f"affine mode a={[list(row) for row in a]}, b={list(b)} {why}")
+
+        if not all(map(math.isfinite, itertools.chain(*a, b))):
+            raise refusal("has non-finite constants")
+        if len(b) > 2:
+            raise refusal(f"has {len(b)} states; only 1 or 2 have a closed form")
         try:
-            plane = _Plane(rows, bs) if len(bs) == 2 else None
+            plane = _Plane(a, b) if len(b) == 2 else None
         except ArithmeticError as exc:  # float() of a Fraction, or a Fraction(0, 0)
-            raise ValueError(f"affine mode a={rows}, b={bs} has constants beyond the floats") from exc
-        object.__setattr__(self, "line", (rows[0][0], bs[0]) if len(bs) == 1 else None)
+            raise refusal("has constants beyond the floats") from exc
+        object.__setattr__(self, "line", (a[0][0], b[0]) if len(b) == 1 else None)
         object.__setattr__(self, "plane", plane)
 
 
@@ -162,7 +174,7 @@ class _Plane:
     cancel.
     """
 
-    def __init__(self, a: list[list[float]], b: list[float]):
+    def __init__(self, a: Sequence[Sequence[float]], b: Sequence[float]):
         (a11, a12), (a21, a22) = a
         f11, f12, f21, f22, fb1, fb2 = map(Fraction, (a11, a12, a21, a22, *b))
         det, tr = f11 * f22 - f12 * f21, f11 + f22
@@ -226,7 +238,7 @@ class ModeFunction:
     """
 
     id: str
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable
     kind: AffineConstant | ScalarRelaxation
     lipschitz_k: float
     rhs_bound_m: float
@@ -246,28 +258,33 @@ class ModeFunction:
 def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     """Build an AffineConstant mode with K and M computed from the data.
 
-    K is the spectral norm of ``a``: |a|, or (|(a11 + a22, a21 - a12)| +
-    |(a11 - a22, a12 + a21)|)/2 for two states.  ``|a x + b|`` is convex in
-    ``x``, so M is its maximum over the box's corners.  Both are floats.  A
-    value beyond the floats at a corner makes M infinite, still a bound; one
-    that cancels to NaN makes ``ModeFunction`` refuse the mode.  A refusal,
-    of three or more states too, names ``mode_id``.
+    ``a`` is a sequence of rows and ``b`` a sequence, one entry per state.
+    The mode's ``rhs(t, x)`` is ``a x + b`` on floats, as a tuple, for a
+    sequence ``x`` of one float per state.  K is the spectral norm
+    of ``a``: |a|, or (|(a11 + a22, a21 - a12)| + |(a11 - a22, a12 +
+    a21)|)/2 for two states.  ``|a x + b|`` is convex in ``x``, so M is its
+    maximum over the box's corners.  Both are floats.  A value beyond the
+    floats at a corner makes M infinite, still a bound; one that cancels to
+    NaN makes ``ModeFunction`` refuse the mode.  A refusal, of three or more
+    states too, names ``mode_id``.
     """
     try:
         kind = AffineConstant(a, b)
     except ValueError as exc:
         raise ValueError(f"mode {mode_id!r}: {exc}") from exc
-    a_mat, b_vec = kind.a, kind.b
     if kind.line is not None:
         a1, b1 = kind.line
         k, xs = abs(a1), [(a1 * c + b1,) for (c,) in space.corners()]
     else:
-        ((a11, a12), (a21, a22)), (b1, b2) = a_mat.tolist(), b_vec.tolist()
+        ((a11, a12), (a21, a22)), (b1, b2) = kind.a, kind.b
         k = (math.hypot(a11 + a22, a21 - a12) + math.hypot(a11 - a22, a12 + a21)) / 2
         xs = [(a11 * c1 + a12 * c2 + b1, a21 * c1 + a22 * c2 + b2) for c1, c2 in space.corners()]
-    norms = [math.sqrt(sum([v * v for v in x])) for x in xs]  # numpy's 2-norm, sqrt(x . x)
+    norms = [math.sqrt(sum([v * v for v in x])) for x in xs]  # the 2-norm, sqrt(x . x)
     m = math.nan if any(map(math.isnan, norms)) else max(norms)
-    rhs = lambda t, x, _a=a_mat, _b=b_vec: _a @ x + _b
+
+    def rhs(t: float, x, _a=kind.a, _b=kind.b) -> tuple[float, ...]:
+        return tuple([sum([u * v for u, v in zip(row, x)]) + c for row, c in zip(_a, _b)])
+
     return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
 
 
@@ -328,7 +345,7 @@ def _newton(
 
 
 def _exp(u: float) -> float:
-    """e^u, or inf past ln of the largest float, where ``math.exp`` raises, as numpy's exp."""
+    """e^u, or inf past ln of the largest float, where ``math.exp`` raises."""
     return math.exp(u) if u <= 709.782712893384 else math.inf
 
 
@@ -347,20 +364,20 @@ class _SegmentBase:
 
     ``state_at(t)`` is the state in the one form a run carries between
     modes: a float in a 1-state space, otherwise a tuple of floats.
-    ``values(ts)`` is an array with one row per time, and ``value(t)`` one
-    such row.  ``pieces(component)`` returns, for one state component
-    (1-based), ``(ts, xs, meet)``: ``ts`` is ``(t0, *breaks, t1)``, where the
-    breaks are the interior times where the component turns, so it is
-    monotone between consecutive times; ``xs`` are the component's values at
-    ``ts``, as floats, read once for every reader (containment and the
-    crossing search each make one call); and ``meet(xi, lo, hi)`` is the
-    time in such a piece ``[lo, hi]``, whose end values straddle ``xi``, at
-    which the component equals ``xi``.
+    ``value(t)`` is the state as a row tuple (a 1-tuple for one state), and
+    ``values(ts)`` a list of such rows, one per time.  ``pieces(component)``
+    returns, for one state component (1-based), ``(ts, xs, meet)``: ``ts``
+    is ``(t0, *breaks, t1)``, where the breaks are the interior times where
+    the component turns, so it is monotone between consecutive times; ``xs``
+    are the component's values at ``ts``, as floats, read once for every
+    reader (containment and the crossing search each make one call); and
+    ``meet(xi, lo, hi)`` is the time in such a piece ``[lo, hi]``, whose end
+    values straddle ``xi``, at which the component equals ``xi``.
     """
 
     __slots__ = ()
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> tuple[float, ...]:
         return self.values([t])[0]
 
 
@@ -370,7 +387,7 @@ class _FloatSegment(_SegmentBase):
     The state is monotone, so the segment is one piece, which meets xi at
     the time its ``_meet`` gives.  Its end value ``x1`` is ``at(t1)``, read
     once when the segment is built.  ``values`` applies ``at`` time by time,
-    so the array API and the float one agree float for float.
+    so its rows and ``state_at`` agree float for float.
     """
 
     __slots__ = ()
@@ -380,9 +397,8 @@ class _FloatSegment(_SegmentBase):
     def state_at(self, t: float) -> float:
         return self.at(t)
 
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
-        return np.array([self.at(t) for t in ts]).reshape(-1, 1)
+    def values(self, ts) -> list[tuple[float]]:
+        return [(self.at(float(t)),) for t in ts]
 
     def pieces(self, component: int):
         # at(t0) is x0 itself, and x1 is at(t1)
@@ -538,8 +554,8 @@ class AffineSegment(_SegmentBase):
         (a,), (b,) = self._states((t,))
         return a, b
 
-    def values(self, ts) -> np.ndarray:
-        return np.array(self._states(np.atleast_1d(np.asarray(ts, dtype=float)).tolist())).T
+    def values(self, ts) -> list[tuple[float, float]]:
+        return list(zip(*self._states([float(t) for t in ts])))
 
     def pieces(self, component: int):
         """Monotone pieces of one state component; see ``_SegmentBase.pieces``."""
@@ -596,7 +612,7 @@ class ScalarAffineSegment(_FloatSegment):
             return x0 + b * dt
         try:
             growth = math.exp(a * dt)
-        except OverflowError:  # as numpy's exp, which returns inf
+        except OverflowError:  # read as inf
             if x0 == -b / a:  # an unstable equilibrium, where 0 * inf is nan
                 return x0
             growth = math.inf
@@ -668,32 +684,24 @@ class RelaxationSegment(_FloatSegment):
 
 # unused; bench/spans.py wraps DenseSegment.values by name
 class DenseSegment(_SegmentBase):
-    """Adaptive-integrator solution with dense output on [t0, t1]."""
+    """Adaptive-integrator solution on [t0, t1]: ``sol(t)`` is the state at
+    a float time, as a sequence of floats."""
 
-    __slots__ = ("t0", "t1", "_sol", "_steps")
+    __slots__ = ("t0", "t1", "_sol")
 
-    def __init__(self, t0: float, t1: float, sol, steps):
+    def __init__(self, t0: float, t1: float, sol):
         if t1 < t0:
             raise ValueError(f"segment must run forward: [{t0}, {t1}]")
         self.t0 = float(t0)
         self.t1 = float(t1)
         self._sol = sol
-        self._steps = np.asarray(steps, dtype=float)
 
     @property
     def dimension(self) -> int:
-        return np.atleast_1d(self._sol(self.t0)).shape[0]
+        return len(self._sol(self.t0))
 
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ts = np.clip(ts, self.t0, self.t1)
-        out = self._sol(ts)
-        return np.atleast_2d(out).T if out.ndim == 1 else out.T
-
-    def sample_times(self, n: int) -> np.ndarray:
-        inside = self._steps[(self._steps >= self.t0) & (self._steps <= self.t1)]
-        uniform = np.linspace(self.t0, self.t1, max(n, 2))
-        return np.unique(np.concatenate([inside, uniform]))
+    def values(self, ts) -> list[tuple[float, ...]]:
+        return [tuple(map(float, self._sol(min(max(float(t), self.t0), self.t1)))) for t in ts]
 
 
 Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment
@@ -701,7 +709,12 @@ Segment = AffineSegment | ScalarAffineSegment | RelaxationSegment
 
 class Trajectory:
     """Continuous piecewise solution: consecutive segments tiling [t0, t1].
-    Iterating it yields the segments in time order."""
+    Iterating it yields the segments in time order.
+
+    ``value(t)`` is the state of the segment that holds ``t`` as a row
+    tuple, ``values(ts)`` a list of such rows and ``breakpoints()`` the list
+    of segment ends, ``t0`` first.
+    """
 
     def __init__(self, segments: Sequence[Segment]):
         if not segments:
@@ -729,26 +742,18 @@ class Trajectory:
     def dimension(self) -> int:
         return self.segments[0].dimension
 
-    def breakpoints(self) -> np.ndarray:
-        return np.asarray([self.t0] + [s.t1 for s in self.segments])
+    def breakpoints(self) -> list[float]:
+        return [self.t0] + [s.t1 for s in self.segments]
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> tuple[float, ...]:
         idx = bisect.bisect_right(self._starts, t) - 1
         return self.segments[max(idx, 0)].value(t)
 
-    def values(self, ts) -> np.ndarray:
-        """The state at each of ``ts``, in their order: each segment reads
-        the times that fall in it, the first one those before t0 and the
-        last one those past the horizon."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((len(ts), self.dimension))
-        idxs = np.searchsorted(self._starts, ts, side="right") - 1
-        idxs = np.clip(idxs, 0, len(self.segments) - 1)
-        for seg_idx, segment in enumerate(self.segments):
-            mask = idxs == seg_idx
-            if mask.any():
-                out[mask] = segment.values(ts[mask])
-        return out
+    def values(self, ts) -> list[tuple[float, ...]]:
+        """The state at each of ``ts``, in their order: each time is read by
+        the segment that holds it, the first one those before t0 and the last
+        one those past the horizon."""
+        return [self.value(t) for t in ts]
 
 
 # -- solving -------------------------------------------------------------------
@@ -792,21 +797,25 @@ def solve_mode(
 ) -> Segment:
     """Solve one mode from ``x0`` over ``[t0, t1]``; returns a segment.
 
-    ``x0`` (an int, float, numpy scalar, 0-d array, or list, tuple or array
-    of one entry per state) becomes, without numpy, the one form a run
-    carries and ``state_at`` returns: a float in a 1-state space, else a
-    tuple of floats.  A relaxation solves to a :class:`RelaxationSegment`,
-    an affine mode to a :class:`ScalarAffineSegment` in a 1-state space and
-    to an :class:`AffineSegment` in a 2-state one.  Raises
-    :class:`StateSpaceExit` if the solution leaves the open box, at the
-    earliest time a component reaches a bound, with the state there, and
-    ``ValueError`` for a wrong state dimension or ``t1 < t0``.
+    ``x0`` (a number, or a sequence of one number per state) becomes the
+    one form a run carries and ``state_at`` returns: a float in a 1-state
+    space, else a tuple of floats.  A relaxation solves to a
+    :class:`RelaxationSegment`, an affine mode to a
+    :class:`ScalarAffineSegment` in a 1-state space and to an
+    :class:`AffineSegment` in a 2-state one.  Raises :class:`StateSpaceExit`
+    if the solution leaves the open box, at the earliest time a component
+    reaches a bound, with the state there, and ``ValueError`` for a mode or
+    an ``x0`` whose state count is not the box's, or ``t1 < t0``.
     """
-    n = space.dimension
+    n, kind = space.dimension, mode.kind
+    relaxation = isinstance(kind, ScalarRelaxation)
+    states = 1 if relaxation else len(kind.b)
+    if states != n:
+        raise ValueError(f"mode {mode.id!r}: a {states}-state mode in a {n}-state space")
     if not (n == 1 and isinstance(x0, float)):
         try:
             k = len(x0)
-        except TypeError:  # a scalar: an int, a numpy scalar or a 0-d array
+        except TypeError:  # a number that is not a float
             k, x0 = 1, (x0,)
         if k != n:
             raise ValueError(f"state dimension {k} != space dimension {n}")
@@ -814,8 +823,7 @@ def solve_mode(
     if not space.contains(x0):
         raise StateSpaceExit(t0, x0)
 
-    kind = mode.kind
-    if isinstance(kind, ScalarRelaxation):
+    if relaxation:
         seg: Segment = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
     elif n == 1:
         seg = ScalarAffineSegment(t0, t1, x0, *kind.line)
@@ -849,37 +857,44 @@ def matching_output_signal(
     return Trajectory(segments)
 
 
+def _uniform(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced floats from lo to hi: ``lo + i*step``, the last
+    one ``hi`` itself; one is lo alone."""
+    if n < 2:
+        return [lo][:n]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def _distances(x: Trajectory, y: Trajectory, ts: list[float]) -> list[float]:
+    """The 2-norm of x - y at each of ``ts``, sqrt of the sum of squares."""
+    return [
+        math.sqrt(sum([(u - v) * (u - v) for u, v in zip(p, q)]))
+        for p, q in zip(x.values(ts), y.values(ts))
+    ]
+
+
 def sup_distance(x: Trajectory, y: Trajectory, samples: int = 10_000) -> float:
     """Sampled sup-norm distance between two trajectories on a shared span.
 
-    The grid is the union of a uniform grid, both trajectories' segment
-    boundaries, and a local refinement around the coarse maximum, so the
-    reported value is a lower bound within the interpolation error.
+    The grid is the sorted union of ``max(samples, 16)`` evenly spaced times
+    (``lo + i*step``, the last one ``hi``), both trajectories' segment
+    boundaries, and 512 evenly spaced times around the coarse maximum, so
+    the reported value is a lower bound within the interpolation error.
+    States are read as row tuples.
     """
     lo = max(x.t0, y.t0)
     hi = min(x.horizon, y.horizon)
     if hi - lo <= 0:
         raise ValueError("trajectories do not overlap in time")
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.linspace(lo, hi, max(samples, 16)),
-                np.clip(x.breakpoints(), lo, hi),
-                np.clip(y.breakpoints(), lo, hi),
-            ]
-        )
-    )
-    diff = np.linalg.norm(x.values(grid) - y.values(grid), axis=1)
-    best = int(np.argmax(diff))
-    coarse = float(diff[best])
+    ends = [min(max(t, lo), hi) for t in x.breakpoints() + y.breakpoints()]
+    grid = sorted({*_uniform(lo, hi, max(samples, 16)), *ends})
+    diff = _distances(x, y, grid)
+    best = max(range(len(grid)), key=diff.__getitem__)  # the first maximum
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
-    if b > a:
-        fine = np.linspace(a, b, 512)
-        refined = float(np.max(np.linalg.norm(x.values(fine) - y.values(fine), axis=1)))
-    else:
-        refined = coarse
-    return max(coarse, refined)
+    refined = max(_distances(x, y, _uniform(a, b, 512))) if b > a else diff[best]
+    return max(diff[best], refined)
 
 
 # -- CSV dump --------------------------------------------------------------------
@@ -893,18 +908,19 @@ def write_trajectory_csv(
 ) -> None:
     """Sample a trajectory on a uniform grid and dump it as CSV.
 
-    Header comments carry the supplied metadata plus the segment boundary
+    The grid is ``samples`` times ``t0 + i*step``, the last one the horizon
+    itself, and each row the state there, read as a row tuple.  Header
+    comments carry the supplied metadata plus the segment boundary
     (mode-switch) times.
     """
-    switch_times = [float(t) for t in traj.breakpoints()[1:-1]]
+    switch_times = traj.breakpoints()[1:-1]
     lines = []
     for key, value in (metadata or {}).items():
         lines.append(f"# {key}={value}")
     lines.append(f"# switch_times={switch_times!r}")
     n = traj.dimension
     lines.append("time," + ",".join(f"x{i + 1}" for i in range(n)))
-    ts = np.linspace(traj.t0, traj.horizon, samples)
-    vals = traj.values(ts)
-    for t, row in zip(ts, vals):
-        lines.append(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row))
+    ts = _uniform(traj.t0, traj.horizon, samples)
+    for t, row in zip(ts, traj.values(ts)):
+        lines.append(f"{t!r}," + ",".join(f"{float(v)!r}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

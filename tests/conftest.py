@@ -169,7 +169,7 @@ def _refined_samples(segment, xi: float, component: int) -> tuple[np.ndarray, np
     """Sampling grid for one segment, uniform, then refined twice where the
     state runs close to the threshold relative to its local variation."""
     ts = np.linspace(segment.t0, segment.t1, max(_PROBE_POINTS, 2))
-    g = segment.values(ts)[:, component - 1] - xi
+    g = np.array(segment.values(ts))[:, component - 1] - xi
     for _ in range(2):
         extra: list[np.ndarray] = []
         flips = (g[:-1] > 0) != (g[1:] > 0)
@@ -180,7 +180,7 @@ def _refined_samples(segment, xi: float, component: int) -> tuple[np.ndarray, np
         if not extra:
             break
         ts = np.unique(np.concatenate([ts, *extra]))
-        g = segment.values(ts)[:, component - 1] - xi
+        g = np.array(segment.values(ts))[:, component - 1] - xi
     return ts, g
 
 

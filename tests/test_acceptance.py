@@ -98,7 +98,7 @@ def test_01_affine_modes_match_closed_forms():
         for x0 in ((0.3, 0.9), (0.97, 0.04)):
             tic = time.perf_counter()
             traj = Trajectory([solve_mode(mode, x0, 0.0, 10.0, nor.state_space)])
-            got = traj.values(grid)
+            got = np.array(traj.values(grid))
             slowest = max(slowest, time.perf_counter() - tic)
             u, w = _nor_closed_form(bits, x0[0], x0[1], grid)
             exact = np.column_stack([u, w])
@@ -113,7 +113,7 @@ def test_01_affine_modes_match_closed_forms():
         for T0 in (20.0, 3.0):
             tic = time.perf_counter()
             traj = Trajectory([solve_mode(mode, [T0], 0.0, 10.0, plant.state_space)])
-            got = traj.values(grid)[:, 0]
+            got = np.array(traj.values(grid))[:, 0]
             slowest = max(slowest, time.perf_counter() - tic)
             exact = oracle(grid, T0)
             rel = np.abs(got - exact) / np.maximum(np.abs(exact), 1e-12)
@@ -421,7 +421,7 @@ def test_09_thermostat_band_and_period():
         np.linspace(first_switch, horizon, 20001),
         np.clip(breaks, first_switch, horizon),
     ]))
-    values = temp.values(grid)[:, 0]
+    values = np.array(temp.values(grid))[:, 0]
     lo, hi = float(values.min()), float(values.max())
     band_ok = 19.0 - 0.1 <= lo and hi <= 21.0 + 0.1
 

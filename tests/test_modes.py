@@ -100,8 +100,8 @@ _spans = st.one_of(st.floats(1e-9, 1e-3), st.floats(0.1, 20.0))
 def test_float_segment_evaluates_its_array_api_float_for_float(a, b, x0, t0, span, u):
     seg = ScalarAffineSegment(t0, t0 + span, x0, a, b)
     t = t0 + u * span
-    assert seg.at(t) == seg.values([t])[0, 0]
-    assert seg.at(t0) == seg.values([t0, t])[0, 0] == x0
+    assert seg.at(t) == seg.values([t])[0][0]
+    assert seg.at(t0) == seg.values([t0, t])[0][0] == x0
     assert seg.state_at(t) == seg.at(t)
 
 
@@ -231,7 +231,7 @@ def test_solve_mode_takes_a_float_or_a_sequence_alike(a, b, x0, span):
         for t in (seg.t0, (seg.t0 + seg.t1) / 2, seg.t1):
             state = seg.state_at(t)
             assert type(state) is tuple and [type(v) for v in state] == [float, float]
-            assert [v.hex() for v in state] == [v.hex() for v in seg.values([t])[0].tolist()]
+            assert [v.hex() for v in state] == [v.hex() for v in seg.values([t])[0]]
 
 
 def test_solve_mode_takes_an_int_and_names_a_wrong_dimension():
@@ -329,8 +329,8 @@ def test_exponential_terms_merge_zero_and_repeated_eigenvalues():
     assert plane.c == plane.m == (0.0, 0.0)
     assert seg._pq == (0.0, 0.25, 0.75, 0.0)  # c + m s + p e^{-2s} + q
     ts = np.linspace(0.0, 5.0, 11)
-    assert np.array_equal(seg.values(ts)[:, 0], np.full(11, 0.25))
-    assert seg.values(ts)[1:, 1].tolist() == [0.75 * math.exp(-2.0 * t) for t in ts[1:]]
+    assert np.array_equal(np.array(seg.values(ts))[:, 0], np.full(11, 0.25))
+    assert np.array(seg.values(ts))[1:, 1].tolist() == [0.75 * math.exp(-2.0 * t) for t in ts[1:]]
     # complex and defective segments have forms of their own
     for x0, a, b, form in [
         ([1.0, 0.0], [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0], "complex"),
@@ -399,7 +399,7 @@ def test_two_state_closed_form_matches_a_tight_integrator(case, span):
     # DOP853 squares its error estimate, which underflows to 0/0 on states
     # near 1e-160; such a draw has no reference
     assume(ref.success)
-    got = seg.values(ts)
+    got = np.array(seg.values(ts))
     assert np.array_equal(got[0], x0)
     for k in (1, 2):
         # the integrator's error, and the closed form's rounding of its terms
@@ -439,7 +439,7 @@ def test_two_state_states_are_each_components_own_closed_form(seg, u):
     assert [x.hex() for x in seg.x1] == want(seg.t1)
     for s in ts:
         assert [x.hex() for x in seg.state_at(s)] == want(s)
-    assert [[x.hex() for x in row] for row in seg.values(ts).tolist()] == [want(s) for s in ts]
+    assert [[x.hex() for x in row] for row in seg.values(ts)] == [want(s) for s in ts]
     for k in (1, 2):
         ends, xs, _ = seg.pieces(k)
         assert [x.hex() for x in xs] == [reference_component(seg, k, s).hex() for s in ends]
@@ -518,7 +518,7 @@ def test_newton_meet_agrees_with_brentq(case):
     # in the piece and within meet's tolerance of the root brentq finds
     seg, k, xi = case
     ts, xs, meet = seg.pieces(k)
-    a, b = seg.kind.a, seg.kind.b
+    a, b = np.array(seg.kind.a), np.array(seg.kind.b)
 
     def excess(t: float) -> float:
         return seg.state_at(t)[k - 1] - xi
@@ -700,12 +700,47 @@ def test_every_segment_kind_refuses_a_backward_span(mode, x0, space):
     assert str(exc.value) == "segment must run forward: [2.0, 1.0]"
 
 
+@pytest.mark.parametrize(
+    "mode, x0, space, message",
+    [(affine_mode("pair", [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], _PLANE), 0.5, BOX,
+      "mode 'pair': a 2-state mode in a 1-state space"),
+     (COOL, (20.0, 20.0), _PLANE, "mode 'cool': a 1-state mode in a 2-state space"),
+     (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
+      (20.0, 20.0), _PLANE, "mode 'relax': a 1-state mode in a 2-state space")],
+    ids=["affine_n_in_one_state", "affine1_in_two_states", "relaxation_in_two_states"],
+)
+def test_a_mode_whose_state_count_is_not_the_boxs_is_refused(mode, x0, space, message):
+    with pytest.raises(ValueError) as exc:
+        solve_mode(mode, x0, 0.0, 1.0, space)
+    assert str(exc.value) == message
+
+
+def test_affine_mode_data_are_tuples_that_compare_and_hash_by_their_entries():
+    one = AffineConstant([[-1, 0], [0, -1]], [0.5, 0])
+    other = AffineConstant(((-1.0, 0.0), (0.0, -1.0)), (0.5, 0.0))
+    assert (one.a, one.b) == (((-1.0, 0.0), (0.0, -1.0)), (0.5, 0.0))
+    assert one == other and hash(one) == hash(other)
+    assert one != AffineConstant([[-1.0, 0.0], [0.0, -2.0]], [0.5, 0.0])
+    assert AffineConstant([[-2]], [1]) == AffineConstant(((-2.0,),), (1.0,))
+    for a, b, shapes in (([[1.0, 2.0]], [0.0], "(1, 2) / (1,)"),
+                         ([[1.0, 0.0], [0.0, 1.0]], [0.0], "(2, 2) / (1,)")):
+        with pytest.raises(ValueError) as exc:
+            AffineConstant(a, b)
+        assert str(exc.value) == f"inconsistent affine shapes {shapes}"
+
+
+def test_an_affine_rhs_is_a_x_plus_b_as_a_tuple():
+    mode = affine_mode("pair", [[-1.0, 0.5], [0.25, -2.0]], [0.1, 0.0], _PLANE)
+    assert mode.rhs(0.0, (2.0, 4.0)) == (-2.0 + 2.0 + 0.1, 0.5 - 8.0 + 0.0)
+    assert COOL.rhs(0.0, [20.0]) == (-2.0,)
+
+
 @pytest.mark.parametrize("mode,x0", [(HEAT, [20.0]), (COOL, [45.0])])
 def test_adaptive_integrator_agrees_with_closed_form(mode, x0):
     closed = solve_mode(mode, x0, 0.0, 10.0, PLANT_BOX)
     numeric = solve_ivp(mode.rhs, (0.0, 10.0), x0, method="RK45", rtol=1e-9, atol=1e-12, dense_output=True)
     ts = np.linspace(0.0, 10.0, 400)
-    ref = closed.values(ts)
+    ref = np.array(closed.values(ts))
     err = np.max(np.abs(numeric.sol(ts).T - ref))
     scale = np.max(np.abs(ref))
     assert err / scale < 1e-8, f"relative disagreement {err / scale}"
@@ -756,7 +791,7 @@ def test_scalar_exit_is_exact(a, b, x0, box, time, bound):
     with pytest.raises(StateSpaceExit) as exc:
         solve_mode(mode, [x0], 0.0, 20.0, box)
     assert exc.value.time == pytest.approx(time, rel=1e-15)
-    assert exc.value.state.tolist() == pytest.approx([bound], abs=1e-13)
+    assert exc.value.state == pytest.approx((bound,), abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -808,7 +843,7 @@ def test_two_state_exit_is_exact(net, x0, box):
         solve_mode(affine_mode("m", *net, box), x0, 0.0, 20.0, box)
     seg = AffineSegment(0.0, 20.0, x0, *net)
     ts = np.linspace(0.0, 20.0, 20_001)
-    vals, exits = seg.values(ts), []
+    vals, exits = np.array(seg.values(ts)), []
     for k, (lo, hi) in enumerate(box.bounds):
         out = (vals[:, k] <= lo) | (vals[:, k] >= hi)
         if out.any():
@@ -828,7 +863,7 @@ def test_two_state_exit_is_the_earliest_over_components():
     with pytest.raises(StateSpaceExit) as exc:
         solve_mode(affine_mode("m", [[0.0, 0.0], [0.0, 0.0]], [1.5, 3.0], box), (0.0, 0.0), 0.0, 2.0, box)
     assert exc.value.time == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert exc.value.state.tolist() == pytest.approx([0.5, 1.0], rel=1e-15)
+    assert exc.value.state == pytest.approx((0.5, 1.0), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -921,8 +956,8 @@ def test_trajectory_values_keep_the_callers_order(rng):
     ts = [-1.0, 0.0, 0.7, 1.1, 3.0, 6.0, 7.0] + [rng.uniform(0.0, 6.0) for _ in range(50)]
     rng.shuffle(ts)
     got = traj.values(ts)
-    assert got.shape == (len(ts), 1)
-    assert [row[0].hex() for row in got.tolist()] == [traj.value(t)[0].hex() for t in ts]
+    assert np.array(got).shape == (len(ts), 1)
+    assert [row[0].hex() for row in got] == [traj.value(t)[0].hex() for t in ts]
 
 
 def test_mode_refinement_noop_is_identity():
@@ -1106,28 +1141,6 @@ def test_two_state_k_and_m_on_floats_match_numpys(a, b, space):
     terms = max(math.hypot(*(abs(r[0] * c[0]) + abs(r[1] * c[1]) + abs(v) for r, v in zip(a, b))) for c in corners)
     tol = 8 * math.ulp(m) + 4 * sys.float_info.epsilon * terms
     assert mode.rhs_bound_m == m or abs(mode.rhs_bound_m - m) <= tol  # == for a square beyond the floats
-
-
-def test_factories_and_presets_build_without_numpy_linalg(monkeypatch):
-    # K and M of every shipped mode, one or two states, are computed on floats
-    from hybridgates import gates
-    from hybridgates.cli import _preset_names, load_circuit
-
-    class NoLinalg:
-        def __getattr__(self, name):
-            if name == "linalg":
-                raise AssertionError("numpy.linalg while building")
-            return getattr(np, name)
-
-    monkeypatch.setattr(modes, "np", NoLinalg())
-    gates.make_boolean_gate("nand2", [0.1, 0.1])
-    gates.make_const_gate(1)
-    gates.make_idm_channel()
-    gates.make_heater_plant()
-    gates.make_simple_nor()
-    gates.make_advanced_nor()
-    for name in _preset_names():
-        assert load_circuit(f"preset:{name}").circuit.report.ok
 
 
 @pytest.mark.parametrize("k, m", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0)])

@@ -264,7 +264,8 @@ def _with_extremum(draw):
 
 def _extremum(seg, k):
     """Interior zero of d x_k/dt = (a x + b)_k, found from the values alone."""
-    slope = lambda t: float((seg.kind.a @ seg.value(t) + seg.kind.b)[k - 1])  # noqa: E731
+    a, b = np.array(seg.kind.a), np.array(seg.kind.b)
+    slope = lambda t: float((a @ np.array(seg.value(t)) + b)[k - 1])  # noqa: E731
     lo, hi = slope(seg.t0), slope(seg.t1)
     if lo == 0.0 or hi == 0.0 or (lo > 0.0) == (hi > 0.0):
         return None
@@ -279,8 +280,8 @@ def _rounding(seg, k):
 def _half_width(seg, k, t_star, depth):
     """Half the width of the parabola x_star + x''(t_star) (t - t_star)^2 / 2
     at ``depth`` from its vertex."""
-    a, b = seg.kind.a, seg.kind.b
-    curvature = abs(float((a @ (a @ seg.value(t_star) + b))[k - 1]))
+    a, b = np.array(seg.kind.a), np.array(seg.kind.b)
+    curvature = abs(float((a @ (a @ np.array(seg.value(t_star)) + b))[k - 1]))
     return math.sqrt(2.0 * depth / curvature)
 
 
@@ -293,9 +294,9 @@ def _assert_matches_sampled(seg, xi, k):
     fast, _ = _crossings_and_warnings(Trajectory([seg]), xi, k)
     slow, _ = _crossings_and_warnings(Trajectory([_sampled(seg)]), xi, k, sampled_crossings)
     assert [rising for _, rising in fast] == [rising for _, rising in slow]
-    scale = term_scale(seg, k)
+    scale, a, b = term_scale(seg, k), np.array(seg.kind.a), np.array(seg.kind.b)
     for (t_fast, _), (t_slow, _) in zip(fast, slow):
-        slope = abs(float((seg.kind.a @ seg.value(t_fast) + seg.kind.b)[k - 1]))
+        slope = abs(float((a @ np.array(seg.value(t_fast)) + b)[k - 1]))
         assert abs(t_fast - t_slow) <= 1e-12 + 1e-14 * scale / max(slope, 1e-300)
     return fast
 
@@ -335,7 +336,7 @@ class TestExponentialSumAgainstSampledPath:
     def test_two_crossings_around_the_extremum(self, seg_k_star, depth):
         seg, k, t_star = seg_k_star
         x_star = float(seg.value(t_star)[k - 1])
-        ends = seg.values([seg.t0, seg.t1])[:, k - 1]
+        ends = np.array(seg.values([seg.t0, seg.t1]))[:, k - 1]
         near = ends[np.argmin(np.abs(ends - x_star))]  # the end nearer the extremum
         assume(abs(x_star - near) > 1e-2)
         xi = x_star + depth * (near - x_star)  # strictly between: two crossings
@@ -357,7 +358,7 @@ class TestExponentialSumAgainstSampledPath:
         # value at the extremum
         seg, k, t_star = seg_k_star
         x_star = float(seg.value(t_star)[k - 1])
-        ends = seg.values([seg.t0, seg.t1])[:, k - 1]
+        ends = np.array(seg.values([seg.t0, seg.t1]))[:, k - 1]
         assume(np.min(np.abs(ends - x_star)) > 1e-6)
         xi = x_star + side * offset
         got = find_crossings(Trajectory([seg]), xi, component=k)
@@ -380,7 +381,7 @@ class TestExponentialSumAgainstSampledPath:
         # rounding resolves into no edge or an out-and-back pair at t_star
         seg, k, t_star = seg_k_star
         xi = float(seg.value(t_star)[k - 1])
-        ends = seg.values([seg.t0, seg.t1])[:, k - 1]
+        ends = np.array(seg.values([seg.t0, seg.t1]))[:, k - 1]
         assume(np.min(np.abs(ends - xi)) > 1e-6)
         got = find_crossings(Trajectory([seg]), xi, component=k)
         assert len(got) in (0, 2)
