@@ -2,11 +2,12 @@
 
 A circuit is a named set of vertices (input ports, output ports, gate specs)
 plus directed edges feeding gate input slots.  Execution is an iterative
-event simulation: committed output transitions propagate along edges with
-the receiving gate's per-slot delay, arrivals switch gate modes, and mode
-switches discard that gate's not-yet-fired output transitions and recompute
-them from the new trajectory.  Strictly positive delays make the schedule
-causally well founded, so the run is independent of processing order.
+event simulation over one priority queue: committed output transitions
+propagate along edges with the receiving gate's per-slot delay, arrivals
+switch gate modes, and mode switches discard that gate's not-yet-fired
+output transitions and recompute them from the new trajectory.  Strictly
+positive delays make the schedule causally well founded, so the run cannot
+depend on the order of the steps in a batch of simultaneous events.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .gates import GateSpec, ModeEntry, _bit, boolean_table, initial_output_bit
 from .gates import make_boolean_gate, make_const_gate
-from .modes import ModeFunction, Trajectory, matching_output_signal, solve_mode
+from .modes import ModeFunction, Trajectory, _paste, solve_mode
 from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal, one_norm_distance
 from .threshold import find_crossings
 
@@ -268,10 +269,13 @@ class Execution:
         return signal, {mode.id: mode for _, mode in self.modes[name]}
 
     def trajectory(self, name: str) -> Trajectory:
-        """Gate ``name``'s analog state, pasted from its mode entries by
-        ``matching_output_signal``; each call solves them again."""
-        spec, (switching, family) = self.circuit.vertices[name], self.switching(name)
-        return matching_output_signal(family, switching, spec.initial_state, spec.state_space)
+        """Gate ``name``'s analog state, pasted from the run's own mode
+        entries, each solved up to the next one or the horizon; each call
+        solves them again."""
+        spec, entries = self.circuit.vertices[name], self.modes[name]
+        ends = [t for t, _ in entries[1:]] + [self.horizon]
+        pieces = [(t, end, mode) for (t, mode), end in zip(entries, ends)]
+        return _paste(pieces, spec.initial_state, spec.state_space)
 
 
 class _GateState:
@@ -295,30 +299,14 @@ class _GateState:
         self.out_bit = initial_output_bit(spec)
 
 
-def _alternating_pending(
-    crossings: list[tuple[float, bool]], out_bit: int, depth: int
-) -> list[tuple[float, int, int]]:
-    # keep only a properly alternating tail; a leading entry equal to the
-    # current output can appear when the state sits exactly on the threshold
-    pending: list[tuple[float, int, int]] = []
-    expect = 1 - out_bit
-    for t, rising in crossings:
-        v = int(rising)
-        if v != expect:
-            if not pending:
-                continue
-            raise AssertionError("crossing sequence lost alternation")
-        pending.append((t, v, depth))
-        expect = 1 - expect
-    return pending
-
-
 # Queue entry kinds: (time, kind, name, generation or slot, depth, value).
 # A pending output transition of gate ``name`` carries the generation it was
 # computed in; an input arrival at gate ``name`` carries its slot.  Depth
 # comes before value so that two arrivals on one slot at the same time keep
 # their causal order: the later of two equal-time commits of a gate belongs
-# to a newer trajectory, whose depth is strictly greater.
+# to a newer trajectory, whose depth is strictly greater.  Kind comes
+# before name so that a commit leaves the queue before the arrivals it
+# sends, even one whose delay rounds away in ``t + delay``.
 _FIRE, _ARRIVE = 0, 1
 
 
@@ -341,12 +329,15 @@ def execute(
     (``Execution.modes``).  Live segments are released when the queue is,
     before the results are built.
 
-    The result is unique: all delays are strictly positive, and events
-    closer than ``TIME_EPS`` to the queue head are applied as one atomic
-    batch, output firings committed before input arrivals (arrivals that
-    those firings send into the window join the batch), gates in sorted
-    name order.  ``_shuffle`` randomizes that within-batch processing order
-    and must not change any result; it exists so tests can prove that.
+    Events closer than ``TIME_EPS`` to the queue head form a batch, read in
+    one pass in queue order: a live output transition is committed as it
+    leaves the queue (arrivals it sends into the window join the batch),
+    then each gate's arrivals are applied together, at its first one.  The
+    result is unique: all delays are strictly positive, and a commit or a
+    group changes only its own gate and pushes to the queue, which orders
+    entries by key, so no commit or group depends on another's order.
+    ``_shuffle`` permutes the order of the groups and must not change any
+    result; it exists so tests can prove that.
 
     The wiring was checked when the circuit was built: a circuit whose
     ``report`` is not ok raises ``InvalidCircuitError``.
@@ -382,13 +373,20 @@ def execute(
     event_count = 0
 
     def enter(name: str, st: _GateState, mode, x, t: float, depth: int) -> None:
-        # solve the mode from (t, x) to the horizon and queue its crossings
+        # solve the mode from (t, x) to the horizon and queue its crossings,
+        # alternating from the output bit; a leading one to the output's own
+        # value, from a state exactly on the threshold, is dropped
         spec = st.spec
         st.modes.append((t, mode))
         st.live = solve_mode(mode, x, t, horizon, spec.state_space)
-        crossings = find_crossings((st.live,), spec.threshold.xi, spec.threshold.component)
-        for t_c, value, d in _alternating_pending(crossings, st.out_bit, depth):
-            push(queue, (t_c, _FIRE, name, st.generation, d, value))
+        generation, value, leading = st.generation, st.out_bit, True
+        for t_c, rising in find_crossings((st.live,), spec.threshold.xi, spec.threshold.component):
+            if rising == value:
+                if leading:
+                    continue
+                raise AssertionError("crossing sequence lost alternation")
+            value, leading = 1 - value, False
+            push(queue, (t_c, _FIRE, name, generation, depth, value))
 
     # iteration 1: initial modes from declared initial bits, input edges queued
     for name, sig in input_signals.items():
@@ -413,72 +411,52 @@ def execute(
         iteration_times.append(t_next)
         window = t_next + TIME_EPS
 
-        firing: dict[str, list[tuple[float, int, str, int, int, int]]] = {}
-        arrived: list[tuple[float, int, str, int, int, int]] = []
+        # the arrivals a commit sends into the window have later keys, so
+        # they leave the queue later in this pass; each gate's in time order
+        groups: dict[str, list[tuple[float, int, str, int, int, int]]] = {}
         while queue and queue[0][0] <= window:
             entry = pop(queue)
-            if entry[1] == _ARRIVE:
-                arrived.append(entry)
-            elif entry[3] == states[entry[2]].generation:
-                firing.setdefault(entry[2], []).append(entry)
-
-        # fire committed output transitions first
-        if firing:
-            ordered = sorted(firing)
-            if _shuffle is not None:
-                _shuffle.shuffle(ordered)
-            for name in ordered:
+            t, kind, name, tag, depth, value = entry
+            if kind == _ARRIVE:
+                groups.setdefault(name, []).append(entry)
+            else:
                 st = states[name]
-                for t_c, _kind, _name, _gen, depth, value in firing[name]:
-                    if value == st.out_bit:
-                        raise AssertionError(f"{name}: non-alternating commit at t={t_c}")
-                    if depth > iteration:
-                        raise AssertionError(f"{name}: depth {depth} exceeds iteration {iteration}")
-                    if st.records and depth < st.records[-1].depth:
-                        raise AssertionError(f"{name}: depth decreased at t={t_c}")
-                    t_r = horizon if horizon < t_c else t_c
-                    st.records.append(TransitionRecord(t_r, value, depth, iteration))
-                    st.out_bit = value
-                    event_count += 1
-                    if event_count > event_cap:
-                        raise EventCapExceeded(f"more than {event_cap} events before t={t_c}")
-                    for dst, slot, delay in fanout[name]:
-                        push(queue, (t_c + delay, _ARRIVE, dst, slot, depth, value))
-
-            # arrivals the firings sent into the window join this batch
-            if queue and queue[0][0] <= window:
-                while queue and queue[0][0] <= window:
-                    arrived.append(pop(queue))
-                arrived.sort()
-        if not arrived:
-            continue
-
-        # then apply input arrivals, atomically per gate; each gate's
-        # arrivals stay in time order
-        groups: dict[str, list[tuple[float, int, int, int]]] = {}
-        for t_a, _kind, dst, slot, depth, value in arrived:
-            groups.setdefault(dst, []).append((t_a, slot, value, depth))
+                if tag != st.generation:
+                    continue
+                if value == st.out_bit:
+                    raise AssertionError(f"{name}: non-alternating commit at t={t}")
+                if depth > iteration:
+                    raise AssertionError(f"{name}: depth {depth} exceeds iteration {iteration}")
+                if st.records and depth < st.records[-1].depth:
+                    raise AssertionError(f"{name}: depth decreased at t={t}")
+                st.records.append(TransitionRecord(horizon if horizon < t else t, value, depth, iteration))
+                st.out_bit = value
+                for dst, slot, delay in fanout[name]:
+                    push(queue, (t + delay, _ARRIVE, dst, slot, depth, value))
             event_count += 1
             if event_count > event_cap:
-                raise EventCapExceeded(f"more than {event_cap} events before t={t_a}")
-        ordered = sorted(groups)
+                raise EventCapExceeded(f"more than {event_cap} events before t={t}")
+
+        # then apply each gate's arrivals atomically
+        order = groups
         if _shuffle is not None:
-            _shuffle.shuffle(ordered)
-        for name in ordered:
+            order = list(groups)
+            _shuffle.shuffle(order)
+        for name in order:
             st = states[name]
             arrivals = groups[name]
             t_star = horizon if horizon < arrivals[0][0] else arrivals[0][0]
             prev_bits = st.bits
             ctx = ModeEntry(t_star, tuple(st.last_change))
             new_bits = list(st.bits)
-            for t_a, slot, value, depth in arrivals:
+            for t_a, _kind, _name, slot, _depth, value in arrivals:
                 if new_bits[slot] == value:
                     raise AssertionError(f"{name}: duplicate arrival on slot {slot} at t={t_a}")
                 new_bits[slot] = value
             if tuple(new_bits) == prev_bits:
                 continue  # both edges of a zero-width pulse: the inputs never changed
             st.bits = tuple(new_bits)
-            for t_a, slot, _value, depth in arrivals:
+            for t_a, _kind, _name, slot, depth, _value in arrivals:
                 st.last_change[slot] = t_a
                 if depth > st.max_arr_depth:
                     st.max_arr_depth = depth

@@ -21,6 +21,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -56,6 +57,7 @@ from .gates import (
 from .modes import write_trajectory_csv
 from .signals import (
     BinarySignal,
+    _write_csv,
     min_pulse_width,
     read_signal_csv,
     write_signal_csv,
@@ -333,13 +335,6 @@ def _fmt(value: float | None) -> str:
     return repr(float(value)) if value is not None else "nan"
 
 
-def _write_csv(path: Path, meta: dict, header: str, rows: Sequence[str]) -> None:
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(header)
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
 # -- simulate --------------------------------------------------------------------
 
 
@@ -468,7 +463,7 @@ def cmd_sweep_pulse(args) -> int:
 
     rows = [_pulse_row(circuit, io, w, args.pulse_start, horizon) for w in widths]
     path = _ensure_out_dir(args) / "sweep_pulse.csv"
-    _write_csv(path, meta, "delta,norm_l1,min_output_pulse,last_transition", rows)
+    _write_csv(path, meta.items(), "delta,norm_l1,min_output_pulse,last_transition", rows)
     print(done)
     print(f"wrote {path}")
     return EXIT_OK
@@ -500,7 +495,7 @@ def cmd_sweep_mis(args) -> int:
     )
     rows = [f"{g!r},{d!r}" for g, d in zip(gaps, delays)]
     path = out_dir / "sweep_mis.csv"
-    _write_csv(path, meta, "delta_t,output_delay", rows)
+    _write_csv(path, meta.items(), "delta_t,output_delay", rows)
     spread = (max(delays) - min(delays)) / max(delays) if max(delays) > 0 else 0.0
     print(f"swept {len(gaps)} falling-input gaps on gate {doc['id']!r} (delay spread {spread:.2%})")
     print(f"wrote {path}")
@@ -586,7 +581,7 @@ def cmd_spf_check(args) -> int:
         for r in report.results
     ]
     path = out_dir / "spf_results.csv"
-    _write_csv(path, meta, "width,norm_l1,last_input_edge,last_output_edge,settled", rows)
+    _write_csv(path, meta.items(), "width,norm_l1,last_input_edge,last_output_edge,settled", rows)
 
     conditions = [
         ("single input and output port", report.single_io),
@@ -627,6 +622,12 @@ def cmd_validate(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors map to the validation exit code."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word that starts like a negative number, such as the grid
+        # "-2:2:5", is a value, not an option (argparse takes only "-2", "-.5")
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise CircuitFileError(message)

@@ -13,7 +13,7 @@ A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous segment's end state, so it is
 continuous by construction and follows the active mode's ODE between
 switches.  A circuit run keeps only each gate's mode entries and pastes its
-trajectories this way when they are asked for.
+trajectories from them by the same loop when they are asked for.
 
 A state has one form from a mode's data to a CSV dump: a tuple of floats, or
 a bare float where a run carries a 1-state gate.  ``AffineConstant.a`` is a
@@ -34,7 +34,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .signals import TIME_EPS, ModeSwitchSignal
+from .signals import TIME_EPS, ModeSwitchSignal, _write_csv
+
+# A state is inside a box widened by this much at every bound.
+BOX_SLACK = 1e-12
 
 __all__ = [
     "StateSpace",
@@ -80,11 +83,11 @@ class StateSpace:
     def dimension(self) -> int:
         return len(self.bounds)
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         """Whether ``x``, a float in a 1-state space or else a sequence of
-        floats, lies inside the box widened by ``slack``."""
+        floats, lies inside the box widened by ``BOX_SLACK``."""
         for value, (lo, hi) in zip((x,) if isinstance(x, float) else x, self.bounds):
-            if not (lo - slack < value < hi + slack):
+            if not (lo - BOX_SLACK < value < hi + BOX_SLACK):
                 return False
         return True
 
@@ -767,7 +770,7 @@ def _containment_scan(segment: Segment, space: StateSpace) -> None:
     exits = []
     for k, (lo, hi) in enumerate(space.bounds, 1):
         ts, xs, meet = segment.pieces(k)
-        inside_lo, inside_hi = lo - 1e-12, hi + 1e-12
+        inside_lo, inside_hi = lo - BOX_SLACK, hi + BOX_SLACK
         for x in xs:
             if not inside_lo < x < inside_hi:
                 # no end before x is outside, so none equals it; a NaN is found as itself
@@ -840,18 +843,27 @@ def matching_output_signal(
     space: StateSpace,
 ) -> Trajectory:
     """Trajectory that starts at ``x0``, is continuous, and follows the
-    active mode's ODE on every inter-switch interval.  Each interval starts
-    from the state the previous segment reads at its end (``state_at``), as
-    ``circuit.execute`` carries it, so the segments of a run paste bit for
-    bit."""
-    segments: list[Segment] = []
-    state = x0
+    active mode's ODE on every inter-switch interval, pasted by the loop
+    ``Execution.trajectory`` uses.  An interval of ``TIME_EPS`` or less
+    after the first is skipped."""
+    pieces = []
     for start, end, mode_id in switching.intervals():
         if mode_id not in family:
             raise KeyError(f"mode id {mode_id!r} not present in the mode family")
-        if end - start <= TIME_EPS and segments:
-            continue
-        seg = solve_mode(family[mode_id], state, start, end, space)
+        if end - start > TIME_EPS or not pieces:
+            pieces.append((start, end, family[mode_id]))
+    return _paste(pieces, x0, space)
+
+
+def _paste(pieces, x0, space: StateSpace) -> Trajectory:
+    """Trajectory of ``(start, end, mode)`` pieces in time order.  Each
+    piece starts from ``x0`` or from the state the previous segment reads at
+    its end (``state_at``), as ``circuit.execute`` carries it, so a run's
+    own mode entries paste to the states it solved, bit for bit."""
+    segments: list[Segment] = []
+    state = x0
+    for start, end, mode in pieces:
+        seg = solve_mode(mode, state, start, end, space)
         segments.append(seg)
         state = seg.state_at(end)
     return Trajectory(segments)
@@ -913,14 +925,8 @@ def write_trajectory_csv(
     comments carry the supplied metadata plus the segment boundary
     (mode-switch) times.
     """
-    switch_times = traj.breakpoints()[1:-1]
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(f"# switch_times={switch_times!r}")
-    n = traj.dimension
-    lines.append("time," + ",".join(f"x{i + 1}" for i in range(n)))
+    meta = [*(metadata or {}).items(), ("switch_times", repr(traj.breakpoints()[1:-1]))]
+    header = "time," + ",".join(f"x{i + 1}" for i in range(traj.dimension))
     ts = _uniform(traj.t0, traj.horizon, samples)
-    for t, row in zip(ts, traj.values(ts)):
-        lines.append(f"{t!r}," + ",".join(f"{float(v)!r}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [f"{t!r}," + ",".join(f"{float(v)!r}" for v in row) for t, row in zip(ts, traj.values(ts))]
+    _write_csv(path, meta, header, rows)

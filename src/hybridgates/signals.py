@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 __all__ = [
     "TIME_EPS",
@@ -302,15 +302,19 @@ def min_pulse_width(s: BinarySignal) -> float | None:
 # -- CSV interchange -------------------------------------------------------
 
 
+def _write_csv(path: str | Path, meta: Iterable[tuple], header: str, rows: Iterable[str]) -> None:
+    """Write one ``# key=value`` line per ``(key, value)`` pair of ``meta``,
+    then the header line and the rows, each line ending in a newline."""
+    lines = [f"# {key}={value}" for key, value in meta]
+    lines.append(header)
+    lines.extend(rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_signal_csv(s: BinarySignal, path: str | Path, metadata: dict | None = None) -> None:
     """Write a transition list as CSV with `# key=value` header comments."""
-    lines = [f"# initial={s.initial_value}", f"# horizon={s.horizon!r}"]
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append("time,value")
-    for tr in s.transitions:
-        lines.append(f"{tr.time!r},{tr.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    meta = [("initial", s.initial_value), ("horizon", repr(s.horizon)), *(metadata or {}).items()]
+    _write_csv(path, meta, "time,value", [f"{tr.time!r},{tr.value}" for tr in s.transitions])
 
 
 def read_signal_csv(path: str | Path) -> BinarySignal:

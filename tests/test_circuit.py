@@ -422,6 +422,39 @@ class TestModeEntries:
             ins = {name: _random_edges(master, 8.0, 6) for name in c.input_ports()}
             self._assert_trajectories_digitize_to_the_signals(c, execute(c, ins, 8.0))
 
+    def test_a_trajectory_keeps_entries_closer_than_time_eps(self):
+        # h's arrival at 1.1 opens a batch into which b's rise falls, so g
+        # enters high at 1.1 + 0.9e-12; a's fall, 0.6e-12 later, is past the
+        # window and returns g to low.  The switching signal merges the two
+        # entries and reports none; the trajectory pastes both.
+        tau = 1e-4  # the lag of a gate whose delays are 0.1
+        g = make_boolean_gate("and2", (0.1, 0.1), initial_inputs=(1, 0), name="g")
+        h = make_boolean_gate("buf", (0.1,), initial_inputs=(0,), name="h")
+        c = Circuit(
+            {"a": InputPort(1), "b": InputPort(0), "c": InputPort(0), "g": g, "h": h,
+             "O": OutputPort(), "P": OutputPort()},
+            [("a", "g", 0), ("b", "g", 1), ("c", "h", 0), ("g", "O", 0), ("h", "P", 0)],
+        )
+        horizon = 3.0
+        ex = execute(c, {
+            "a": BinarySignal(1, ((1.0 + 1.5e-12, 0),), horizon),
+            "b": BinarySignal(0, ((1.0 + 0.9e-12, 1),), horizon),
+            "c": BinarySignal(0, ((1.0, 1),), horizon),
+        }, horizon)
+        (_, low), (t_high, high), (t_low, low_again) = ex.modes["g"]
+        assert (low.id, high.id, low_again) == ("low", "high", low)
+        assert t_high == pytest.approx(1.1 + 0.9e-12, abs=1e-15)
+        assert t_low == pytest.approx(1.1 + 1.5e-12, abs=1e-15)
+        assert ex.switching("g")[0].switches == ()
+        traj = ex.trajectory("g")
+        assert [seg.t0 for seg in traj] == [0.0, t_high, t_low]
+        t = 1.1 + 1e-9
+        charged = -math.expm1(-(t_low - t_high) / tau)
+        (x,) = traj.value(t)
+        assert x == pytest.approx(charged * math.exp(-(t - t_low) / tau), rel=1e-9)
+        assert x > 5e-9
+        assert ex.records["g"] == ()
+
     @pytest.mark.parametrize("factory", [make_advanced_nor, make_simple_nor])
     def test_a_mis_sweep_solves_each_mode_entry_once(self, factory, monkeypatch):
         # 2 entries at gap 0 (both inputs fall together) and 3 at each other
@@ -585,6 +618,33 @@ class TestScheduler:
             assert all(r.depth <= r.iteration for r in recs)
         for seed in range(20):
             assert execute(c, ins, 5.0, _shuffle=random.Random(seed)).records == ex.records
+
+    def test_an_arrival_a_commit_sends_comes_out_before_a_later_queued_one(self):
+        # g1 commits at t; its rise reaches g's slot 1 through a 5e-13 delay,
+        # and J's edge, queued since the start, reaches slot 0 at t + 9e-13.
+        # Both fall in the commit's window, so the and2 sees them as one
+        # group and enters high at the earlier one; apart, slot 1 alone
+        # would leave it low and it would switch only at t + 9e-13.
+        g1 = make_boolean_gate("buf", (0.1,), initial_inputs=(0,), name="g1")
+        g = make_boolean_gate("and2", (0.1, 5e-13), initial_inputs=(0, 0), name="g")
+        c = Circuit(
+            {"I": InputPort(0), "J": InputPort(0), "g1": g1, "g": g, "O": OutputPort()},
+            [("I", "g1", 0), ("J", "g", 0), ("g1", "g", 1), ("g", "O", 0)],
+        )
+        horizon = 5.0
+        rise = BinarySignal(0, ((1.0, 1),), horizon)
+        t = execute(c, {"I": rise, "J": BinarySignal.constant(0, horizon)}, horizon).records["g1"][0].time
+        ins = {"I": rise, "J": BinarySignal(0, ((t + 9e-13 - 0.1, 1),), horizon)}
+        ex = execute(c, ins, horizon)
+        assert ex.records["g1"][0].time == t
+        assert t in ex.iteration_times
+        (_, low), (entered, high) = ex.modes["g"]
+        assert (low.id, high.id) == ("low", "high")
+        assert entered == pytest.approx(t + 5e-13, abs=1e-15)
+        assert entered not in ex.iteration_times
+        assert [r.value for r in ex.records["g"]] == [1]
+        for seed in range(20):
+            assert execute(c, ins, horizon, _shuffle=random.Random(seed)).records == ex.records
 
     @pytest.mark.slow
     def test_invariants_on_large_random_circuits(self):

@@ -734,6 +734,21 @@ class TestArguments:
         assert capsys.readouterr().err == f"error: --widths: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["sweep-mis", "preset:advanced_nor", "--gaps", "-2:2:5"],
+          "--gaps: values must be nonnegative, got -2.0"),
+         (["sweep-pulse", "preset:storage_loop", "--widths", "-0.5,0.2"],
+          "--widths: values must be positive, got -0.5")],
+    )
+    def test_a_grid_that_starts_negative_is_a_value(self, tmp_path, capsys, argv, message):
+        # as a separate word, not only in the --gaps=-2:2:5 form
+        for args in (argv, [*argv[:2], f"{argv[2]}={argv[3]}"]):
+            assert run(*args, "--out-dir", tmp_path) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+
 def one_gate_doc(kind, **fields):
     """input -> one gate of ``kind`` with ``fields`` -> output."""
     return {
