@@ -8,8 +8,8 @@ optional ``defaults`` (a finite positive ``horizon``, picked up when
 bundled file.  Each kind is built by its factory in ``gates`` (or a port
 class), and a parameter the file leaves out takes that factory's default.
 Each subcommand takes only the flags it reads.  Every mode has a closed
-form, and threshold crossing times and state-space exits are those of the
-closed forms.
+form, and threshold crossing times are those of the closed forms; a mode
+that does not keep its gate's state-space box is refused, exit code 1.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """

@@ -7,7 +7,8 @@ Every mode has a closed form, solved on Python floats: an affine
 constant-coefficient mode of one or two states (for every 2x2 spectrum,
 from the trace and determinant), or a scalar relaxation (a state pulled
 toward a fixed target at a time-varying rate, whose exponent is known in
-closed form).  Any other mode is refused when it is built.
+closed form).  Any other mode is refused when it is built, and one that
+leaves its box when it is solved, so no segment is scanned for an exit.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous segment's end state, so it is
@@ -28,6 +29,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,13 +61,13 @@ __all__ = [
 
 
 class StateSpaceExit(RuntimeError):
-    """A trajectory left the gate's open state-space box; ``state`` is the
-    state there, a tuple of floats."""
+    """A solve starts outside the state-space box at ``time``, from ``state``
+    (a tuple of floats): an initial state, or one rounded, overflowed or NaN."""
 
     def __init__(self, time: float, state):
         self.time = time
         self.state = (state,) if isinstance(state, float) else tuple(state)
-        super().__init__(f"trajectory left the state space at t={time} (state {self.state})")
+        super().__init__(f"a solve at t={time} starts outside the state space (state {self.state})")
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,14 @@ class AffineConstant:
     constants ``plane`` derives once; ``line`` is None for two states and
     ``plane`` for one.  Three or more states, a non-finite entry of ``a`` or
     ``b``, or a constant of ``plane`` beyond the floats raise ValueError.
+    ``box`` is the last state space :func:`solve_mode` proved the kind keeps.
     """
 
     a: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
     line: tuple[float, float] | None = field(init=False, repr=False, compare=False)
     plane: _Plane | None = field(init=False, repr=False, compare=False)
+    box: StateSpace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = tuple(tuple(map(float, row)) for row in self.a)
@@ -358,8 +362,7 @@ def _exp(u: float) -> float:
 # inside it.  The next segment starts from the state this one reads at its
 # end (``state_at``), so junctions match exactly.
 # Every kind reads its end state ``x1`` once, when built, and cuts each
-# component into monotone ``pieces`` with its values at the piece ends, which
-# containment and the crossing search each read in one call.
+# component into monotone ``pieces`` with its values at the piece ends.
 
 
 class _SegmentBase:
@@ -372,10 +375,9 @@ class _SegmentBase:
     returns, for one state component (1-based), ``(ts, xs, meet)``: ``ts``
     is ``(t0, *breaks, t1)``, where the breaks are the interior times where
     the component turns, so it is monotone between consecutive times; ``xs``
-    are the component's values at ``ts``, as floats, read once for every
-    reader (containment and the crossing search each make one call); and
-    ``meet(xi, lo, hi)`` is the time in such a piece ``[lo, hi]``, whose end
-    values straddle ``xi``, at which the component equals ``xi``.
+    are the component's values at ``ts``, as floats; and ``meet(xi, lo,
+    hi)`` is the time in such a piece ``[lo, hi]``, whose end values
+    straddle ``xi``, at which the component equals ``xi``.
     """
 
     __slots__ = ()
@@ -514,7 +516,7 @@ class AffineSegment(_SegmentBase):
         were all it had besides its constant: for a real form with m = 0 the
         slow term, then the fast one (a zero rate belongs to the constant),
         and for a repeated form e^{tau s} p, exact when q = 0.  None unless
-        that time lies inside (lo, hi)."""
+        that time lies inside (lo, hi) and its rate is not 0."""
         plane, (p, q) = self.kind.plane, self._pq[2 * k - 2 : 2 * k]
         if plane.form in ("complex", "quadratic") or plane.m[k - 1]:
             return None
@@ -527,7 +529,7 @@ class AffineSegment(_SegmentBase):
                 c, q = c + q, 0.0
             terms = ((q, l2), (p, l1))
         for w, l in terms:
-            if w and -c / w > 0.0:
+            if w and l and -c / w > 0.0:
                 t = self.t0 + math.log(-c / w) / l
                 if lo < t < hi:
                     return t
@@ -538,8 +540,8 @@ class AffineSegment(_SegmentBase):
         plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
         if plane.form == "quadratic":
             return (t0 - p / (2.0 * q),) if q else ()
-        if plane.form == "repeated":
-            return (t0 - p / q - 1.0 / plane.rates[0],) if q else ()
+        if plane.form == "repeated":  # linear, and so monotone, at a zero rate
+            return (t0 - p / q - 1.0 / plane.rates[0],) if q and plane.rates[0] else ()
         if plane.form == "complex":
             # the slope e^{tau s} (A cos ws + B sin ws) vanishes every pi/w
             (tau, w), pi = plane.rates, math.pi
@@ -761,34 +763,32 @@ class Trajectory:
 
 # -- solving -------------------------------------------------------------------
 
-def _containment_scan(segment: Segment, space: StateSpace) -> None:
-    # A component is monotone between its piece ends, so it is inside while
-    # they are: one comparison per end.  Otherwise it leaves in its first
-    # piece whose end is outside, where that piece meets the bound, and the
-    # segment leaves at the earliest of its components' exits.  A NaN meets
-    # no comparison with the box, so a NaN end is an exit, at that end.
-    exits = []
-    for k, (lo, hi) in enumerate(space.bounds, 1):
-        ts, xs, meet = segment.pieces(k)
-        inside_lo, inside_hi = lo - BOX_SLACK, hi + BOX_SLACK
-        for x in xs:
-            if not inside_lo < x < inside_hi:
-                # no end before x is outside, so none equals it; a NaN is found as itself
-                i = xs.index(x)
-                at_end = not i or x != x
-                exits.append(ts[i] if at_end else meet(lo if x < lo else hi, ts[i - 1], ts[i]))
-                break
-    if exits:
-        t = min(exits)
-        raise StateSpaceExit(t, segment.state_at(t))
-
-
 # unused; bench/spans.py wraps modes.solve_ivp by name
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call."""
     from scipy.integrate import solve_ivp as integrate
 
     return integrate(*args, **kwargs)
+
+
+def _prove_invariant(mode: ModeFunction, space: StateSpace) -> None:
+    """Refuse ``mode``, naming it and a face, unless no run of it leaves the
+    box ``space.contains`` accepts: a relaxation's target must lie in it, and
+    an affine field (affine on a face) may point out of no face at any of its
+    corners, in exact fractions (Nagumo's condition).  A zero rate is allowed,
+    as dy/dt >= a_kk y for y = x_k - lo.  The proven box becomes ``kind.box``."""
+    kind, box = mode.kind, [(float(lo - BOX_SLACK), float(hi + BOX_SLACK)) for lo, hi in space.bounds]
+    refusal = f"mode {mode.id!r}: the state space is not invariant:"
+    if isinstance(kind, ScalarRelaxation):  # one whose target is outside: above hi, or else below lo
+        face = box[0][kind.target > box[0][1]]  # lo for a NaN
+        raise ValueError(f"{refusal} its target {kind.target!r} lies beyond the face x1 = {face!r}")
+    for corner in itertools.product(*box):
+        for k, (row, c, bound, (lo, _)) in enumerate(zip(kind.a, kind.b, corner, box), 1):
+            rate = sum(map(operator.mul, map(Fraction, row), map(Fraction, corner)), Fraction(c))
+            if rate < 0 if bound == lo else rate > 0:
+                why = f"at the corner {corner}, dx{k}/dt = {float(rate)!r} points out"
+                raise ValueError(f"{refusal} {why} through the face x{k} = {bound!r}")
+    object.__setattr__(kind, "box", space)
 
 
 def solve_mode(
@@ -805,16 +805,18 @@ def solve_mode(
     space, else a tuple of floats.  A relaxation solves to a
     :class:`RelaxationSegment`, an affine mode to a
     :class:`ScalarAffineSegment` in a 1-state space and to an
-    :class:`AffineSegment` in a 2-state one.  Raises :class:`StateSpaceExit`
-    if the solution leaves the open box, at the earliest time a component
-    reaches a bound, with the state there, and ``ValueError`` for a mode or
-    an ``x0`` whose state count is not the box's, or ``t1 < t0``.
+    :class:`AffineSegment` in a 2-state one.  A mode that leaves ``space``
+    is refused (``_prove_invariant``, once per affine kind and box).  Raises
+    :class:`StateSpaceExit` for an ``x0`` outside the box, and ValueError
+    for a mode or an ``x0`` whose state count is not the box's, or t1 < t0.
     """
     n, kind = space.dimension, mode.kind
     relaxation = isinstance(kind, ScalarRelaxation)
     states = 1 if relaxation else len(kind.b)
     if states != n:
         raise ValueError(f"mode {mode.id!r}: a {states}-state mode in a {n}-state space")
+    if not (space.contains((kind.target,)) if relaxation else kind.box is space):
+        _prove_invariant(mode, space)
     if not (n == 1 and isinstance(x0, float)):
         try:
             k = len(x0)
@@ -827,13 +829,10 @@ def solve_mode(
         raise StateSpaceExit(t0, x0)
 
     if relaxation:
-        seg: Segment = RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
-    elif n == 1:
-        seg = ScalarAffineSegment(t0, t1, x0, *kind.line)
-    else:
-        seg = AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
-    _containment_scan(seg, space)
-    return seg
+        return RelaxationSegment(t0, t1, x0, kind.target, kind.exponent)
+    if n == 1:
+        return ScalarAffineSegment(t0, t1, x0, *kind.line)
+    return AffineSegment(t0, t1, x0, kind.a, kind.b, kind)
 
 
 def matching_output_signal(

@@ -236,6 +236,28 @@ class TestCircuitFiles:
         )
         assert not out.exists()
 
+    def test_a_simple_nor_that_leaves_its_box_is_refused(self, tmp_path, capsys):
+        # -(k1 + k2) rounds to -1.0, so the (0, 0) network is singular and
+        # its state drifts out of the box: a validation failure, not a
+        # numeric one, and no output is written
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 0},
+                {"id": "B", "kind": "input", "initial": 0},
+                {"id": "nor", "kind": "simple_nor", "initial_inputs": [0, 0], "r1": 1e20},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"]],
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        assert run("simulate", path, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
+            " dx1/dt = 1e-20 points out through the face x1 = 1.010000000001\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_a_simple_nor_whose_rc_product_underflows_is_named(self, tmp_path, capsys, command):
         doc = {

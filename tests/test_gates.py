@@ -668,6 +668,43 @@ class TestDeclaredRegularity:
             rounding = 16 * np.finfo(float).eps * m
             assert np.linalg.norm(fx - fy) <= k * np.linalg.norm(x - y) * (1 + 1e-12) + rounding
 
+    @given(case=_factory_modes())
+    @settings(max_examples=200, deadline=None)
+    def test_every_mode_keeps_its_box(self, case):
+        # K and M bound a run only while it stays in the box: no mode of any
+        # factory, at its defaults or at drawn parameters, points out of its
+        # box, so solve_mode refuses none
+        space, family, t = case
+        x0 = tuple((lo + hi) / 2 for lo, hi in space.bounds)
+        for mode in family:
+            solve_mode(mode, x0, t, t + 1.0, space)
+
+    @given(params=st.builds(
+        SimpleNorParams,
+        **{f.name: st.floats(-5.0, 5.0).map(lambda e: 10.0**e) for f in dataclasses.fields(SimpleNorParams)},
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_a_simple_nor_keeps_its_box_over_ten_decades_of_each_field(self, params):
+        # wider than any range the suite draws simple NOR parameters from
+        gate = make_simple_nor(params)
+        for bits in itertools.product((0, 1), repeat=2):
+            solve_mode(gate.choice(bits, None, None), gate.initial_state, 0.0, 1.0, gate.state_space)
+
+    def test_a_simple_nor_whose_network_rounds_to_a_singular_one_is_refused(self):
+        # k1 = 1e-20, so -(k1 + k2) rounds to -1.0 and the (0, 0) network is
+        # singular, with b outside its range: x1 + x2 drifts up by 1e-20 per
+        # unit time.  The gate starts at (5e-21, 0), where a run would read
+        # 0 for NOR(0, 0) = 1; the mode is refused instead.
+        gate = make_simple_nor(SimpleNorParams(r1=1e20))
+        assert gate.initial_state == (5e-21, 0.0)
+        zero = BinarySignal(0, (), 5.0)
+        with pytest.raises(ValueError) as exc:
+            gate_output(gate, [zero, zero])
+        assert str(exc.value) == (
+            "mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
+            " dx1/dt = 1e-20 points out through the face x1 = 1.010000000001"
+        )
+
 
 def _refuse(name):
     def refuse(*args, **kwargs):

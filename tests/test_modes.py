@@ -1,10 +1,11 @@
-"""Mode solving: closed forms, exact exits, pasting, and the sup metric."""
+"""Mode solving: closed forms, invariant boxes, pasting, and the sup metric."""
 
 from __future__ import annotations
 
 import importlib.util
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 import hybridgates
 from hybridgates.modes import (
+    BOX_SLACK,
     AffineConstant,
     AffineSegment,
     ModeFunction,
@@ -39,7 +41,7 @@ from hybridgates.gates import (
     make_simple_nor,
     mis_delay_sweep,
 )
-from hybridgates.modes import _containment_scan, _newton, _SegmentBase
+from hybridgates.modes import _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
@@ -84,9 +86,11 @@ def test_cooling_from_21_reaches_19_at_log_ratio_time():
 
 
 def test_zero_rate_mode_is_linear_in_time():
-    mode = affine_mode("ramp", [[0.0]], [2.0], BOX)
-    seg = solve_mode(mode, [1.0], 0.0, 3.0, BOX)
+    seg = ScalarAffineSegment(0.0, 3.0, 1.0, 0.0, 2.0)
     assert seg.value(1.5)[0] == pytest.approx(4.0, rel=1e-14)
+    # a ramp keeps no box, so its mode is refused
+    with pytest.raises(ValueError, match="through the face x1 = 100.000000000001$"):
+        solve_mode(affine_mode("ramp", [[0.0]], [2.0], BOX), [1.0], 0.0, 3.0, BOX)
 
 
 # -- the float segment of 1-state affine modes ------------------------------------
@@ -146,10 +150,11 @@ def test_a_scalar_segment_resting_on_an_unstable_equilibrium_stays_there():
     # x_inf = -b/a = x0 = 2: (x0 - x_inf) e^{a s} is 0 * inf once exp overflows
     seg = ScalarAffineSegment(0, 1000, 2.0, a=1.0, b=-2.0)
     assert seg.at(1000.0) == 2.0
-    mode = affine_mode("unstable", [[1.0]], [-2.0], BOX)
-    seg = solve_mode(mode, 2.0, 0.0, 1000.0, BOX)
     assert seg.x1 == seg.state_at(1000.0) == 2.0
     assert find_crossings([seg], 1.0) == []
+    # every other start leaves, so the mode is refused
+    with pytest.raises(ValueError, match="not invariant"):
+        solve_mode(affine_mode("unstable", [[1.0]], [-2.0], BOX), 2.0, 0.0, 1000.0, BOX)
 
 
 @pytest.mark.parametrize(
@@ -165,10 +170,11 @@ def test_a_plane_segment_resting_on_an_unstable_equilibrium_stays_there(a, b):
     # c = (1, 1) = x0, so every coefficient is 0 and each exp overflows
     seg = AffineSegment(0, 1000, (1.0, 1.0), a, b)
     assert seg.x1 == seg.state_at(1000.0) == (1.0, 1.0)
-    box = StateSpace(((0.0, 2.0), (0.0, 2.0)))
-    seg = solve_mode(affine_mode("unstable", a, b, box), (1.0, 1.0), 0.0, 1000.0, box)
-    assert seg.x1 == (1.0, 1.0)
     assert seg._excess(1, 0.5)(1000.0) == (0.5, 0.0)
+    # every other start leaves, so the mode is refused
+    box = StateSpace(((0.0, 2.0), (0.0, 2.0)))
+    with pytest.raises(ValueError, match="not invariant"):
+        solve_mode(affine_mode("unstable", a, b, box), (1.0, 1.0), 0.0, 1000.0, box)
 
 
 def test_a_plane_segment_whose_exp_overflows_reads_inf_and_crosses_once():
@@ -184,8 +190,8 @@ def test_a_plane_segment_whose_exp_overflows_reads_inf_and_crosses_once():
 
 
 def test_a_plane_mode_entry_reads_its_end_state_once(monkeypatch):
-    # containment and the crossing search read the end state that the
-    # segment read when it was built; every evaluation goes through _states
+    # the crossing search reads the end state that the segment read when
+    # it was built; every evaluation goes through _states
     calls, times = [], []
     states, state_at = AffineSegment._states, AffineSegment.state_at
     monkeypatch.setattr(AffineSegment, "_states", lambda self, ts, *a: times.extend(ts) or states(self, ts, *a))
@@ -212,11 +218,11 @@ def test_solve_mode_takes_a_float_or_a_sequence_alike(a, b, x0, span):
     forms = (x0, np.float64(x0), np.array(x0), (x0,), np.array([x0]))
     try:
         want = solve_mode(mode, [x0], 1.0, 1.0 + span, BOX)
-    except StateSpaceExit as exc:
+    except ValueError as exc:  # a mode that points out of BOX, refused from every form
         for form in forms:
-            with pytest.raises(StateSpaceExit) as got:
+            with pytest.raises(ValueError) as got:
                 solve_mode(mode, form, 1.0, 1.0 + span, BOX)
-            assert (got.value.time, str(got.value)) == (exc.time, str(exc))
+            assert str(got.value) == str(exc)
         return
     fields = lambda s: (s.t0, s.t1, s.x0, s.a, s.b)  # noqa: E731
     for form in forms:
@@ -225,7 +231,7 @@ def test_solve_mode_takes_a_float_or_a_sequence_alike(a, b, x0, span):
         assert fields(got) == fields(want)
         assert type(got.state_at(got.t1)) is float
     # a 2-state mode carries a tuple of the floats its values read
-    plane = affine_mode("p", [[a, 0.5], [0.5, a - 1.0]], [b, -b], _WIDE_PLANE)
+    plane = affine_mode("p", [[-abs(a) - 1.0, 0.5], [0.5, -abs(a) - 2.0]], [b, -b], _WIDE_PLANE)
     for form in ((x0, -x0), [x0, -x0], np.array([x0, -x0])):
         seg = solve_mode(plane, form, 1.0, 1.0 + span, _WIDE_PLANE)
         for t in (seg.t0, (seg.t0 + seg.t1) / 2, seg.t1):
@@ -254,10 +260,8 @@ def test_planar_affine_matches_matrix_exponential_oracle():
 
     a = np.array([[-1.0, 1.0], [1.0, -2.0]])
     b = np.array([0.3, 0.1])
-    box = StateSpace(((-50.0, 50.0), (-50.0, 50.0)))
-    mode = affine_mode("planar", a, b, box)
     x0 = np.array([0.2, 0.9])
-    seg = solve_mode(mode, x0, 0.0, 4.0, box)
+    seg = AffineSegment(0.0, 4.0, x0, a, b)
     for t in (0.1, 1.0, 2.5, 4.0):
         aug = np.zeros((3, 3))
         aug[:2, :2] = a
@@ -294,7 +298,9 @@ def test_closed_form_reads_its_start_state_exactly(a, b, x0):
 
 
 def test_a_mode_decomposes_once_for_all_its_segments(monkeypatch):
-    box = StateSpace(((-50.0, 50.0), (-50.0, 50.0)))
+    # the equilibrium is (0.7, 0.4), and a box around it with half-widths
+    # between h2 and 2 h2 is invariant
+    box = StateSpace(((-0.8, 2.2), (-0.6, 1.4)))
     mode = affine_mode("planar", [[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], box)
     calls = []
 
@@ -513,6 +519,10 @@ def _terms_at(seg, k: int, t: float) -> float:
 @example(case=(AffineSegment(1.0, 3.0, (0.5, 1.0), [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]), 1, 0.5))
 # a stiff real pair: x1 rises within ~2e-11 and decays at rate 8e-7
 @example(case=(AffineSegment(0.0, 1e7, (0.0, 1.0), [[-2.5e8, 2.5e8], [0.0, -8e-7]], [0.0, 0.0]), 1, 0.01))
+# disc = 1e-400 and tr(a)/2 read 0, so the form is repeated at rate 0.0 and
+# each component is linear: no turn, no one-exponential estimate
+@example(case=(AffineSegment(0.0, 2.0, (1.0, 1.0), [[0.0, 1e-200], [1e-200, 0.0]], [0.0, 0.0]), 1, 1.0))
+@example(case=(AffineSegment(0.0, 2.0, (1e-200, 1.0), [[0.0, 1e-200], [1e-200, 0.0]], [0.0, 0.0]), 1, 2e-200))
 def test_newton_meet_agrees_with_brentq(case):
     # every spectrum, every piece that crosses xi: the time meet gives lies
     # in the piece and within meet's tolerance of the root brentq finds
@@ -764,16 +774,20 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     assert vars(modes.DenseSegment)["values"] is before_values
 
 
-# -- state-space exit ---------------------------------------------------------------
+# -- invariant boxes -------------------------------------------------------------
 
 
 def test_trajectory_leaving_box_raises_with_first_exit_time():
+    # x(t) = 50 - 30 exp(-t/10) would leave (0, 30) at 10 ln(3/2), so in
+    # that box the mode is refused on its first solve, naming the face
     tight = StateSpace(((0.0, 30.0),))
     grow = affine_mode("grow", [[-0.1]], [5.0], StateSpace(((-1.0, 51.0),)))
-    with pytest.raises(StateSpaceExit) as err:
+    with pytest.raises(ValueError) as err:
         solve_mode(grow, [20.0], 0.0, 20.0, tight)
-    # x(t) = 50 - 30 exp(-t/10) crosses 30 at 10 ln(3/2) = 4.05
-    assert 3.5 < err.value.time < 5.0
+    assert str(err.value) == (
+        "mode 'grow': the state space is not invariant: at the corner (30.000000000001,),"
+        " dx1/dt = 1.9999999999999 points out through the face x1 = 30.000000000001"
+    )
 
 
 @pytest.mark.parametrize(
@@ -787,11 +801,16 @@ def test_trajectory_leaving_box_raises_with_first_exit_time():
     ids=["decay", "ramp"],
 )
 def test_scalar_exit_is_exact(a, b, x0, box, time, bound):
-    mode = affine_mode("m", [[a]], [b], box)
-    with pytest.raises(StateSpaceExit) as exc:
-        solve_mode(mode, [x0], 0.0, 20.0, box)
-    assert exc.value.time == pytest.approx(time, rel=1e-15)
-    assert exc.value.state == pytest.approx((bound,), abs=1e-13)
+    # the segment meets the bound at the exact time, and the mode, whose
+    # field points out through that bound, is refused, naming its face
+    ts, xs, meet = ScalarAffineSegment(0.0, 20.0, x0, a, b).pieces(1)
+    assert meet(bound, *ts) == pytest.approx(time, rel=1e-15)
+    [(lo, hi)] = box.bounds
+    face = lo - BOX_SLACK if bound == lo else hi + BOX_SLACK
+    with pytest.raises(ValueError) as exc:
+        solve_mode(affine_mode("m", [[a]], [b], box), [x0], 0.0, 20.0, box)
+    assert str(exc.value).startswith("mode 'm': the state space is not invariant: ")
+    assert str(exc.value).endswith(f" points out through the face x1 = {face!r}")
 
 
 @pytest.mark.parametrize(
@@ -804,8 +823,14 @@ def test_scalar_exit_is_exact(a, b, x0, box, time, bound):
 )
 def test_scalar_mode_just_inside_a_bound_is_accepted(a, b, x0, t1):
     box = StateSpace(((0.0, 50.0),))
-    seg = solve_mode(affine_mode("m", [[a]], [b], box), [x0], 0.0, t1, box)
+    seg = ScalarAffineSegment(0.0, t1, x0, a, b)
     assert 0.0 < seg.value(seg.t1)[0] <= 50.0
+    mode = affine_mode("m", [[a]], [b], box)
+    if a:  # a lag toward a bound keeps the box, however near it comes
+        assert solve_mode(mode, [x0], 0.0, t1, box).x1 == seg.x1
+    else:  # the ramp would leave after t1, so it is refused
+        with pytest.raises(ValueError, match="through the face x1 = 50.000000000001$"):
+            solve_mode(mode, [x0], 0.0, t1, box)
 
 
 # Two networks of the simple NOR with unit parameters, state (V_int, V_out):
@@ -837,10 +862,11 @@ SHARE_PEAK = _share_peak()
     ],
 )
 def test_two_state_exit_is_exact(net, x0, box):
-    # the earliest time a component meets a bound: each component's first
-    # grid step past one, narrowed by brentq on the closed form
-    with pytest.raises(StateSpaceExit) as exc:
-        solve_mode(affine_mode("m", *net, box), x0, 0.0, 20.0, box)
+    # the run from x0 leaves the box: the earliest time a component meets a
+    # bound is each component's first grid step past one, narrowed by
+    # brentq on the closed form, and the segment's own meet agrees.  The
+    # mode is refused, naming the face the run leaves through, the only one
+    # its field points out of.
     seg = AffineSegment(0.0, 20.0, x0, *net)
     ts = np.linspace(0.0, 20.0, 20_001)
     vals, exits = np.array(seg.values(ts)), []
@@ -852,18 +878,29 @@ def test_two_state_exit_is_exact(net, x0, box):
             t = brentq(lambda t: seg.value(t)[k] - bound, ts[j - 1], ts[j], xtol=1e-15)
             exits.append((t, k, bound))
     want, k, bound = min(exits)
-    assert exc.value.time == pytest.approx(want, abs=1e-12)
-    assert exc.value.state[k] == pytest.approx(bound, abs=1e-12)
-    assert all(lo - 1e-12 < x < hi + 1e-12 for x, (lo, hi) in zip(exc.value.state, box.bounds))
+    ends, _, meet = seg.pieces(k + 1)
+    assert meet(bound, ends[0], ends[1]) == pytest.approx(want, abs=1e-12)
+    face = box.bounds[k][0] - BOX_SLACK if bound == box.bounds[k][0] else box.bounds[k][1] + BOX_SLACK
+    with pytest.raises(ValueError) as exc:
+        solve_mode(affine_mode("m", *net, box), x0, 0.0, 20.0, box)
+    assert str(exc.value).startswith("mode 'm': the state space is not invariant: ")
+    assert str(exc.value).endswith(f" points out through the face x{k + 1} = {float(face)!r}")
 
 
 def test_two_state_exit_is_the_earliest_over_components():
-    # x = (1.5 t, 3 t) leaves through x2 at t = 1/3, before x1 leaves at 2/3
+    # x = (1.5 t, 3 t) meets x2 = 1 at t = 1/3, before x1 = 1 at 2/3; the
+    # field points out of both upper faces, and the refusal names the first
+    # in corner order, x2's at (lo, hi)
+    seg = AffineSegment(0.0, 2.0, (0.0, 0.0), [[0.0, 0.0], [0.0, 0.0]], [1.5, 3.0])
+    for k, time in ((1, 2.0 / 3.0), (2, 1.0 / 3.0)):
+        assert seg.pieces(k)[2](1.0, 0.0, 2.0) == pytest.approx(time, rel=1e-15)
     box = StateSpace(((-1.0, 1.0), (-1.0, 1.0)))
-    with pytest.raises(StateSpaceExit) as exc:
+    with pytest.raises(ValueError) as exc:
         solve_mode(affine_mode("m", [[0.0, 0.0], [0.0, 0.0]], [1.5, 3.0], box), (0.0, 0.0), 0.0, 2.0, box)
-    assert exc.value.time == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert exc.value.state == pytest.approx((0.5, 1.0), rel=1e-15)
+    assert str(exc.value) == (
+        "mode 'm': the state space is not invariant: at the corner (-1.000000000001, 1.000000000001),"
+        " dx2/dt = 3.0 points out through the face x2 = 1.000000000001"
+    )
 
 
 @pytest.mark.parametrize(
@@ -878,13 +915,18 @@ def test_two_state_exit_is_the_earliest_over_components():
 def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box):
     seg = AffineSegment(0.0, t1, x0, *net)
     assert all(box.contains(row) for row in seg.values(np.linspace(0.0, t1, 64)))  # samples agree
-    got = solve_mode(affine_mode("m", *net, box), x0, 0.0, t1, box)
-    assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(got.value(got.t1), box.bounds))
+    assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(seg.value(seg.t1), box.bounds))
+    mode = affine_mode("m", *net, box)
+    if net is NOR_CHARGE:  # both nodes settle onto the top, which the box keeps
+        assert solve_mode(mode, x0, 0.0, t1, box).x1 == seg.x1
+    else:  # the run from x0 stays inside, but one from (1.01, peak) would not
+        with pytest.raises(ValueError, match="through the face x2 = "):
+            solve_mode(mode, x0, 0.0, t1, box)
 
 
 class _NanEndSegment(_SegmentBase):
     """Two pieces on [0, 1], split at 1/2, whose end values are (0.0, mid,
-    nan); the state reads ``mid`` from 1/2 on.  No piece meets a bound."""
+    nan); the state reads them at the ends and ``mid`` inside the second."""
 
     __slots__ = ("t0", "t1", "mid")
     dimension = 1
@@ -893,7 +935,7 @@ class _NanEndSegment(_SegmentBase):
         self.t0, self.t1, self.mid = 0.0, 1.0, mid
 
     def state_at(self, t):
-        return self.mid if t >= 0.5 else 0.0
+        return math.nan if t >= 1.0 else self.mid if t >= 0.5 else 0.0
 
     def pieces(self, component):
         return (0.0, 0.5, 1.0), (0.0, self.mid, math.nan), None
@@ -901,21 +943,115 @@ class _NanEndSegment(_SegmentBase):
 
 @pytest.mark.parametrize("fill, time", [(0.0, 1.0), (math.nan, 0.5)])
 def test_a_nan_piece_end_is_an_exit(fill, time):
-    # a NaN meets no comparison with the box: min and max of (0.0, nan) both
-    # read 0.0, which let it through; the first NaN end is the exit
+    # no segment is scanned, so a NaN a segment reads at a piece end is
+    # caught where a run next solves from it: a NaN meets no comparison
+    # with the box, so that solve exits at its start.  A run that switches
+    # at every piece end exits at the first NaN end.
+    box = StateSpace(((-1.0, 1.0),))
+    seg, decay = _NanEndSegment(fill), affine_mode("decay", [[-1.0]], [0.0], box)
     with pytest.raises(StateSpaceExit) as exc:
-        _containment_scan(_NanEndSegment(fill), StateSpace(((-1.0, 1.0),)))
+        for t in seg.pieces(1)[0]:
+            solve_mode(decay, seg.state_at(t), t, 2.0, box)
     assert exc.value.time == time
 
 
 def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
     # e^{t} passes the largest float long before t1, so the end reads inf,
-    # as numpy's exp gives; the state leaves where it meets 51, at ln 51
+    # as numpy's exp gives, and the piece meets 51 at ln 51.  A growing mode
+    # keeps no box around its equilibrium, so it is refused, at the first
+    # face in corner order.
+    seg = ScalarAffineSegment(0.0, 1000.0, 1.0, 1.0, 0.0)
+    ts, xs, meet = seg.pieces(1)
+    assert xs == (1.0, math.inf)
+    assert meet(51.0, *ts) == pytest.approx(math.log(51.0), rel=1e-15)
     box = StateSpace(((-1.0, 51.0),))
-    with pytest.raises(StateSpaceExit) as err:
+    with pytest.raises(ValueError) as err:
         solve_mode(affine_mode("grow", [[1.0]], [0.0], box), 1.0, 0.0, 1000.0, box)
-    assert err.value.time == pytest.approx(math.log(51.0), rel=1e-15)
-    assert err.value.state[0] == pytest.approx(51.0, rel=1e-14)
+    assert str(err.value) == (
+        "mode 'grow': the state space is not invariant: at the corner (-1.000000000001,),"
+        " dx1/dt = -1.000000000001 points out through the face x1 = -1.000000000001"
+    )
+
+
+@st.composite
+def _scalar_fields(draw):
+    """(a, b, lo, width): a rate, 0 or not, and b either drawn or put so
+    that the equilibrium -b/a lies near the box (lo, lo + width)."""
+    a = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+    lo, width = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 20.0))
+    b = draw(st.one_of(st.floats(-1e3, 1e3), st.floats(-5.0, 25.0).map(lambda e: -a * (lo + e))))
+    return a, b, lo, width
+
+
+@given(fields=_scalar_fields())
+# the equilibrium sits on the widened lower bound, 1e-12 - BOX_SLACK = 0.0
+@example(fields=(-1.0, 0.0, 1e-12, 1.0))
+# a zero field, and one that is zero at the widened upper bound alone
+@example(fields=(0.0, 0.0, -1.0, 2.0))
+@example(fields=(-1.0, 1.0 + BOX_SLACK, -1.0, 2.0))
+def test_a_scalar_mode_is_refused_exactly_when_its_field_points_out_at_a_bound(fields):
+    # with lo' and hi' the bounds widened by BOX_SLACK, dx/dt = a x + b is
+    # refused exactly when a lo' + b < 0 or a hi' + b > 0, in exact arithmetic
+    a, b, lo, width = fields
+    hi = lo + width
+    space = StateSpace(((lo, hi),))
+    low, high = Fraction(lo - BOX_SLACK), Fraction(hi + BOX_SLACK)
+    out = Fraction(a) * low + Fraction(b) < 0 or Fraction(a) * high + Fraction(b) > 0
+    mode = affine_mode("m", [[a]], [b], space)
+    x0 = (lo + hi) / 2
+    if out:
+        with pytest.raises(ValueError, match="^mode 'm': the state space is not invariant: "):
+            solve_mode(mode, x0, 0.0, 1.0, space)
+    else:
+        assert solve_mode(mode, x0, 0.0, 1.0, space).x0 == x0
+
+
+@pytest.mark.parametrize(
+    "a, b, x0, why",
+    [
+        # disc and tr(a)/2 read 0: a repeated form at rate 0.0
+        ([[0.0, 1e-200], [1e-200, 0.0]], [0.0, 0.0], (1.0, 1.0), "not invariant"),
+        # det(a) != 0, but c lies beyond the floats and tr(a) = 0
+        ([[0.0, 5e-324], [1.0, 0.0]], [1.0, 0.0], (0.0, 0.0), "beyond the floats"),
+        # the singular fallback's huge c and m cancel to NaN past t0
+        ([[9.8e-289, 1.0], [2.2e-309, 0.0]], [0.0, 1.0], (0.0, 0.0), "not invariant"),
+        ([[1.2e-227, -1.0], [-2.2e-309, 0.0]], [0.0, 1.0], (0.0, 0.0), "not invariant"),
+    ],
+    ids=["zero_rate", "beyond_the_floats", "nan", "nan_negative"],
+)
+def test_a_mode_whose_closed_form_breaks_on_tiny_entries_is_refused_around_its_start(a, b, x0, why):
+    # no run can reach these forms: each mode is refused in a box around
+    # the start that breaks its closed form
+    box = StateSpace(tuple((x - 0.5, x + 0.5) for x in x0))
+    with pytest.raises(ValueError, match=why):
+        solve_mode(affine_mode("tiny", a, b, box), x0, 0.0, 2.0, box)
+
+
+def test_a_relaxation_is_refused_unless_its_target_lies_in_the_box():
+    exponent = lambda t: (t, 1.0)  # noqa: E731
+    for target, face in ((2.0, 1.010000000001), (-0.5, -0.010000000001), (math.nan, -0.010000000001)):
+        mode = ModeFunction("relax", HEAT.rhs, ScalarRelaxation(target, exponent), 1.0, 3.0)
+        with pytest.raises(ValueError) as exc:
+            solve_mode(mode, 0.5, 0.0, 1.0, StateSpace(((-0.01, 1.01),)))
+        assert str(exc.value) == (
+            f"mode 'relax': the state space is not invariant: its target {target!r} lies beyond the face x1 = {face!r}"
+        )
+    for target in (1.0, 1):  # a target of any number type
+        mode = ModeFunction("relax", HEAT.rhs, ScalarRelaxation(target, exponent), 1.0, 3.0)
+        assert solve_mode(mode, 0.5, 0.0, 1.0, StateSpace(((-0.01, 1.01),))).x1 == 1.0 - 0.5 * math.exp(-1.0)
+
+
+def test_an_affine_kind_is_proven_once_per_box(monkeypatch):
+    # a kind keeps the last box it was proven to keep, and a solve in that
+    # same box object proves nothing; any other box object is proven anew
+    calls = []
+    prove = modes._prove_invariant
+    monkeypatch.setattr(modes, "_prove_invariant", lambda mode, space: calls.append(space) or prove(mode, space))
+    box, other = StateSpace(((-0.8, 2.2), (-0.6, 1.4))), StateSpace(((-0.8, 2.2), (-0.6, 1.4)))
+    mode = affine_mode("planar", [[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], box)
+    for space in (box, box, other, other, box):
+        solve_mode(mode, (0.2, 0.9), 0.0, 1.0, space)
+    assert [space is box for space in calls] == [True, False, True] and mode.kind.box is box
 
 
 def test_initial_state_outside_box_rejected():

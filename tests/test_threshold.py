@@ -392,10 +392,8 @@ class TestExponentialSumAgainstSampledPath:
 
     def test_complex_spectrum_is_never_sampled(self):
         # a damped rotation, x1 = e^{-t/10} cos t, which turns every pi
-        a, b, box = [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0], StateSpace(((-2.0, 2.0),) * 2)
-        seg = AffineSegment(0.0, 10.0, [1.0, 0.0], a, b)
+        seg = AffineSegment(0.0, 10.0, [1.0, 0.0], [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0])
         slow = sampled_crossings(Trajectory([_sampled(seg)]), 0.5)
-        seg = solve_mode(affine_mode("rotate", a, b, box), [1.0, 0.0], 0.0, 10.0, box)
         assert len(seg.pieces(1)[0]) == 5  # t0, three turns, t1
         got = find_crossings(Trajectory([seg]), 0.5)
         assert len(got) == 3
