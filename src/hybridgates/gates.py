@@ -5,7 +5,8 @@ threshold comparator on one state component.  Each delayed input edge may
 switch the active mode; the comparator digitizes the resulting continuous
 state back into a binary output.  ``circuit.execute`` is the one
 implementation of these semantics; ``gate_output`` runs one gate on known
-input signals as a one-gate circuit, so its delays must be positive.
+input signals as a one-gate circuit, so its delays must be positive, and
+the ``GateRun`` it returns is a view of that circuit's ``Execution``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .modes import (
-    ModeFunction,
-    ScalarRelaxation,
-    StateSpace,
-    Trajectory,
-    affine_mode,
-    matching_output_signal,
-)
+from .modes import ModeFunction, ScalarRelaxation, StateSpace, Trajectory, affine_mode
+from .modes import matching_output_signal  # unused; bench/spans.py wraps it by name
 from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal
 from .threshold import ThresholdSpec, digitize  # digitize: unused; bench/spans.py wraps it by name
+
+if TYPE_CHECKING:
+    from .circuit import Execution
 
 __all__ = [
     "ModeEntry",
@@ -110,7 +108,7 @@ class GateSpec:
     @functools.cached_property
     def _circuits(self) -> dict:
         """This gate's one-gate circuits by input initial bits, built on
-        first use by ``_run_alone``; held here, not in a table keyed by the
+        first use by ``gate_output``; held here, not in a table keyed by the
         gate, so they go when the gate does (each refers back to the gate,
         so the cyclic collector frees the pair)."""
         return {}
@@ -145,21 +143,28 @@ def initial_output_bit(gate: GateSpec) -> int:
 
 @dataclass(frozen=True)
 class GateRun:
-    """Everything produced by one standalone gate evaluation.
+    """One standalone gate run: a view of its one-gate ``execution``.
 
-    ``trajectory`` is pasted from ``switching`` and ``family`` each time it
-    is read, so a run read only for its ``output`` solves each mode once.
+    ``trajectory`` is ``execution.trajectory("gate")``, pasted each time it
+    is read; ``switching`` and ``family`` are ``execution.switching("gate")``,
+    the paper API's merged view of the run, built each time one is read.
     """
 
     gate: GateSpec
     output: BinarySignal
-    switching: ModeSwitchSignal
-    family: dict
+    execution: Execution
 
     @property
     def trajectory(self) -> Trajectory:
-        g = self.gate
-        return matching_output_signal(self.family, self.switching, g.initial_state, g.state_space)
+        return self.execution.trajectory("gate")
+
+    @property
+    def switching(self) -> ModeSwitchSignal:
+        return self.execution.switching("gate")[0]
+
+    @property
+    def family(self) -> dict:
+        return self.execution.switching("gate")[1]
 
 
 def gate_output(
@@ -169,23 +174,15 @@ def gate_output(
 ) -> GateRun:
     """Run one gate on known input signals over their shared horizon.
 
-    This is a one-gate circuit run: input ``i`` drives slot ``i`` through
-    the gate's pure delay, so every delay must be strictly positive, as in
-    any circuit (a zero delay raises ``InvalidCircuitError``, a ValueError).
-    The circuit is built and validated once per gate and tuple of input
-    initial bits, and kept on the gate: a later call with the same bits
-    only runs it, and one whose bits do not match the gate's raises the
-    same ``InvalidCircuitError`` each time.  ``switching`` and ``family``
-    are the modes the gate entered during the run, as
-    ``Execution.switching`` reads them; a source gate needs an explicit
-    ``horizon``.
+    This is ``execute`` of a one-gate circuit whose vertex is ``"gate"``:
+    input ``i`` drives slot ``i`` through the gate's pure delay, so every
+    delay must be strictly positive, as in any circuit (a zero delay raises
+    ``InvalidCircuitError``, a ValueError).  The circuit is built and
+    validated once per gate and tuple of input initial bits, and kept on
+    the gate: a later call with the same bits only runs it, and one whose
+    bits do not match the gate's raises the same ``InvalidCircuitError``
+    each time.  A source gate needs an explicit ``horizon``.
     """
-    ex = _run_alone(gate, inputs, horizon)
-    return GateRun(gate, ex.signals["gate"], *ex.switching("gate"))
-
-
-def _run_alone(gate: GateSpec, inputs: Sequence[BinarySignal], horizon: float | None):
-    """``execute`` of ``gate`` alone on ``inputs``, as ``gate_output`` runs it."""
     from .circuit import Circuit, InputPort, OutputPort, execute  # circuit imports gates
 
     if len(inputs) != gate.arity:
@@ -204,7 +201,8 @@ def _run_alone(gate: GateSpec, inputs: Sequence[BinarySignal], horizon: float | 
             [(p, "gate", slot) for slot, p in enumerate(ports)] + [("gate", "out", 0)],
         )
         gate._circuits[bits] = circuit
-    return execute(circuit, dict(zip(ports, inputs)), horizon)
+    ex = execute(circuit, dict(zip(ports, inputs)), horizon)
+    return GateRun(gate, ex.signals["gate"], ex)
 
 
 # -- memoryless gates ------------------------------------------------------
@@ -673,10 +671,10 @@ def mis_delay_sweep(
     Both inputs start high (output low).  Input B falls at ``lead``, input A
     falls ``gap`` later, and the reported delay is from A's fall to the
     output's rise.  Gate factories must declare initial inputs (1, 1).
-    ``gate_factory`` is called once per gap.  Each gap is one run of the
-    gate alone, as ``gate_output`` makes it, so a factory that returns one
-    gate builds and validates its circuit once; only the output signal is
-    read, not the modes the gate entered.
+    ``gate_factory`` is called once per gap.  Each gap is one
+    ``gate_output`` call, so a factory that returns one gate builds and
+    validates its circuit once; only the run's ``output`` is read, so no
+    trajectory is pasted and no mode-switch signal is built.
     """
     out: list[float] = []
     for gap in gaps:
@@ -688,7 +686,7 @@ def mis_delay_sweep(
         horizon = lead + gap + settle
         sig_a = BinarySignal(1, ((lead + gap, 0),), horizon)
         sig_b = BinarySignal(1, ((lead, 0),), horizon)
-        output = _run_alone(gate, [sig_a, sig_b], None).signals["gate"]
+        output = gate_output(gate, [sig_a, sig_b]).output
         rises = [tr.time for tr in output.transitions if tr.value == 1]
         if not rises:
             raise RuntimeError(f"{gate.name}: output never rose within the horizon")

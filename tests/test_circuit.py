@@ -277,7 +277,7 @@ class TestExecution:
         unroll(c, "O", 2)
         assert sum(1 for seen in calls if seen is c) == 1
 
-    def test_a_gate_run_alone_is_validated_once_per_initial_bits(self, monkeypatch):
+    def test_a_one_gate_run_is_validated_once_per_initial_bits(self, monkeypatch):
         calls = []
 
         def counting_validate(circuit):

@@ -32,6 +32,7 @@ from hybridgates.gates import (
     measure_idm_delays,
     mis_delay_sweep,
 )
+from hybridgates import circuit as circuit_module
 from hybridgates import modes
 from hybridgates.circuit import Circuit, InputPort, InvalidCircuitError, OutputPort, execute
 from hybridgates.modes import (
@@ -159,6 +160,43 @@ class TestBooleanGates:
         want = run.output.final_value
         have = a.final_value | b.final_value
         assert want == have
+
+
+class TestGateRun:
+    def test_the_trajectory_is_the_runs_own_not_the_merged_switching(self):
+        # the xor2 commits its rise at T; slot 1 then rises 0.5e-12 after T
+        # and slot 0 falls 1.2e-12 after it, two mode entries (low, then
+        # high again) that the mode-switch signal merges into the one at 1.1
+        # but the run solves
+        T = 1.100069314718056
+        gate = make_boolean_gate("xor2", (0.1, 0.1))
+        a = BinarySignal(0, ((1.0, 1), (T + 1.2e-12 - 0.1, 0)), 5.0)
+        b = BinarySignal(0, ((T + 0.5e-12 - 0.1, 1),), 5.0)
+        run = gate_output(gate, [a, b])
+        assert run.output.times == (T,)
+        assert run.trajectory.value(T + 1e-9) == (0.5000049929763403,)
+        assert run.switching.switches == ((1.1, "high"),)
+        assert [t for t, _ in run.execution.modes["gate"]] == [0.0, 1.1, T + 5e-13, T + 1.2e-12]
+        assert run.trajectory.value(T + 1e-9) == run.execution.trajectory("gate").value(T + 1e-9)
+
+    def test_no_mode_switch_signal_is_built_unless_one_is_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ModeSwitchSignal was built")
+
+        monkeypatch.setattr(circuit_module, "ModeSwitchSignal", refuse)
+        run = gate_output(make_idm_channel(), [BinarySignal(0, ((1.0, 1), (2.5, 0)), 10.0)])
+        assert len(run.output.times) == 2
+        run.trajectory.value(3.0)
+        for factory in (make_simple_nor, make_advanced_nor):
+            mis_delay_sweep(lambda: factory(initial_inputs=(1, 1)), [0.0, 0.5])
+        measure_idm_delays(0.5)
+        with pytest.raises(AssertionError):
+            run.switching
+        monkeypatch.undo()
+        switching, family = run.execution.switching("gate")
+        assert run.switching == switching
+        assert run.family == family
+        assert run.switching.switches == ((1.1, "up"), (2.6, "down"))
 
 
 class TestConstGate:

@@ -767,11 +767,16 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
 
     before = {name: getattr(modes, name) for name in ("solve_mode", "solve_ivp")}
     before_values = vars(modes.DenseSegment)["values"]
+    # gates keeps these two imports only for the tracer to wrap
+    only_traced = ("matching_output_signal", "digitize")
+    before_gates = {name: vars(hybridgates.gates)[name] for name in only_traced}
     uninstall = spans.install(spans.Tracer(), hybridgates)
     assert modes.solve_ivp is not before["solve_ivp"]
+    assert all(getattr(hybridgates.gates, name) is not before_gates[name] for name in only_traced)
     uninstall()
     assert {name: getattr(modes, name) for name in before} == before
     assert vars(modes.DenseSegment)["values"] is before_values
+    assert {name: getattr(hybridgates.gates, name) for name in only_traced} == before_gates
 
 
 # -- invariant boxes -------------------------------------------------------------
