@@ -143,16 +143,19 @@ def initial_output_bit(gate: GateSpec) -> int:
 
 @dataclass(frozen=True)
 class GateRun:
-    """One standalone gate run: a view of its one-gate ``execution``.
+    """One standalone gate run: a view of its one-gate ``execution``, each
+    attribute read from it when asked; ``switching`` and ``family`` are
+    ``execution.switching("gate")``, the paper API's merged view."""
 
-    ``trajectory`` is ``execution.trajectory("gate")``, pasted each time it
-    is read; ``switching`` and ``family`` are ``execution.switching("gate")``,
-    the paper API's merged view of the run, built each time one is read.
-    """
-
-    gate: GateSpec
-    output: BinarySignal
     execution: Execution
+
+    @property
+    def gate(self) -> GateSpec:
+        return self.execution.circuit.vertices["gate"]
+
+    @property
+    def output(self) -> BinarySignal:
+        return self.execution.signals["gate"]
 
     @property
     def trajectory(self) -> Trajectory:
@@ -201,8 +204,7 @@ def gate_output(
             [(p, "gate", slot) for slot, p in enumerate(ports)] + [("gate", "out", 0)],
         )
         gate._circuits[bits] = circuit
-    ex = execute(circuit, dict(zip(ports, inputs)), horizon)
-    return GateRun(gate, ex.signals["gate"], ex)
+    return GateRun(execute(circuit, dict(zip(ports, inputs)), horizon))
 
 
 # -- memoryless gates ------------------------------------------------------
@@ -671,10 +673,9 @@ def mis_delay_sweep(
     Both inputs start high (output low).  Input B falls at ``lead``, input A
     falls ``gap`` later, and the reported delay is from A's fall to the
     output's rise.  Gate factories must declare initial inputs (1, 1).
-    ``gate_factory`` is called once per gap.  Each gap is one
-    ``gate_output`` call, so a factory that returns one gate builds and
-    validates its circuit once; only the run's ``output`` is read, so no
-    trajectory is pasted and no mode-switch signal is built.
+    ``gate_factory`` is called once per gap, and each gap is one
+    ``gate_output`` call read only for its ``output``, so a factory that
+    returns one gate builds and validates its circuit once.
     """
     out: list[float] = []
     for gap in gaps:
