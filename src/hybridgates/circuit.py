@@ -340,7 +340,9 @@ def execute(
     result; it exists so tests can prove that.
 
     The wiring was checked when the circuit was built: a circuit whose
-    ``report`` is not ok raises ``InvalidCircuitError``.
+    ``report`` is not ok raises ``InvalidCircuitError``.  A mode that
+    ``solve_mode`` refuses, such as one that leaves its box, raises
+    ValueError with ``vertex '<name>': `` before the mode's own message.
     """
     report = circuit.report
     if not report.ok:
@@ -378,7 +380,10 @@ def execute(
         # value, from a state exactly on the threshold, is dropped
         spec = st.spec
         st.modes.append((t, mode))
-        st.live = solve_mode(mode, x, t, horizon, spec.state_space)
+        try:
+            st.live = solve_mode(mode, x, t, horizon, spec.state_space)
+        except ValueError as exc:  # many gates share a mode id, so name the vertex
+            raise ValueError(f"vertex {name!r}: {exc}") from exc
         generation, value, leading = st.generation, st.out_bit, True
         for t_c, rising in find_crossings((st.live,), spec.threshold.xi, spec.threshold.component):
             if rising == value:

@@ -171,6 +171,7 @@ class _Plane:
     - ``c + e^{tau s} (p cos ws + q sin ws)`` if disc = -w^2: (y0, N y0/w).
     - ``x0 + p s + q s^2`` for a nilpotent a: (a x0 + b, a b/2).
 
+    ``AffineSegment._at`` writes each form, its values and its slopes, once.
     det(a), disc, c and m are exact in the float entries, rounded once, so
     a stiff mode keeps its slow rate; disc^1/2, l2 and the eigenvectors come
     from the exact disc, det(a) and a12 a21 where their floats are subnormal.
@@ -269,29 +270,28 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     The mode's ``rhs(t, x)`` is ``a x + b`` on floats, as a tuple, for a
     sequence ``x`` of one float per state.  K is the spectral norm
     of ``a``: |a|, or (|(a11 + a22, a21 - a12)| + |(a11 - a22, a12 +
-    a21)|)/2 for two states.  ``|a x + b|`` is convex in ``x``, so M is its
-    maximum over the box's corners.  Both are floats.  A value beyond the
-    floats at a corner makes M infinite, still a bound; one that cancels to
-    NaN makes ``ModeFunction`` refuse the mode.  A refusal, of three or more
-    states too, names ``mode_id``.
+    a21)|)/2 for two states.  ``|a x + b|`` is convex in ``x``, so M is the
+    largest norm of ``rhs`` at the box's corners.  Both are floats.  A value
+    beyond the floats at a corner makes M infinite, still a bound; one that
+    cancels to NaN makes ``ModeFunction`` refuse the mode.  A refusal, of
+    three or more states too, names ``mode_id``.
     """
     try:
         kind = AffineConstant(a, b)
     except ValueError as exc:
         raise ValueError(f"mode {mode_id!r}: {exc}") from exc
-    if kind.line is not None:
-        a1, b1 = kind.line
-        k, xs = abs(a1), [(a1 * c + b1,) for (c,) in space.corners()]
-    else:
-        ((a11, a12), (a21, a22)), (b1, b2) = kind.a, kind.b
-        k = (math.hypot(a11 + a22, a21 - a12) + math.hypot(a11 - a22, a12 + a21)) / 2
-        xs = [(a11 * c1 + a12 * c2 + b1, a21 * c1 + a22 * c2 + b2) for c1, c2 in space.corners()]
-    norms = [math.sqrt(sum([v * v for v in x])) for x in xs]  # the 2-norm, sqrt(x . x)
-    m = math.nan if any(map(math.isnan, norms)) else max(norms)
 
     def rhs(t: float, x, _a=kind.a, _b=kind.b) -> tuple[float, ...]:
         return tuple([sum([u * v for u, v in zip(row, x)]) + c for row, c in zip(_a, _b)])
 
+    if kind.line is not None:
+        k = abs(kind.line[0])
+    else:
+        (a11, a12), (a21, a22) = kind.a
+        k = (math.hypot(a11 + a22, a21 - a12) + math.hypot(a11 - a22, a12 + a21)) / 2
+    # the 2-norm, sqrt(x . x)
+    norms = [math.sqrt(sum([v * v for v in rhs(0.0, c)])) for c in space.corners()]
+    m = math.nan if any(map(math.isnan, norms)) else max(norms)
     return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
 
 
@@ -318,9 +318,11 @@ def _newton(
     The search starts at ``t``, a time inside (lo, hi), or if that is None
     at the secant of the ends, and each value narrows the bracket.  A step
     shorter than half of ``xtol + 4 eps |t|`` ends it, clamped to the
-    bracket; a step that leaves the bracket bisects instead.  A NaN value,
-    at an end or inside, raises ValueError, and 100 iterations without
-    convergence raise RuntimeError.
+    bracket.  A step that leaves the bracket, or is longer than half the
+    step before the last one, bisects instead (the rule of Numerical
+    Recipes' ``rtsafe``), so steps that shrink too slowly, as where rounding
+    leaves f flat, cannot crawl.  A NaN value, at an end or inside, raises ValueError, and 100
+    iterations without convergence raise RuntimeError.
     """
     if g_lo != g_lo or g_hi != g_hi:
         raise ValueError(f"NaN at an end of the bracket [{lo}, {hi}]")
@@ -328,7 +330,7 @@ def _newton(
         return hi if g_lo else lo
     if t is None:
         t = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    rising = g_lo < 0.0
+    rising, before, last = g_lo < 0.0, hi - lo, hi - lo  # the last two step lengths
     for _ in range(_ROOT_MAXITER):
         f, df = fd(t)
         if f != f:
@@ -342,12 +344,12 @@ def _newton(
             step = f / df
             if abs(step) <= half:  # before the bracket test: t - step may round onto an end
                 return min(max(t - step, lo), hi)
-            t -= step
-            if lo < t < hi:
+            if lo < t - step < hi and 2.0 * abs(step) <= before:
+                t, before, last = t - step, last, abs(step)
                 continue
         if hi - lo <= 2.0 * half:
             return (lo + hi) / 2
-        t = (lo + hi) / 2
+        t, before, last = (lo + hi) / 2, last, (hi - lo) / 2
     raise RuntimeError(f"no root within {xtol} after {_ROOT_MAXITER} iterations")
 
 
@@ -414,8 +416,13 @@ class AffineSegment(_SegmentBase):
     """Closed-form solution of a 2-state mode dx/dt = a x + b from ``x0`` at
     ``t0``, on floats: each component's (p, q) in the form of ``kind.plane``
     (:class:`_Plane`; ``kind`` is built from ``a`` and ``b`` if not given).
-    Both components come from one set of exp, cos and sin calls per time,
-    and the end state ``x1`` is read once, when the segment is built.  A
+    One evaluator, ``_at``, writes each form once: it gives both components
+    and both slopes from one set of exp, cos and sin calls, and every read
+    goes through it, so the end state ``x1``, read once when the segment is
+    built, and the values and slopes that meet xi agree.  The exp it reads
+    with on [t0, t1] is chosen once, as ``_exp``: ``math.exp``, or
+    :func:`_exp`, which reads inf past the floats, where an exponent there
+    could pass 709; a state read outside [t0, t1] takes :func:`_exp`.  A
     component turns at most once for a real spectrum and every pi/w for a
     complex one; :func:`_newton` meets xi in each piece to 1e-13, on the
     component's closed-form slope, from the one-exponential estimate of
@@ -423,7 +430,7 @@ class AffineSegment(_SegmentBase):
     ``t0``, so a start on the threshold digitizes as its bit.
     """
 
-    __slots__ = ("t0", "t1", "x0", "kind", "_pq", "x1")
+    __slots__ = ("t0", "t1", "x0", "kind", "_pq", "_c", "_exp", "x1")
 
     dimension = 2
 
@@ -438,78 +445,38 @@ class AffineSegment(_SegmentBase):
         self.kind = kind
         y1, y2 = x1 - kind.plane.c[0], x2 - kind.plane.c[1]
         self._pq = tuple([u * y1 + v * y2 + o for u, v, o in kind.plane.rows])
+        self._c = self.x0 if kind.plane.form == "quadratic" else kind.plane.c
+        # the largest rate an exp reads: a complex pair's second is w, and a quadratic has none
+        rates = kind.plane.rates
+        rate = max(rates[:2]) if kind.plane.form == "real" else (rates or (0.0,))[0]
+        self._exp = math.exp if rate * (self.t1 - self.t0) < 709.0 else _exp
         self.x1 = self.state_at(self.t1)
 
-    def _states(self, ts, exp=math.exp) -> tuple[list[float], list[float]]:
-        """Each component at the times ``ts`` (``x0`` itself at t0).  An exp
-        that overflows reads inf, and a zero coefficient times it adds 0."""
-        plane, t0, x0, (p1, q1, p2, q2) = self.kind.plane, self.t0, self.x0, self._pq
-        form, (m1, m2), (l1, l2) = plane.form, plane.m, (*plane.rates, 0.0, 0.0)[:2]
-        (c1, c2), cos, sin = x0 if form == "quadratic" else plane.c, math.cos, math.sin
-        xs1, xs2 = out = [], []
-        try:
-            for t in ts:
-                s = t - t0
-                if t == t0:
-                    a, b = x0
-                elif form == "real":
-                    e1, e2 = exp(l1 * s), exp(l2 * s)
-                    a = c1 + m1 * s + (p1 and p1 * e1) + (q1 and q1 * e2)
-                    b = c2 + m2 * s + (p2 and p2 * e1) + (q2 and q2 * e2)
-                elif form == "quadratic":
-                    a, b = c1 + (p1 + q1 * s) * s, c2 + (p2 + q2 * s) * s
-                else:  # c + e^{tau s} (p u + q v): (u, v) = (cos ws, sin ws), or (1, s) if repeated
-                    e, u, v = exp(l1 * s), cos(l2 * s) if l2 else 1.0, sin(l2 * s) if l2 else s
-                    r1, r2 = p1 * u + q1 * v, p2 * u + q2 * v
-                    a, b = c1 + (r1 and e * r1), c2 + (r2 and e * r2)
-                xs1.append(a)
-                xs2.append(b)
-        except OverflowError:
-            return self._states(ts, _exp)
-        return out
-
-    def _excess(self, k: int, xi: float):
-        """Component ``k`` (1-based) minus ``xi``, folded into its constant,
-        and its slope: one function of t that returns both from shared exp,
-        cos and sin calls.  No exp overflows on [t0, t1] unless one at t1 does;
-        then each reads inf, and one at rest (p = q = 0) has no exp term."""
-        plane, t0, (p, q) = self.kind.plane, self.t0, self._pq[2 * k - 2 : 2 * k]
-        form, rates, span = plane.form, plane.rates, self.t1 - t0
-        c = (self.x0 if form == "quadratic" else plane.c)[k - 1] - xi
+    def _at(self, t: float, c1: float, c2: float, exp: Callable) -> tuple[float, float, float, float]:
+        """Both components at ``t``, with ``c1`` and ``c2`` as their constants
+        (``_c``, or ``_c`` minus a level), and both slopes, from one set of
+        ``exp``, cos and sin calls.  A zero coefficient times an exp that
+        reads inf adds 0."""
+        plane, s, (p1, q1, p2, q2) = self.kind.plane, t - self.t0, self._pq
+        form, rates = plane.form, plane.rates
+        if form == "real":
+            (l1, l2, _), (m1, m2) = rates, plane.m
+            e1, e2 = exp(l1 * s), exp(l2 * s)
+            u1, v1, u2, v2 = p1 and p1 * e1, q1 and q1 * e2, p2 and p2 * e1, q2 and q2 * e2
+            return c1 + m1 * s + u1 + v1, c2 + m2 * s + u2 + v2, m1 + l1 * u1 + l2 * v1, m2 + l1 * u2 + l2 * v2
         if form == "quadratic":
-
-            def excess(t):
-                s = t - t0
-                return c + (p + q * s) * s, p + 2.0 * q * s
-
-        elif form == "repeated":
-            tau = rates[0] if p or q else 0.0
-            exp = math.exp if tau * span < 709.0 else _exp
-
-            def excess(t):
-                s = t - t0
-                e, r = exp(tau * s), p + q * s
-                return c + e * r, e * (tau * r + q)
-
-        elif form == "complex":
-            (tau, w), cos, sin = rates if p or q else (0.0, 0.0), math.cos, math.sin
-            dp, dq, exp = tau * p + w * q, tau * q - w * p, math.exp if tau * span < 709.0 else _exp
-
-            def excess(t):
-                s = t - t0
-                e, u, v = exp(tau * s), cos(w * s), sin(w * s)
-                return c + e * (p * u + q * v), e * (dp * u + dq * v)
-
-        else:
-            m, (l1, l2, _) = plane.m[k - 1], rates
-            exp = math.exp if max(l1, l2) * span < 709.0 else _exp
-
-            def excess(t):
-                s = t - t0
-                e1, e2 = p and p * exp(l1 * s), q and q * exp(l2 * s)
-                return c + m * s + e1 + e2, m + l1 * e1 + l2 * e2
-
-        return excess
+            return c1 + (p1 + q1 * s) * s, c2 + (p2 + q2 * s) * s, p1 + 2.0 * q1 * s, p2 + 2.0 * q2 * s
+        if form == "repeated":  # c + e^{tau s} r for r = p + q s
+            tau = rates[0]
+            e, r1, r2 = exp(tau * s), p1 + q1 * s, p2 + q2 * s
+            d1, d2 = tau * r1 + q1, tau * r2 + q2
+        else:  # c + e^{tau s} r for r = p cos ws + q sin ws
+            (tau, w), cos, sin = rates, math.cos, math.sin
+            e, u, v = exp(tau * s), cos(w * s), sin(w * s)
+            r1, r2 = p1 * u + q1 * v, p2 * u + q2 * v
+            d1 = (tau * p1 + w * q1) * u + (tau * q1 - w * p1) * v
+            d2 = (tau * p2 + w * q2) * u + (tau * q2 - w * p2) * v
+        return c1 + (r1 and e * r1), c2 + (r2 and e * r2), d1 and e * d1, d2 and e * d2
 
     def _start(self, k: int, xi: float, lo: float, hi: float) -> float | None:
         """Where component ``k`` would meet ``xi`` if one exponential term
@@ -556,11 +523,16 @@ class AffineSegment(_SegmentBase):
         return (t0 + (math.log(abs(g2)) - math.log(abs(g1))) / den,)
 
     def state_at(self, t: float) -> tuple[float, float]:
-        (a,), (b,) = self._states((t,))
-        return a, b
+        if t == self.t0:
+            return self.x0
+        # Trajectory.value can read past [t0, t1], where an exp may overflow
+        exp = self._exp if self.t0 < t <= self.t1 else _exp
+        c1, c2 = self._c
+        x1, x2, _, _ = self._at(t, c1, c2, exp)
+        return x1, x2
 
     def values(self, ts) -> list[tuple[float, float]]:
-        return list(zip(*self._states([float(t) for t in ts])))
+        return [self.state_at(float(t)) for t in ts]
 
     def pieces(self, component: int):
         """Monotone pieces of one state component; see ``_SegmentBase.pieces``."""
@@ -570,14 +542,21 @@ class AffineSegment(_SegmentBase):
         turns = [t for t in self._turns(component) if after < t < before]
 
         def meet(xi: float, lo: float, hi: float) -> float:
-            excess = self._excess(component, xi)
+            # component k minus xi, folded into its constant, and its slope
+            at, (c1, c2), exp = self._at, self._c, self._exp
+            c1, c2 = (c1 - xi, c2) if k == 0 else (c1, c2 - xi)
+
+            def excess(t: float) -> tuple[float, float]:
+                return at(t, c1, c2, exp)[k::2]  # (value, slope) of component k
+
             # where rounding leaves both ends on one side, the end nearer xi
             g_lo, g_hi = excess(lo)[0], excess(hi)[0]
             if (g_lo > 0.0) == (g_hi > 0.0):
                 return lo if abs(g_lo) <= abs(g_hi) else hi
             return _newton(excess, lo, hi, g_lo, g_hi, self._start(component, xi, lo, hi), 1e-13)
 
-        xs = (self.x0[k], *(self._states(turns)[k] if turns else ()), self.x1[k])
+        # the turns lie inside (t0, t1), where state_at reads _at with _exp
+        xs = (self.x0[k], *[self._at(t, *self._c, self._exp)[k] for t in turns], self.x1[k])
         return (self.t0, *turns, self.t1), xs, meet
 
 

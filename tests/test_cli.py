@@ -253,7 +253,7 @@ class TestCircuitFiles:
         out = tmp_path / "out"
         assert run("simulate", path, "--out-dir", out) == 1
         assert capsys.readouterr().err == (
-            "error: mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
+            "error: vertex 'nor': mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
             " dx1/dt = 1e-20 points out through the face x1 = 1.010000000001\n"
         )
         assert not out.exists()

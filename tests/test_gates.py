@@ -739,7 +739,7 @@ class TestDeclaredRegularity:
         with pytest.raises(ValueError) as exc:
             gate_output(gate, [zero, zero])
         assert str(exc.value) == (
-            "mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
+            "vertex 'gate': mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
             " dx1/dt = 1e-20 points out through the face x1 = 1.010000000001"
         )
 

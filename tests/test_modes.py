@@ -170,7 +170,8 @@ def test_a_plane_segment_resting_on_an_unstable_equilibrium_stays_there(a, b):
     # c = (1, 1) = x0, so every coefficient is 0 and each exp overflows
     seg = AffineSegment(0, 1000, (1.0, 1.0), a, b)
     assert seg.x1 == seg.state_at(1000.0) == (1.0, 1.0)
-    assert seg._excess(1, 0.5)(1000.0) == (0.5, 0.0)
+    # meet's excess: each constant less xi = 0.5, and a zero slope
+    assert seg._at(1000.0, 0.5, 0.5, seg._exp) == (0.5, 0.5, 0.0, 0.0)
     # every other start leaves, so the mode is refused
     box = StateSpace(((0.0, 2.0), (0.0, 2.0)))
     with pytest.raises(ValueError, match="not invariant"):
@@ -189,12 +190,30 @@ def test_a_plane_segment_whose_exp_overflows_reads_inf_and_crosses_once():
         assert rising and abs(t - math.log(5.0)) <= 1e-13
 
 
+def test_a_plane_segment_read_outside_its_span_reads_inf_past_the_floats():
+    # no exp overflows on [0, 1], so the segment reads there with math.exp;
+    # Trajectory.value reads a time past the horizon, or before t0, by the
+    # segment at that end, where each exp overflows
+    grows = Trajectory([AffineSegment(0, 1, (0.1, 0.1), [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0])])
+    assert grows.value(400.0) == (0.1 * math.exp(400.0), math.inf)
+    assert grows.value(5000.0) == (math.inf, math.inf)
+    decays = Trajectory([AffineSegment(0, 1, (0.1, 0.1), [[-1.0, 0.0], [0.0, -2.0]], [0.0, 0.0])])
+    assert decays.value(-1000.0) == (math.inf, math.inf)
+
+
 def test_a_plane_mode_entry_reads_its_end_state_once(monkeypatch):
     # the crossing search reads the end state that the segment read when
-    # it was built; every evaluation goes through _states
+    # it was built; every evaluation goes through _at, and a state read
+    # passes the segment's own constants (meet's pass them less xi)
     calls, times = [], []
-    states, state_at = AffineSegment._states, AffineSegment.state_at
-    monkeypatch.setattr(AffineSegment, "_states", lambda self, ts, *a: times.extend(ts) or states(self, ts, *a))
+    at, state_at = AffineSegment._at, AffineSegment.state_at
+
+    def read(self, t, c1, c2, exp):
+        if (c1, c2) == self._c:
+            times.append(t)
+        return at(self, t, c1, c2, exp)
+
+    monkeypatch.setattr(AffineSegment, "_at", read)
     monkeypatch.setattr(AffineSegment, "state_at", lambda self, t: calls.append(t) or state_at(self, t))
     gate = make_simple_nor(initial_inputs=(1, 1))
     for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
@@ -550,7 +569,19 @@ def test_newton_meet_agrees_with_brentq(case):
         assert abs(t - want) <= tol
 
 
+def _plane_example(a, b, x0):
+    return dict(case=(np.array(a), np.array(b), np.array(x0)), span=3.0, u=0.7, xi=0.5)
+
+
 @given(case=_affine_cases(), span=st.floats(0.1, 5.0), u=st.floats(0.0, 1.0), xi=_entries)
+# each form: real, real with a ramp (singular a), repeated, complex, quadratic
+@example(**_plane_example([[-1.0, 0.5], [0.25, -2.0]], [0.5, 0.25], [0.3, 0.4]))
+@example(**_plane_example([[0.0, 0.0], [0.0, -1.0]], [1.0, 0.0], [0.3, 0.4]))
+@example(**_plane_example([[-1.0, 1.0], [0.0, -1.0]], [1.0, 0.0], [0.0, 1.0]))
+@example(**_plane_example([[-0.5, -2.0], [2.0, -0.5]], [1.0, 0.0], [0.0, 1.0]))
+@example(**_plane_example([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [0.5, -0.5]))
+# at rest on an unstable equilibrium: every coefficient is 0
+@example(**_plane_example([[1.0, 0.0], [0.0, 2.0]], [-1.0, -2.0], [1.0, 1.0]))
 def test_newton_reads_the_mode_rhs_as_the_slope(case, span, u, xi):
     # meet's Newton steps read component k minus xi and its slope, which is
     # (a x + b)_k at the state
@@ -558,8 +589,9 @@ def test_newton_reads_the_mode_rhs_as_the_slope(case, span, u, xi):
     seg = AffineSegment(1.0, 1.0 + span, x0, a, b)
     t = 1.0 + u * span
     x = np.array(seg.state_at(t))
+    at = seg._at(t, *(c - xi for c in seg._c), seg._exp)
     for k in (1, 2):
-        f, df = seg._excess(k, xi)(t)
+        f, df = at[k - 1], at[k + 1]
         scale = term_scale(seg, k)
         rate = np.abs(a).sum() + sum(map(abs, seg.kind.plane.rates))
         # below the normal range each rounding is off by up to ulp(0)
@@ -569,21 +601,21 @@ def test_newton_reads_the_mode_rhs_as_the_slope(case, span, u, xi):
 
 
 def test_newton_meet_takes_few_evaluations_per_root(monkeypatch):
-    # the simple NOR's MIS sweep at gaps 0:5:6 meets xi once per gap
-    counts = []
-    excess = AffineSegment._excess
+    # the simple NOR's MIS sweep at gaps 0:5:6 meets xi once per gap; a
+    # meet's reads of _at pass the segment's constants less xi, and a
+    # state read passes them as they are
+    counts, last = [], [None]
+    at = AffineSegment._at
 
-    def counted(self, k, xi):
-        f, calls = excess(self, k, xi), [0]
-        counts.append(calls)
+    def counted(self, t, c1, c2, exp):
+        if (c1, c2) != self._c:
+            if last[0] != (self, c1, c2):
+                last[0] = (self, c1, c2)
+                counts.append([0])
+            counts[-1][0] += 1
+        return at(self, t, c1, c2, exp)
 
-        def g(t):
-            calls[0] += 1
-            return f(t)
-
-        return g
-
-    monkeypatch.setattr(AffineSegment, "_excess", counted)
+    monkeypatch.setattr(AffineSegment, "_at", counted)
     mis_delay_sweep(lambda: make_simple_nor(initial_inputs=(1, 1)), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     assert len(counts) == 6
     assert max(n for (n,) in counts) <= 8  # the two ends included; Brent took 13
@@ -609,10 +641,25 @@ def test_newton_refuses_a_nan(f, message):
         _newton(lambda t: (f(t), 1.0), 0.0, 3.0, f(0.0), f(3.0), None, 1e-13)
 
 
-def test_newton_fails_after_100_steps_that_crawl():
-    # a slope claimed 1e10 times too steep moves t by 1e-10 a step
+def test_newton_bisects_steps_that_crawl():
+    # a slope claimed 1e10 times too steep moves t by about 5e-11 a step,
+    # more than half the step before, so it bisects; Newton's own step test
+    # then resolves the root only to 1e10 times the tolerance
+    got = _newton(lambda t: (t - 1.0, 1e10), 0.0, 3.0, -1.0, 2.0, 0.5, 1e-13)
+    assert abs(got - 1.0) <= 1e10 * 1e-13
+    # 100 bisections cannot narrow a bracket 1e300 wide to 1e-13
     with pytest.raises(RuntimeError, match="^no root within 1e-13 after 100 iterations$"):
-        _newton(lambda t: (t - 1.0, 1e10), 0.0, 3.0, -1.0, 2.0, 0.5, 1e-13)
+        _newton(lambda t: (t - 1.0, 1e10), 0.0, 1e300, -1.0, 1e300, 0.5, 1e-13)
+
+
+def test_a_meet_on_a_component_that_reads_flat_converges():
+    # x2 = e^{1e-15 s} (less a term below 1e-300) reads exactly 1.0 until
+    # 1e-15 s passes half an ulp of 1.0, 2^-53, so Newton's steps from the
+    # flat stretch are each about 7e-13 long: 100 of them stay in it
+    a = [[-1.5656892580588518e-266, 0.0], [-1.1125369292536007e-308, 1e-15]]
+    seg = AffineSegment(1.0, 2.0, (0.0, 1.0), a, [1.0, 0.0])
+    [(t, rising)] = find_crossings((seg,), 1.0, 2)
+    assert rising and abs(t - (1.0 + 2.0**-53 / 1e-15)) <= 1e-13
 
 
 # -- Newton steps on relaxation pieces -----------------------------------------------
