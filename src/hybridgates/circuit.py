@@ -541,6 +541,23 @@ class UnrolledCircuit:
 
 
 def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
+    """The level-``k`` unrolling of ``circuit`` toward ``output_port``.
+
+    The output port observes its driver at level ``k``, and a gate copy at
+    level L >= 1 reads the copies at level L - 1 of its predecessors, so the
+    unrolling has no feedback.  A gate copy is named ``g^(L)`` and shares its
+    original's spec, the output port's copy is the sink ``O^(k)``, and input
+    ports keep their names and are shared by every level.  Gates reached at
+    level 0 are cut: one constant stub ``X_b`` per initial output bit b
+    stands for every one of them.  A made-up name that would take an input
+    port's name gets a suffix ``_2``, ``_3``, ...
+
+    Copies are built bottom up, from level 0 to the sink, so the unrolled
+    circuit's vertices and ``copy_map`` list each copy after its
+    predecessors, which ``reach_times`` relies on.  An invalid circuit raises
+    InvalidCircuitError; a name that is not an output port, or a level that
+    is not a nonnegative integer, raises ValueError.
+    """
     if not circuit.report.ok:
         raise InvalidCircuitError(circuit.report)
     if output_port not in circuit.vertices or not isinstance(
@@ -556,7 +573,7 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
 
     new_vertices: dict[str, Vertex] = {}
     new_edges: list[Edge] = []
-    memo: dict[tuple[str, int], str] = {}
+    copy_map: dict[tuple[str, int], str] = {}
     const_names: dict[int, str] = {}
 
     # input ports keep their names, so a made-up name avoids them too
@@ -568,62 +585,43 @@ def unroll(circuit: Circuit, output_port: str, k: int) -> UnrolledCircuit:
             n += 1
         return name
 
-    # (vertex, level) pairs are walked depth first on an explicit stack, so
-    # the depth of an unrolling is not bounded by the recursion limit.  A
-    # copy is named before its predecessors (pre-order), and each in-edge is
-    # added once its predecessor's copy is finished; the last entry of a
-    # frame counts the in-edges added.
-    stack: list[list] = []
+    # top down, the vertices each level needs (input ports have no in-edges)
+    (driver,) = circuit.incoming(output_port)
+    needed = [dict.fromkeys([driver.src])]
+    for _ in range(k):
+        needed.append(dict.fromkeys(e.src for v in needed[-1] for e in circuit.incoming(v)))
+    needed.reverse()
 
-    def copy_of(v_name: str, level: int) -> str | None:
-        """The finished copy of ``(v_name, level)``, or None after opening
-        one on the stack."""
-        key = (v_name, level)
-        if key in memo:
-            return memo[key]
-        v = circuit.vertices[v_name]
-        if isinstance(v, InputPort):
-            new_vertices.setdefault(v_name, v)
-            memo[key] = v_name
-            return v_name
-        if isinstance(v, OutputPort):
-            # observation keeps the level
-            name, pred_level = fresh(f"{v_name}^({level})"), level
-            new_vertices[name] = OutputPort()
-        elif level == 0:
-            # constants are interchangeable, so one stub per value serves
-            # every gate cut at this level
-            bit = initial_output_bit(v)
-            if bit not in const_names:
-                name = fresh(f"X_{bit}")
-                new_vertices[name] = make_const_gate(bit, name=name)
-                const_names[bit] = name
-            memo[key] = const_names[bit]
-            return memo[key]
-        else:
-            name, pred_level = fresh(f"{v_name}^({level})"), level - 1
-            new_vertices[name] = v  # specs are stateless and shareable
-        stack.append([key, name, circuit.incoming(v_name), pred_level, 0])
-        return None
-
-    copy_of(output_port, k)
-    while stack:
-        frame = stack[-1]
-        key, name, incoming, pred_level, done = frame
-        if done < len(incoming):
-            e = incoming[done]
-            pred_copy = copy_of(e.src, pred_level)
-            if pred_copy is not None:
-                new_edges.append(Edge(pred_copy, name, e.slot))
-                frame[-1] += 1
-            continue
-        memo[key] = name
-        stack.pop()
-    sink = memo[(output_port, k)]
+    # bottom up, so every copy's predecessors are copied before it
+    for level, v_names in enumerate(needed):
+        for v_name in v_names:
+            v = circuit.vertices[v_name]
+            if isinstance(v, InputPort):
+                name = v_name
+                new_vertices[name] = v
+            elif level == 0:
+                # constants are interchangeable, so one stub per value serves
+                # every gate cut at this level
+                bit = initial_output_bit(v)
+                if bit not in const_names:
+                    const_names[bit] = fresh(f"X_{bit}")
+                    new_vertices[const_names[bit]] = make_const_gate(bit, name=const_names[bit])
+                name = const_names[bit]
+            else:
+                name = fresh(f"{v_name}^({level})")
+                new_vertices[name] = v  # specs are stateless and shareable
+                for e in circuit.incoming(v_name):
+                    new_edges.append(Edge(copy_map[(e.src, level - 1)], name, e.slot))
+            copy_map[(v_name, level)] = name
+    # observation keeps the level
+    sink = fresh(f"{output_port}^({k})")
+    new_vertices[sink] = OutputPort()
+    new_edges.append(Edge(copy_map[(driver.src, k)], sink, driver.slot))
+    copy_map[(output_port, k)] = sink
     unrolled = Circuit(new_vertices, new_edges)
     if not unrolled.report.ok:  # construction bug, not user error
         raise AssertionError(f"unrolled circuit is invalid: {unrolled.report.violations}")
-    return UnrolledCircuit(unrolled, memo, sink)
+    return UnrolledCircuit(unrolled, copy_map, sink)
 
 
 def reach_times(

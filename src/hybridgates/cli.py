@@ -131,12 +131,6 @@ class CircuitFile:
     source: str
 
 
-def _build_vertex(name: str, doc: Mapping):
-    build = _KINDS[doc["kind"]][0]
-    fields = {k: _COERCE.get(k, float)(v) for k, v in doc.items() if k not in ("id", "kind")}
-    return build(name=name, **fields)
-
-
 def parse_circuit_data(data, source: str) -> CircuitFile:
     """Check a loaded YAML document against the schema and build the circuit."""
     if not isinstance(data, Mapping):
@@ -165,7 +159,7 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
         if not isinstance(kind, str) or kind not in _KINDS:
             known = ", ".join(sorted(_KINDS))
             raise CircuitFileError(f"{source}: vertex {vid!r} has unknown kind {kind!r} (known: {known})")
-        _, allowed, required = _KINDS[kind]
+        build, allowed, required = _KINDS[kind]
         extra = sorted(set(entry) - allowed - {"id", "kind"}, key=str)
         if extra:
             raise CircuitFileError(f"{source}: vertex {vid!r} ({kind}) has unknown fields {extra}")
@@ -174,7 +168,8 @@ def parse_circuit_data(data, source: str) -> CircuitFile:
             raise CircuitFileError(f"{source}: vertex {vid!r} ({kind}) is missing fields {missing}")
         doc = {k: v for k, v in entry.items() if k != "id"}
         try:
-            built[vid] = _build_vertex(vid, doc)
+            fields = {k: _COERCE.get(k, float)(v) for k, v in doc.items() if k != "kind"}
+            built[vid] = build(name=vid, **fields)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CircuitFileError(f"{source}: vertex {vid!r}: {exc}") from exc
         docs[vid] = doc
@@ -472,32 +467,32 @@ def cmd_sweep_pulse(args) -> int:
 # -- multi-input-switching sweep ----------------------------------------------------
 
 
-def _find_nor_doc(cf: CircuitFile) -> dict:
+def _find_nor_id(cf: CircuitFile) -> str:
     ids = [vid for vid, doc in cf.docs.items() if doc["kind"] in _NOR_KINDS]
     if len(ids) != 1:
         raise CircuitFileError(
             f"sweep-mis needs exactly one {' or '.join(_NOR_KINDS)} gate, found {len(ids)}"
         )
-    return cf.docs[ids[0]] | {"id": ids[0]}
+    return ids[0]
 
 
 def cmd_sweep_mis(args) -> int:
     cf = _load_validated(args.file)
-    doc = _find_nor_doc(cf)
+    gate_id = _find_nor_id(cf)
     gaps = _parse_grid(args.gaps, "--gaps", allow_zero=True)
     out_dir = _ensure_out_dir(args)
     # one gate for every gap, so its one-gate circuit is built once
-    gate = _build_vertex(doc["id"], doc)
+    gate = cf.circuit.vertices[gate_id]
     delays = mis_delay_sweep(lambda: gate, gaps, lead=args.lead, settle=args.settle)
 
     meta = _metadata(
-        args, cf, gate=doc["id"], lead=repr(args.lead), settle=repr(args.settle), gaps=args.gaps
+        args, cf, gate=gate_id, lead=repr(args.lead), settle=repr(args.settle), gaps=args.gaps
     )
     rows = [f"{g!r},{d!r}" for g, d in zip(gaps, delays)]
     path = out_dir / "sweep_mis.csv"
     _write_csv(path, meta.items(), "delta_t,output_delay", rows)
     spread = (max(delays) - min(delays)) / max(delays) if max(delays) > 0 else 0.0
-    print(f"swept {len(gaps)} falling-input gaps on gate {doc['id']!r} (delay spread {spread:.2%})")
+    print(f"swept {len(gaps)} falling-input gaps on gate {gate_id!r} (delay spread {spread:.2%})")
     print(f"wrote {path}")
     return EXIT_OK
 

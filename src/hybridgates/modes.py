@@ -72,12 +72,15 @@ class StateSpaceExit(RuntimeError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Open axis-aligned box the analog state must stay inside."""
+    """Open axis-aligned box the analog state must stay inside; a bound that
+    is not finite raises ValueError."""
 
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         for lo, hi in self.bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"state-space interval ({lo}, {hi}) has a bound that is not finite")
             if not (lo < hi):
                 raise ValueError(f"empty state-space interval ({lo}, {hi})")
 

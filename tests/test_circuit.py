@@ -760,6 +760,41 @@ class TestUnroll:
         assert report.ok, report.reach_mismatches
         assert report.reach_compared > 0
 
+    def test_copies_follow_their_predecessors_and_read_the_level_below(self):
+        rng = random.Random(3434)
+        for _ in range(30):
+            c = random_boolean_circuit(rng, feedback=True, allow_flight=False)
+            for k in range(7):
+                un = unroll(c, "out", k)
+                position = {key: i for i, key in enumerate(un.copy_map)}
+                level_names = [set() for _ in range(k + 1)]
+                for (_v, level), name in un.copy_map.items():
+                    level_names[level].add(name)
+                for (v, level), name in un.copy_map.items():
+                    if v == "out":
+                        preds = [(e.src, level) for e in c.incoming(v)]
+                    elif v in c.gates() and level >= 1:
+                        preds = [(e.src, level - 1) for e in c.incoming(v)]
+                        for e in un.circuit.incoming(name):
+                            assert e.src in level_names[level - 1] or e.src in c.input_ports()
+                    else:
+                        preds = []
+                    assert all(position[p] < position[(v, level)] for p in preds)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_a_port_driven_by_an_input_port_reads_it_directly(self, k):
+        c = Circuit({"I": InputPort(0), "O": OutputPort()}, [("I", "O", 0)])
+        un = unroll(c, "O", k)
+        assert un.copy_map == {("I", k): "I", ("O", k): f"O^({k})"}
+        assert list(un.circuit.edges) == [Edge("I", f"O^({k})", 0)]
+
+    def test_a_constant_above_level_zero_is_copied_without_in_edges(self):
+        c = Circuit({"c": make_const_gate(1, name="c"), "O": OutputPort()}, [("c", "O", 0)])
+        un = unroll(c, "O", 2)
+        assert un.copy_map == {("c", 2): "c^(2)", ("O", 2): "O^(2)"}
+        assert un.circuit.incoming("c^(2)") == []
+        assert list(un.circuit.edges) == [Edge("c^(2)", "O^(2)", 0)]
+
     def test_level_zero_collapses_to_constant(self):
         un = unroll(fig_feedback_circuit(), "O", 0)
         assert un.sink == "O^(0)"

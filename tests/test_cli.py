@@ -258,6 +258,36 @@ class TestCircuitFiles:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"kind": "advanced_nor"},
+            {"kind": "boolean", "function": "nor2", "delays": [0.1, 0.1], "tau_fast": 1e300},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_box_bound_beyond_the_floats_is_named(self, tmp_path, capsys, command, gate):
+        # 1.01 * v_dd overflows: refused when the box is built, not by a
+        # traceback from the invariant proof at run time
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 1},
+                {"id": "B", "kind": "input", "initial": 1},
+                {"id": "nor", **gate, "initial_inputs": [1, 1], "v_dd": 1.78e308},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"], ["nor", 0, "O"]],
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        out = tmp_path / "out"
+        assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: vertex 'nor': state-space interval (-1.7800000000000002e+306, inf) "
+            "has a bound that is not finite\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_a_simple_nor_whose_rc_product_underflows_is_named(self, tmp_path, capsys, command):
         doc = {

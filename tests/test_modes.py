@@ -1107,6 +1107,19 @@ def test_initial_state_outside_box_rejected():
         solve_mode(HEAT, [60.0], 0.0, 1.0, PLANT_BOX)
 
 
+def test_a_box_bound_that_is_not_finite_is_refused():
+    # 1.01 * v_dd overflows, so the NOR's box would reach inf, which the
+    # exact invariant proof cannot take
+    with pytest.raises(
+        ValueError,
+        match=r"^state-space interval \(-1\.7800000000000002e\+306, inf\) has a bound that is not finite$",
+    ):
+        make_advanced_nor(AdvancedNorParams(v_dd=1.78e308))
+    for bounds in ((-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            StateSpace(((0.0, 1.0), bounds))
+
+
 # -- pasted trajectories -------------------------------------------------------------
 
 
