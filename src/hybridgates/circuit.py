@@ -148,15 +148,6 @@ class EventCapExceeded(RuntimeError):
     """The execution produced more events than the configured cap."""
 
 
-def _driver_initial_bit(circuit: Circuit, name: str) -> int:
-    v = circuit.vertices[name]
-    if isinstance(v, InputPort):
-        return v.initial_value
-    if isinstance(v, GateSpec):
-        return initial_output_bit(v)
-    raise TypeError(f"{name} cannot drive an edge")
-
-
 def validate(circuit: Circuit) -> ValidationReport:
     """Check the wiring rules; never raises, collects violations instead.
 
@@ -213,7 +204,9 @@ def validate(circuit: Circuit) -> ValidationReport:
     if not report.ok:
         return report
 
-    bits = {src: _driver_initial_bit(circuit, src) for src in {e.src for e in circuit.edges}}  # read once
+    # read once; after the first pass every source is an input port or a gate
+    drivers = {e.src: circuit.vertices[e.src] for e in circuit.edges}
+    bits = {n: v.initial_value if isinstance(v, InputPort) else initial_output_bit(v) for n, v in drivers.items()}
     for name, v in circuit.vertices.items():
         if not isinstance(v, GateSpec):
             continue

@@ -493,7 +493,8 @@ def _charging_exponent(p: AdvancedNorParams, t_on: float, gap: float, alpha_firs
     phi = (tau/(2R) - alpha/(4R^2) log1p(2R tau/alpha)) / C with alpha =
     alpha1 + alpha2 or alpha_first.  Defined for t >= t_on; it takes a float
     t and returns the pair (phi, phi'), computed with ``math`` in one pass
-    over the poles.
+    over the poles.  This is the one place the profile is written: the
+    charging mode's rhs (V_DD - x) phi'(t) is read off phi'.
     """
     two_r, alpha = 2.0 * p.r, p.alpha1 + p.alpha2
     if math.isinf(gap):
@@ -534,7 +535,8 @@ def make_advanced_nor(
     All variants share the settled charging rate (V_DD - V) / (2 R C).
     Every mode is solved in closed form: a charging mode is a
     :class:`ScalarRelaxation` toward V_DD whose exponent integrates the
-    profile by partial fractions (``_charging_exponent``).
+    profile by partial fractions (``_charging_exponent``), and whose rhs is
+    read off that exponent's slope, so the profile is written once.
     """
     p = params or AdvancedNorParams()
     box = StateSpace(((-0.01 * p.v_dd, 1.01 * p.v_dd),))
@@ -551,26 +553,9 @@ def make_advanced_nor(
     m_chg = 1.01 * p.v_dd * k_chg
 
     def charging(t_on: float, gap: float, alpha_first: float) -> ModeFunction:
-        # conductance ramp: num/den stays in [0, 1/(2R)] for all t >= t_on
-        def rhs(t, x, _t0=t_on, _gap=gap, _af=alpha_first):
-            tt = t - _t0
-            if tt < 0.0:
-                tt = 0.0
-            if math.isinf(_gap):
-                num = tt
-                den = 2.0 * p.r * tt + _af
-            else:
-                num = tt * (tt + _gap)
-                den = (
-                    2.0 * p.r * tt * tt
-                    + (p.alpha1 + p.alpha2 + 2.0 * _gap * p.r) * tt
-                    + _af * _gap
-                )
-            rho = num / den if den > 0.0 else 0.0
-            return (p.v_dd - x) * (rho / p.c)
-
+        # K = 1/(2RC): the conductance rho stays in [0, 1/(2R)] for all t >= t_on
         kind = ScalarRelaxation(p.v_dd, _charging_exponent(p, t_on, gap, alpha_first))
-        return ModeFunction(f"chg{next(fresh)}", rhs, kind, k_chg, m_chg)
+        return ModeFunction(f"chg{next(fresh)}", kind, k_chg, m_chg)
 
     def choice(bits, prev_bits, ctx, _discharge=discharge):
         if bits in _discharge:

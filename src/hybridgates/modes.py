@@ -1,8 +1,9 @@
 """Mode families, per-mode ODE solving, and pasted mode-switch trajectories.
 
-Each mode of a hybrid gate is an ODE right-hand side together with declared
-regularity constants: a Lipschitz bound K (in the state, uniform over time)
-and a bound M on the norm of the vector field over the gate's state space.
+Each mode of a hybrid gate is a closed-form kind, which also gives its ODE
+right-hand side, together with declared regularity constants: a Lipschitz
+bound K (in the state, uniform over time) and a bound M on the norm of the
+vector field over the gate's state space.
 Every mode has a closed form, solved on Python floats: an affine
 constant-coefficient mode of one or two states (for every 2x2 spectrum,
 from the trace and determinant), or a scalar relaxation (a state pulled
@@ -115,6 +116,8 @@ class AffineConstant:
     ``plane`` for one.  Three or more states, a non-finite entry of ``a`` or
     ``b``, or a constant of ``plane`` beyond the floats raise ValueError.
     ``box`` is the last state space :func:`solve_mode` proved the kind keeps.
+    ``rhs(t, x)`` is ``a x + b`` on floats, as a tuple, for a sequence ``x``
+    of one float per state.
     """
 
     a: tuple[tuple[float, ...], ...]
@@ -145,6 +148,9 @@ class AffineConstant:
             raise refusal("has constants beyond the floats") from exc
         object.__setattr__(self, "line", (a[0][0], b[0]) if len(b) == 1 else None)
         object.__setattr__(self, "plane", plane)
+
+    def rhs(self, t: float, x) -> tuple[float, ...]:
+        return tuple([sum([u * v for u, v in zip(row, x)]) + c for row, c in zip(self.a, self.b)])
 
 
 def _root(v: Fraction) -> float:
@@ -229,27 +235,32 @@ class ScalarRelaxation:
     x(t) = target + (x0 - target) exp(-(phi(t) - phi(t0))) moves
     monotonically toward ``target``.  It takes a float time and returns the
     pair (phi(t), phi'(t)) of floats (computed with ``math``, so a Newton
-    search over it stays cheap).
+    search over it stays cheap).  ``rhs(t, x)`` is ``((target - x[0])
+    phi'(t),)`` for a sequence ``x`` of one float; like ``exponent``, it is
+    defined at and after the mode's entry time.
     """
 
     target: float
     exponent: Callable
 
+    def rhs(self, t: float, x) -> tuple[float]:
+        return ((self.target - x[0]) * self.exponent(t)[1],)
+
 
 @dataclass(frozen=True)
 class ModeFunction:
-    """One mode of a hybrid gate: an ODE rhs plus declared regularity bounds.
+    """One mode of a hybrid gate: a closed form plus declared regularity bounds.
 
     ``kind`` is the closed form the mode is solved by: an
     :class:`AffineConstant` or a :class:`ScalarRelaxation`; any other kind
-    is refused, naming the mode.  ``lipschitz_k`` bounds the
+    is refused, naming the mode.  ``rhs(t, x)`` is the kind's ODE, so the
+    bounds are about the ODE the mode solves.  ``lipschitz_k`` bounds the
     state-Lipschitz constant of the rhs and ``rhs_bound_m`` bounds its norm
     over the state space; both feed the mode-switch continuity envelope
     2 M exp(T K) d(a, b).
     """
 
     id: str
-    rhs: Callable
     kind: AffineConstant | ScalarRelaxation
     lipschitz_k: float
     rhs_bound_m: float
@@ -265,27 +276,26 @@ class ModeFunction:
                 f"regularity bounds must be nonnegative, got K={self.lipschitz_k!r}, M={self.rhs_bound_m!r}"
             )
 
+    def rhs(self, t: float, x) -> tuple[float, ...]:
+        return self.kind.rhs(t, x)
+
 
 def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
     """Build an AffineConstant mode with K and M computed from the data.
 
     ``a`` is a sequence of rows and ``b`` a sequence, one entry per state.
-    The mode's ``rhs(t, x)`` is ``a x + b`` on floats, as a tuple, for a
-    sequence ``x`` of one float per state.  K is the spectral norm
-    of ``a``: |a|, or (|(a11 + a22, a21 - a12)| + |(a11 - a22, a12 +
+    The mode's ``rhs(t, x)`` is its kind's ``a x + b``.  K is the spectral
+    norm of ``a``: |a|, or (|(a11 + a22, a21 - a12)| + |(a11 - a22, a12 +
     a21)|)/2 for two states.  ``|a x + b|`` is convex in ``x``, so M is the
-    largest norm of ``rhs`` at the box's corners.  Both are floats.  A value
-    beyond the floats at a corner makes M infinite, still a bound; one that
-    cancels to NaN makes ``ModeFunction`` refuse the mode.  A refusal, of
-    three or more states too, names ``mode_id``.
+    largest norm of the kind's ``rhs`` at the box's corners.  Both are
+    floats.  A value beyond the floats at a corner makes M infinite, still a
+    bound; one that cancels to NaN makes ``ModeFunction`` refuse the mode.
+    A refusal, of three or more states too, names ``mode_id``.
     """
     try:
         kind = AffineConstant(a, b)
     except ValueError as exc:
         raise ValueError(f"mode {mode_id!r}: {exc}") from exc
-
-    def rhs(t: float, x, _a=kind.a, _b=kind.b) -> tuple[float, ...]:
-        return tuple([sum([u * v for u, v in zip(row, x)]) + c for row, c in zip(_a, _b)])
 
     if kind.line is not None:
         k = abs(kind.line[0])
@@ -293,9 +303,9 @@ def affine_mode(mode_id: str, a, b, space: StateSpace) -> ModeFunction:
         (a11, a12), (a21, a22) = kind.a
         k = (math.hypot(a11 + a22, a21 - a12) + math.hypot(a11 - a22, a12 + a21)) / 2
     # the 2-norm, sqrt(x . x)
-    norms = [math.sqrt(sum([v * v for v in rhs(0.0, c)])) for c in space.corners()]
+    norms = [math.sqrt(sum([v * v for v in kind.rhs(0.0, c)])) for c in space.corners()]
     m = math.nan if any(map(math.isnan, norms)) else max(norms)
-    return ModeFunction(mode_id, rhs, kind, lipschitz_k=k, rhs_bound_m=m)
+    return ModeFunction(mode_id, kind, lipschitz_k=k, rhs_bound_m=m)
 
 
 # -- root finding ----------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 import os
 import random
@@ -278,6 +280,79 @@ def reference_charging_exponent(p, t_on: float, gap: float, alpha_first: float):
         return value / p.c
 
     return phi
+
+
+def reference_charging_rate(p, t_on: float, gap: float, alpha_first: float):
+    """rho/C of the advanced NOR's charging mode, a function of the time t,
+    from the rational conductance profile num/den itself (after Ferdowsi,
+    Maier, Öhlinger and Schmid, DATE 2022), clamped to 0 before ``t_on``.
+    Not the partial fractions ``gates._charging_exponent`` integrates: the
+    independent reference that the exponent's slope phi' is held to."""
+
+    def rate(t: float) -> float:
+        tt = t - t_on
+        if tt < 0.0:
+            tt = 0.0
+        if math.isinf(gap):
+            num = tt
+            den = 2.0 * p.r * tt + alpha_first
+        else:
+            num = tt * (tt + gap)
+            den = (
+                2.0 * p.r * tt * tt
+                + (p.alpha1 + p.alpha2 + 2.0 * gap * p.r) * tt
+                + alpha_first * gap
+            )
+        rho = num / den if den > 0.0 else 0.0
+        return rho / p.c
+
+    return rate
+
+
+def decimal_affine_values(a, b, x0, t0: float, ts, digits: int = 60) -> list[tuple[float, ...]]:
+    """x(t) at each float time t of ``ts``, which runs from ``t0`` in nearly
+    equal steps, for dx/dt = a x + b with x(t0) = x0, computed with
+    ``decimal`` at ``digits`` digits and rounded to floats.
+
+    One exponential E of the augmented matrix [[a h, b h], [0, 0]], h the
+    mean step, maps (x, 1) at t0 + k h to (x, 1) at t0 + (k + 1) h.  It is a
+    Taylor series of the matrix halved until its row-sum norm is at most
+    1/2, squared back (Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 2005).  Each
+    sample is moved from t0 + k h to its float time by one Euler step d (a x
+    + b), whose error is of order d^2 |a|^2 |x|, with d a few ulps of t.
+    The exact reference, free of an integrator's error, that the affine
+    closed forms are held to."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        n, t0 = len(x0), D(float(t0))
+        a, b = [[D(float(v)) for v in row] for row in a], [D(float(v)) for v in b]
+        h = (D(float(ts[-1])) - t0) / (len(ts) - 1)
+        m = [[v * h for v in row] + [c * h] for row, c in zip(a, b)] + [[D(0)] * (n + 1)]
+        squarings = 0
+        while max(sum(map(abs, row)) for row in m) > D("0.5"):
+            m = [[v / 2 for v in row] for row in m]
+            squarings += 1
+
+        def product(u, v):
+            return [[sum(u[i][k] * v[k][j] for k in range(n + 1)) for j in range(n + 1)] for i in range(n + 1)]
+
+        e = term = [[D(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+        for k in itertools.count(1):
+            term = [[v / k for v in row] for row in product(term, m)]
+            e = [[u + v for u, v in zip(r, s)] for r, s in zip(e, term)]
+            if max(abs(v) for row in term for v in row) < D(10) ** -(digits + 5):
+                break
+        for _ in range(squarings):
+            e = product(e, e)
+        state, out = [D(float(v)) for v in x0] + [D(1)], []
+        for k, t in enumerate(ts):
+            d = D(float(t)) - t0 - k * h
+            slope = [sum(u * v for u, v in zip(row, state)) + c for row, c in zip(a, b)]
+            out.append(tuple(float(v + d * dv) for v, dv in zip(state, slope)))
+            state = [sum(u * v for u, v in zip(row, state)) for row in e]
+        return out
 
 
 def term_scale(seg, k: int) -> float:

@@ -48,6 +48,7 @@ from conftest import (
     FunctionSegment,
     binary_signals,
     reference_charging_exponent,
+    reference_charging_rate,
     run_every_shipped_gate,
     run_fresh_python,
     sampled_crossings,
@@ -510,6 +511,15 @@ def _charging_mode(params: AdvancedNorParams, t_on: float, gap: float, first_fel
     return gate, gate.choice((0, 0), prev_bits, ModeEntry(t_on, last))
 
 
+def _charging_reference(params: AdvancedNorParams, t_on: float, gap: float, first_fell: int):
+    """The arguments of the charging references, with the gap and the first
+    fall's alpha as the gate reads them off its inputs."""
+    if gap == 0.0:
+        return params, t_on, 0.0, params.alpha1
+    gap = gap if math.isinf(gap) else t_on - (t_on - gap)
+    return params, t_on, gap, params.alpha1 if first_fell == 1 else params.alpha2
+
+
 _charging_cases = dict(
     params=st.builds(
         AdvancedNorParams, *(st.floats(0.1, 3.0) for _ in range(6)), v_dd=st.floats(0.5, 2.0)
@@ -537,8 +547,10 @@ class TestChargingClosedForm:
         seg = solve_mode(mode, [x0], t0, t0 + span, gate.state_space)
         assert isinstance(seg, RelaxationSegment)
         ts = np.linspace(t0, t0 + span, 41)
+        # the paper's num/den profile, not the partial fractions solved
+        rate = reference_charging_rate(*_charging_reference(params, t_on, gap, first_fell))
         ref = solve_ivp(
-            mode.rhs, (t0, t0 + span), [x0], method="DOP853",
+            lambda t, x: (params.v_dd - x) * rate(t), (t0, t0 + span), [x0], method="DOP853",
             rtol=1e-12, atol=1e-14, t_eval=ts,
         )
         assert ref.success
@@ -574,22 +586,18 @@ class TestChargingClosedForm:
         x=st.floats(-0.01, 0.99),
     )
     def test_exponent_is_the_partial_fraction_integral(self, params, gap, first_fell, t_on, lag, x):
-        # phi is the reference's float, and phi' is the charging rate rho/C
-        # that the mode's rhs multiplies V_DD - x by
+        # phi is the reference's float, phi' is the paper's charging rate
+        # rho/C, and the mode's rhs multiplies V_DD - x by phi'
         _, mode = _charging_mode(params, t_on, gap, first_fell)
-        # the gap and the first fall as the gate reads them off its inputs
-        if gap == 0.0:
-            alpha_first = params.alpha1
-        else:
-            gap = gap if math.isinf(gap) else t_on - (t_on - gap)
-            alpha_first = params.alpha1 if first_fell == 1 else params.alpha2
+        reference = _charging_reference(params, t_on, gap, first_fell)
         t, x = t_on + lag, x * params.v_dd
         phi, slope = mode.kind.exponent(t)
-        assert phi == reference_charging_exponent(params, t_on, gap, alpha_first)(t)
+        assert phi == reference_charging_exponent(*reference)(t)
         # the two sums cancel to 0 at t_on, so their rounding is relative to
         # the settled rate 1/(2RC)
-        rate = mode.rhs(t, x) / (params.v_dd - x)
+        rate = reference_charging_rate(*reference)(t)
         assert abs(slope - rate) <= 8.0 * sys.float_info.epsilon / (2.0 * params.r * params.c)
+        assert mode.rhs(t, (x,)) == ((params.v_dd - x) * slope,)
 
     def test_underflow_onto_the_rail_is_not_an_edge(self):
         # from just above V_DD the state decays onto it; exp underflows at

@@ -45,7 +45,7 @@ from hybridgates.modes import _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
-from conftest import FunctionSegment, reference_component, term_scale
+from conftest import FunctionSegment, decimal_affine_values, reference_component, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -417,19 +417,16 @@ def test_two_state_closed_form_matches_a_tight_integrator(case, span):
     a, b, x0 = case
     seg = AffineSegment(1.0, 1.0 + span, x0, a, b)
     ts = np.linspace(1.0, 1.0 + span, 11)
-    ref = solve_ivp(
-        lambda t, x: a @ x + b, (1.0, 1.0 + span), x0, method="DOP853",
-        rtol=1e-12, atol=1e-14, t_eval=ts,
-    )
-    # DOP853 squares its error estimate, which underflows to 0/0 on states
-    # near 1e-160; such a draw has no reference
-    assume(ref.success)
+    # a 60-digit reference: it neither fails on states near 1e-160, where
+    # DOP853's squared error estimate underflows, nor adds an integrator's
+    # error, which a fast-growing mode amplifies past the tolerance
+    ref = np.array(decimal_affine_values(a, b, x0, 1.0, ts)).T
     got = np.array(seg.values(ts))
     assert np.array_equal(got[0], x0)
     for k in (1, 2):
-        # the integrator's error, and the closed form's rounding of its terms
-        tol = 1e-9 * np.maximum(1.0, np.abs(ref.y[k - 1])) + 1e-14 * term_scale(seg, k)
-        assert np.all(np.abs(got[:, k - 1] - ref.y[k - 1]) <= tol)
+        # 1e-9 relative, and the closed form's rounding of its terms
+        tol = 1e-9 * np.maximum(1.0, np.abs(ref[k - 1])) + 1e-14 * term_scale(seg, k)
+        assert np.all(np.abs(got[:, k - 1] - ref[k - 1]) <= tol)
 
 
 @st.composite
@@ -484,7 +481,7 @@ def test_a_mode_of_any_other_kind_is_refused():
         pass
 
     with pytest.raises(ValueError) as exc:
-        ModeFunction("heat", HEAT.rhs, Numeric(), 0.1, 5.1)
+        ModeFunction("heat", Numeric(), 0.1, 5.1)
     assert str(exc.value) == "mode 'heat': a Numeric has no closed form; a mode is an AffineConstant or a ScalarRelaxation"
 
 
@@ -747,7 +744,7 @@ _PLANE = StateSpace(((-100.0, 100.0), (-100.0, 100.0)))
     "mode, x0, space",
     [(COOL, 20.0, PLANT_BOX),
      (affine_mode("pair", [[-1.0, 0.5], [0.0, -2.0]], [0.0, 1.0], _PLANE), [1.0, 0.0], _PLANE),
-     (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
+     (ModeFunction("relax", ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
       20.0, PLANT_BOX)],
     ids=["affine1", "affine_n", "relaxation"],
 )
@@ -762,7 +759,7 @@ def test_every_segment_kind_refuses_a_backward_span(mode, x0, space):
     [(affine_mode("pair", [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], _PLANE), 0.5, BOX,
       "mode 'pair': a 2-state mode in a 1-state space"),
      (COOL, (20.0, 20.0), _PLANE, "mode 'cool': a 1-state mode in a 2-state space"),
-     (ModeFunction("relax", HEAT.rhs, ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
+     (ModeFunction("relax", ScalarRelaxation(50.0, lambda t: (0.1 * t, 0.1)), 0.1, 5.1),
       (20.0, 20.0), _PLANE, "mode 'relax': a 1-state mode in a 2-state space")],
     ids=["affine_n_in_one_state", "affine1_in_two_states", "relaxation_in_two_states"],
 )
@@ -790,6 +787,17 @@ def test_an_affine_rhs_is_a_x_plus_b_as_a_tuple():
     mode = affine_mode("pair", [[-1.0, 0.5], [0.25, -2.0]], [0.1, 0.0], _PLANE)
     assert mode.rhs(0.0, (2.0, 4.0)) == (-2.0 + 2.0 + 0.1, 0.5 - 8.0 + 0.0)
     assert COOL.rhs(0.0, [20.0]) == (-2.0,)
+
+
+def test_a_relaxations_rhs_is_its_kinds_ode():
+    # a mode's rhs is read off its kind, so no mode can declare K and M about
+    # one ODE and solve another
+    exponent = lambda t: (t * t, 2.0 * t)  # noqa: E731
+    mode = ModeFunction("relax", ScalarRelaxation(1.0, exponent), 2.0, 3.0)
+    for t, x in ((0.0, 0.25), (0.5, -0.01), (1.5, 0.75)):
+        assert mode.rhs(t, (x,)) == ((1.0 - x) * exponent(t)[1],)
+    with pytest.raises(TypeError):
+        ModeFunction("relax", HEAT.rhs, ScalarRelaxation(1.0, exponent), 2.0, 3.0)
 
 
 @pytest.mark.parametrize("mode,x0", [(HEAT, [20.0]), (COOL, [45.0])])
@@ -1078,14 +1086,14 @@ def test_a_mode_whose_closed_form_breaks_on_tiny_entries_is_refused_around_its_s
 def test_a_relaxation_is_refused_unless_its_target_lies_in_the_box():
     exponent = lambda t: (t, 1.0)  # noqa: E731
     for target, face in ((2.0, 1.010000000001), (-0.5, -0.010000000001), (math.nan, -0.010000000001)):
-        mode = ModeFunction("relax", HEAT.rhs, ScalarRelaxation(target, exponent), 1.0, 3.0)
+        mode = ModeFunction("relax", ScalarRelaxation(target, exponent), 1.0, 3.0)
         with pytest.raises(ValueError) as exc:
             solve_mode(mode, 0.5, 0.0, 1.0, StateSpace(((-0.01, 1.01),)))
         assert str(exc.value) == (
             f"mode 'relax': the state space is not invariant: its target {target!r} lies beyond the face x1 = {face!r}"
         )
     for target in (1.0, 1):  # a target of any number type
-        mode = ModeFunction("relax", HEAT.rhs, ScalarRelaxation(target, exponent), 1.0, 3.0)
+        mode = ModeFunction("relax", ScalarRelaxation(target, exponent), 1.0, 3.0)
         assert solve_mode(mode, 0.5, 0.0, 1.0, StateSpace(((-0.01, 1.01),))).x1 == 1.0 - 0.5 * math.exp(-1.0)
 
 
@@ -1343,7 +1351,7 @@ def test_two_state_k_and_m_on_floats_match_numpys(a, b, space):
 @pytest.mark.parametrize("k, m", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0)])
 def test_a_mode_with_negative_or_nan_bounds_is_refused(k, m):
     with pytest.raises(ValueError) as exc:
-        ModeFunction("m", lambda t, x: x, AffineConstant([[1.0]], [0.0]), k, m)
+        ModeFunction("m", AffineConstant([[1.0]], [0.0]), k, m)
     assert str(exc.value) == f"regularity bounds must be nonnegative, got K={k!r}, M={m!r}"
 
 
