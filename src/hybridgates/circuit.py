@@ -333,9 +333,9 @@ def execute(
     result; it exists so tests can prove that.
 
     The wiring was checked when the circuit was built: a circuit whose
-    ``report`` is not ok raises ``InvalidCircuitError``.  A mode that
-    ``solve_mode`` refuses, such as one that leaves its box, raises
-    ValueError with ``vertex '<name>': `` before the mode's own message.
+    ``report`` is not ok raises ``InvalidCircuitError``.  Each gate proved
+    its mode family keeps its box when it was built, so a run proves
+    nothing.
     """
     report = circuit.report
     if not report.ok:
@@ -348,9 +348,7 @@ def execute(
     input_signals = dict(input_signals or {})
     ports = circuit._inputs
     if set(input_signals) != set(ports):
-        raise ValueError(
-            f"input signals {sorted(input_signals)} do not match ports {sorted(ports)}"
-        )
+        raise ValueError(f"input signals {sorted(input_signals)} do not match ports {sorted(ports)}")
     for name, sig in input_signals.items():
         if abs(sig.horizon - horizon) > TIME_EPS:
             raise ValueError(f"signal for {name!r} has horizon {sig.horizon}, expected {horizon}")
@@ -373,10 +371,7 @@ def execute(
         # value, from a state exactly on the threshold, is dropped
         spec = st.spec
         st.modes.append((t, mode))
-        try:
-            st.live = solve_mode(mode, x, t, horizon, spec.state_space)
-        except ValueError as exc:  # many gates share a mode id, so name the vertex
-            raise ValueError(f"vertex {name!r}: {exc}") from exc
+        st.live = solve_mode(mode, x, t, horizon, spec.state_space)
         generation, value, leading = st.generation, st.out_bit, True
         for t_c, rising in find_crossings((st.live,), spec.threshold.xi, spec.threshold.component):
             if rising == value:

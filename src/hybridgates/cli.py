@@ -8,8 +8,9 @@ optional ``defaults`` (a finite positive ``horizon``, picked up when
 bundled file.  Each kind is built by its factory in ``gates`` (or a port
 class), and a parameter the file leaves out takes that factory's default.
 Each subcommand takes only the flags it reads.  Every mode has a closed
-form, and threshold crossing times are those of the closed forms; a mode
-that does not keep its gate's state-space box is refused, exit code 1.
+form, and threshold crossing times are those of the closed forms; a gate
+with a mode that may leave its state-space box is refused at load, so
+``validate`` and every run exit 1 on it alike.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numeric failure.
 """

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .modes import ModeFunction, ScalarRelaxation, StateSpace, Trajectory, affine_mode
+from .modes import ModeFunction, ScalarRelaxation, StateSpace, Trajectory, _prove_invariant, affine_mode
 from .modes import matching_output_signal  # unused; bench/spans.py wraps it by name
 from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal
 from .threshold import ThresholdSpec, digitize  # digitize: unused; bench/spans.py wraps it by name
@@ -60,9 +60,7 @@ class ModeEntry(NamedTuple):
     last_input_change: tuple[float | None, ...]
 
 
-ChoiceFunction = Callable[
-    [tuple[int, ...], "tuple[int, ...] | None", ModeEntry], ModeFunction
-]
+ChoiceFunction = Callable[[tuple[int, ...], "tuple[int, ...] | None", ModeEntry], ModeFunction]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +74,15 @@ class GateSpec:
     ``choice`` picks the mode at each change of the input bits.  A
     memoryless gate's is one table from input bits to modes (``_table_gate``);
     the history-aware NOR's also reads the previous bits and the context.
+    ``family`` lists every mode ``choice`` returns, or for modes built at
+    entry one member with their target, K and M.  Each member is proven here,
+    once, to keep ``state_space`` (``modes._prove_invariant``), not in a run.
     """
 
     name: str
     input_delays: tuple[float, ...]
     choice: ChoiceFunction
+    family: tuple[ModeFunction, ...]
     initial_inputs: tuple[int, ...]
     initial_state: tuple[float, ...]
     threshold: ThresholdSpec
@@ -89,9 +91,7 @@ class GateSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_delays", tuple(float(d) for d in self.input_delays))
         object.__setattr__(self, "initial_inputs", _input_bits(self.initial_inputs, self.arity))
-        object.__setattr__(
-            self, "initial_state", tuple(float(v) for v in self.initial_state)
-        )
+        object.__setattr__(self, "initial_state", tuple(float(v) for v in self.initial_state))
         if not all(math.isfinite(d) and d >= 0 for d in self.input_delays):
             raise ValueError("input delays must be finite and nonnegative")
         if len(self.initial_state) != self.state_space.dimension:
@@ -100,6 +100,8 @@ class GateSpec:
             raise ValueError("initial state outside the state space")
         if self.threshold.component > self.state_space.dimension:
             raise ValueError("threshold component out of range")
+        for mode in self.family:
+            _prove_invariant(mode, self.state_space)
 
     @property
     def arity(self) -> int:
@@ -224,7 +226,8 @@ def _table_gate(
     def choice(bits, prev_bits, ctx, _modes=modes):
         return _modes[bits]
 
-    return GateSpec(name, delays, choice, initial_inputs, initial_state, threshold, space)
+    family = tuple(dict.fromkeys(modes.values()))
+    return GateSpec(name, delays, choice, family, initial_inputs, initial_state, threshold, space)
 
 
 def _lag_modes(
@@ -261,10 +264,7 @@ def boolean_table(function, arity: int | None = None) -> dict[tuple[int, ...], i
     if callable(function):
         if arity is None:
             raise ValueError("arity is required with a callable")
-        return {
-            bits: int(bool(function(*bits)))
-            for bits in itertools.product((0, 1), repeat=arity)
-        }
+        return {bits: int(bool(function(*bits))) for bits in itertools.product((0, 1), repeat=arity)}
     table = {tuple(int(b) for b in k): int(v) for k, v in dict(function).items()}
     arities = {len(k) for k in table}
     if len(arities) != 1:
@@ -423,9 +423,7 @@ def make_simple_nor(
     no multi-input switching dependence at all.
     """
     p = params or SimpleNorParams()
-    box = StateSpace(
-        ((-0.01 * p.v_dd, 1.01 * p.v_dd), (-0.01 * p.v_dd, 1.01 * p.v_dd))
-    )
+    box = StateSpace(((-0.01 * p.v_dd, 1.01 * p.v_dd),) * 2)
 
     def rate(cap: str, res: str) -> float:  # of one RC branch
         c, r = getattr(p, cap), getattr(p, res)
@@ -441,9 +439,7 @@ def make_simple_nor(
         (0, 1): ([[-k1, 0.0], [0.0, -g4]], [p.v_dd * k1, 0.0]),
         (0, 0): ([[-(k1 + k2), k2], [g2, -g2]], [p.v_dd * k1, 0.0]),
     }
-    modes = {
-        bits: affine_mode(f"s{bits[0]}{bits[1]}", a, b, box) for bits, (a, b) in nets.items()
-    }
+    modes = {bits: affine_mode(f"s{bits[0]}{bits[1]}", a, b, box) for bits, (a, b) in nets.items()}
     initial_inputs = _input_bits(initial_inputs, len(delays))
     if initial_state is None:
         # the exact rest state its mode derives; for positive parameters only
@@ -545,17 +541,16 @@ def make_advanced_nor(
         (0, 1): affine_mode("f2", [[-1.0 / (p.c * p.r_nb)]], [0.0], box),
         (1, 1): affine_mode("f6", [[-(1.0 / p.r_na + 1.0 / p.r_nb) / p.c]], [0.0], box),
     }
-    settled = affine_mode(
-        "f0", [[-1.0 / (2.0 * p.r * p.c)]], [p.v_dd / (2.0 * p.r * p.c)], box
-    )
+    settled = affine_mode("f0", [[-1.0 / (2.0 * p.r * p.c)]], [p.v_dd / (2.0 * p.r * p.c)], box)
+    k_chg = 1.0 / (2.0 * p.r * p.c)  # the conductance rho stays in [0, 1/(2R)] for all t >= t_on
+    # the family's one charging member, whose target, K and M every charging mode takes
+    chg = ModeFunction("chg", ScalarRelaxation(p.v_dd, _charging_exponent(p, 0.0, 0.0, p.alpha1)), k_chg,
+                       1.01 * p.v_dd * k_chg)
     fresh = itertools.count()
-    k_chg = 1.0 / (2.0 * p.r * p.c)
-    m_chg = 1.01 * p.v_dd * k_chg
 
     def charging(t_on: float, gap: float, alpha_first: float) -> ModeFunction:
-        # K = 1/(2RC): the conductance rho stays in [0, 1/(2R)] for all t >= t_on
-        kind = ScalarRelaxation(p.v_dd, _charging_exponent(p, t_on, gap, alpha_first))
-        return ModeFunction(f"chg{next(fresh)}", kind, k_chg, m_chg)
+        kind = ScalarRelaxation(chg.kind.target, _charging_exponent(p, t_on, gap, alpha_first))
+        return ModeFunction(f"chg{next(fresh)}", kind, chg.lipschitz_k, chg.rhs_bound_m)
 
     def choice(bits, prev_bits, ctx, _discharge=discharge):
         if bits in _discharge:
@@ -577,7 +572,8 @@ def make_advanced_nor(
     initial_inputs = _input_bits(initial_inputs, len(delays))
     x0 = p.v_dd if initial_inputs == (0, 0) else 0.0
     threshold = ThresholdSpec(p.v_dd / 2.0)
-    return GateSpec(name, delays, choice, initial_inputs, (x0,), threshold, box)
+    family = (*discharge.values(), settled, chg)
+    return GateSpec(name, delays, choice, family, initial_inputs, (x0,), threshold, box)
 
 
 # -- delay measurements ------------------------------------------------------

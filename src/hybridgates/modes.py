@@ -9,7 +9,7 @@ constant-coefficient mode of one or two states (for every 2x2 spectrum,
 from the trace and determinant), or a scalar relaxation (a state pulled
 toward a fixed target at a time-varying rate, whose exponent is known in
 closed form).  Any other mode is refused when it is built, and one that
-leaves its box when it is solved, so no segment is scanned for an exit.
+leaves its gate's box when the gate is, so no segment is scanned for an exit.
 
 A trajectory driven by a mode-switch signal is assembled by solving each
 constant-mode interval from the previous segment's end state, so it is
@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -115,7 +114,6 @@ class AffineConstant:
     constants ``plane`` derives once; ``line`` is None for two states and
     ``plane`` for one.  Three or more states, a non-finite entry of ``a`` or
     ``b``, or a constant of ``plane`` beyond the floats raise ValueError.
-    ``box`` is the last state space :func:`solve_mode` proved the kind keeps.
     ``rhs(t, x)`` is ``a x + b`` on floats, as a tuple, for a sequence ``x``
     of one float per state.
     """
@@ -124,7 +122,6 @@ class AffineConstant:
     b: tuple[float, ...]
     line: tuple[float, float] | None = field(init=False, repr=False, compare=False)
     plane: _Plane | None = field(init=False, repr=False, compare=False)
-    box: StateSpace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = tuple(tuple(map(float, row)) for row in self.a)
@@ -763,24 +760,36 @@ def solve_ivp(*args, **kwargs):
     return integrate(*args, **kwargs)
 
 
+def _require_states(mode: ModeFunction, n: int) -> None:
+    states = 1 if isinstance(mode.kind, ScalarRelaxation) else len(mode.kind.b)
+    if states != n:
+        raise ValueError(f"mode {mode.id!r}: a {states}-state mode in a {n}-state space")
+
+
 def _prove_invariant(mode: ModeFunction, space: StateSpace) -> None:
-    """Refuse ``mode``, naming it and a face, unless no run of it leaves the
-    box ``space.contains`` accepts: a relaxation's target must lie in it, and
-    an affine field (affine on a face) may point out of no face at any of its
-    corners, in exact fractions (Nagumo's condition).  A zero rate is allowed,
-    as dy/dt >= a_kk y for y = x_k - lo.  The proven box becomes ``kind.box``."""
+    """Refuse ``mode``, naming it and a face, unless it has the box's state
+    count and no run of it leaves the box ``space.contains`` accepts: a
+    relaxation's target lies in it, and an affine field, affine on a face,
+    points out of no face at any corner (Nagumo's condition; a zero rate
+    keeps a start inside), each rate exact as an integer over a power of 2."""
+    _require_states(mode, space.dimension)
     kind, box = mode.kind, [(float(lo - BOX_SLACK), float(hi + BOX_SLACK)) for lo, hi in space.bounds]
     refusal = f"mode {mode.id!r}: the state space is not invariant:"
-    if isinstance(kind, ScalarRelaxation):  # one whose target is outside: above hi, or else below lo
-        face = box[0][kind.target > box[0][1]]  # lo for a NaN
+    if isinstance(kind, ScalarRelaxation):
+        if space.contains((kind.target,)):
+            return
+        face = box[0][kind.target > box[0][1]]  # above hi, or else below lo; lo for a NaN
         raise ValueError(f"{refusal} its target {kind.target!r} lies beyond the face x1 = {face!r}")
+    rows = [[*map(float.as_integer_ratio, (*row, c))] for row, c in zip(kind.a, kind.b)]
     for corner in itertools.product(*box):
-        for k, (row, c, bound, (lo, _)) in enumerate(zip(kind.a, kind.b, corner, box), 1):
-            rate = sum(map(operator.mul, map(Fraction, row), map(Fraction, corner)), Fraction(c))
-            if rate < 0 if bound == lo else rate > 0:
-                why = f"at the corner {corner}, dx{k}/dt = {float(rate)!r} points out"
+        xs = [*map(float.as_integer_ratio, corner), (1, 1)]  # the 1 multiplies b_k
+        for k, (row, bound, (lo, _)) in enumerate(zip(rows, corner, box), 1):
+            terms = [(p * r, q * s) for (p, q), (r, s) in zip(row, xs)]
+            den = max([q for _, q in terms])  # every q is a power of two
+            num = sum([p * (den // q) for p, q in terms])
+            if num < 0 if bound == lo else num > 0:
+                why = f"at the corner {corner}, dx{k}/dt = {num / den!r} points out"
                 raise ValueError(f"{refusal} {why} through the face x{k} = {bound!r}")
-    object.__setattr__(kind, "box", space)
 
 
 def solve_mode(
@@ -797,18 +806,14 @@ def solve_mode(
     space, else a tuple of floats.  A relaxation solves to a
     :class:`RelaxationSegment`, an affine mode to a
     :class:`ScalarAffineSegment` in a 1-state space and to an
-    :class:`AffineSegment` in a 2-state one.  A mode that leaves ``space``
-    is refused (``_prove_invariant``, once per affine kind and box).  Raises
+    :class:`AffineSegment` in a 2-state one.  It proves nothing: its gate
+    proved the mode keeps ``space`` (:func:`_prove_invariant`).  Raises
     :class:`StateSpaceExit` for an ``x0`` outside the box, and ValueError
     for a mode or an ``x0`` whose state count is not the box's, or t1 < t0.
     """
     n, kind = space.dimension, mode.kind
+    _require_states(mode, n)
     relaxation = isinstance(kind, ScalarRelaxation)
-    states = 1 if relaxation else len(kind.b)
-    if states != n:
-        raise ValueError(f"mode {mode.id!r}: a {states}-state mode in a {n}-state space")
-    if not (space.contains((kind.target,)) if relaxation else kind.box is space):
-        _prove_invariant(mode, space)
     if not (n == 1 and isinstance(x0, float)):
         try:
             k = len(x0)
@@ -835,14 +840,16 @@ def matching_output_signal(
 ) -> Trajectory:
     """Trajectory that starts at ``x0``, is continuous, and follows the
     active mode's ODE on every inter-switch interval, pasted by the loop
-    ``Execution.trajectory`` uses.  An interval of ``TIME_EPS`` or less
-    after the first is skipped."""
+    ``Execution.trajectory`` uses, each mode proven to keep ``space`` as a
+    gate's are.  An interval of ``TIME_EPS`` or less after the first is skipped."""
     pieces = []
     for start, end, mode_id in switching.intervals():
         if mode_id not in family:
             raise KeyError(f"mode id {mode_id!r} not present in the mode family")
         if end - start > TIME_EPS or not pieces:
             pieces.append((start, end, family[mode_id]))
+    for _, _, mode in pieces:  # no gate proved a family handed in here
+        _prove_invariant(mode, space)
     return _paste(pieces, x0, space)
 
 

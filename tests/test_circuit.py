@@ -387,6 +387,7 @@ def twin_mode_gate(delay, tau):
         name="twin",
         input_delays=(delay, delay),
         choice=choice,
+        family=(low, high_a, high_b),
         initial_inputs=(0, 0),
         initial_state=(0.0,),
         threshold=ThresholdSpec(0.5),

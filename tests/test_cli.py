@@ -1,17 +1,21 @@
 """End-to-end checks of the command-line interface."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hybridgates import __version__, cli
 from hybridgates import circuit as circuit_module
 from hybridgates.circuit import execute
 from hybridgates.cli import _KINDS, _preset_names, load_circuit, main, parse_circuit_data
 from hybridgates.gates import (
+    SimpleNorParams,
     make_advanced_nor,
     make_boolean_gate,
     make_const_gate,
@@ -236,10 +240,11 @@ class TestCircuitFiles:
         )
         assert not out.exists()
 
-    def test_a_simple_nor_that_leaves_its_box_is_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_simple_nor_that_leaves_its_box_is_refused(self, tmp_path, capsys, command):
         # -(k1 + k2) rounds to -1.0, so the (0, 0) network is singular and
-        # its state drifts out of the box: a validation failure, not a
-        # numeric one, and no output is written
+        # its state drifts out of the box: refused when the gate is built,
+        # so validate and simulate both fail at load, and no output is written
         doc = {
             "defaults": {"horizon": 5.0},
             "vertices": [
@@ -251,12 +256,38 @@ class TestCircuitFiles:
         }
         path = write_yaml(tmp_path / "c.yaml", doc)
         out = tmp_path / "out"
-        assert run("simulate", path, "--out-dir", out) == 1
+        assert run(command, path, *(["--out-dir", out] if command == "simulate" else [])) == 1
         assert capsys.readouterr().err == (
-            "error: vertex 'nor': mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
+            f"error: {path}: vertex 'nor': mode 's00': the state space is not invariant:"
+            " at the corner (1.010000000001, 1.010000000001),"
             " dx1/dt = 1e-20 points out through the face x1 = 1.010000000001\n"
         )
         assert not out.exists()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        fields=st.fixed_dictionaries(
+            {f.name: st.floats(-20.0, 20.0).map(lambda e: 10.0**e) for f in dataclasses.fields(SimpleNorParams)}
+        ),
+        b=st.sampled_from((0, 1)),
+    )
+    def test_validate_and_simulate_agree_on_a_simple_nor(self, tmp_path, fields, b):
+        # a mode that leaves its box is refused when the gate is built, so
+        # validate fails wherever simulate does, whether or not a run would
+        # enter that mode: with B held at 1 the (0, 0) network never runs
+        doc = {
+            "defaults": {"horizon": 5.0},
+            "vertices": [
+                {"id": "A", "kind": "input", "initial": 0},
+                {"id": "B", "kind": "input", "initial": b},
+                {"id": "nor", "kind": "simple_nor", "initial_inputs": [0, b], **fields},
+                {"id": "O", "kind": "output"},
+            ],
+            "edges": [["A", 0, "nor"], ["B", 1, "nor"], ["nor", 0, "O"]],
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        simulated = run("simulate", path, "--input", "A=pulse:1:1", "--out-dir", tmp_path / "out")
+        assert run("validate", path) == simulated
 
     @pytest.mark.parametrize(
         "gate",

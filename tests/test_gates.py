@@ -37,6 +37,7 @@ from hybridgates import modes
 from hybridgates.circuit import Circuit, InputPort, InvalidCircuitError, OutputPort, execute
 from hybridgates.modes import (
     RelaxationSegment,
+    ScalarRelaxation,
     Trajectory,
     matching_output_signal,
     solve_mode,
@@ -662,10 +663,9 @@ _LOG_PARAM = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
 
 
 @st.composite
-def _factory_modes(draw):
-    """A factory's gate at its default or at random parameters, every mode
-    it can enter (for the advanced NOR, one charging mode at a drawn entry
-    time and gap), and a time at or after that entry."""
+def _factory_gate(draw):
+    """A factory's gate at its default or at random parameters, and the
+    advanced NOR's parameters (None for any other factory)."""
     kind = draw(st.sampled_from(("boolean", "const", "idm", "heater", "snor", "anor")))
     rand = draw(st.booleans())
 
@@ -685,11 +685,19 @@ def _factory_modes(draw):
         gate = make_simple_nor(SimpleNorParams(**params(*(f.name for f in dataclasses.fields(SimpleNorParams)))))
     else:
         nor = AdvancedNorParams(**params(*(f.name for f in dataclasses.fields(AdvancedNorParams))))
-        gate = make_advanced_nor(nor)
-    entry = ModeEntry(None, (None,) * gate.arity)
-    modes = [gate.choice(bits, None, entry) for bits in itertools.product((0, 1), repeat=gate.arity)]
+        return make_advanced_nor(nor), nor
+    return gate, None
+
+
+@st.composite
+def _factory_modes(draw):
+    """A factory's gate's box, its mode family (for the advanced NOR, with
+    one charging mode at a drawn entry time and gap), and a time at or
+    after that entry."""
+    gate, nor = draw(_factory_gate())
+    modes = list(gate.family)
     t_on = draw(st.floats(0.0, 100.0))
-    if kind == "anor":
+    if nor is not None:
         gap, first_fell = draw(_charging_cases["gap"]), draw(_charging_cases["first_fell"])
         modes.append(_charging_mode(nor, t_on, gap, first_fell)[1])
     return gate.state_space, modes, t_on + draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
@@ -719,10 +727,11 @@ class TestDeclaredRegularity:
     def test_every_mode_keeps_its_box(self, case):
         # K and M bound a run only while it stays in the box: no mode of any
         # factory, at its defaults or at drawn parameters, points out of its
-        # box, so solve_mode refuses none
+        # box, a charging mode built at entry included
         space, family, t = case
         x0 = tuple((lo + hi) / 2 for lo, hi in space.bounds)
         for mode in family:
+            modes._prove_invariant(mode, space)
             solve_mode(mode, x0, t, t + 1.0, space)
 
     @given(params=st.builds(
@@ -736,20 +745,49 @@ class TestDeclaredRegularity:
         for bits in itertools.product((0, 1), repeat=2):
             solve_mode(gate.choice(bits, None, None), gate.initial_state, 0.0, 1.0, gate.state_space)
 
-    def test_a_simple_nor_whose_network_rounds_to_a_singular_one_is_refused(self):
+    @pytest.mark.parametrize("initial_inputs", [(0, 0), (0, 1), (1, 1)])
+    def test_a_simple_nor_whose_network_rounds_to_a_singular_one_is_refused(self, initial_inputs):
         # k1 = 1e-20, so -(k1 + k2) rounds to -1.0 and the (0, 0) network is
         # singular, with b outside its range: x1 + x2 drifts up by 1e-20 per
-        # unit time.  The gate starts at (5e-21, 0), where a run would read
-        # 0 for NOR(0, 0) = 1; the mode is refused instead.
-        gate = make_simple_nor(SimpleNorParams(r1=1e20))
-        assert gate.initial_state == (5e-21, 0.0)
-        zero = BinarySignal(0, (), 5.0)
+        # unit time.  From (5e-21, 0), its rest state, a run would read 0
+        # for NOR(0, 0) = 1.  The mode is refused when the gate is built,
+        # whether or not a run would enter it.
         with pytest.raises(ValueError) as exc:
-            gate_output(gate, [zero, zero])
+            make_simple_nor(SimpleNorParams(r1=1e20), initial_inputs=initial_inputs)
         assert str(exc.value) == (
-            "vertex 'gate': mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
+            "mode 's00': the state space is not invariant: at the corner (1.010000000001, 1.010000000001),"
             " dx1/dt = 1e-20 points out through the face x1 = 1.010000000001"
         )
+
+
+class TestModeFamily:
+    @given(case=_factory_gate(), t_on=st.floats(0.0, 100.0), gap=_charging_cases["gap"])
+    @settings(max_examples=200, deadline=None)
+    def test_every_mode_choice_returns_is_in_the_family(self, case, t_on, gap):
+        # the family is what the gate proved keeps its box; a charging mode
+        # is built at entry instead, with the target, K and M of the
+        # family's one charging member, and only the target is proven
+        gate, _ = case
+        inputs = list(itertools.product((0, 1), repeat=gate.arity))
+        last = (None if math.isinf(gap) else t_on - gap,) * gate.arity
+        charging = [m for m in gate.family if isinstance(m.kind, ScalarRelaxation)]
+        for bits in inputs:
+            for prev in (None, *[p for p in inputs if p != bits]):
+                mode = gate.choice(bits, prev, ModeEntry(None if prev is None else t_on, last))
+                if any(mode is member for member in gate.family):
+                    continue
+                (chg,) = charging
+                assert isinstance(mode.kind, ScalarRelaxation)
+                assert (mode.kind.target, mode.lipschitz_k, mode.rhs_bound_m) == (
+                    chg.kind.target, chg.lipschitz_k, chg.rhs_bound_m
+                )
+
+    def test_the_advanced_nors_family_is_its_discharge_settled_and_charging_modes(self):
+        # the charging member takes no run mode id, so runs still name
+        # their charging modes chg0, chg1, ...
+        gate = make_advanced_nor()
+        assert [m.id for m in gate.family] == ["f1", "f2", "f6", "f0", "chg"]
+        assert gate.choice((0, 0), (1, 1), ModeEntry(1.0, (1.0, 1.0))).id == "chg0"
 
 
 def _refuse(name):
@@ -807,6 +845,7 @@ class TestGateSpecValidation:
                 name="bad",
                 input_delays=(0.1,),
                 choice=gate.choice,
+                family=gate.family,
                 initial_inputs=(0,),
                 initial_state=(5.0,),
                 threshold=gate.threshold,
@@ -821,6 +860,7 @@ class TestGateSpecValidation:
                 name="bad",
                 input_delays=(bad,),
                 choice=gate.choice,
+                family=gate.family,
                 initial_inputs=(0,),
                 initial_state=(0.0,),
                 threshold=gate.threshold,

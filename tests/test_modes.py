@@ -16,6 +16,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 import hybridgates
+from hybridgates.circuit import execute
+from hybridgates.cli import _preset_names
 from hybridgates.modes import (
     BOX_SLACK,
     AffineConstant,
@@ -33,7 +35,7 @@ from hybridgates.modes import (
     sup_distance,
     write_trajectory_csv,
 )
-from hybridgates import modes
+from hybridgates import gates, modes
 from hybridgates.gates import (
     AdvancedNorParams,
     _charging_exponent,
@@ -45,7 +47,7 @@ from hybridgates.modes import _newton, _SegmentBase
 from hybridgates.signals import ModeSwitchSignal
 from hybridgates.threshold import find_crossings
 
-from conftest import FunctionSegment, decimal_affine_values, reference_component, term_scale
+from conftest import FunctionSegment, decimal_affine_values, preset_stimulus, reference_component, term_scale
 
 BOX = StateSpace(((-100.0, 100.0),))
 PLANT_BOX = StateSpace(((-1.0, 51.0),))
@@ -90,7 +92,7 @@ def test_zero_rate_mode_is_linear_in_time():
     assert seg.value(1.5)[0] == pytest.approx(4.0, rel=1e-14)
     # a ramp keeps no box, so its mode is refused
     with pytest.raises(ValueError, match="through the face x1 = 100.000000000001$"):
-        solve_mode(affine_mode("ramp", [[0.0]], [2.0], BOX), [1.0], 0.0, 3.0, BOX)
+        modes._prove_invariant(affine_mode("ramp", [[0.0]], [2.0], BOX), BOX)
 
 
 # -- the float segment of 1-state affine modes ------------------------------------
@@ -154,7 +156,7 @@ def test_a_scalar_segment_resting_on_an_unstable_equilibrium_stays_there():
     assert find_crossings([seg], 1.0) == []
     # every other start leaves, so the mode is refused
     with pytest.raises(ValueError, match="not invariant"):
-        solve_mode(affine_mode("unstable", [[1.0]], [-2.0], BOX), 2.0, 0.0, 1000.0, BOX)
+        modes._prove_invariant(affine_mode("unstable", [[1.0]], [-2.0], BOX), BOX)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +177,7 @@ def test_a_plane_segment_resting_on_an_unstable_equilibrium_stays_there(a, b):
     # every other start leaves, so the mode is refused
     box = StateSpace(((0.0, 2.0), (0.0, 2.0)))
     with pytest.raises(ValueError, match="not invariant"):
-        solve_mode(affine_mode("unstable", a, b, box), (1.0, 1.0), 0.0, 1000.0, box)
+        modes._prove_invariant(affine_mode("unstable", a, b, box), box)
 
 
 def test_a_plane_segment_whose_exp_overflows_reads_inf_and_crosses_once():
@@ -835,11 +837,11 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
 
 def test_trajectory_leaving_box_raises_with_first_exit_time():
     # x(t) = 50 - 30 exp(-t/10) would leave (0, 30) at 10 ln(3/2), so in
-    # that box the mode is refused on its first solve, naming the face
+    # that box the mode is refused, naming the face
     tight = StateSpace(((0.0, 30.0),))
     grow = affine_mode("grow", [[-0.1]], [5.0], StateSpace(((-1.0, 51.0),)))
     with pytest.raises(ValueError) as err:
-        solve_mode(grow, [20.0], 0.0, 20.0, tight)
+        modes._prove_invariant(grow, tight)
     assert str(err.value) == (
         "mode 'grow': the state space is not invariant: at the corner (30.000000000001,),"
         " dx1/dt = 1.9999999999999 points out through the face x1 = 30.000000000001"
@@ -864,7 +866,7 @@ def test_scalar_exit_is_exact(a, b, x0, box, time, bound):
     [(lo, hi)] = box.bounds
     face = lo - BOX_SLACK if bound == lo else hi + BOX_SLACK
     with pytest.raises(ValueError) as exc:
-        solve_mode(affine_mode("m", [[a]], [b], box), [x0], 0.0, 20.0, box)
+        modes._prove_invariant(affine_mode("m", [[a]], [b], box), box)
     assert str(exc.value).startswith("mode 'm': the state space is not invariant: ")
     assert str(exc.value).endswith(f" points out through the face x1 = {face!r}")
 
@@ -883,10 +885,11 @@ def test_scalar_mode_just_inside_a_bound_is_accepted(a, b, x0, t1):
     assert 0.0 < seg.value(seg.t1)[0] <= 50.0
     mode = affine_mode("m", [[a]], [b], box)
     if a:  # a lag toward a bound keeps the box, however near it comes
+        modes._prove_invariant(mode, box)
         assert solve_mode(mode, [x0], 0.0, t1, box).x1 == seg.x1
     else:  # the ramp would leave after t1, so it is refused
         with pytest.raises(ValueError, match="through the face x1 = 50.000000000001$"):
-            solve_mode(mode, [x0], 0.0, t1, box)
+            modes._prove_invariant(mode, box)
 
 
 # Two networks of the simple NOR with unit parameters, state (V_int, V_out):
@@ -938,7 +941,7 @@ def test_two_state_exit_is_exact(net, x0, box):
     assert meet(bound, ends[0], ends[1]) == pytest.approx(want, abs=1e-12)
     face = box.bounds[k][0] - BOX_SLACK if bound == box.bounds[k][0] else box.bounds[k][1] + BOX_SLACK
     with pytest.raises(ValueError) as exc:
-        solve_mode(affine_mode("m", *net, box), x0, 0.0, 20.0, box)
+        modes._prove_invariant(affine_mode("m", *net, box), box)
     assert str(exc.value).startswith("mode 'm': the state space is not invariant: ")
     assert str(exc.value).endswith(f" points out through the face x{k + 1} = {float(face)!r}")
 
@@ -952,7 +955,7 @@ def test_two_state_exit_is_the_earliest_over_components():
         assert seg.pieces(k)[2](1.0, 0.0, 2.0) == pytest.approx(time, rel=1e-15)
     box = StateSpace(((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError) as exc:
-        solve_mode(affine_mode("m", [[0.0, 0.0], [0.0, 0.0]], [1.5, 3.0], box), (0.0, 0.0), 0.0, 2.0, box)
+        modes._prove_invariant(affine_mode("m", [[0.0, 0.0], [0.0, 0.0]], [1.5, 3.0], box), box)
     assert str(exc.value) == (
         "mode 'm': the state space is not invariant: at the corner (-1.000000000001, 1.000000000001),"
         " dx2/dt = 3.0 points out through the face x2 = 1.000000000001"
@@ -974,10 +977,11 @@ def test_two_state_mode_just_inside_a_bound_is_accepted(net, x0, t1, box):
     assert all(lo < x <= hi + 1e-12 for x, (lo, hi) in zip(seg.value(seg.t1), box.bounds))
     mode = affine_mode("m", *net, box)
     if net is NOR_CHARGE:  # both nodes settle onto the top, which the box keeps
+        modes._prove_invariant(mode, box)
         assert solve_mode(mode, x0, 0.0, t1, box).x1 == seg.x1
     else:  # the run from x0 stays inside, but one from (1.01, peak) would not
         with pytest.raises(ValueError, match="through the face x2 = "):
-            solve_mode(mode, x0, 0.0, t1, box)
+            modes._prove_invariant(mode, box)
 
 
 class _NanEndSegment(_SegmentBase):
@@ -1022,7 +1026,7 @@ def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
     assert meet(51.0, *ts) == pytest.approx(math.log(51.0), rel=1e-15)
     box = StateSpace(((-1.0, 51.0),))
     with pytest.raises(ValueError) as err:
-        solve_mode(affine_mode("grow", [[1.0]], [0.0], box), 1.0, 0.0, 1000.0, box)
+        modes._prove_invariant(affine_mode("grow", [[1.0]], [0.0], box), box)
     assert str(err.value) == (
         "mode 'grow': the state space is not invariant: at the corner (-1.000000000001,),"
         " dx1/dt = -1.000000000001 points out through the face x1 = -1.000000000001"
@@ -1054,12 +1058,11 @@ def test_a_scalar_mode_is_refused_exactly_when_its_field_points_out_at_a_bound(f
     low, high = Fraction(lo - BOX_SLACK), Fraction(hi + BOX_SLACK)
     out = Fraction(a) * low + Fraction(b) < 0 or Fraction(a) * high + Fraction(b) > 0
     mode = affine_mode("m", [[a]], [b], space)
-    x0 = (lo + hi) / 2
     if out:
         with pytest.raises(ValueError, match="^mode 'm': the state space is not invariant: "):
-            solve_mode(mode, x0, 0.0, 1.0, space)
+            modes._prove_invariant(mode, space)
     else:
-        assert solve_mode(mode, x0, 0.0, 1.0, space).x0 == x0
+        modes._prove_invariant(mode, space)
 
 
 @pytest.mark.parametrize(
@@ -1077,10 +1080,10 @@ def test_a_scalar_mode_is_refused_exactly_when_its_field_points_out_at_a_bound(f
 )
 def test_a_mode_whose_closed_form_breaks_on_tiny_entries_is_refused_around_its_start(a, b, x0, why):
     # no run can reach these forms: each mode is refused in a box around
-    # the start that breaks its closed form
+    # the start that breaks its closed form, when it is built or proven
     box = StateSpace(tuple((x - 0.5, x + 0.5) for x in x0))
     with pytest.raises(ValueError, match=why):
-        solve_mode(affine_mode("tiny", a, b, box), x0, 0.0, 2.0, box)
+        modes._prove_invariant(affine_mode("tiny", a, b, box), box)
 
 
 def test_a_relaxation_is_refused_unless_its_target_lies_in_the_box():
@@ -1088,26 +1091,35 @@ def test_a_relaxation_is_refused_unless_its_target_lies_in_the_box():
     for target, face in ((2.0, 1.010000000001), (-0.5, -0.010000000001), (math.nan, -0.010000000001)):
         mode = ModeFunction("relax", ScalarRelaxation(target, exponent), 1.0, 3.0)
         with pytest.raises(ValueError) as exc:
-            solve_mode(mode, 0.5, 0.0, 1.0, StateSpace(((-0.01, 1.01),)))
+            modes._prove_invariant(mode, StateSpace(((-0.01, 1.01),)))
         assert str(exc.value) == (
             f"mode 'relax': the state space is not invariant: its target {target!r} lies beyond the face x1 = {face!r}"
         )
     for target in (1.0, 1):  # a target of any number type
         mode = ModeFunction("relax", ScalarRelaxation(target, exponent), 1.0, 3.0)
+        modes._prove_invariant(mode, StateSpace(((-0.01, 1.01),)))
         assert solve_mode(mode, 0.5, 0.0, 1.0, StateSpace(((-0.01, 1.01),))).x1 == 1.0 - 0.5 * math.exp(-1.0)
 
 
-def test_an_affine_kind_is_proven_once_per_box(monkeypatch):
-    # a kind keeps the last box it was proven to keep, and a solve in that
-    # same box object proves nothing; any other box object is proven anew
+@pytest.mark.parametrize("preset", _preset_names())
+def test_a_gate_proves_its_family_once_when_built_and_a_run_proves_nothing(monkeypatch, preset):
+    # every gate of the circuit proves each member of its family against
+    # its box, once, as it is built; solve_mode and execute prove nothing
     calls = []
     prove = modes._prove_invariant
-    monkeypatch.setattr(modes, "_prove_invariant", lambda mode, space: calls.append(space) or prove(mode, space))
-    box, other = StateSpace(((-0.8, 2.2), (-0.6, 1.4))), StateSpace(((-0.8, 2.2), (-0.6, 1.4)))
-    mode = affine_mode("planar", [[-1.0, 1.0], [1.0, -2.0]], [0.3, 0.1], box)
-    for space in (box, box, other, other, box):
-        solve_mode(mode, (0.2, 0.9), 0.0, 1.0, space)
-    assert [space is box for space in calls] == [True, False, True] and mode.kind.box is box
+
+    def counting(mode, space):
+        calls.append((id(mode), id(space)))
+        return prove(mode, space)
+
+    for owner in (modes, gates):  # gates calls the name it imported
+        monkeypatch.setattr(owner, "_prove_invariant", counting)
+    circuit, inputs, horizon = preset_stimulus(preset)
+    specs = circuit.gates().values()
+    assert calls == [(id(mode), id(spec.state_space)) for spec in specs for mode in spec.family]
+    calls.clear()
+    execute(circuit, inputs, horizon)
+    assert calls == []
 
 
 def test_initial_state_outside_box_rejected():
@@ -1178,6 +1190,15 @@ def test_unknown_mode_id_rejected():
     switching = ModeSwitchSignal("heat", ((1.0, "warp"),), 5.0)
     with pytest.raises(KeyError, match="warp"):
         matching_output_signal({"heat": HEAT}, switching, [20.0], PLANT_BOX)
+
+
+def test_a_pasted_family_that_leaves_its_box_is_refused():
+    # no gate proved a family handed to matching_output_signal, so it
+    # proves each mode it pastes; e^t from 1 would pass 2 at t = ln 2
+    box = StateSpace(((-2.0, 2.0),))
+    grow = affine_mode("grow", [[1.0]], [0.0], box)
+    with pytest.raises(ValueError, match="^mode 'grow': the state space is not invariant: "):
+        matching_output_signal({"grow": grow}, ModeSwitchSignal("grow", (), 10.0), 1.0, box)
 
 
 # -- sup distance ----------------------------------------------------------------------
