@@ -27,9 +27,7 @@ from .circuit import (
     check_simulation_equivalence,
     check_spf,
     execute,
-    random_boolean_circuit,
     reach_times,
-    shuffled_copy,
     unroll,
     validate,
 )
@@ -137,9 +135,7 @@ __all__ = [
     "check_simulation_equivalence",
     "check_spf",
     "execute",
-    "random_boolean_circuit",
     "reach_times",
-    "shuffled_copy",
     "unroll",
     "validate",
 ]

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
-from .gates import GateSpec, ModeEntry, _bit, boolean_table, initial_output_bit
-from .gates import make_boolean_gate, make_const_gate
+from .gates import GateSpec, ModeEntry, _bit, initial_output_bit, make_const_gate
 from .modes import ModeFunction, Trajectory, _paste, solve_mode
 from .signals import TIME_EPS, BinarySignal, ModeSwitchSignal, one_norm_distance
 from .threshold import find_crossings
@@ -47,8 +46,6 @@ __all__ = [
     "SpfReport",
     "check_spf",
     "bisect_pulse_norm",
-    "random_boolean_circuit",
-    "shuffled_copy",
 ]
 
 
@@ -911,82 +908,3 @@ def bisect_pulse_norm(
         if hi - lo < 1e-15:
             break
     raise RuntimeError("bisection did not reach the requested norm tolerance")
-
-
-# -- random circuits -----------------------------------------------------------
-
-_GATE_KINDS = ("nor2", "nand2", "or2", "and2", "not")
-
-
-def random_boolean_circuit(
-    rng: random.Random,
-    n_gates: int | None = None,
-    feedback: bool = True,
-    allow_flight: bool = True,
-    n_inputs: int | None = None,
-) -> Circuit:
-    """Random circuit of small boolean gates, optionally with feedback loops.
-
-    With ``allow_flight`` each gate gets an arbitrary initial output bit, so
-    loops may start in flight and oscillate on their own.  Without it, the
-    initial bits are solved to a consistent fixed point (regenerating the
-    topology if a loop has none), which level-0 unrolling requires.
-    """
-    n_gates = n_gates if n_gates is not None else rng.randint(2, 6)
-    n_inputs = n_inputs if n_inputs is not None else rng.randint(1, 2)
-    port_names = [f"in{i}" for i in range(n_inputs)]
-
-    for _attempt in range(64):
-        kinds = [rng.choice(_GATE_KINDS) for _ in range(n_gates)]
-        gate_names = [f"g{i}" for i in range(n_gates)]
-        drivers: dict[str, list[str]] = {}
-        for i, name in enumerate(gate_names):
-            arity = 1 if kinds[i] == "not" else 2
-            pool = port_names + (gate_names if feedback else gate_names[:i])
-            drivers[name] = [rng.choice(pool) for _ in range(arity)]
-
-        bits = {p: 0 for p in port_names}
-        bits.update({g: rng.randint(0, 1) for g in gate_names})
-        if not allow_flight:
-            tables = {g: boolean_table(kinds[i]) for i, g in enumerate(gate_names)}
-            ok = False
-            for _ in range(64):
-                new = dict(bits)
-                for g in gate_names:
-                    new[g] = tables[g][tuple(bits[d] for d in drivers[g])]
-                if new == bits:
-                    ok = True
-                    break
-                bits = new
-            if not ok:
-                continue  # the loop parity admits no consistent start
-
-        vertices: dict[str, Vertex] = {p: InputPort(0) for p in port_names}
-        edges: list[Edge] = []
-        for i, g in enumerate(gate_names):
-            delays = tuple(rng.uniform(0.05, 0.3) for _ in drivers[g])
-            vertices[g] = make_boolean_gate(
-                kinds[i],
-                delays,
-                initial_inputs=tuple(bits[d] for d in drivers[g]),
-                initial_output=bits[g],
-                name=g,
-            )
-            for slot, d in enumerate(drivers[g]):
-                edges.append(Edge(d, g, slot))
-        vertices["out"] = OutputPort()
-        edges.append(Edge(rng.choice(gate_names), "out", 0))
-
-        c = Circuit(vertices, edges)
-        if c.report.ok:
-            return c
-    raise RuntimeError("could not generate a consistent random circuit")
-
-
-def shuffled_copy(circuit: Circuit, rng: random.Random) -> Circuit:
-    """Same circuit with vertex and edge insertion order permuted."""
-    names = list(circuit.vertices)
-    rng.shuffle(names)
-    edges = list(circuit.edges)
-    rng.shuffle(edges)
-    return Circuit({n: circuit.vertices[n] for n in names}, edges)

@@ -91,7 +91,10 @@ class StateSpace:
     def contains(self, x) -> bool:
         """Whether ``x``, a float in a 1-state space or else a sequence of
         floats, lies inside the box widened by ``BOX_SLACK``."""
-        for value, (lo, hi) in zip((x,) if isinstance(x, float) else x, self.bounds):
+        if isinstance(x, float):  # checked against the first bound, as a 1-tuple is
+            lo, hi = self.bounds[0]
+            return lo - BOX_SLACK < x < hi + BOX_SLACK
+        for value, (lo, hi) in zip(x, self.bounds):
             if not (lo - BOX_SLACK < value < hi + BOX_SLACK):
                 return False
         return True
@@ -373,8 +376,8 @@ def _exp(u: float) -> float:
 # Each segment covers [t0, t1] and can evaluate the state at arbitrary times
 # inside it.  The next segment starts from the state this one reads at its
 # end (``state_at``), so junctions match exactly.
-# Every kind reads its end state ``x1`` once, when built, and cuts each
-# component into monotone ``pieces`` with its values at the piece ends.
+# Every kind reads its end state ``x1`` once, when built, and crosses a
+# threshold itself (``crossings``).
 
 
 class _SegmentBase:
@@ -383,13 +386,13 @@ class _SegmentBase:
     ``state_at(t)`` is the state in the one form a run carries between
     modes: a float in a 1-state space, otherwise a tuple of floats.
     ``value(t)`` is the state as a row tuple (a 1-tuple for one state), and
-    ``values(ts)`` a list of such rows, one per time.  ``pieces(component)``
-    returns, for one state component (1-based), ``(ts, xs, meet)``: ``ts``
-    is ``(t0, *breaks, t1)``, where the breaks are the interior times where
-    the component turns, so it is monotone between consecutive times; ``xs``
-    are the component's values at ``ts``, as floats; and ``meet(xi, lo,
-    hi)`` is the time in such a piece ``[lo, hi]``, whose end values
-    straddle ``xi``, at which the component equals ``xi``.
+    ``values(ts)`` a list of such rows, one per time.  ``crossings(xi,
+    component)`` crosses one state component (1-based) with the level
+    ``xi``; each kind does so itself, and returns ``(start, end, found,
+    plateau)``: the predicates ``x > xi`` at t0 and t1, read off the floats
+    ``x0`` and ``x1`` (and the turns between), the ``(time, rising)``
+    crossings inside the segment, and whether the component sits exactly
+    on ``xi`` over a segment longer than an instant.
     """
 
     __slots__ = ()
@@ -401,10 +404,11 @@ class _SegmentBase:
 class _FloatSegment(_SegmentBase):
     """A 1-state closed form evaluated on floats by ``at(t)``.
 
-    The state is monotone, so the segment is one piece, which meets xi at
-    the time its ``_meet`` gives.  Its end value ``x1`` is ``at(t1)``, read
-    once when the segment is built.  ``values`` applies ``at`` time by time,
-    so its rows and ``state_at`` agree float for float.
+    The state is monotone, so it crosses xi at most once: where the
+    predicates of ``x0`` and ``x1`` differ, at the time its ``_meet(xi, t0,
+    t1)`` gives, unless its ``asymptote`` is xi.  Its end value ``x1`` is
+    ``at(t1)``, read once when the segment is built.  ``values`` applies
+    ``at`` time by time, so its rows and ``state_at`` agree float for float.
     """
 
     __slots__ = ()
@@ -417,9 +421,16 @@ class _FloatSegment(_SegmentBase):
     def values(self, ts) -> list[tuple[float]]:
         return [(self.at(float(t)),) for t in ts]
 
-    def pieces(self, component: int):
-        # at(t0) is x0 itself, and x1 is at(t1)
-        return (self.t0, self.t1), (self.x0, self.x1), self._meet
+    def crossings(self, xi: float, component: int):
+        x0, x1 = self.x0, self.x1
+        start, end = x0 > xi, x1 > xi
+        if start == end:
+            return start, end, [], x0 == xi == x1 and self.t1 > self.t0
+        if self.asymptote == xi:
+            # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes sign;
+            # an exp that underflows onto xi is not an edge
+            return start, start, [], False
+        return start, end, [(self._meet(xi, self.t0, self.t1), end)], False
 
 
 class AffineSegment(_SegmentBase):
@@ -545,7 +556,11 @@ class AffineSegment(_SegmentBase):
         return [self.state_at(float(t)) for t in ts]
 
     def pieces(self, component: int):
-        """Monotone pieces of one state component; see ``_SegmentBase.pieces``."""
+        """Monotone pieces of one state component (1-based): ``(ts, xs,
+        meet)``, where ``ts`` is ``(t0, *turns, t1)``, so the component is
+        monotone between consecutive times, ``xs`` its values at ``ts``, and
+        ``meet(xi, lo, hi)`` the time in a piece ``[lo, hi]`` whose end
+        values straddle ``xi`` at which the component equals ``xi``."""
         # a turn within TIME_EPS of an end could only add a pulse narrower
         # than TIME_EPS
         k, after, before = component - 1, self.t0 + TIME_EPS, self.t1 - TIME_EPS
@@ -568,6 +583,20 @@ class AffineSegment(_SegmentBase):
         # the turns lie inside (t0, t1), where state_at reads _at with _exp
         xs = (self.x0[k], *[self._at(t, *self._c, self._exp)[k] for t in turns], self.x1[k])
         return (self.t0, *turns, self.t1), xs, meet
+
+    def crossings(self, xi: float, component: int):
+        """See ``_SegmentBase``: each of ``pieces`` whose end predicates
+        differ crosses once, at the time its ``meet`` gives."""
+        ts, xs, meet = self.pieces(component)
+        found, start = [], xs[0] > xi
+        last, lo = start, ts[0]
+        for hi, x in zip(ts, xs):
+            pred = x > xi
+            if pred != last:
+                found.append((meet(xi, lo, hi), pred))
+            last, lo = pred, hi
+        plateau = xs[0] == xi and xs.count(xi) == len(xs) and self.t1 > self.t0
+        return start, last, found, plateau
 
 
 class ScalarAffineSegment(_FloatSegment):
@@ -811,9 +840,10 @@ def solve_mode(
     :class:`StateSpaceExit` for an ``x0`` outside the box, and ValueError
     for a mode or an ``x0`` whose state count is not the box's, or t1 < t0.
     """
-    n, kind = space.dimension, mode.kind
-    _require_states(mode, n)
+    n, kind = len(space.bounds), mode.kind
     relaxation = isinstance(kind, ScalarRelaxation)
+    if (1 if relaxation else len(kind.b)) != n:
+        _require_states(mode, n)
     if not (n == 1 and isinstance(x0, float)):
         try:
             k = len(x0)

@@ -2,20 +2,21 @@
 
 The comparator maps a state component x_k(t) to 0 where x_k(t) <= xi and to
 1 where x_k(t) > xi, so a reported rising edge is the infimum of
-``{t : x_k(t) > xi}``.  Every segment (scalar and 2-state affine segments,
-for every spectrum, and relaxation segments) is crossed piece by piece: its
-component is monotone between the ends of its ``pieces``, so a piece whose
-end predicates differ crosses xi once, at the time the segment's ``meet``
-gives: exact for a scalar affine segment, and a Newton root on the
-closed-form slope, safeguarded by bisection, for a 2-state one (the
-component's slope) and a relaxation (the exponent's slope).  The formulas
-of each kind are documented on its segment class in ``modes``.
-
-The piece-end predicates are read off the values ``pieces`` returns with
-the piece ends, which each kind evaluates on floats, so they are the
-numbers every other reader of the segment sees.  When a scalar segment's
+``{t : x_k(t) > xi}``.  Each segment kind crosses itself
+(``crossings`` in ``modes``).  A 1-state segment (scalar affine or
+relaxation) is monotone, so it crosses at most once: where the predicates
+of its end values ``x0`` and ``x1`` differ, at the time its ``_meet``
+gives, exact for a scalar affine segment and a Newton root on the
+exponent's slope, safeguarded by bisection, for a relaxation.  When its
 ``asymptote`` is xi itself it never crosses, even where ``exp`` underflows
-and its computed end value lands exactly on xi.
+and its computed end value lands exactly on xi.  A 2-state segment, for
+every spectrum, is crossed piece by piece: its component is monotone
+between the ends of its ``pieces``, so a piece whose end predicates differ
+crosses once, at a Newton root on the component's closed-form slope.  The
+formulas of each kind are documented on its segment class in ``modes``.
+
+The predicates are read off the values each kind evaluates on floats, so
+they are the numbers every other reader of the segment sees.
 
 ``find_crossings`` reads any sequence of consecutive segments; a circuit
 run hands it each live segment alone, with no ``Trajectory`` around it.
@@ -54,49 +55,22 @@ class ThresholdSpec:
             raise ValueError(f"component index is 1-based, got {self.component}")
 
 
-def _monotone_crossings(segment: Segment, xi: float, component: int):
-    """Crossings of one segment, piece by piece.
-
-    The piece-end predicates come from the values ``pieces`` returns, and
-    each piece whose end predicates differ crosses once, at the time its
-    ``meet`` gives.  Returns ``(start predicate, end predicate, crossings,
-    plateau)``.
-    """
-    ts, xs, meet = segment.pieces(component)
-    found, start = [], xs[0] > xi
-    last, lo = start, ts[0]
-    for hi, x in zip(ts, xs):
-        pred = x > xi
-        if pred != last:
-            if segment.dimension == 1 and segment.asymptote == xi:
-                # x - xi = (x0 - xi) e^{-(phi(t) - phi(t0))} never changes
-                # sign; an exp that underflows onto xi is not an edge.
-                pred = start
-            else:
-                found.append((meet(xi, lo, hi), pred))
-        last, lo = pred, hi
-    plateau = xs[0] == xi and xs.count(xi) == len(xs) and segment.t1 > segment.t0
-    return start, last, found, plateau
-
-
 def find_crossings(segments: Iterable[Segment], xi: float, component: int = 1) -> list[tuple[float, bool]]:
     """Threshold crossing times of one state component along consecutive
     segments: a :class:`Trajectory`, or any iterable of segments that tile
     a span, such as the one live segment a circuit run crosses.
 
     Returns ``(time, rising)`` pairs sorted in time; ``rising`` is True when
-    the predicate ``x > xi`` turns on, and consecutive pairs alternate.  A
-    segment is crossed piece by piece: the piece-end predicates are read
-    off the values ``pieces`` returns with the piece ends, and each piece
-    whose end predicates differ crosses once, at the time of the segment's
-    closed form (documented on each segment class).  A scalar segment whose
+    the predicate ``x > xi`` turns on, and consecutive pairs alternate.
+    Each segment crosses itself (its ``crossings``), at the times of its
+    closed form (documented on each segment class); a 1-state segment whose
     asymptote is ``xi`` never crosses.  A segment whose start predicate
     differs from the previous segment's end predicate crosses at its start.
     """
     crossings: list[tuple[float, bool]] = []
     carried: bool | None = None  # predicate at the end of the previous segment
     for segment in segments:
-        pred_start, pred_end, found, plateau = _monotone_crossings(segment, xi, component)
+        pred_start, pred_end, found, plateau = segment.crossings(xi, component)
         # Exact-threshold plateaus digitize to 0 per the <= rule; flag them
         # since they usually indicate a degenerate model.
         if plateau:

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import strategies as st
 
 import hybridgates
-from hybridgates.circuit import execute
+from hybridgates.circuit import Circuit, Edge, InputPort, OutputPort, Vertex, execute
 from hybridgates.cli import _preset_names, load_circuit
-from hybridgates.gates import make_advanced_nor, make_simple_nor, mis_delay_sweep
+from hybridgates.gates import boolean_table, make_advanced_nor, make_boolean_gate, make_simple_nor, mis_delay_sweep
 from hybridgates.signals import TIME_EPS, BinarySignal, ModeSwitchSignal, Transition
 
 
@@ -44,6 +44,85 @@ def random_mode_signal(r: random.Random, horizon: float, modes, max_switches: in
     times = [t for i, t in enumerate(times) if i == 0 or t - times[i - 1] > 1e-6]
     init = r.choice(modes)
     return ModeSwitchSignal(init, tuple((t, r.choice(modes)) for t in times), horizon)
+
+
+# -- random circuits -----------------------------------------------------------
+
+_GATE_KINDS = ("nor2", "nand2", "or2", "and2", "not")
+
+
+def random_boolean_circuit(
+    rng: random.Random,
+    n_gates: int | None = None,
+    feedback: bool = True,
+    allow_flight: bool = True,
+    n_inputs: int | None = None,
+) -> Circuit:
+    """Random circuit of small boolean gates, optionally with feedback loops.
+
+    With ``allow_flight`` each gate gets an arbitrary initial output bit, so
+    loops may start in flight and oscillate on their own.  Without it, the
+    initial bits are solved to a consistent fixed point (regenerating the
+    topology if a loop has none), which level-0 unrolling requires.
+    """
+    n_gates = n_gates if n_gates is not None else rng.randint(2, 6)
+    n_inputs = n_inputs if n_inputs is not None else rng.randint(1, 2)
+    port_names = [f"in{i}" for i in range(n_inputs)]
+
+    for _attempt in range(64):
+        kinds = [rng.choice(_GATE_KINDS) for _ in range(n_gates)]
+        gate_names = [f"g{i}" for i in range(n_gates)]
+        drivers: dict[str, list[str]] = {}
+        for i, name in enumerate(gate_names):
+            arity = 1 if kinds[i] == "not" else 2
+            pool = port_names + (gate_names if feedback else gate_names[:i])
+            drivers[name] = [rng.choice(pool) for _ in range(arity)]
+
+        bits = {p: 0 for p in port_names}
+        bits.update({g: rng.randint(0, 1) for g in gate_names})
+        if not allow_flight:
+            tables = {g: boolean_table(kinds[i]) for i, g in enumerate(gate_names)}
+            ok = False
+            for _ in range(64):
+                new = dict(bits)
+                for g in gate_names:
+                    new[g] = tables[g][tuple(bits[d] for d in drivers[g])]
+                if new == bits:
+                    ok = True
+                    break
+                bits = new
+            if not ok:
+                continue  # the loop parity admits no consistent start
+
+        vertices: dict[str, Vertex] = {p: InputPort(0) for p in port_names}
+        edges: list[Edge] = []
+        for i, g in enumerate(gate_names):
+            delays = tuple(rng.uniform(0.05, 0.3) for _ in drivers[g])
+            vertices[g] = make_boolean_gate(
+                kinds[i],
+                delays,
+                initial_inputs=tuple(bits[d] for d in drivers[g]),
+                initial_output=bits[g],
+                name=g,
+            )
+            for slot, d in enumerate(drivers[g]):
+                edges.append(Edge(d, g, slot))
+        vertices["out"] = OutputPort()
+        edges.append(Edge(rng.choice(gate_names), "out", 0))
+
+        c = Circuit(vertices, edges)
+        if c.report.ok:
+            return c
+    raise RuntimeError("could not generate a consistent random circuit")
+
+
+def shuffled_copy(circuit: Circuit, rng: random.Random) -> Circuit:
+    """Same circuit with vertex and edge insertion order permuted."""
+    names = list(circuit.vertices)
+    rng.shuffle(names)
+    edges = list(circuit.edges)
+    rng.shuffle(edges)
+    return Circuit({n: circuit.vertices[n] for n in names}, edges)
 
 
 @st.composite
@@ -143,7 +222,7 @@ def run_fresh_python(code: str) -> str:
 
 class FunctionSegment:
     """A known state function ``fn`` of an array of times on [t0, t1].  It
-    has no ``pieces``, so the library cannot cross it; :func:`sampled_crossings`
+    has no ``crossings``, so the library cannot cross it; :func:`sampled_crossings`
     samples it, the reference that the closed forms are checked against."""
 
     __slots__ = ("t0", "t1", "fn", "dimension")

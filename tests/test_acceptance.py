@@ -20,7 +20,6 @@ from hybridgates.circuit import (
     check_simulation_equivalence,
     check_spf,
     execute,
-    random_boolean_circuit,
     reach_times,
     unroll,
 )
@@ -49,6 +48,8 @@ from hybridgates.signals import (
     one_norm_distance,
 )
 from hybridgates.threshold import ThresholdSpec, digitize
+
+from conftest import random_boolean_circuit
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

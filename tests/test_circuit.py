@@ -20,9 +20,7 @@ from hybridgates.circuit import (
     check_simulation_equivalence,
     check_spf,
     execute,
-    random_boolean_circuit,
     reach_times,
-    shuffled_copy,
     unroll,
     validate,
 )
@@ -42,7 +40,7 @@ from hybridgates.modes import StateSpace, affine_mode
 from hybridgates.signals import TIME_EPS, BinarySignal, one_norm_distance
 from hybridgates.threshold import ThresholdSpec, digitize
 
-from conftest import preset_stimulus, shipped_preset_runs
+from conftest import preset_stimulus, random_boolean_circuit, shipped_preset_runs, shuffled_copy
 
 LN2 = math.log(2.0)
 
@@ -475,6 +473,49 @@ class TestModeEntries:
         counted(modes_module, "modes")
         mis_delay_sweep(lambda: factory(initial_inputs=(1, 1)), [0.0, 1e-9, 0.5, 3.0])
         assert calls == {"circuit": 11, "modes": 0}
+
+    @staticmethod
+    def _count_crossing_searches(monkeypatch) -> list:
+        """Each call of the executor's ``find_crossings``, as the number of
+        segments it was handed."""
+        calls, find = [], circuit_module.find_crossings
+
+        def counted(segments, *args):
+            calls.append(len(segments))
+            return find(segments, *args)
+
+        monkeypatch.setattr(circuit_module, "find_crossings", counted)
+        return calls
+
+    def test_each_mode_entry_crosses_its_live_segment_once(self, monkeypatch):
+        calls = self._count_crossing_searches(monkeypatch)
+
+        def entries(circuit, ex):
+            return sum(len(ex.modes[name]) for name in circuit.gates())
+
+        for circuit, ex in shipped_preset_runs():  # each runs as the loop asks for it
+            assert calls == [1] * entries(circuit, ex)
+            calls.clear()
+        master = random.Random(3707)
+        for _ in range(20):
+            c = random_boolean_circuit(master, feedback=True)
+            ex = execute(c, {name: _random_edges(master, 8.0, 6) for name in c.input_ports()}, 8.0)
+            assert calls == [1] * entries(c, ex)
+            calls.clear()
+
+    def test_an_entry_resting_on_the_threshold_warns_through_execute(self, monkeypatch):
+        # the one mode holds the state at xi: a plateau, which digitizes to 0
+        calls = self._count_crossing_searches(monkeypatch)
+        box = StateSpace(((-0.01, 1.01),))
+        rest = affine_mode("rest", [[-1.0]], [0.5], box)
+        gate = GateSpec(
+            name="g", input_delays=(0.1,), choice=lambda bits, prev_bits, ctx: rest, family=(rest,),
+            initial_inputs=(0,), initial_state=(0.5,), threshold=ThresholdSpec(0.5), state_space=box,
+        )
+        c = Circuit({"I": InputPort(0), "g": gate, "O": OutputPort()}, [("I", "g", 0), ("g", "O", 0)])
+        with pytest.warns(RuntimeWarning, match="exactly on the threshold"):
+            ex = execute(c, {"I": BinarySignal(0, (), 2.0)}, 2.0)
+        assert calls == [1] and ex.signals["g"] == BinarySignal(0, (), 2.0)
 
     def test_a_run_builds_no_trajectory(self, monkeypatch):
         # each mode entry crosses its live segment as it is; a Trajectory is

@@ -122,7 +122,7 @@ def test_float_segment_meets_xi_inside_the_piece(a, b, x0, t0, span, u):
     x_lo, x_hi = seg.at(lo), seg.at(hi)
     xi = x_lo + u * (x_hi - x_lo)
     assume(min(x_lo, x_hi) < xi < max(x_lo, x_hi))
-    ts, xs, meet = seg.pieces(1)
+    ts, xs, meet = (seg.t0, seg.t1), (seg.x0, seg.x1), seg._meet
     assert ts == (lo, hi) and xs == (x_lo, x_hi)
     t = meet(xi, lo, hi)
     assert lo <= t <= hi
@@ -271,6 +271,16 @@ def test_solve_mode_takes_an_int_and_names_a_wrong_dimension():
         with pytest.raises(ValueError) as exc:
             solve_mode(m, x0, 0.0, 1.0, space)
         assert str(exc.value) == f"state dimension {k} != space dimension {n}"
+
+
+@given(x=st.floats())
+@example(x=100.0 + 1e-12)
+def test_a_box_reads_a_float_as_its_one_tuple(x):
+    # a float, numpy's included, is checked against the first bound, as (x,) is
+    for box in (BOX, _PLANE):
+        want = box.contains((x,))
+        assert box.contains(x) == box.contains(np.float64(x)) == box.contains([x]) == want
+    assert BOX.contains(x) == (-100.0 - BOX_SLACK < x < 100.0 + BOX_SLACK)
 
 
 # -- matrix closed forms ---------------------------------------------------------
@@ -690,7 +700,7 @@ def test_relaxation_meet_agrees_with_brentq(params, gap, t_on, lag, span, u):
     seg = RelaxationSegment(lo, hi, 1.0, 0.0, phi)
     phi0 = seg._phi0
     xi = math.exp(-u * (phi(hi)[0] - phi0))
-    (_, _), (x_lo, x_hi), meet = seg.pieces(1)
+    x_lo, x_hi, meet = seg.x0, seg.x1, seg._meet
     assume(x_hi <= xi < x_lo)
     rise = math.log1p((1.0 - xi) / xi)
 
@@ -861,7 +871,8 @@ def test_trajectory_leaving_box_raises_with_first_exit_time():
 def test_scalar_exit_is_exact(a, b, x0, box, time, bound):
     # the segment meets the bound at the exact time, and the mode, whose
     # field points out through that bound, is refused, naming its face
-    ts, xs, meet = ScalarAffineSegment(0.0, 20.0, x0, a, b).pieces(1)
+    seg = ScalarAffineSegment(0.0, 20.0, x0, a, b)
+    ts, meet = (seg.t0, seg.t1), seg._meet
     assert meet(bound, *ts) == pytest.approx(time, rel=1e-15)
     [(lo, hi)] = box.bounds
     face = lo - BOX_SLACK if bound == lo else hi + BOX_SLACK
@@ -1021,7 +1032,7 @@ def test_a_growing_scalar_mode_exits_where_its_exponential_overflows():
     # keeps no box around its equilibrium, so it is refused, at the first
     # face in corner order.
     seg = ScalarAffineSegment(0.0, 1000.0, 1.0, 1.0, 0.0)
-    ts, xs, meet = seg.pieces(1)
+    ts, xs, meet = (seg.t0, seg.t1), (seg.x0, seg.x1), seg._meet
     assert xs == (1.0, math.inf)
     assert meet(51.0, *ts) == pytest.approx(math.log(51.0), rel=1e-15)
     box = StateSpace(((-1.0, 51.0),))

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import conftest
+from hybridgates.gates import AdvancedNorParams, _charging_exponent
 from hybridgates.modes import (
     AffineSegment,
     RelaxationSegment,
@@ -461,6 +462,105 @@ class TestCrossingInput:
         start = segments[0].x0 > xi
         assert [rising for _, rising in got] == [not start if i % 2 == 0 else start for i in range(len(got))]
         assert [t for t, _ in got] == sorted(t for t, _ in got)
+
+
+def _reference_crossings(segment, xi: float, component: int):
+    """``(start, end, crossings, plateau)`` of one segment by one walk over
+    ``(ts, xs, meet)`` for every kind: a 2-state segment's ``pieces``, and a
+    1-state segment's ends and ``_meet``.  Each piece whose end predicates
+    differ crosses at the time ``meet`` gives, unless the segment is 1-state
+    with its asymptote on xi."""
+    if segment.dimension == 1:
+        ts, xs, meet = (segment.t0, segment.t1), (segment.x0, segment.x1), segment._meet
+    else:
+        ts, xs, meet = segment.pieces(component)
+    found, start = [], xs[0] > xi
+    last, lo = start, ts[0]
+    for hi, x in zip(ts, xs):
+        pred = x > xi
+        if pred != last:
+            if segment.dimension == 1 and segment.asymptote == xi:
+                pred = start
+            else:
+                found.append((meet(xi, lo, hi), pred))
+        last, lo = pred, hi
+    plateau = xs[0] == xi and xs.count(xi) == len(xs) and segment.t1 > segment.t0
+    return start, last, found, plateau
+
+
+_SPANS = st.one_of(st.just(0.0), st.floats(1e-9, 1e-3), st.floats(0.1, 20.0))
+_LEVELS = st.floats(-5.0, 5.0)
+_ENTRIES = st.floats(-3.0, 3.0)
+_SCALAR_SEGMENTS = st.builds(
+    lambda t0, span, x0, a, b: ScalarAffineSegment(t0, t0 + span, x0, a, b),
+    st.floats(0.0, 10.0), _SPANS, _LEVELS,
+    st.one_of(st.just(0.0), st.floats(-20.0, -0.05), st.floats(0.05, 5.0)), _LEVELS,
+)
+_RELAXATION_SEGMENTS = st.builds(
+    lambda params, gap, t_on, lag, span, x0, target: RelaxationSegment(
+        t_on + lag, t_on + lag + span, x0, target, _charging_exponent(params, t_on, gap, params.alpha1)
+    ),
+    st.builds(AdvancedNorParams, *(st.floats(0.1, 3.0) for _ in range(6)), v_dd=st.floats(0.5, 2.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.just(math.inf)),
+    st.floats(0.0, 10.0), st.floats(0.0, 5.0), _SPANS, _LEVELS, _LEVELS,
+)
+# 2-state segments of each _Plane form
+_PLANE_MATRICES = st.one_of(
+    # real distinct or complex eigenvalues
+    st.lists(_ENTRIES, min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
+    # a complex pair
+    st.tuples(_ENTRIES, st.floats(0.05, 3.0), st.floats(0.05, 3.0)).map(lambda p: [[p[0], -p[1]], [p[2], p[0]]]),
+    # a repeated eigenvalue, defective
+    st.tuples(_ENTRIES, _ENTRIES).map(lambda p: [[p[0], p[1]], [0.0, p[0]]]),
+    # nilpotent, the quadratic form
+    st.integers(-8, 8).map(lambda n: [[0.0, n / 4.0], [0.0, 0.0]]),
+)
+_PLANE_SEGMENTS = st.builds(
+    lambda t0, span, x0, a, b: AffineSegment(t0, t0 + span, x0, a, b),
+    st.floats(0.0, 10.0), _SPANS, st.tuples(_LEVELS, _LEVELS), _PLANE_MATRICES, st.tuples(_ENTRIES, _ENTRIES),
+)
+
+
+@st.composite
+def _crossing_cases(draw):
+    """(segment, component, xi): xi on a piece end, between two piece ends,
+    on a 1-state segment's asymptote, or anywhere."""
+    seg = draw(st.one_of(_SCALAR_SEGMENTS, _RELAXATION_SEGMENTS, _PLANE_SEGMENTS))
+    k = draw(st.sampled_from([1, 2])) if seg.dimension == 2 else 1
+    xs = [x for x in (seg.pieces(k)[1] if seg.dimension == 2 else (seg.x0, seg.x1)) if math.isfinite(x)]
+    levels = [*xs, seg.asymptote] if seg.dimension == 1 else xs
+    xi = draw(st.one_of(
+        st.sampled_from(levels),
+        st.tuples(st.sampled_from(xs), st.sampled_from(xs), st.floats(0.0, 1.0)).map(lambda p: p[0] + p[2] * (p[1] - p[0])),
+        _LEVELS,
+    ).filter(math.isfinite))
+    return seg, k, xi
+
+
+class TestEachKindCrossesItself:
+    @settings(max_examples=500, deadline=None)
+    @given(case=_crossing_cases())
+    # the asymptote on xi, with exp underflowing onto it: 0.5 + 0.5 e^{-1000}
+    # and 0.25 + 0.75 e^{-1000} read 0.5 and 0.25
+    @example(case=(ScalarAffineSegment(0.0, 1000.0, 1.0, -1.0, 0.5), 1, 0.5))
+    @example(case=(RelaxationSegment(0.0, 1000.0, 1.0, 0.25, lambda t: (t, 1.0)), 1, 0.25))
+    # a plateau, over a span and over an instant
+    @example(case=(ScalarAffineSegment(0.0, 1.0, 0.5, 0.0, 0.0), 1, 0.5))
+    @example(case=(ScalarAffineSegment(1.0, 1.0, 0.5, 0.0, 0.0), 1, 0.5))
+    @example(case=(AffineSegment(0.0, 1.0, (0.5, 0.25), [[0.0, 0.0], [0.0, 0.0]], [0.0, 1.0]), 1, 0.5))
+    # a start on xi, falling and rising away from it
+    @example(case=(ScalarAffineSegment(0.0, 2.0, 0.5, -1.0, 0.0), 1, 0.5))
+    @example(case=(ScalarAffineSegment(0.0, 2.0, 0.5, 0.0, 1.0), 1, 0.5))
+    @example(case=(AffineSegment(0.0, 2.0, (0.5, 0.0), [[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0]), 1, 0.5))
+    # a damped rotation that turns three times, crossing 0.5 three times
+    @example(case=(AffineSegment(0.0, 10.0, (1.0, 0.0), [[-0.1, -1.0], [1.0, -0.1]], [0.0, 0.0]), 1, 0.5))
+    def test_crossings_match_the_walk_over_pieces(self, case):
+        # the same predicates, plateau flag and crossing times, float for float
+        seg, k, xi = case
+        start, end, found, plateau = seg.crossings(xi, k)
+        want_start, want_end, want_found, want_plateau = _reference_crossings(seg, xi, k)
+        assert (start, end, plateau) == (want_start, want_end, want_plateau)
+        assert [(t.hex(), rising) for t, rising in found] == [(t.hex(), rising) for t, rising in want_found]
 
 
 class TestTangentialAndDegenerate:
