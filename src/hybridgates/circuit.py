@@ -238,6 +238,14 @@ class TransitionRecord(NamedTuple):
 class Execution:
     """Everything produced by one circuit run.
 
+    ``records`` holds each vertex's committed transitions.  ``signals`` is
+    their view as ``BinarySignal``s, ``inputs`` as given, then each gate's,
+    then each output port's (its driver's object); it is built from the
+    records on first read and kept, and takes no part in equality.  The
+    build raises nothing the run did not: ``execute`` asserts that a gate's
+    records alternate, and they leave one heap in time order, clamped to
+    the horizon, so construction can only cancel sub-``TIME_EPS`` pulses.
+
     A run keeps no trajectory: ``modes[g]`` lists gate ``g``'s mode
     entries, ``(entry time, mode)`` with the first at 0, from which
     ``trajectory`` re-solves its analog state when asked.
@@ -245,12 +253,28 @@ class Execution:
 
     circuit: Circuit
     horizon: float
-    signals: dict[str, BinarySignal]
+    inputs: dict[str, BinarySignal]
     records: dict[str, tuple[TransitionRecord, ...]]
     modes: dict[str, tuple[tuple[float, ModeFunction], ...]]
     iteration_times: list[float]
     event_count: int
     delta_min: float
+    _signals: dict[str, BinarySignal] | None = field(default=None, init=False, repr=False, compare=False)
+
+    # not functools.cached_property, whose lock a one-gate run pays on its one read
+    @property
+    def signals(self) -> dict[str, BinarySignal]:
+        signals = self._signals
+        if signals is None:
+            signals, records, horizon = dict(self.inputs), self.records, self.horizon
+            for name, spec in self.circuit._gates.items():
+                signals[name] = BinarySignal(
+                    initial_output_bit(spec), [(r.time, r.value) for r in records[name]], horizon
+                )
+            for name, src in self.circuit._drivers:
+                signals[name] = signals[src]
+            self._signals = signals
+        return signals
 
     def switching(self, name: str) -> tuple[ModeSwitchSignal, dict[Hashable, ModeFunction]]:
         """Gate ``name``'s modes over the run, by id, and the modes by id."""
@@ -317,7 +341,8 @@ def execute(
     A gate holds only its live segment, solved to the horizon and crossed
     without a ``Trajectory`` around it, and the run records its mode entries
     (``Execution.modes``).  Live segments are released when the queue is,
-    before the results are built.
+    before the results are built.  No ``BinarySignal`` is built: the run's
+    ``records`` are its product, and ``Execution.signals`` views them.
 
     Events closer than ``TIME_EPS`` to the queue head form a batch, read in
     one pass in queue order: a live output transition is committed as it
@@ -468,35 +493,28 @@ def execute(
 
     # memory peaks while the results are built; neither the queue's entries
     # past the horizon nor the live segments are needed for them, and each
-    # gate's lists are dropped once copied
+    # gate's lists are dropped once copied; signals are built on first read
     queue.clear()
     for st in states.values():
         st.live = None
 
-    # materialize signals, records, mode entries
-    signals: dict[str, BinarySignal] = {}
     records: dict[str, tuple[TransitionRecord, ...]] = {}
     modes: dict[str, tuple[tuple[float, ModeFunction], ...]] = {}
     for name, sig in input_signals.items():
-        signals[name] = sig
         records[name] = tuple(
             TransitionRecord(tr.time, tr.value, 0, 1) for tr in sig.transitions
         )
     for name, st in states.items():
-        signals[name] = BinarySignal(
-            initial_output_bit(st.spec), [(r.time, r.value) for r in st.records], horizon
-        )
         records[name] = tuple(st.records)
         modes[name] = tuple(st.modes)
         st.records = st.modes = None
     for name, src in circuit._drivers:
-        signals[name] = signals[src]
         records[name] = records[src]
 
     return Execution(
         circuit=circuit,
         horizon=horizon,
-        signals=signals,
+        inputs=input_signals,
         records=records,
         modes=modes,
         iteration_times=iteration_times,

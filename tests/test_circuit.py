@@ -28,6 +28,7 @@ from hybridgates.cli import _parse_grid, _preset_names, load_circuit
 from hybridgates.gates import (
     GateSpec,
     gate_output,
+    initial_output_bit,
     make_advanced_nor,
     make_boolean_gate,
     make_const_gate,
@@ -542,6 +543,63 @@ class TestModeEntries:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSignalsOnRead:
+    """A run builds no ``BinarySignal``: ``Execution.signals`` builds each
+    gate's from its records the first time it is read, once."""
+
+    @staticmethod
+    def _cases(master: random.Random, draws: int, n_gates=None, feedback=True):
+        """Each preset on its stimulus, then random circuits on random edges,
+        as (circuit, inputs, horizon), every input signal already built."""
+        cases = [preset_stimulus(preset) for preset in _preset_names()]
+        for _ in range(draws):
+            c = random_boolean_circuit(master, n_gates=n_gates, feedback=feedback)
+            cases.append((c, {name: _random_edges(master, 8.0, 6) for name in c.input_ports()}, 8.0))
+        return cases
+
+    def test_a_run_builds_each_gate_signal_on_the_first_read_only(self, monkeypatch):
+        cases = self._cases(random.Random(5021), 1, n_gates=500, feedback=False)
+        assert len(cases[-1][0].gates()) >= 500
+        built, post_init = [], BinarySignal.__post_init__
+
+        def counted(sig):
+            built.append(sig)
+            post_init(sig)
+
+        monkeypatch.setattr(BinarySignal, "__post_init__", counted)
+        for circuit, inputs, horizon in cases:
+            ex = execute(circuit, inputs, horizon)
+            assert built == []
+            signals = ex.signals
+            assert len(built) == len(circuit.gates())
+            built.clear()
+            assert ex.signals is signals and built == []
+
+    def test_each_signal_is_the_view_of_its_records(self):
+        for circuit, inputs, horizon in self._cases(random.Random(5023), 20):
+            ex = execute(circuit, inputs, horizon)
+            gates, outputs = circuit.gates(), circuit.output_ports()
+            assert list(ex.signals) == [*inputs, *gates, *outputs]
+            assert all(ex.signals[name] is sig for name, sig in inputs.items())
+            for name, spec in gates.items():
+                want = BinarySignal(
+                    initial_output_bit(spec), [(r.time, r.value) for r in ex.records[name]], horizon
+                )
+                assert ex.signals[name] == want, name
+                slots = sorted(circuit.incoming(name), key=lambda e: e.slot)
+                run = gate_output(spec, [ex.signals[e.src] for e in slots], horizon)
+                alone = run.execution
+                assert run.output is alone.signals["gate"] is alone.signals["out"], name
+                assert run.output == BinarySignal(
+                    want.initial_value, [(r.time, r.value) for r in alone.records["gate"]], horizon
+                ), name
+                assert [tr.value for tr in run.output.transitions] == [tr.value for tr in want.transitions], name
+                assert run.output.times == pytest.approx(want.times, abs=1e-11, rel=0), name
+            for name in outputs:
+                (edge,) = circuit.incoming(name)
+                assert ex.signals[name] is ex.signals[edge.src], name
 
 
 class TestScheduler:
